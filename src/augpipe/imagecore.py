@@ -124,9 +124,18 @@ def clamp_round(value: float) -> int:
 
 
 def clamp_round_array(values: np.ndarray) -> np.ndarray:
-    """Vectorised clamp_round; returns uint8."""
-    rounded = np.where(values >= 0.0, np.floor(values + 0.5), np.ceil(values - 0.5))
-    return np.clip(rounded, 0.0, 255.0).astype(np.uint8)
+    """Vectorised clamp_round; returns uint8.
+
+    Works in place: a float64 array argument is overwritten. Negative
+    values clamp to 0 whichever way they round, so floor(v + 0.5) agrees
+    with rounding halves away from zero on everything the clamp keeps.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    values += 0.5
+    np.floor(values, out=values)
+    np.maximum(values, 0.0, out=values)
+    np.minimum(values, 255.0, out=values)
+    return values.astype(np.uint8)
 
 
 def mix64(z: int) -> int:

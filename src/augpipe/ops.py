@@ -216,10 +216,8 @@ def zoom_kernel(img: Image, factor: float, filt: Filter = Filter.BILINEAR) -> Im
     w, h = img.width, img.height
     nw = round_half_away(w * factor)
     nh = round_half_away(h * factor)
-    enlarged = resize(img, nw, nh, filt)
-    ox = (nw - w) // 2
-    oy = (nh - h) // 2
-    return crop_kernel(enlarged, CropRect(ox, oy, w, h))
+    # Only the centred w x h window of the enlargement is computed.
+    return resize(img, nw, nh, filt, window=CropRect((nw - w) // 2, (nh - h) // 2, w, h))
 
 
 def crop_kernel(

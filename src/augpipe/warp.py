@@ -6,6 +6,22 @@ coordinates live in the continuous plane (pixel centers at half-integers);
 neighbour indices that fall off the raster clamp to the nearest edge
 pixel. Interpolation is per channel; callers get real values and the
 warps quantise once at the end, which keeps identity mappings bit-exact.
+
+The order of the bilinear floating-point operations is part of the
+byte contract. With p00, p10, p01, p11 the four neighbours and fx, fy
+the fractions past the lower neighbour, every bilinear value is the
+float64 expression
+
+    (p00 * (1 - fx) + p10 * fx) * (1 - fy) + (p01 * (1 - fx) + p11 * fx) * fy
+
+evaluated in exactly this order, and the mesh warp blends its node
+offsets with the same expression. The fast paths only share work around
+it: a resize blends each source row it reads along x once (the column
+fractions do not depend on the row), the mesh warp blends each node row
+along x once, and a zoom computes only the visible window of its
+enlargement. Large outputs are sampled and quantised in bands of rows.
+Reordering, fusing or narrowing any of these operations changes output
+bytes, and the golden digests in tests/test_golden.py pin them.
 """
 
 from __future__ import annotations
@@ -18,7 +34,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import GeometryError
-from .geometry import Homography
+from .geometry import CropRect, Homography
 from .imagecore import Image, clamp_round_array
 
 __all__ = [
@@ -131,6 +147,10 @@ class SamplingMonitor:
 
 _active_monitors: list[SamplingMonitor] = []
 
+# Output pixels per band of rows that a warp samples and quantises at a
+# time: small enough that the band's float64 temporaries stay in cache.
+_BAND_PIXELS = 1 << 14
+
 
 @contextmanager
 def monitor_source_bounds():
@@ -143,11 +163,17 @@ def monitor_source_bounds():
         _active_monitors.remove(monitor)
 
 
-@lru_cache(maxsize=32)
-def _dest_centers(width: int, height: int) -> tuple[np.ndarray, np.ndarray]:
-    xs = np.broadcast_to(np.arange(width, dtype=np.float64) + 0.5, (height, width))
-    ys = np.broadcast_to((np.arange(height, dtype=np.float64) + 0.5)[:, None], (height, width))
-    return xs, ys
+@lru_cache(maxsize=64)
+def _centers(start: int, count: int) -> np.ndarray:
+    """Pixel-center coordinates start + 0.5, ..., start + count - 0.5."""
+    centers = np.arange(start, start + count, dtype=np.float64) + 0.5
+    centers.flags.writeable = False
+    return centers
+
+
+def _observe(img: Image, xs: np.ndarray, ys: np.ndarray) -> None:
+    for monitor in _active_monitors:
+        monitor.observe(xs, ys, img.width, img.height)
 
 
 def _sample_values(img: Image, xs: np.ndarray, ys: np.ndarray, filt: Filter) -> np.ndarray:
@@ -155,9 +181,6 @@ def _sample_values(img: Image, xs: np.ndarray, ys: np.ndarray, filt: Filter) -> 
 
     Returns float64 with shape xs.shape + (channels,).
     """
-    if _active_monitors:
-        for monitor in _active_monitors:
-            monitor.observe(xs, ys, img.width, img.height)
     if filt is Filter.NEAREST:
         return _sample_nearest(img, xs, ys)
     if filt is Filter.BILINEAR:
@@ -171,27 +194,67 @@ def _sample_nearest(img: Image, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     return img.pixels[iy, ix].astype(np.float64)
 
 
+def _clamp(indices: np.ndarray, top: int) -> np.ndarray:
+    # In place; np.clip costs several times more on small arrays.
+    np.maximum(indices, 0, out=indices)
+    return np.minimum(indices, top, out=indices)
+
+
+def _bilinear_taps(coords: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Clamped lower and upper neighbour indices and the fraction past the lower."""
+    u = coords - 0.5
+    lower = np.floor(u)
+    frac = np.subtract(u, lower, out=u)
+    i0 = lower.astype(np.intp)
+    i1 = i0 + 1
+    return _clamp(i0, size - 1), _clamp(i1, size - 1), frac
+
+
+def _lerp(a: np.ndarray, b: np.ndarray, f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """a * g + b * f with g = 1 - f, evaluated in exactly that order.
+
+    uint8 operands promote to float64 exactly. float64 operands must be
+    scratch arrays: they are overwritten, and the result reuses a.
+    """
+    a = np.multiply(a, g, out=a if a.dtype == np.float64 else None)
+    b = np.multiply(b, f, out=b if b.dtype == np.float64 else None)
+    a += b
+    return a
+
+
 def _sample_bilinear(img: Image, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    px = img.pixels
-    u = xs - 0.5
-    v = ys - 0.5
-    x0 = np.floor(u)
-    y0 = np.floor(v)
-    fx = (u - x0)[..., None]
-    fy = (v - y0)[..., None]
-    x0 = x0.astype(np.int64)
-    y0 = y0.astype(np.int64)
-    x0c = np.clip(x0, 0, img.width - 1)
-    x1c = np.clip(x0 + 1, 0, img.width - 1)
-    y0c = np.clip(y0, 0, img.height - 1)
-    y1c = np.clip(y0 + 1, 0, img.height - 1)
-    p00 = px[y0c, x0c].astype(np.float64)
-    p10 = px[y0c, x1c].astype(np.float64)
-    p01 = px[y1c, x0c].astype(np.float64)
-    p11 = px[y1c, x1c].astype(np.float64)
-    top = p00 * (1.0 - fx) + p10 * fx
-    bottom = p01 * (1.0 - fx) + p11 * fx
-    return top * (1.0 - fy) + bottom * fy
+    w = img.width
+    x0, x1, fx = _bilinear_taps(xs, w)
+    y0, y1, fy = _bilinear_taps(ys, img.height)
+    y0 *= w
+    y1 *= w
+    flat = img.pixels.reshape(-1, img.channels)
+    fx = fx[..., None]
+    gx = 1.0 - fx
+    top = _lerp(flat.take(y0 + x0, axis=0), flat.take(y0 + x1, axis=0), fx, gx)
+    bottom = _lerp(flat.take(y1 + x0, axis=0), flat.take(y1 + x1, axis=0), fx, gx)
+    fy = fy[..., None]
+    return _lerp(top, bottom, fy, 1.0 - fy)
+
+
+def _resize_bilinear(img: Image, x_taps: tuple, sy: np.ndarray) -> np.ndarray:
+    """Bilinear samples on the grid of columns x_taps by rows sy, separably.
+
+    x_taps is (x0, x1, fx, 1 - fx) with the fractions shaped (w, 1). Each
+    source row that some output row reads is blended along x once; output
+    rows then blend two of those rows. Every output value is the same
+    expression, in the same order, as in _sample_bilinear.
+    """
+    x0, x1, fx, gx = x_taps
+    y0, y1, fy = _bilinear_taps(sy, img.height)
+    needed = np.zeros(img.height, dtype=bool)
+    needed[y0] = True
+    needed[y1] = True
+    position = np.cumsum(needed) - 1  # source row -> its row in blended
+    src = img.pixels[needed]
+    blended = _lerp(src[:, x0], src[:, x1], fx, gx)
+    fy = fy[:, None, None]
+    return _lerp(blended[position[y0]], blended[position[y1]], fy, 1.0 - fy)
 
 
 def _catmull_rom_weights(t: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -228,14 +291,32 @@ def _sample_bicubic(img: Image, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
 
 def sample(img: Image, x: float, y: float, filt: Filter = Filter.BILINEAR) -> tuple[float, ...]:
     """Per-channel real values at one continuous coordinate."""
-    values = _sample_values(
-        img, np.array([x], dtype=np.float64), np.array([y], dtype=np.float64), filt
+    xs, ys = np.array([x], dtype=np.float64), np.array([y], dtype=np.float64)
+    _observe(img, xs, ys)
+    return tuple(float(v) for v in _sample_values(img, xs, ys, filt)[0])
+
+
+def _quantise_bands(img: Image, height: int, width: int, sample_rows) -> Image:
+    """Build a height x width image in bands of rows.
+
+    ``sample_rows(band)`` returns the real values of the rows in the
+    slice ``band``; each band is quantised on its own, which keeps the
+    float64 temporaries small and in cache.
+    """
+    out = np.empty((height, width, img.channels), dtype=np.uint8)
+    step = max(1, _BAND_PIXELS // width)
+    for start in range(0, height, step):
+        band = slice(start, start + step)
+        out[band] = clamp_round_array(sample_rows(band))
+    return Image._wrap(out, img.format)
+
+
+def _warp(img: Image, xs: np.ndarray, ys: np.ndarray, filt: Filter) -> Image:
+    """Sample img at the (h, w) source coordinates xs, ys."""
+    _observe(img, xs, ys)
+    return _quantise_bands(
+        img, *xs.shape, lambda band: _sample_values(img, xs[band], ys[band], filt)
     )
-    return tuple(float(v) for v in values[0])
-
-
-def _finish(values: np.ndarray, fmt) -> Image:
-    return Image._wrap(clamp_round_array(values), fmt)
 
 
 def warp_affine(
@@ -248,9 +329,8 @@ def warp_affine(
     """Resample through a destination-to-source affine map."""
     if out_w < 1 or out_h < 1:
         raise ValueError(f"output dimensions must be >= 1, got {out_w}x{out_h}")
-    xs, ys = _dest_centers(out_w, out_h)
-    sx, sy = transform.map_points(xs, ys)
-    return _finish(_sample_values(img, sx, sy, filt), img.format)
+    sx, sy = transform.map_points(_centers(0, out_w), _centers(0, out_h)[:, None])
+    return _warp(img, sx, sy, filt)
 
 
 def warp_projective(
@@ -267,9 +347,8 @@ def warp_projective(
     """
     if out_w < 1 or out_h < 1:
         raise ValueError(f"output dimensions must be >= 1, got {out_w}x{out_h}")
-    xs, ys = _dest_centers(out_w, out_h)
-    sx, sy = hom.map_points(xs, ys)
-    return _finish(_sample_values(img, sx, sy, filt), img.format)
+    sx, sy = hom.map_points(_centers(0, out_w), _centers(0, out_h)[:, None])
+    return _warp(img, sx, sy, filt)
 
 
 def warp_mesh(img: Image, grid: DisplacementGrid, filt: Filter = Filter.BILINEAR) -> Image:
@@ -280,32 +359,57 @@ def warp_mesh(img: Image, grid: DisplacementGrid, filt: Filter = Filter.BILINEAR
     four surrounding node offsets, evaluated at p's fractional position
     within the cell; shared nodes make the field continuous across cell
     boundaries, and zero boundary nodes pin the image border.
+
+    A column's cell and fraction depend only on x, a row's only on y, so
+    every node row is blended along x once and the output rows blend two
+    of those.
     """
     w, h = img.width, img.height
-    xs, ys = _dest_centers(w, h)
+    xs, ys = _centers(0, w), _centers(0, h)
     tx = xs * (grid.gw / w)
     ty = ys * (grid.gh / h)
-    ax = np.clip(np.floor(tx).astype(np.int64), 0, grid.gw - 1)
-    by = np.clip(np.floor(ty).astype(np.int64), 0, grid.gh - 1)
-    fx = (tx - ax)[..., None]
-    fy = (ty - by)[..., None]
-    nodes = grid.nodes
-    n00 = nodes[by, ax]
-    n10 = nodes[by, ax + 1]
-    n01 = nodes[by + 1, ax]
-    n11 = nodes[by + 1, ax + 1]
-    disp = (n00 * (1.0 - fx) + n10 * fx) * (1.0 - fy) + (n01 * (1.0 - fx) + n11 * fx) * fy
-    return _finish(_sample_values(img, xs + disp[..., 0], ys + disp[..., 1], filt), img.format)
+    ax = _clamp(np.floor(tx).astype(np.intp), grid.gw - 1)
+    by = _clamp(np.floor(ty).astype(np.intp), grid.gh - 1)
+    fx = tx - ax
+    fy = (ty - by)[:, None]
+    gy = 1.0 - fy
+    offsets = grid.nodes.transpose(2, 0, 1)  # (2, gh + 1, gw + 1): dx, dy planes
+    node_rows = _lerp(offsets[:, :, ax], offsets[:, :, ax + 1], fx, 1.0 - fx)
+    sx = _lerp(node_rows[0, by], node_rows[0, by + 1], fy, gy)
+    sy = _lerp(node_rows[1, by], node_rows[1, by + 1], fy, gy)
+    sx += xs
+    sy += ys[:, None]
+    return _warp(img, sx, sy, filt)
 
 
-def resize(img: Image, out_w: int, out_h: int, filt: Filter = Filter.BILINEAR) -> Image:
+def resize(
+    img: Image,
+    out_w: int,
+    out_h: int,
+    filt: Filter = Filter.BILINEAR,
+    window: CropRect | None = None,
+) -> Image:
     """Point-sampled resize: destination centers map proportionally to source.
 
-    A same-size bilinear resize is bit-identical to the input.
+    A same-size bilinear resize is bit-identical to the input. With a
+    window, only that integral sub-rectangle of the out_w x out_h result
+    is computed and returned; its pixels equal those of the full resize.
     """
     if out_w < 1 or out_h < 1:
         raise ValueError(f"output dimensions must be >= 1, got {out_w}x{out_h}")
-    xs, ys = _dest_centers(out_w, out_h)
-    sx = xs * (img.width / out_w)
-    sy = ys * (img.height / out_h)
-    return _finish(_sample_values(img, sx, sy, filt), img.format)
+    if window is None:
+        window = CropRect(0, 0, out_w, out_h)
+    x, y = window.x, window.y
+    if x != int(x) or y != int(y) or x < 0 or y < 0 or x + window.w > out_w or y + window.h > out_h:
+        raise ValueError(f"window {window} is not an integral part of {out_w}x{out_h}")
+    sx = _centers(int(x), window.w) * (img.width / out_w)
+    sy = _centers(int(y), window.h) * (img.height / out_h)
+    if filt is not Filter.BILINEAR:
+        return _warp(img, *np.broadcast_arrays(sx, sy[:, None]), filt)
+    _observe(img, sx, sy)
+    x0, x1, fx = _bilinear_taps(sx, img.width)
+    fx = fx[:, None]
+    x_taps = (x0, x1, fx, 1.0 - fx)
+    return _quantise_bands(
+        img, window.h, window.w, lambda band: _resize_bilinear(img, x_taps, sy[band])
+    )

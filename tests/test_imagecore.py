@@ -60,6 +60,15 @@ class TestClampRound:
         lo, hi = min(a, b), max(a, b)
         assert clamp_round(lo) <= clamp_round(hi)
 
+    def test_array_extremes(self):
+        # 0.49999999999999994 + 0.5 rounds to 1.0 in float64, in the scalar
+        # path too; infinities clamp like any out-of-range value.
+        values = [float("-inf"), -1e300, -0.5, -0.0, 0.49999999999999994, 254.5, 1e300,
+                  float("inf")]
+        expected = [0, 0, 0, 0, 1, 255, 255, 255]
+        assert [clamp_round(v) for v in values[1:-1]] == expected[1:-1]
+        assert clamp_round_array(np.array(values)).tolist() == expected
+
     @given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=30))
     @settings(max_examples=50)
     def test_array_agrees_with_scalar(self, values):

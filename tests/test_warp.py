@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from augpipe import AffineTransform, DisplacementGrid, Filter, GeometryError, Image, PixelFormat
-from augpipe.geometry import Homography
+from augpipe import warp
+from augpipe.geometry import CropRect, Homography
 from augpipe.warp import (
     _catmull_rom_weights,
     monitor_source_bounds,
@@ -198,6 +199,35 @@ class TestResize:
         img = random_image(np_rng, 16, 16)
         out = resize(img, 37, 9, Filter.BICUBIC)
         assert out.pixels.min() >= 0 and out.pixels.max() <= 255
+
+
+    @pytest.mark.parametrize("filt", ALL_FILTERS)
+    def test_window_equals_crop_of_full_resize(self, np_rng, filt):
+        img = random_image(np_rng, 300, 9, PixelFormat.RGB8)
+        full = resize(img, 413, 40, filt)
+        part = resize(img, 413, 40, filt, window=CropRect(57, 3, 300, 33))
+        assert np.array_equal(part.pixels, full.pixels[3:36, 57:357])
+
+    def test_window_must_lie_inside_the_output(self, np_rng):
+        img = random_image(np_rng, 8, 8)
+        for window in (CropRect(1, 0, 8, 8), CropRect(0.5, 0, 4, 4), CropRect(-1, 0, 2, 2)):
+            with pytest.raises(ValueError):
+                resize(img, 8, 8, window=window)
+
+    def test_bands_match_one_pass(self, np_rng, monkeypatch):
+        # Outputs are sampled in bands of rows; the band size must not
+        # show in the bytes or in what the monitor sees.
+        img = random_image(np_rng, 40, 30, PixelFormat.RGBA8)
+        grid = DisplacementGrid(3, 2, np.zeros((3, 4, 2)))
+        grid.nodes[1, 1:3] = ((2.5, -1.0), (-3.0, 4.0))
+        kernels = (lambda: resize(img, 77, 41), lambda: warp_mesh(img, grid),
+                   lambda: warp_affine(img, AffineTransform.translation(0.3, -0.7), 33, 50))
+        one_pass = [kernel().pixels for kernel in kernels]
+        monkeypatch.setattr(warp, "_BAND_PIXELS", 7)
+        with monitor_source_bounds() as monitor:
+            for kernel, expected in zip(kernels, one_pass):
+                assert np.array_equal(kernel().pixels, expected)
+        assert monitor.warps == 3
 
 
 class TestMonitor:
