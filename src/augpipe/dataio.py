@@ -33,6 +33,9 @@ __all__ = [
 ]
 
 _PNG_SIG = b"\x89PNG\r\n\x1a\n"
+# Deflate codes at most 258 bytes per 2 bits, so no stream inflates to
+# more than 1032 times its own size.
+_MAX_INFLATE_RATIO = 1032
 _IMAGE_SUFFIXES = (".png", ".ppm", ".pgm")
 
 # Label used for images sitting directly in the dataset root.
@@ -132,6 +135,8 @@ def _decode_png(data: bytes) -> Image:
     idat = bytearray()
     for ctype, payload in _png_chunks(data):
         if ctype == b"IHDR":
+            if len(payload) != 13:
+                raise DecodeError(f"corrupt PNG: IHDR has {len(payload)} bytes, not 13")
             ihdr = struct.unpack(">IIBBBBB", payload)
         elif ctype == b"PLTE":
             palette = payload
@@ -155,12 +160,19 @@ def _decode_png(data: bytes) -> Image:
         raise UnsupportedImageError(f"unsupported PNG colour type {color}")
     if not idat:
         raise DecodeError("corrupt PNG: no IDAT data")
+    # Bound memory by the size IHDR promises before inflating anything.
+    stride = width * channels
+    expected = height * (stride + 1)
+    if expected > _MAX_INFLATE_RATIO * len(idat):
+        raise DecodeError(f"truncated PNG: {len(idat)} IDAT bytes cannot hold {width}x{height}")
+    inflater = zlib.decompressobj()
     try:
-        raw = zlib.decompress(bytes(idat))
+        raw = inflater.decompress(bytes(idat), expected + 1)
     except zlib.error as exc:
         raise DecodeError(f"corrupt PNG: {exc}") from exc
-    stride = width * channels
-    if len(raw) != height * (stride + 1):
+    if len(raw) > expected:
+        raise DecodeError(f"corrupt PNG: pixel data inflates past the {expected} bytes IHDR promises")
+    if len(raw) < expected or not inflater.eof:
         raise DecodeError("truncated PNG: pixel data length mismatch")
     flat = np.frombuffer(bytes(_unfilter_rows(raw, height, stride, channels)), dtype=np.uint8)
     arr = flat.reshape(height, width, channels)
@@ -234,6 +246,8 @@ def _decode_pnm(data: bytes) -> Image:
     magic = data[:2]
     fmt = PixelFormat.GRAY8 if magic == b"P5" else PixelFormat.RGB8
     (width, height, maxval), pos = _pnm_tokens(data, 3, 2)
+    if width < 1 or height < 1:
+        raise DecodeError(f"corrupt PNM: zero dimension {width}x{height}")
     if maxval != 255:
         raise UnsupportedImageError(f"unsupported PNM maxval {maxval} (only 255)")
     # `pos` is just past the single whitespace byte terminating the header.

@@ -18,6 +18,7 @@ from __future__ import annotations
 import atexit
 import json
 import multiprocessing
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -148,16 +149,21 @@ class CollectingSink:
         return rel
 
 
-# Per-process cache of decoded source images; entries are immutable.
-_IMAGE_CACHE: dict[str, Image] = {}
+# Per-process cache of decoded source images: path -> ((mtime_ns, size),
+# image). A file rewritten since it was decoded has a new stamp, and its
+# fresh decode replaces the stale entry, so there is one entry per path.
+_IMAGE_CACHE: dict[str, tuple[tuple[int, int], Image]] = {}
 
 
 def _load_cached(path: Path) -> Image:
     key = str(path)
-    img = _IMAGE_CACHE.get(key)
-    if img is None:
-        img = load_image(path)
-        _IMAGE_CACHE[key] = img
+    st = os.stat(key)
+    stamp = (st.st_mtime_ns, st.st_size)
+    entry = _IMAGE_CACHE.get(key)
+    if entry is not None and entry[0] == stamp:
+        return entry[1]
+    img = load_image(path)
+    _IMAGE_CACHE[key] = (stamp, img)
     return img
 
 

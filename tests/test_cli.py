@@ -151,6 +151,13 @@ class TestExitCodes:
         assert main(["run", "--config", str(recipe), "--input", str(empty),
                      "--output", str(tmp_path / "o"), "--count", "1"]) == 2
 
+    def test_zero_width_pgm_is_2(self, tmp_path, recipe):
+        root = tmp_path / "zero"
+        root.mkdir()
+        (root / "a.pgm").write_bytes(b"P5\n0 4\n255\n")
+        assert main(["run", "--config", str(recipe), "--input", str(root),
+                     "--output", str(tmp_path / "o"), "--count", "1"]) == 2
+
     def test_rgba_to_ppm_write_failure_is_2_and_names_sample(self, tmp_path, np_rng,
                                                              recipe, capsys):
         root = tmp_path / "rgba"

@@ -153,6 +153,39 @@ class TestPngDecodeSurface:
         with pytest.raises(DecodeError):
             load_image(path)
 
+    def test_bomb_past_promised_size(self, tmp_path):
+        # 1x1 grey promises 2 bytes of scanline data; the IDAT inflates to
+        # 10 MB from about 10 kB.
+        sig = b"\x89PNG\r\n\x1a\n"
+        ihdr = struct.pack(">IIBBBBB", 1, 1, 8, 0, 0, 0, 0)
+        idat = zlib.compress(bytes(10_000_000), 9)
+        path = tmp_path / "bomb.png"
+        path.write_bytes(sig + _chunk(b"IHDR", ihdr) + _chunk(b"IDAT", idat) + _chunk(b"IEND", b""))
+        assert path.stat().st_size < 20_000
+        with pytest.raises(DecodeError, match="past"):
+            load_image(path)
+
+    def test_promise_larger_than_idat_can_hold(self, tmp_path):
+        # No deflate stream inflates past 1032x its size, so this file is
+        # rejected before anything is inflated.
+        path = tmp_path / "huge.png"
+        path.write_bytes(_png(60_000, 60_000, 8, 6, 0, b"\x00" * 64))
+        with pytest.raises(DecodeError, match="cannot hold"):
+            load_image(path)
+
+    def test_too_little_pixel_data(self, tmp_path):
+        path = tmp_path / "short.png"
+        path.write_bytes(_png(4, 4, 8, 0, 0, b"\x00" * 19))
+        with pytest.raises(DecodeError, match="mismatch"):
+            load_image(path)
+
+    def test_short_ihdr(self, tmp_path):
+        sig = b"\x89PNG\r\n\x1a\n"
+        path = tmp_path / "ihdr.png"
+        path.write_bytes(sig + _chunk(b"IHDR", b"\x00\x00\x00\x01"))
+        with pytest.raises(DecodeError, match="IHDR"):
+            load_image(path)
+
     def test_unknown_format(self, tmp_path):
         path = tmp_path / "what.png"
         path.write_bytes(b"GIF89a not a png")
@@ -197,6 +230,13 @@ class TestPnm:
         path = tmp_path / "deep.pgm"
         path.write_bytes(b"P5\n1 1\n65535\n\x00\x00")
         with pytest.raises(UnsupportedImageError):
+            load_image(path)
+
+    @pytest.mark.parametrize("header", [b"P5\n0 4\n255\n", b"P6\n3 0\n255\n"])
+    def test_zero_dimension_is_decode_error(self, tmp_path, header):
+        path = tmp_path / "zero.pgm"
+        path.write_bytes(header)
+        with pytest.raises(DecodeError):
             load_image(path)
 
     def test_truncated_pixels(self, tmp_path):
@@ -269,3 +309,75 @@ class TestOutputName:
         name = output_name("stem", index)
         assert name.startswith("stem_aug_")
         assert int(name[len("stem_aug_"):-len(".png")]) == index
+
+
+def _seed_files() -> list[bytes]:
+    """Small valid files of every decodable kind, to mutate."""
+    grey = np.arange(12, dtype=np.uint8).reshape(3, 4) * 20
+    raw_grey = b"".join(bytes([f]) + row.tobytes() for f, row in zip((0, 1, 4), grey))
+    rgb = (np.arange(2 * 3 * 3, dtype=np.uint8) * 13).reshape(2, 9)
+    raw_rgb = b"".join(bytes([f]) + row.tobytes() for f, row in zip((2, 3), rgb))
+    return [
+        _png(4, 3, 8, 0, 0, raw_grey),
+        _png(3, 2, 8, 2, 0, raw_rgb),
+        _png(2, 2, 8, 3, 0, b"\x00\x00\x01\x00\x01\x00", [(b"PLTE", bytes(range(6)))]),
+        _png(2, 1, 8, 4, 0, b"\x00\x10\x20\x30\x40"),
+        _png(1, 2, 8, 6, 0, b"\x00\x01\x02\x03\x04\x00\x05\x06\x07\x08"),
+        b"P5\n3 2\n255\n" + bytes(range(6)),
+        b"P6\n# c\n2 1\n255\n" + bytes(range(6)),
+    ]
+
+
+@st.composite
+def _mutated_file(draw):
+    data = bytearray(draw(st.sampled_from(_seed_files())))
+    for _ in range(draw(st.integers(1, 4))):
+        pos = draw(st.integers(0, len(data)))
+        action = draw(st.sampled_from(("set", "insert", "delete", "truncate")))
+        if action == "set" and pos < len(data):
+            data[pos] = draw(st.integers(0, 255))
+        elif action == "insert":
+            data[pos:pos] = draw(st.binary(min_size=1, max_size=8))
+        elif action == "delete":
+            del data[pos : pos + draw(st.integers(1, 8))]
+        elif action == "truncate":
+            del data[pos:]
+    return bytes(data)
+
+
+@st.composite
+def _chunked_png(draw):
+    """PNGs with valid CRCs around arbitrary header fields and pixel data,
+    so the mutations reach the decoder past the checksum check."""
+    fields = draw(st.tuples(
+        st.sampled_from((0, 1, 3, 7, 2**31, 2**32 - 1)),
+        st.sampled_from((0, 1, 2, 5, 2**31, 2**32 - 1)),
+        st.sampled_from((1, 8, 16, 255)), st.sampled_from((0, 2, 3, 4, 5, 6)),
+        st.sampled_from((0, 1)), st.sampled_from((0, 1)), st.sampled_from((0, 1)),
+    ))
+    ihdr = struct.pack(">IIBBBBB", *fields)
+    ihdr = ihdr[: draw(st.integers(0, 13))] if draw(st.booleans()) else ihdr
+    payload = draw(st.binary(max_size=64))
+    idat = zlib.compress(payload) if draw(st.booleans()) else payload
+    chunks = [(b"IHDR", ihdr)]
+    if draw(st.booleans()):
+        chunks.append((b"PLTE", draw(st.binary(max_size=12))))
+    cut = draw(st.integers(0, len(idat)))
+    chunks += [(b"IDAT", idat[:cut]), (b"IDAT", idat[cut:]), (b"IEND", b"")]
+    return b"\x89PNG\r\n\x1a\n" + b"".join(_chunk(t, p) for t, p in chunks)
+
+
+class TestDecodeFuzz:
+    """Any byte string given as an image decodes or raises one of the two
+    image errors, which the CLI maps to exit code 2."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(_mutated_file(), _chunked_png()))
+    def test_only_image_errors(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("fuzz") / "f.img"
+        path.write_bytes(data)
+        try:
+            img = load_image(path)
+        except (DecodeError, UnsupportedImageError):
+            return
+        assert img.pixels.dtype == np.uint8 and img.width >= 1 and img.height >= 1

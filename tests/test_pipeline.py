@@ -1,6 +1,7 @@
 """Gating semantics, ordering, determinism, parallel equivalence, trace format."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from augpipe import (
     DatasetError,
     DirectorySink,
     Elastic,
+    Image,
     Invert,
     OpError,
     OutputCollisionError,
@@ -182,6 +184,36 @@ class TestSample:
         assert "sample 0" in str(info.value)
         # overwrite allows the rerun
         pipeline_mod.sample(p, ds, 3, DirectorySink(out, overwrite=True))
+
+
+class TestSourceCache:
+    def _sample_one(self, root):
+        sink = CollectingSink()
+        pipeline_mod.sample(Pipeline(), scan_dataset(root), 1, sink)
+        return sink.images[0][1].pixels
+
+    def test_rewritten_file_is_decoded_again(self, tmp_path, np_rng):
+        first, second = random_image(np_rng, 4, 4), random_image(np_rng, 5, 5)
+        save_image(first, tmp_path / "a.png")
+        assert np.array_equal(self._sample_one(tmp_path), first.pixels)
+        save_image(second, tmp_path / "a.png")
+        assert np.array_equal(self._sample_one(tmp_path), second.pixels)
+
+    def test_same_size_rewrite_with_new_mtime(self, tmp_path, np_rng):
+        # PGM files of equal dimensions have equal sizes, so only the
+        # modification time tells the two versions apart.
+        path = tmp_path / "a.pgm"
+        first = random_image(np_rng, 6, 6)
+        second = Image.from_array(255 - first.pixels, first.format)
+        save_image(first, path, "ppm")
+        assert np.array_equal(self._sample_one(tmp_path), first.pixels)
+        stamp, size = path.stat().st_mtime_ns, path.stat().st_size
+        save_image(second, path, "ppm")
+        os.utime(path, ns=(stamp + 1_000_000, stamp + 1_000_000))
+        assert path.stat().st_size == size
+        assert np.array_equal(self._sample_one(tmp_path), second.pixels)
+        # The fresh decode replaced the stale entry instead of adding one.
+        assert np.array_equal(pipeline_mod._IMAGE_CACHE[str(path)][1].pixels, second.pixels)
 
 
 class TestProcess:
