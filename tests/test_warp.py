@@ -3,10 +3,21 @@ clamp-to-edge addressing, mesh warps, and the instrumentation hook."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from augpipe import AffineTransform, DisplacementGrid, Filter, GeometryError, Image, PixelFormat
+from augpipe import (
+    AffineTransform,
+    DisplacementGrid,
+    Filter,
+    GeometryError,
+    Image,
+    PixelFormat,
+    round_half_away,
+)
 from augpipe import warp
 from augpipe.geometry import CropRect, Homography
+from augpipe.ops import zoom_kernel
 from augpipe.warp import (
     _catmull_rom_weights,
     monitor_source_bounds,
@@ -246,3 +257,84 @@ class TestMonitor:
             resize(img, 4, 4)
         assert monitor.warps == 2
         assert monitor.violations == 0
+
+
+def _reference_bilinear(img, xs, ys):
+    """Bilinear sampling and quantisation written out directly, as the
+    warps first implemented them: the reference for the byte contract."""
+    px = img.pixels.astype(np.float64)
+    u, v = xs - 0.5, ys - 0.5
+    x0, y0 = np.floor(u), np.floor(v)
+    fx, fy = (u - x0)[..., None], (v - y0)[..., None]
+    x0, y0 = x0.astype(np.int64), y0.astype(np.int64)
+    x0c, x1c = np.clip(x0, 0, img.width - 1), np.clip(x0 + 1, 0, img.width - 1)
+    y0c, y1c = np.clip(y0, 0, img.height - 1), np.clip(y0 + 1, 0, img.height - 1)
+    top = px[y0c, x0c] * (1.0 - fx) + px[y0c, x1c] * fx
+    bottom = px[y1c, x0c] * (1.0 - fx) + px[y1c, x1c] * fx
+    values = top * (1.0 - fy) + bottom * fy
+    rounded = np.where(values >= 0.0, np.floor(values + 0.5), np.ceil(values - 0.5))
+    return np.clip(rounded, 0.0, 255.0).astype(np.uint8)
+
+
+def _reference_centers(width, height):
+    xs = np.broadcast_to(np.arange(width, dtype=np.float64) + 0.5, (height, width))
+    ys = np.broadcast_to((np.arange(height, dtype=np.float64) + 0.5)[:, None], (height, width))
+    return xs, ys
+
+
+def _reference_mesh(img, grid):
+    xs, ys = _reference_centers(img.width, img.height)
+    tx, ty = xs * (grid.gw / img.width), ys * (grid.gh / img.height)
+    ax = np.clip(np.floor(tx).astype(np.int64), 0, grid.gw - 1)
+    by = np.clip(np.floor(ty).astype(np.int64), 0, grid.gh - 1)
+    fx, fy = (tx - ax)[..., None], (ty - by)[..., None]
+    n = grid.nodes
+    disp = ((n[by, ax] * (1.0 - fx) + n[by, ax + 1] * fx) * (1.0 - fy)
+            + (n[by + 1, ax] * (1.0 - fx) + n[by + 1, ax + 1] * fx) * fy)
+    return _reference_bilinear(img, xs + disp[..., 0], ys + disp[..., 1])
+
+
+_sizes = st.integers(1, 40)
+
+
+@st.composite
+def _image(draw):
+    fmt = draw(st.sampled_from((PixelFormat.GRAY8, PixelFormat.RGB8, PixelFormat.RGBA8)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return random_image(rng, draw(_sizes), draw(_sizes), fmt)
+
+
+class TestBilinearMatchesReference:
+    """The fast bilinear paths reproduce the direct formulation byte for byte."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_image(), _sizes, _sizes)
+    def test_resize(self, img, out_w, out_h):
+        xs, ys = _reference_centers(out_w, out_h)
+        expected = _reference_bilinear(img, xs * (img.width / out_w), ys * (img.height / out_h))
+        assert np.array_equal(resize(img, out_w, out_h).pixels, expected)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_image(), st.floats(1.0, 3.0))
+    def test_zoom_window(self, img, factor):
+        nw, nh = round_half_away(img.width * factor), round_half_away(img.height * factor)
+        ox, oy = (nw - img.width) // 2, (nh - img.height) // 2
+        full = resize(img, nw, nh).pixels[oy : oy + img.height, ox : ox + img.width]
+        assert np.array_equal(zoom_kernel(img, factor).pixels, full)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_image(), _sizes, _sizes,
+           st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4), st.floats(-20.0, 20.0))
+    def test_affine(self, img, out_w, out_h, linear, shift):
+        m = np.array([[linear[0], linear[1], shift], [linear[2], linear[3], -shift]])
+        sx, sy = AffineTransform(m).map_points(*_reference_centers(out_w, out_h))
+        expected = _reference_bilinear(img, sx, sy)
+        assert np.array_equal(warp_affine(img, AffineTransform(m), out_w, out_h).pixels, expected)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_image(), st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**32 - 1))
+    def test_mesh(self, img, gw, gh, seed):
+        nodes = np.zeros((gh + 1, gw + 1, 2))
+        nodes[1:-1, 1:-1] = np.random.default_rng(seed).normal(0.0, 4.0, (gh - 1, gw - 1, 2))
+        grid = DisplacementGrid(gw, gh, nodes)
+        assert np.array_equal(warp_mesh(img, grid).pixels, _reference_mesh(img, grid))
