@@ -171,7 +171,9 @@ def _decode_png(data: bytes) -> Image:
     except zlib.error as exc:
         raise DecodeError(f"corrupt PNG: {exc}") from exc
     if len(raw) > expected:
-        raise DecodeError(f"corrupt PNG: pixel data inflates past the {expected} bytes IHDR promises")
+        raise DecodeError(
+            f"corrupt PNG: pixel data inflates past the {expected} bytes IHDR promises"
+        )
     if len(raw) < expected or not inflater.eof:
         raise DecodeError("truncated PNG: pixel data length mismatch")
     flat = np.frombuffer(bytes(_unfilter_rows(raw, height, stride, channels)), dtype=np.uint8)

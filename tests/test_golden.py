@@ -33,7 +33,14 @@ from augpipe import (
 )
 from augpipe.dataio import _encode_png, _encode_pnm
 from augpipe.geometry import CropRect
-from augpipe.ops import apply_op, crop_kernel, rotate_arbitrary, shear_kernel, skew_kernel, zoom_kernel
+from augpipe.ops import (
+    apply_op,
+    crop_kernel,
+    rotate_arbitrary,
+    shear_kernel,
+    skew_kernel,
+    zoom_kernel,
+)
 from augpipe.warp import Filter, resize
 
 SIZES = ((32, 32), (45, 29))
