@@ -6,6 +6,12 @@ images (GRAY8, RGB8 and RGBA8, each square and non-square) built from a
 closed-form pattern, so the inputs depend on no random generator. A
 case's digest covers the shape and the bytes of all six outputs.
 
+The decode cases do the same for the PNG decoder. ``save_image`` writes
+every row with filter 0, so these files are built here with the filter
+types 0-4 cycling over the rows, as outside encoders write them, in each
+colour type the decoder reads and at sizes on both sides of the width
+from which it unfilters by wavefront instead of row by row.
+
 A digest may change only together with a declared change of the output
 contract. To print the current values, run this file as a script:
 ``PYTHONPATH=src python tests/test_golden.py``.
@@ -14,6 +20,8 @@ contract. To print the current values, run this file as a script:
 from __future__ import annotations
 
 import hashlib
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -31,7 +39,7 @@ from augpipe import (
     scan_dataset,
     save_image,
 )
-from augpipe.dataio import _encode_png, _encode_pnm
+from augpipe.dataio import _decode_png, _encode_png, _encode_pnm
 from augpipe.geometry import CropRect
 from augpipe.ops import (
     apply_op,
@@ -87,6 +95,71 @@ CASES = {
     "resize_bicubic": lambda img: resize(img, 50, 21, Filter.BICUBIC),
 }
 
+# PNG colour type -> bytes per pixel.
+DECODE_COLOURS = {0: 1, 2: 3, 3: 1, 4: 2, 6: 4}
+# Per bytes per pixel, the narrowest width that 300 rows take to the
+# wavefront unfilter; the decode cases use it and the width one below.
+WAVEFRONT_WIDTH_AT_300_ROWS = {1: 598, 2: 200, 3: 133, 4: 100}
+DECODE_HEIGHTS = (1, 12, 300)
+
+
+def decode_widths(bpp: int) -> tuple[int, ...]:
+    edge = WAVEFRONT_WIDTH_AT_300_ROWS[bpp]
+    return (7, edge - 1, edge, 300)
+
+
+def filter_scanlines(data: np.ndarray, bpp: int, types: np.ndarray) -> bytes:
+    """Apply PNG filter types[y] to row y of an (h, stride) uint8 array."""
+    x = data.astype(np.int16)
+    up = np.zeros_like(x)
+    up[1:] = x[:-1]
+    left = np.zeros_like(x)
+    left[:, bpp:] = x[:, :-bpp]
+    upleft = np.zeros_like(x)
+    upleft[:, bpp:] = up[:, :-bpp]
+    p = left + up - upleft
+    pa, pb, pc = np.abs(p - left), np.abs(p - up), np.abs(p - upleft)
+    paeth = np.where((pa <= pb) & (pa <= pc), left, np.where(pb <= pc, up, upleft))
+    preds = np.stack([np.zeros_like(x), left, up, (left + up) // 2, paeth])
+    rows = np.empty((x.shape[0], x.shape[1] + 1), dtype=np.uint8)
+    rows[:, 0] = types
+    rows[:, 1:] = (x - preds[types, np.arange(x.shape[0])]) & 0xFF
+    return rows.tobytes()
+
+
+def _png_chunk(ctype: bytes, payload: bytes) -> bytes:
+    crc = zlib.crc32(payload, zlib.crc32(ctype)) & 0xFFFFFFFF
+    return struct.pack(">I", len(payload)) + ctype + payload + struct.pack(">I", crc)
+
+
+def scanline_pattern(width: int, height: int, bpp: int) -> np.ndarray:
+    """Unfiltered (height, width * bpp) bytes: ramps, xor texture, stripes."""
+    y, x, c = np.meshgrid(np.arange(height), np.arange(width), np.arange(bpp),
+                          indexing="ij")
+    value = (x * 29 + y * 71 + c * 101) ^ (x * y // 3) ^ np.where((x + y) % 9 < 3, 200, 0)
+    return (value % 256).astype(np.uint8).reshape(height, width * bpp)
+
+
+def adaptive_png(width: int, height: int, colour: int) -> bytes:
+    """PNG of the scanline pattern, row y filtered with type (y + width) % 5."""
+    bpp = DECODE_COLOURS[colour]
+    data = scanline_pattern(width, height, bpp)
+    types = (np.arange(height) + width) % 5
+    chunks = [_png_chunk(b"IHDR", struct.pack(">IIBBBBB", width, height, 8, colour, 0, 0, 0))]
+    if colour == 3:
+        chunks.append(_png_chunk(b"PLTE", bytes((i * 7 + k * 85) % 256
+                                                for i in range(256) for k in range(3))))
+    chunks.append(_png_chunk(b"IDAT", zlib.compress(filter_scanlines(data, bpp, types), 6)))
+    chunks.append(_png_chunk(b"IEND", b""))
+    return b"\x89PNG\r\n\x1a\n" + b"".join(chunks)
+
+
+def decode_digest(colour: int) -> str:
+    bpp = DECODE_COLOURS[colour]
+    return _digest(_decode_png(adaptive_png(w, h, colour))
+                   for w in decode_widths(bpp) for h in DECODE_HEIGHTS)
+
+
 DIGESTS = {
     "rotate_pos": "6ab9f959f6b7618f8553c9cb275039fab23752e0c5077c7b981ec30af850786a",
     "rotate_neg": "61c89082a3e0396a7c72ec3abe8c106d40d7474b580c4d810e4db87001878f66",
@@ -109,6 +182,11 @@ DIGESTS = {
     "resize_nearest": "3e75a8c0a52c67077dcf9511e230a15c481f72516977c6c96559b5a064c57846",
     "resize_bicubic": "1c5799312464a957641bc712efc43a6e960bff0a52f2b6d40a465896e4681f6b",
     "encoded_pipeline": "9ab7c1931a0926369b8a2c5eed0b431a760b3d47fb45a5b3e887488c236110dc",
+    "decode_colour_0": "c0170d3fbf68018b13e0d150faf3137d5a161141e91f3cc2d55413d26e68d375",
+    "decode_colour_2": "20329bff2f1321d01e78cf7bf630097473081fe3c3d0d03959282f6a17119c87",
+    "decode_colour_3": "9d2b5cd0f44f11ecd6feb5c9b2301dce71a773f74fe10f561deef5f2d31a0714",
+    "decode_colour_4": "45936ad301527bdc67bb0086dfb1e87ec5e9d3f37fdcfa87e155c8ea5b69d3d2",
+    "decode_colour_6": "e06c1f62cf7215f88455d34eaf56938f0bc425424a9716d2c71e140320bf7cee",
 }
 
 
@@ -152,6 +230,20 @@ def test_encoded_pipeline_digest(tmp_path):
     assert encoded_pipeline_digest(tmp_path) == DIGESTS["encoded_pipeline"]
 
 
+@pytest.mark.parametrize("colour", (0, 2, 6))
+def test_adaptive_png_decodes_to_its_pattern(colour):
+    # The digests pin real pixels, not a mis-filtered file's noise.
+    bpp = DECODE_COLOURS[colour]
+    for width in decode_widths(bpp):
+        img = _decode_png(adaptive_png(width, 12, colour))
+        assert np.array_equal(img.pixels.reshape(12, -1), scanline_pattern(width, 12, bpp))
+
+
+@pytest.mark.parametrize("colour", sorted(DECODE_COLOURS))
+def test_decode_digest(colour):
+    assert decode_digest(colour) == DIGESTS[f"decode_colour_{colour}"]
+
+
 if __name__ == "__main__":
     import tempfile
     from pathlib import Path
@@ -160,3 +252,5 @@ if __name__ == "__main__":
         print(f'    "{case}": "{case_digest(case)}",')
     with tempfile.TemporaryDirectory() as tmp:
         print(f'    "encoded_pipeline": "{encoded_pipeline_digest(Path(tmp))}",')
+    for colour in sorted(DECODE_COLOURS):
+        print(f'    "decode_colour_{colour}": "{decode_digest(colour)}",')
