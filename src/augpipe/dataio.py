@@ -37,6 +37,10 @@ _PNG_SIG = b"\x89PNG\r\n\x1a\n"
 # more than 1032 times its own size.
 _MAX_INFLATE_RATIO = 1032
 _IMAGE_SUFFIXES = (".png", ".ppm", ".pgm")
+# Images whose anti-diagonals hold at least this many bytes on average are
+# unfiltered by the wavefront; smaller ones by the scalar loop. Measured
+# crossover: see README, "Implementation notes".
+_WAVEFRONT_MIN_BYTES_PER_STEP = 200
 
 # Label used for images sitting directly in the dataset root.
 FLAT_LABEL = "·"
@@ -129,6 +133,111 @@ def _unfilter_rows(raw: bytes, height: int, stride: int, bpp: int) -> bytearray:
     return out
 
 
+# Per filter type 0-3, the predictor is (ka*left + kb*up) >> 1; Paeth rows
+# (type 4) start from 0 and are overwritten.
+_LINEAR_COEFFS = np.array([[0, 0], [2, 0], [0, 2], [1, 1], [0, 0]], dtype=np.uint16)
+
+
+def _unfilter_wavefront(raw, height: int, stride: int, bpp: int) -> np.ndarray:
+    """Unfilter by anti-diagonals; equal byte for byte to `_unfilter_rows`.
+
+    Pixel (y, x) depends only on (y, x-1), (y-1, x) and (y-1, x-1), so all
+    pixels with x + y = d are reconstructed in one numpy step. Rows are
+    taken in bands of at most `width`, each in band + width - 1 steps.
+    A band is rebuilt in a skewed buffer that holds each diagonal
+    contiguously, so every step works on contiguous slices: pixel (y, x)
+    of the band sits at skew[x + y + 2, y + 1]. Slot 0 of each diagonal
+    holds the row above the band (0 above the image), and the slots that
+    no pixel fills stay 0, which is what the filters read left of the
+    image. Returns a (height, width, bpp) array.
+    """
+    width = stride // bpp
+    line = stride + 1
+    src = np.frombuffer(raw, dtype=np.uint8)
+    ftypes = src[::line]
+    bad = np.flatnonzero(ftypes > 4)
+    if bad.size:
+        raise DecodeError(f"corrupt PNG: unknown filter type {ftypes[bad[0]]}")
+    # Per byte, so that every operand of a step is contiguous.
+    ka, kb = (np.repeat(k, bpp).reshape(height, bpp) for k in _LINEAR_COEFFS[ftypes].T)
+    is_paeth = np.repeat(ftypes == 4, bpp).reshape(height, bpp)
+    # The trailing 0 only keeps the lookups below in range.
+    paeth_rows = np.append(np.flatnonzero(ftypes == 4), 0)
+
+    band = min(height, width)
+    most = (band, bpp)
+    pred, term = np.empty(most, dtype=np.uint16), np.empty(most, dtype=np.uint16)
+    dist_a, dist_b, dist_c = (np.empty(most, dtype=np.int16) for _ in range(3))
+    pick_a, mask = np.empty(most, dtype=bool), np.empty(most, dtype=bool)
+    out = np.empty((height, width, bpp), dtype=np.uint8)
+    for top in range(0, height, band):
+        rows = min(band, height - top)
+        steps = rows + width - 1
+        skew = np.zeros((steps + 2, rows + 1, bpp), dtype=np.uint8)
+        if top:
+            skew[1 : width + 1, 0] = out[top - 1]  # the row above the band
+        # filt[d, y] is the filtered pixel (top + y, d - y); np.ndarray
+        # checks the view's extent against the scanlines.
+        filt = np.ndarray((steps, rows, bpp), np.uint8, src, 1 + top * line,
+                          (bpp, line - bpp, 1))
+
+        # Band rows [y0, y1) lie on diagonal d; its Paeth rows lie in [p0, p1).
+        d = np.arange(steps)
+        y0s, y1s = np.maximum(0, d - width + 1), np.minimum(rows, d + 1)
+        lo = paeth_rows[:-1].searchsorted(y0s + top)
+        hi = paeth_rows[:-1].searchsorted(y1s + top)
+        p0s = np.where(hi > lo, paeth_rows[lo] - top, 0)
+        p1s = np.where(hi > lo, paeth_rows[hi - 1] + 1 - top, 0)
+        for d, y0, y1, p0, p1 in zip(range(steps), y0s.tolist(), y1s.tolist(),
+                                     p0s.tolist(), p1s.tolist()):
+            n, g0, g1 = y1 - y0, top + y0, top + y1
+            prev = skew[d + 1]
+            a, b, p = prev[y0 + 1 : y1 + 1], prev[y0:y1], pred[:n]
+            np.multiply(a, ka[g0:g1], out=p)
+            p += np.multiply(b, kb[g0:g1], out=term[:n])
+            p >>= 1
+            if p1:
+                # RFC 2083 6.6: distances |b-c|, |a-c|, |a+b-2c|; ties go a, b, c.
+                k, r0, r1 = p1 - p0, p0 - y0, p1 - y0
+                a, b, c = a[r0:r1], b[r0:r1], skew[d, p0:p1]
+                pa, pb, pc = dist_a[:k], dist_b[:k], dist_c[:k]
+                np.subtract(b, c, out=pa, dtype=np.int16)
+                np.subtract(a, c, out=pb, dtype=np.int16)
+                np.add(pa, pb, out=pc)
+                np.abs(pa, out=pa)
+                np.abs(pb, out=pb)
+                np.abs(pc, out=pc)
+                first = np.less_equal(pa, pb, out=pick_a[:k])
+                first &= np.less_equal(pa, pc, out=mask[:k])
+                paeth_pred = np.where(np.less_equal(pb, pc, out=mask[:k]), b, c)
+                np.copyto(paeth_pred, a, where=first)
+                np.copyto(p[r0:r1], paeth_pred, where=is_paeth[top + p0 : top + p1])
+            np.add(filt[d, y0:y1], p, out=skew[d + 2, y0 + 1 : y1 + 1], casting="unsafe")
+        s0, s1, _ = skew.strides
+        out[top : top + rows] = np.ndarray((rows, width, bpp), np.uint8, skew,
+                                           2 * s0 + s1, (s0 + s1, s0, 1))
+    return out
+
+
+def _use_wavefront(height: int, width: int, bpp: int) -> bool:
+    """Whether the wavefront beats the scalar loop for this image.
+
+    The wavefront pays a fixed cost per diagonal step and the scalar loop
+    a cost per byte, so the choice rests on the mean number of bytes a
+    step rebuilds: band * width * bpp / (band + width - 1).
+    """
+    band = min(height, width)
+    return band * width * bpp >= _WAVEFRONT_MIN_BYTES_PER_STEP * (band + width - 1)
+
+
+def _unfilter(raw, height: int, width: int, bpp: int) -> np.ndarray:
+    """Undo the PNG row filters; returns a (height, width, bpp) uint8 array."""
+    if _use_wavefront(height, width, bpp):
+        return _unfilter_wavefront(raw, height, width * bpp, bpp)
+    flat = np.frombuffer(_unfilter_rows(raw, height, width * bpp, bpp), dtype=np.uint8)
+    return flat.reshape(height, width, bpp)
+
+
 def _decode_png(data: bytes) -> Image:
     ihdr = None
     palette = None
@@ -167,7 +276,7 @@ def _decode_png(data: bytes) -> Image:
         raise DecodeError(f"truncated PNG: {len(idat)} IDAT bytes cannot hold {width}x{height}")
     inflater = zlib.decompressobj()
     try:
-        raw = inflater.decompress(bytes(idat), expected + 1)
+        raw = inflater.decompress(idat, expected + 1)
     except zlib.error as exc:
         raise DecodeError(f"corrupt PNG: {exc}") from exc
     if len(raw) > expected:
@@ -176,12 +285,12 @@ def _decode_png(data: bytes) -> Image:
         )
     if len(raw) < expected or not inflater.eof:
         raise DecodeError("truncated PNG: pixel data length mismatch")
-    flat = np.frombuffer(bytes(_unfilter_rows(raw, height, stride, channels)), dtype=np.uint8)
-    arr = flat.reshape(height, width, channels)
+    del idat  # free the joined IDAT data before the unfilter allocates
+    arr = _unfilter(raw, height, width, channels)
     if color == 0:
-        return Image.from_array(arr, PixelFormat.GRAY8)
+        return Image._wrap(arr, PixelFormat.GRAY8)
     if color == 2:
-        return Image.from_array(arr, PixelFormat.RGB8)
+        return Image._wrap(arr, PixelFormat.RGB8)
     if color == 3:
         if palette is None or len(palette) % 3 != 0 or len(palette) == 0:
             raise DecodeError("corrupt PNG: missing or malformed palette")
@@ -189,13 +298,13 @@ def _decode_png(data: bytes) -> Image:
         indices = arr[..., 0]
         if int(indices.max()) >= pal.shape[0]:
             raise DecodeError("corrupt PNG: palette index out of range")
-        return Image.from_array(pal[indices], PixelFormat.RGB8)
+        return Image._wrap(pal[indices], PixelFormat.RGB8)
     if color == 4:  # grey + alpha, expanded to RGBA
         out = np.empty((height, width, 4), dtype=np.uint8)
         out[..., 0] = out[..., 1] = out[..., 2] = arr[..., 0]
         out[..., 3] = arr[..., 1]
-        return Image.from_array(out, PixelFormat.RGBA8)
-    return Image.from_array(arr, PixelFormat.RGBA8)
+        return Image._wrap(out, PixelFormat.RGBA8)
+    return Image._wrap(arr, PixelFormat.RGBA8)
 
 
 def _encode_png(img: Image) -> bytes:

@@ -20,7 +20,15 @@ from augpipe import (
     scan_dataset,
     split_by_class,
 )
-from augpipe.dataio import FLAT_LABEL, load_record
+from augpipe.dataio import (
+    FLAT_LABEL,
+    _decode_png,
+    load_record,
+    _unfilter,
+    _unfilter_rows,
+    _unfilter_wavefront,
+    _use_wavefront,
+)
 from conftest import random_image
 
 
@@ -330,8 +338,12 @@ def _seed_files() -> list[bytes]:
 
 @st.composite
 def _mutated_file(draw):
-    data = bytearray(draw(st.sampled_from(_seed_files())))
-    for _ in range(draw(st.integers(1, 4))):
+    return _mutate(draw, draw(st.sampled_from(_seed_files())), draw(st.integers(1, 4)))
+
+
+def _mutate(draw, data: bytes, count: int) -> bytes:
+    data = bytearray(data)
+    for _ in range(count):
         pos = draw(st.integers(0, len(data)))
         action = draw(st.sampled_from(("set", "insert", "delete", "truncate")))
         if action == "set" and pos < len(data):
@@ -367,6 +379,84 @@ def _chunked_png(draw):
     return b"\x89PNG\r\n\x1a\n" + b"".join(_chunk(t, p) for t, p in chunks)
 
 
+# (width, height, colour type) of images the decoder unfilters by wavefront.
+_WIDE_SHAPES = ((300, 60, 6), (140, 300, 2), (256, 256, 4), (420, 420, 0), (420, 420, 3))
+_BPP = {0: 1, 2: 3, 3: 1, 4: 2, 6: 4}
+
+
+@st.composite
+def _wide_png(draw):
+    """A valid IHDR of a wavefront-sized image over random filtered
+    scanlines with some bytes set, filter bytes included, and at times a
+    structural mutation of the file after the checksums."""
+    width, height, colour = draw(st.sampled_from(_WIDE_SHAPES))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = rng.integers(0, 256, (height, width * _BPP[colour] + 1), dtype=np.uint8)
+    rows[:, 0] = rng.integers(0, 5, height)
+    raw = rows.reshape(-1)
+    for _ in range(draw(st.integers(0, 4))):
+        raw[draw(st.integers(0, raw.size - 1))] = draw(st.integers(0, 255))
+    chunks = [(b"IHDR", struct.pack(">IIBBBBB", width, height, 8, colour, 0, 0, 0))]
+    if colour == 3:
+        chunks.append((b"PLTE", bytes(range(256)) * draw(st.sampled_from((1, 3)))))
+    chunks += [(b"IDAT", zlib.compress(raw.tobytes(), 1)), (b"IEND", b"")]
+    data = b"\x89PNG\r\n\x1a\n" + b"".join(_chunk(t, p) for t, p in chunks)
+    return _mutate(draw, data, draw(st.integers(0, 1)))
+
+
+@st.composite
+def _filtered_scanlines(draw, max_height: int):
+    """(height, stride + 1) scanlines with drawn filter bytes 0-4 and random
+    filtered bytes; few byte values make Paeth ties common."""
+    bpp = draw(st.integers(1, 4))
+    height = draw(st.integers(1, max_height))
+    width = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = draw(st.sampled_from((1, 3, 256)))
+    rows = rng.integers(0, values, (height, width * bpp + 1), dtype=np.uint8)
+    rows[:, 0] = draw(st.lists(st.integers(0, 4), min_size=height, max_size=height))
+    return rows, bpp
+
+
+class TestUnfilter:
+    """The wavefront unfilter against the row-by-row loop it replaces for
+    large images, which stays as the reference."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(_filtered_scanlines(max_height=64))
+    def test_wavefront_equals_row_loop(self, case):
+        rows, bpp = case
+        height, stride = rows.shape[0], rows.shape[1] - 1
+        raw = rows.tobytes()
+        expected = np.frombuffer(_unfilter_rows(raw, height, stride, bpp), dtype=np.uint8)
+        got = _unfilter_wavefront(raw, height, stride, bpp)
+        assert np.array_equal(got, expected.reshape(height, stride // bpp, bpp))
+
+    @settings(max_examples=100, deadline=None)
+    @given(_filtered_scanlines(max_height=16), st.data())
+    def test_bad_filter_byte_is_named_on_both_paths(self, case, data):
+        rows, bpp = case
+        height, stride = rows.shape[0], rows.shape[1] - 1
+        bad = data.draw(st.lists(st.integers(0, height - 1), min_size=1, unique=True))
+        for y in bad:
+            rows[y, 0] = data.draw(st.integers(5, 255))
+        first = rows[min(bad), 0]
+        for unfilter in (_unfilter_rows, _unfilter_wavefront):
+            with pytest.raises(DecodeError, match=f"unknown filter type {first}$"):
+                unfilter(rows.tobytes(), height, stride, bpp)
+
+    def test_selection_switches_at_the_crossover(self, np_rng):
+        # 60 rows of 300 RGBA pixels hold 200.6 bytes per diagonal, 59 rows 199.4.
+        assert _use_wavefront(60, 300, 4) and not _use_wavefront(59, 300, 4)
+        for height in (59, 60):
+            rows = np_rng.integers(0, 256, (height, 1201), dtype=np.uint8)
+            rows[:, 0] = np.arange(height) % 5
+            raw = rows.tobytes()
+            expected = np.frombuffer(_unfilter_rows(raw, height, 1200, 4), dtype=np.uint8)
+            assert np.array_equal(_unfilter(raw, height, 300, 4),
+                                  expected.reshape(height, 300, 4))
+
+
 class TestDecodeFuzz:
     """Any byte string given as an image decodes or raises one of the two
     image errors, which the CLI maps to exit code 2."""
@@ -381,3 +471,16 @@ class TestDecodeFuzz:
         except (DecodeError, UnsupportedImageError):
             return
         assert img.pixels.dtype == np.uint8 and img.width >= 1 and img.height >= 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(_wide_png())
+    def test_wide_images_only_image_errors(self, data):
+        try:
+            img = _decode_png(data)
+        except (DecodeError, UnsupportedImageError):
+            return
+        width, height = struct.unpack(">II", data[16:24])
+        assert (img.width, img.height) == (width, height)
+
+    def test_wide_shapes_take_the_wavefront(self):
+        assert all(_use_wavefront(h, w, _BPP[c]) for w, h, c in _WIDE_SHAPES)

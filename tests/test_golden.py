@@ -39,7 +39,7 @@ from augpipe import (
     scan_dataset,
     save_image,
 )
-from augpipe.dataio import _decode_png, _encode_png, _encode_pnm
+from augpipe.dataio import _decode_png, _encode_png, _encode_pnm, _use_wavefront
 from augpipe.geometry import CropRect
 from augpipe.ops import (
     apply_op,
@@ -228,6 +228,13 @@ def test_kernel_digest(name):
 
 def test_encoded_pipeline_digest(tmp_path):
     assert encoded_pipeline_digest(tmp_path) == DIGESTS["encoded_pipeline"]
+
+
+@pytest.mark.parametrize("bpp", sorted(WAVEFRONT_WIDTH_AT_300_ROWS))
+def test_decode_widths_straddle_the_wavefront_selection(bpp):
+    edge = WAVEFRONT_WIDTH_AT_300_ROWS[bpp]
+    assert not _use_wavefront(300, edge - 1, bpp)
+    assert _use_wavefront(300, edge, bpp)
 
 
 @pytest.mark.parametrize("colour", (0, 2, 6))
