@@ -150,12 +150,18 @@ class CollectingSink:
 
 
 # Per-process cache of decoded source images: path -> ((mtime_ns, size),
-# image). A file rewritten since it was decoded has a new stamp, and its
-# fresh decode replaces the stale entry, so there is one entry per path.
+# image), oldest decode first. A file rewritten since it was decoded has a new
+# stamp, and its fresh decode replaces the stale entry, so there is one
+# entry per path. Once the cached pixels exceed _IMAGE_CACHE_MAX_BYTES the
+# oldest entries are evicted; the cap holds 1000 28x28 grey digits (0.8 MB)
+# or a 1024x1024 and eight 256x256 RGB photos (4.7 MB) several times over.
+_IMAGE_CACHE_MAX_BYTES = 32 << 20
 _IMAGE_CACHE: dict[str, tuple[tuple[int, int], Image]] = {}
+_image_cache_bytes = 0
 
 
 def _load_cached(path: Path) -> Image:
+    global _image_cache_bytes
     key = str(path)
     st = os.stat(key)
     stamp = (st.st_mtime_ns, st.st_size)
@@ -163,7 +169,12 @@ def _load_cached(path: Path) -> Image:
     if entry is not None and entry[0] == stamp:
         return entry[1]
     img = load_image(path)
+    if entry is not None:
+        _image_cache_bytes -= _IMAGE_CACHE.pop(key)[1].pixels.nbytes
     _IMAGE_CACHE[key] = (stamp, img)
+    _image_cache_bytes += img.pixels.nbytes
+    while _image_cache_bytes > _IMAGE_CACHE_MAX_BYTES:
+        _image_cache_bytes -= _IMAGE_CACHE.pop(next(iter(_IMAGE_CACHE)))[1].pixels.nbytes
     return img
 
 

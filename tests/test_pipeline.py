@@ -20,6 +20,7 @@ from augpipe import (
     Pipeline,
     Rotate,
     derive_sample_rng,
+    load_image,
     run_sample,
     save_image,
     scan_dataset,
@@ -214,6 +215,28 @@ class TestSourceCache:
         assert np.array_equal(self._sample_one(tmp_path), second.pixels)
         # The fresh decode replaced the stale entry instead of adding one.
         assert np.array_equal(pipeline_mod._IMAGE_CACHE[str(path)][1].pixels, second.pixels)
+
+    def test_cache_stays_within_its_cap(self, tmp_path, np_rng, monkeypatch):
+        # Each 8x8 grey source decodes to 64 bytes; the cap holds three.
+        monkeypatch.setattr(pipeline_mod, "_IMAGE_CACHE", {})
+        monkeypatch.setattr(pipeline_mod, "_image_cache_bytes", 0)
+        monkeypatch.setattr(pipeline_mod, "_IMAGE_CACHE_MAX_BYTES", 3 * 64 + 10)
+        paths = [tmp_path / f"{i}.png" for i in range(5)]
+        for path in paths:
+            save_image(random_image(np_rng, 8, 8), path)
+        decoded = []
+        monkeypatch.setattr(pipeline_mod, "load_image",
+                            lambda path: decoded.append(path) or load_image(path))
+        for path in paths:
+            pipeline_mod._load_cached(path)
+            cached = pipeline_mod._IMAGE_CACHE.values()
+            assert sum(img.pixels.nbytes for _, img in cached) <= 3 * 64 + 10
+        assert list(pipeline_mod._IMAGE_CACHE) == [str(p) for p in paths[2:]]
+        assert pipeline_mod._image_cache_bytes == 3 * 64
+        pipeline_mod._load_cached(paths[4])  # still cached
+        pipeline_mod._load_cached(paths[0])  # evicted: decoded again
+        assert decoded == paths + [paths[0]]
+        assert list(pipeline_mod._IMAGE_CACHE) == [str(p) for p in paths[3:] + paths[:1]]
 
 
 class TestProcess:
