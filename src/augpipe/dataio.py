@@ -22,9 +22,7 @@ from .imagecore import Image, PixelFormat
 __all__ = [
     "DatasetEntry",
     "DatasetIndex",
-    "ImageRecord",
     "load_image",
-    "load_record",
     "save_image",
     "scan_dataset",
     "split_by_class",
@@ -60,15 +58,6 @@ class DatasetIndex:
 
     def path_of(self, entry: DatasetEntry) -> Path:
         return self.root / entry.rel_path
-
-
-@dataclass(frozen=True)
-class ImageRecord:
-    """A decoded image together with where it came from."""
-
-    path: Path
-    image: Image
-    format_tag: str  # "png", "ppm" or "pgm"
 
 
 # --------------------------------------------------------------------------
@@ -393,18 +382,6 @@ def load_image(path) -> Image:
         return _decode_png(data)
     if data[:2] in (b"P5", b"P6"):
         return _decode_pnm(data)
-    raise UnsupportedImageError(f"unrecognised image format: {path}")
-
-
-def load_record(path) -> ImageRecord:
-    path = Path(path)
-    data = path.read_bytes()
-    if data[:8] == _PNG_SIG:
-        return ImageRecord(path, _decode_png(data), "png")
-    if data[:2] == b"P5":
-        return ImageRecord(path, _decode_pnm(data), "pgm")
-    if data[:2] == b"P6":
-        return ImageRecord(path, _decode_pnm(data), "ppm")
     raise UnsupportedImageError(f"unrecognised image format: {path}")
 
 

@@ -23,7 +23,6 @@ from augpipe import (
 from augpipe.dataio import (
     FLAT_LABEL,
     _decode_png,
-    load_record,
     _unfilter,
     _unfilter_rows,
     _unfilter_wavefront,
@@ -253,12 +252,14 @@ class TestPnm:
         with pytest.raises(DecodeError):
             load_image(path)
 
-    def test_load_record_tags(self, tmp_path, np_rng):
-        img = random_image(np_rng, 2, 2)
-        save_image(img, tmp_path / "a.png", "png")
-        save_image(img, tmp_path / "a.pgm", "ppm")
-        assert load_record(tmp_path / "a.png").format_tag == "png"
-        assert load_record(tmp_path / "a.pgm").format_tag == "pgm"
+    def test_load_image_formats(self, tmp_path, np_rng):
+        for name, fmt in (("a.png", PixelFormat.GRAY8), ("a.pgm", PixelFormat.GRAY8),
+                          ("b.png", PixelFormat.RGB8), ("b.ppm", PixelFormat.RGB8)):
+            img = random_image(np_rng, 3, 2, fmt)
+            save_image(img, tmp_path / name, "png" if name.endswith(".png") else "ppm")
+            back = load_image(tmp_path / name)
+            assert back.format is fmt
+            assert np.array_equal(back.pixels, img.pixels)
 
 
 class TestScanDataset:
