@@ -224,7 +224,9 @@ def _unfilter(raw, height: int, width: int, bpp: int) -> np.ndarray:
     if _use_wavefront(height, width, bpp):
         return _unfilter_wavefront(raw, height, width * bpp, bpp)
     flat = np.frombuffer(_unfilter_rows(raw, height, width * bpp, bpp), dtype=np.uint8)
-    return flat.reshape(height, width, bpp)
+    # Copied so that the image owns its bytes instead of viewing an
+    # over-allocated bytearray: the source cache holds many small images.
+    return flat.reshape(height, width, bpp).copy()
 
 
 def _decode_png(data: bytes) -> Image:
