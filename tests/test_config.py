@@ -4,8 +4,46 @@ import json
 
 import pytest
 
-from augpipe import ConfigError, Elastic, Rotate, canonical_text, parse_config
+from augpipe import (
+    ConfigError,
+    CropCentre,
+    CropRandom,
+    Elastic,
+    Equalize,
+    Flip,
+    Greyscale,
+    Invert,
+    OpSpec,
+    Pipeline,
+    Resize,
+    Rotate,
+    RotateCardinal,
+    Scale,
+    Shear,
+    Skew,
+    Zoom,
+    canonical_text,
+    parse_config,
+)
 from conftest import DIGITS_RECIPE
+
+# One spec per op class, every field away from its dataclass default.
+NON_DEFAULT_SPECS = {
+    Rotate: Rotate(probability=0.25, max_left=7.5, max_right=12),
+    RotateCardinal: RotateCardinal(probability=0.5, which="r180"),
+    Flip: Flip(probability=0.75, axis="horizontal"),
+    Shear: Shear(probability=0.125, max_angle=20.5, axis="y"),
+    Skew: Skew(probability=0.375, severity=0.6, skew_kind="right"),
+    Elastic: Elastic(probability=0.625, grid_width=5, grid_height=2, magnitude=7),
+    Zoom: Zoom(probability=0.875, min_factor=1.2, max_factor=2.5),
+    CropRandom: CropRandom(probability=0.3, area_fraction=0.64, resize_back=True),
+    CropCentre: CropCentre(probability=0.9, width=17, height=9),
+    Resize: Resize(probability=0.1, width=33, height=44),
+    Scale: Scale(probability=0.2, factor=1.5),
+    Greyscale: Greyscale(probability=0.4),
+    Invert: Invert(probability=0.6),
+    Equalize: Equalize(probability=0.8),
+}
 
 
 class TestParse:
@@ -153,3 +191,11 @@ class TestCanonical:
         p1 = parse_config(json.dumps(doc))
         p2 = parse_config(canonical_text(p1))
         assert p1 == p2
+
+    @pytest.mark.parametrize("spec_cls", OpSpec.__subclasses__(), ids=lambda c: c.kind)
+    def test_every_op_class_round_trips(self, spec_cls):
+        # A new op class fails here until it has an entry above and the
+        # config reads it back.
+        spec = NON_DEFAULT_SPECS[spec_cls]
+        pipe = Pipeline(ops=(spec,), master_seed=31)
+        assert parse_config(canonical_text(pipe)) == pipe

@@ -13,13 +13,16 @@ colour type the decoder reads and at sizes on both sides of the width
 from which it unfilters by wavefront instead of row by row.
 
 A digest may change only together with a declared change of the output
-contract. To print the current values, run this file as a script:
+contract. The canonical-config digest pins ``canonical_text`` for a config
+that names every op, with every optional key both omitted and set. To
+print the current values, run this file as a script:
 ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import struct
 import zlib
 
@@ -34,7 +37,9 @@ from augpipe import (
     Pipeline,
     PixelFormat,
     Scale,
+    canonical_text,
     derive_sample_rng,
+    parse_config,
     process,
     scan_dataset,
     save_image,
@@ -154,6 +159,41 @@ def adaptive_png(width: int, height: int, colour: int) -> bytes:
     return b"\x89PNG\r\n\x1a\n" + b"".join(chunks)
 
 
+# Every op with its optional keys omitted, then each op that has optional
+# keys again with all of them set. Integral floats are given as integers,
+# so the digest also pins their conversion.
+CANONICAL_CONFIG = {
+    "version": 1,
+    "seed": 8675309,
+    "operations": [
+        {"op": "rotate", "probability": 0.5, "max_left_rotation": 10, "max_right_rotation": 7.5},
+        {"op": "rotate_cardinal", "probability": 0.3},
+        {"op": "rotate_cardinal", "probability": 1, "which": "r270"},
+        {"op": "flip", "probability": 0.5},
+        {"op": "flip", "probability": 1, "axis": "vertical"},
+        {"op": "shear", "probability": 0.25, "max_angle": 12},
+        {"op": "shear", "probability": 1, "max_angle": 3.5, "axis": "x"},
+        {"op": "skew", "probability": 0.7, "severity": 0.3},
+        {"op": "skew", "probability": 1, "severity": 1, "kind": "backward"},
+        {"op": "elastic", "probability": 1, "grid_width": 4, "grid_height": 3, "magnitude": 5},
+        {"op": "zoom", "probability": 0.9, "min_factor": 1, "max_factor": 1.5},
+        {"op": "crop_random", "probability": 0.6, "area_fraction": 0.5},
+        {"op": "crop_random", "probability": 1, "area_fraction": 0.81, "resize_back": True},
+        {"op": "crop_centre", "probability": 1, "width": 20, "height": 18},
+        {"op": "resize", "probability": 0, "width": 64, "height": 48},
+        {"op": "scale", "probability": 0.1, "factor": 0.75},
+        {"op": "greyscale", "probability": 1},
+        {"op": "invert", "probability": 0.5},
+        {"op": "equalize", "probability": 0.125},
+    ],
+}
+
+
+def canonical_digest() -> str:
+    text = canonical_text(parse_config(json.dumps(CANONICAL_CONFIG)))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def decode_digest(colour: int) -> str:
     bpp = DECODE_COLOURS[colour]
     return _digest(_decode_png(adaptive_png(w, h, colour))
@@ -187,6 +227,7 @@ DIGESTS = {
     "decode_colour_3": "9d2b5cd0f44f11ecd6feb5c9b2301dce71a773f74fe10f561deef5f2d31a0714",
     "decode_colour_4": "45936ad301527bdc67bb0086dfb1e87ec5e9d3f37fdcfa87e155c8ea5b69d3d2",
     "decode_colour_6": "e06c1f62cf7215f88455d34eaf56938f0bc425424a9716d2c71e140320bf7cee",
+    "canonical_config": "ffc7acd2a001363be249de4db339a7b95095e123fea3711ea79b53ea8c878072",
 }
 
 
@@ -251,6 +292,12 @@ def test_decode_digest(colour):
     assert decode_digest(colour) == DIGESTS[f"decode_colour_{colour}"]
 
 
+def test_canonical_config_digest():
+    kinds = {entry["op"] for entry in CANONICAL_CONFIG["operations"]}
+    assert len(kinds) == 14
+    assert canonical_digest() == DIGESTS["canonical_config"]
+
+
 if __name__ == "__main__":
     import tempfile
     from pathlib import Path
@@ -261,3 +308,4 @@ if __name__ == "__main__":
         print(f'    "encoded_pipeline": "{encoded_pipeline_digest(Path(tmp))}",')
     for colour in sorted(DECODE_COLOURS):
         print(f'    "decode_colour_{colour}": "{decode_digest(colour)}",')
+    print(f'    "canonical_config": "{canonical_digest()}",')
