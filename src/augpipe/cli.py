@@ -39,7 +39,7 @@ from .errors import (
     OutputCollisionError,
     UnsupportedImageError,
 )
-from .imagecore import Image, PixelFormat, mix64
+from .imagecore import Image, PixelFormat
 from .pipeline import CollectingSink, DirectorySink, Pipeline, write_trace
 
 __all__ = ["main", "entrypoint"]
@@ -105,13 +105,6 @@ class _IoFailure(AugpipeError):
     """Internal marker for failures that must exit with the I/O code."""
 
 
-def _fnv1a64(text: str) -> int:
-    acc = 0xCBF29CE484222325
-    for byte in text.encode("utf-8"):
-        acc = ((acc ^ byte) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
-    return acc
-
-
 def _cmd_run(args) -> int:
     pipe = _load_pipeline(args.config, args.seed)
     if args.mode == "sample" and args.count is None:
@@ -126,10 +119,8 @@ def _cmd_run(args) -> int:
     started = time.perf_counter()
     records = []
     if args.per_class:
-        # Each class gets its own seed, mixed from the master seed and the
-        # label, so classes are augmented independently yet reproducibly.
         for label, class_dataset in split_by_class(dataset):
-            class_pipe = pipe.with_seed(mix64(pipe.master_seed ^ _fnv1a64(label)))
+            class_pipe = pipe.for_class(label)
             if args.mode == "sample":
                 records.extend(
                     pipeline_mod.sample(class_pipe, class_dataset, args.count, sink, jobs=args.jobs)

@@ -5,149 +5,90 @@ A config document is versioned JSON:
     {"version": 1,
      "seed": 42,
      "operations": [
-        {"op": "elastic", "probability": 1,
-         "grid_width": 4, "grid_height": 4, "magnitude": 5},
-        {"op": "rotate", "probability": 0.5,
-         "max_left_rotation": 10, "max_right_rotation": 10}]}
+        {"op": <kind>, "probability": <p>, <parameter key>: <value>, ...},
+        ...]}
 
-Operations run in listed order. Unknown keys are rejected, every range
-violation names the offending field, and canonicalisation is idempotent:
-parsing the canonical printout yields the same pipeline.
+The OpSpec dataclasses in ``ops`` are the schema: an entry's ``op`` names
+a spec class by its ``kind``, and each dataclass field is one key (see the
+``ops`` docstring). Operations run in listed order. Unknown keys are
+rejected, every range violation names the offending field, and
+canonicalisation is idempotent: parsing the canonical printout yields the
+same pipeline.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
-from dataclasses import dataclass
+import math
 from typing import Any
 
-from . import ops
 from .errors import ConfigError
+from .ops import OpSpec
 from .pipeline import Pipeline
 
-__all__ = ["ConfigDoc", "CONFIG_VERSION", "parse_config", "parse_config_doc", "canonical_text"]
+__all__ = ["CONFIG_VERSION", "parse_config", "canonical_text"]
 
 CONFIG_VERSION = 1
 
-
-@dataclass(frozen=True)
-class ConfigDoc:
-    version: int
-    seed: int | None
-    operations: tuple[ops.OpSpec, ...]
-
-
-@dataclass(frozen=True)
-class _Field:
-    key: str          # name in the config document
-    attr: str         # attribute on the spec dataclass
-    kind: str         # "float" | "int" | "str" | "bool"
-    required: bool = True
-    default: Any = None
-
-
-_SCHEMAS: dict[str, tuple[type[ops.OpSpec], tuple[_Field, ...]]] = {
-    "rotate": (ops.Rotate, (
-        _Field("max_left_rotation", "max_left", "float"),
-        _Field("max_right_rotation", "max_right", "float"),
-    )),
-    "rotate_cardinal": (ops.RotateCardinal, (
-        _Field("which", "which", "str", required=False, default="random"),
-    )),
-    "flip": (ops.Flip, (
-        _Field("axis", "axis", "str", required=False, default="random"),
-    )),
-    "shear": (ops.Shear, (
-        _Field("max_angle", "max_angle", "float"),
-        _Field("axis", "axis", "str", required=False, default="random"),
-    )),
-    "skew": (ops.Skew, (
-        _Field("severity", "severity", "float"),
-        _Field("kind", "skew_kind", "str", required=False, default="random"),
-    )),
-    "elastic": (ops.Elastic, (
-        _Field("grid_width", "grid_width", "int"),
-        _Field("grid_height", "grid_height", "int"),
-        _Field("magnitude", "magnitude", "int"),
-    )),
-    "zoom": (ops.Zoom, (
-        _Field("min_factor", "min_factor", "float"),
-        _Field("max_factor", "max_factor", "float"),
-    )),
-    "crop_random": (ops.CropRandom, (
-        _Field("area_fraction", "area_fraction", "float"),
-        _Field("resize_back", "resize_back", "bool", required=False, default=False),
-    )),
-    "crop_centre": (ops.CropCentre, (
-        _Field("width", "width", "int"),
-        _Field("height", "height", "int"),
-    )),
-    "resize": (ops.Resize, (
-        _Field("width", "width", "int"),
-        _Field("height", "height", "int"),
-    )),
-    "scale": (ops.Scale, (
-        _Field("factor", "factor", "float"),
-    )),
-    "greyscale": (ops.Greyscale, ()),
-    "invert": (ops.Invert, ()),
-    "equalize": (ops.Equalize, ()),
+# Field annotation -> (accepted JSON value types, phrase for the error).
+_TYPES = {
+    "float": ((int, float), "a number"),
+    "int": (int, "an integer"),
+    "bool": (bool, "true or false"),
+    "str": (str, "a string"),
 }
 
 
-def _convert(value: Any, field: _Field, op_name: str) -> Any:
-    where = f"operations[{op_name}].{field.key}"
-    if field.kind == "float":
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{where} must be a number, got {value!r}", field=field.key)
-        return float(value)
-    if field.kind == "int":
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{where} must be an integer, got {value!r}", field=field.key)
-        return value
-    if field.kind == "bool":
-        if not isinstance(value, bool):
-            raise ConfigError(f"{where} must be true or false, got {value!r}", field=field.key)
-        return value
-    if not isinstance(value, str):
-        raise ConfigError(f"{where} must be a string, got {value!r}", field=field.key)
-    return value
+def _key(field: dataclasses.Field) -> str:
+    return field.metadata.get("key", field.name)
 
 
-def _parse_operation(entry: Any, position: int) -> ops.OpSpec:
+def _convert(value: Any, field: dataclasses.Field, where: str) -> Any:
+    accepted, phrase = _TYPES[field.type]
+    # bool is a subclass of int, but true/false is never a number.
+    if not isinstance(value, accepted) or (isinstance(value, bool) and field.type != "bool"):
+        raise ConfigError(f"{where} must be {phrase}, got {value!r}", field=_key(field))
+    if field.type != "float":
+        return value
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{where} must be a finite number, got {value!r}", field=_key(field))
+    return number
+
+
+def _parse_operation(entry: Any, position: int, classes: dict[str, type[OpSpec]]) -> OpSpec:
+    where = f"operations[{position}]"
     if not isinstance(entry, dict):
-        raise ConfigError(f"operations[{position}] must be an object", field="operations")
+        raise ConfigError(f"{where} must be an object", field="operations")
     data = dict(entry)
     name = data.pop("op", None)
     if name is None:
-        raise ConfigError(f"operations[{position}] is missing the 'op' key", field="op")
-    if name not in _SCHEMAS:
-        raise ConfigError(f"unknown operation {name!r} at operations[{position}]", field="op")
-    spec_cls, fields = _SCHEMAS[name]
-    if "probability" not in data:
-        raise ConfigError(f"operations[{position}] ({name}) is missing 'probability'",
-                          field="probability")
-    probability = data.pop("probability")
-    if isinstance(probability, bool) or not isinstance(probability, (int, float)):
-        raise ConfigError(f"operations[{position}].probability must be a number, "
-                          f"got {probability!r}", field="probability")
-    kwargs: dict[str, Any] = {"probability": float(probability)}
-    for field in fields:
-        if field.key in data:
-            kwargs[field.attr] = _convert(data.pop(field.key), field, name)
-        elif field.required:
-            raise ConfigError(f"operations[{position}] ({name}) is missing '{field.key}'",
-                              field=field.key)
-        else:
-            kwargs[field.attr] = field.default
+        raise ConfigError(f"{where} is missing the 'op' key", field="op")
+    if not isinstance(name, str) or name not in classes:
+        raise ConfigError(f"unknown operation {name!r} at {where}", field="op")
+    spec_cls = classes[name]
+    kwargs: dict[str, Any] = {}
+    for field in dataclasses.fields(spec_cls):
+        key = _key(field)
+        if key in data:
+            kwargs[field.name] = _convert(data.pop(key), field, f"{where}.{key}")
+        elif field.type in ("float", "int"):
+            raise ConfigError(f"{where} ({name}) is missing '{key}'", field=key)
     if data:
         stray = ", ".join(sorted(data))
         raise ConfigError(f"unknown key(s) for operation {name!r}: {stray}", field=stray)
     return spec_cls(**kwargs)
 
 
-def parse_config_doc(text: str) -> ConfigDoc:
-    """Parse and validate a config document (syntax errors carry line/column)."""
+def parse_config(text: str) -> Pipeline:
+    """Parse and validate a config document into a pipeline.
+
+    Syntax errors carry their line and column.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -169,21 +110,15 @@ def parse_config_doc(text: str) -> ConfigDoc:
     if data:
         stray = ", ".join(sorted(data))
         raise ConfigError(f"unknown top-level key(s): {stray}", field=stray)
-    specs = tuple(_parse_operation(entry, i) for i, entry in enumerate(operations))
-    return ConfigDoc(version=CONFIG_VERSION, seed=seed, operations=specs)
+    classes = {cls.kind: cls for cls in OpSpec.__subclasses__()}
+    specs = tuple(_parse_operation(entry, i, classes) for i, entry in enumerate(operations))
+    return Pipeline(ops=specs, master_seed=seed if seed is not None else 0)
 
 
-def parse_config(text: str) -> Pipeline:
-    """Parse a config document into a validated pipeline."""
-    doc = parse_config_doc(text)
-    return Pipeline(ops=doc.operations, master_seed=doc.seed if doc.seed is not None else 0)
-
-
-def _op_to_dict(spec: ops.OpSpec) -> dict[str, Any]:
-    _cls, fields = _SCHEMAS[spec.kind]
-    out: dict[str, Any] = {"op": spec.kind, "probability": spec.probability}
-    for field in fields:
-        out[field.key] = getattr(spec, field.attr)
+def _op_to_dict(spec: OpSpec) -> dict[str, Any]:
+    out: dict[str, Any] = {"op": spec.kind}
+    for field in dataclasses.fields(spec):
+        out[_key(field)] = getattr(spec, field.name)
     return out
 
 

@@ -6,6 +6,10 @@ them, each OpSpec subclass is an immutable, validated description of one
 configured operation; ``apply_op`` turns a spec plus a random stream into
 an applied transformation, recording every value drawn along the way.
 
+The spec classes are also the config schema: each field is one config key,
+named by ``metadata={"key": ...}`` where it differs from the attribute.
+Numeric fields are required in a config; str and bool fields default.
+
 Draw order is part of the determinism contract. Per variant:
 
 - rotate:           angle = real(-max_left, +max_right)
@@ -27,13 +31,13 @@ inverse-mapping warp, so every source sample stays inside the image.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, ClassVar
 
 import numpy as np
 
 from .errors import ConfigError, GeometryError, OpError
-from .geometry import CropRect, Quad, inscribed_crop_rect, shear_crop_rect, solve_homography
+from .geometry import _SNAP, CropRect, Quad, inscribed_crop_rect, shear_crop_rect, solve_homography
 from .imagecore import Image, PixelFormat, RngStream, clamp_round_array, round_half_away
 from .warp import AffineTransform, DisplacementGrid, Filter, warp_affine, warp_mesh, warp_projective, resize
 
@@ -60,16 +64,12 @@ __all__ = [
     "flip",
     "shear_kernel",
     "skew_kernel",
-    "elastic_kernel",
     "zoom_kernel",
     "crop_kernel",
     "greyscale",
     "invert",
     "equalize",
 ]
-
-_SNAP = 1e-9
-
 
 # --------------------------------------------------------------------------
 # Kernels
@@ -188,25 +188,12 @@ def _grid_from_offsets(gw: int, gh: int, values) -> DisplacementGrid:
     return DisplacementGrid(gw, gh, nodes)
 
 
-def elastic_kernel(
-    img: Image,
-    grid_width: int,
-    grid_height: int,
-    magnitude: int,
-    rng: RngStream,
-    filt: Filter = Filter.BILINEAR,
-) -> Image:
-    """Random elastic distortion on a grid_width x grid_height cell lattice.
-
-    Interior node offsets are drawn uniformly from [-magnitude, magnitude]
-    per axis (dx then dy, nodes in row-major order); boundary nodes are
-    pinned, which keeps the output the same size as the input.
-    """
-    values = []
-    for _a, _b in _interior_nodes(grid_width, grid_height):
-        values.append(rng.uniform_int(-magnitude, magnitude))
-        values.append(rng.uniform_int(-magnitude, magnitude))
-    return warp_mesh(img, _grid_from_offsets(grid_width, grid_height, values), filt)
+def _scaled_size(img: Image, factor: float, kind: str) -> tuple[int, int]:
+    """Both dimensions times factor, rounded; OpError if either is not finite."""
+    w, h = img.width * factor, img.height * factor
+    if not (math.isfinite(w) and math.isfinite(h)):
+        raise OpError(f"{kind} factor {factor} gives a non-finite image size", op_kind=kind)
+    return round_half_away(w), round_half_away(h)
 
 
 def zoom_kernel(img: Image, factor: float, filt: Filter = Filter.BILINEAR) -> Image:
@@ -214,8 +201,7 @@ def zoom_kernel(img: Image, factor: float, filt: Filter = Filter.BILINEAR) -> Im
     if factor < 1:
         raise OpError(f"zoom-out would require padding (factor {factor} < 1)", op_kind="zoom")
     w, h = img.width, img.height
-    nw = round_half_away(w * factor)
-    nh = round_half_away(h * factor)
+    nw, nh = _scaled_size(img, factor, "zoom")
     # Only the centred w x h window of the enlargement is computed.
     return resize(img, nw, nh, filt, window=CropRect((nw - w) // 2, (nh - h) // 2, w, h))
 
@@ -332,8 +318,8 @@ class OpSpec:
 class Rotate(OpSpec):
     """Continuous rotation; angle drawn from [-max_left, +max_right] degrees."""
 
-    max_left: float = 0.0
-    max_right: float = 0.0
+    max_left: float = field(default=0.0, metadata={"key": "max_left_rotation"})
+    max_right: float = field(default=0.0, metadata={"key": "max_right_rotation"})
     kind: ClassVar[str] = "rotate"
 
     def __post_init__(self):
@@ -430,7 +416,7 @@ class Skew(OpSpec):
     """
 
     severity: float = 1.0
-    skew_kind: str = "random"
+    skew_kind: str = field(default="random", metadata={"key": "kind"})
     kind: ClassVar[str] = "skew"
 
     def __post_init__(self):
@@ -598,8 +584,7 @@ class Scale(OpSpec):
         _require(self.factor > 0.0, "factor", f"must be > 0, got {self.factor}")
 
     def apply(self, img, drawn):
-        nw = round_half_away(img.width * self.factor)
-        nh = round_half_away(img.height * self.factor)
+        nw, nh = _scaled_size(img, self.factor, self.kind)
         if nw < 1 or nh < 1:
             raise OpError(f"scale factor {self.factor} collapses the image", op_kind=self.kind)
         return resize(img, nw, nh)

@@ -25,7 +25,7 @@ from pathlib import Path
 
 from .dataio import DatasetIndex, load_image, output_name, save_image
 from .errors import DatasetError, OpError, OutputCollisionError, UnsupportedImageError
-from .imagecore import Image, PixelFormat, RngStream, derive_sample_rng
+from .imagecore import Image, PixelFormat, RngStream, derive_sample_rng, mix64
 from .ops import OpApplication, OpSpec, apply_op
 
 __all__ = [
@@ -55,6 +55,18 @@ class Pipeline:
 
     def with_seed(self, master_seed: int) -> "Pipeline":
         return replace(self, master_seed=master_seed)
+
+    def for_class(self, label: str) -> "Pipeline":
+        """This pipeline reseeded for one class of a per-class run.
+
+        The class seed is mix64(master seed ^ FNV-1a 64 of the label's
+        UTF-8 bytes), so classes are augmented independently yet
+        reproducibly, as ``augpipe run --per-class`` does.
+        """
+        label_hash = 0xCBF29CE484222325
+        for byte in label.encode("utf-8"):
+            label_hash = ((label_hash ^ byte) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+        return self.with_seed(mix64(self.master_seed ^ label_hash))
 
 
 @dataclass(frozen=True)

@@ -13,11 +13,13 @@ import numpy as np
 import pytest
 
 from augpipe import (
+    Elastic,
     Filter,
     GeometryError,
     Image,
     OpError,
     PixelFormat,
+    apply_op,
     derive_sample_rng,
     inscribed_crop_rect,
     load_image,
@@ -27,7 +29,6 @@ from augpipe import (
 )
 from augpipe.cli import main as cli_main
 from augpipe.ops import (
-    elastic_kernel,
     flip,
     invert,
     rotate_arbitrary,
@@ -256,7 +257,8 @@ def test_criterion_6_identity_involution_suite():
 
     for fmt in (PixelFormat.GRAY8, PixelFormat.RGB8, PixelFormat.RGBA8):
         img = random_image(rng, 25, 19, fmt)
-        check("zero-magnitude elastic", elastic_kernel(img, 4, 4, 0, derive_sample_rng(1, 1)), img)
+        still = Elastic(probability=1, grid_width=4, grid_height=4, magnitude=0)
+        check("zero-magnitude elastic", apply_op(still, img, derive_sample_rng(1, 1))[0], img)
         check("zero-angle rotate", rotate_arbitrary(img, 0.0), img)
         check("zero-angle shear", shear_kernel(img, "x", 0.0), img)
         check("zero-displacement skew", skew_kernel(img, "forward", 0), img)

@@ -7,7 +7,16 @@ import sys
 import numpy as np
 import pytest
 
-from augpipe import PixelFormat, load_image, save_image
+from augpipe import (
+    DirectorySink,
+    PixelFormat,
+    load_image,
+    parse_config,
+    sample,
+    save_image,
+    scan_dataset,
+    split_by_class,
+)
 from augpipe.cli import main
 from conftest import DIGITS_RECIPE, random_image, tree_bytes, write_config
 
@@ -98,6 +107,18 @@ class TestRun:
         assert list(a) == list(b)  # same names
         assert any(a[k] != b[k] for k in a)  # different bytes
 
+    def test_per_class_equals_library_run_on_class_seeds(self, tmp_path, corpus, recipe):
+        cli_out, lib_out = tmp_path / "cli", tmp_path / "lib"
+        assert main(["run", "--config", str(recipe), "--input", str(corpus),
+                     "--output", str(cli_out), "--count", "5", "--per-class",
+                     "--seed", "11"]) == 0
+        pipe = parse_config(json.dumps(DIGITS_RECIPE)).with_seed(11)
+        sink = DirectorySink(lib_out)
+        for label, class_dataset in split_by_class(scan_dataset(corpus)):
+            sample(pipe.for_class(label), class_dataset, 5, sink)
+        assert tree_bytes(cli_out) == tree_bytes(lib_out)
+        assert len(tree_bytes(lib_out)) == 10
+
     def test_collision_and_overwrite(self, tmp_path, corpus, recipe):
         out = tmp_path / "out"
         args = ["run", "--config", str(recipe), "--input", str(corpus),
@@ -177,6 +198,30 @@ class TestExitCodes:
         code = main(["run", "--config", str(cfg), "--input", str(corpus),
                      "--output", str(tmp_path / "o"), "--count", "1", "--seed", "0"])
         assert code == 3
+
+    @pytest.mark.parametrize("entry", [
+        '{"op": "zoom", "probability": 1, "min_factor": 1, "max_factor": Infinity}',
+        '{"op": "scale", "probability": 1, "factor": Infinity}',
+        '{"op": "scale", "probability": 1, "factor": NaN}',
+    ], ids=["zoom-inf", "scale-inf", "scale-nan"])
+    def test_non_finite_parameter_is_1(self, tmp_path, corpus, capsys, entry):
+        cfg = tmp_path / "inf.json"
+        cfg.write_text('{"version": 1, "operations": [' + entry + ']}')
+        assert main(["validate", "--config", str(cfg)]) == 1
+        assert main(["run", "--config", str(cfg), "--input", str(corpus),
+                     "--output", str(tmp_path / "o"), "--count", "1"]) == 1
+        assert "must be a finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entry", [
+        {"op": "scale", "probability": 1, "factor": 1e308},
+        {"op": "zoom", "probability": 1, "min_factor": 1e308, "max_factor": 1e308},
+    ], ids=["scale", "zoom"])
+    def test_non_finite_target_size_is_3(self, tmp_path, corpus, capsys, entry):
+        cfg = write_config(tmp_path / "huge.json", {"version": 1, "operations": [entry]})
+        code = main(["run", "--config", str(cfg), "--input", str(corpus),
+                     "--output", str(tmp_path / "o"), "--count", "1", "--seed", "0"])
+        assert code == 3
+        assert "non-finite image size" in capsys.readouterr().err
 
 
 class TestValidate:

@@ -166,6 +166,33 @@ class TestErrors:
             parse_config(json.dumps(doc))
         assert "axis" in str(info.value)
 
+    def test_type_error_names_the_list_position(self):
+        good = {"op": "rotate", "probability": 1,
+                "max_left_rotation": 5, "max_right_rotation": 5}
+        doc = {"version": 1, "operations": [good, dict(good, max_left_rotation="5")]}
+        with pytest.raises(ConfigError) as info:
+            parse_config(json.dumps(doc))
+        assert "operations[1].max_left_rotation must be a number" in str(info.value)
+        assert info.value.field == "max_left_rotation"
+
+    @pytest.mark.parametrize("value", ["Infinity", "-Infinity", "NaN", "1e400", "1" * 400],
+                             ids=["inf", "-inf", "nan", "1e400", "int400"])
+    @pytest.mark.parametrize("key", ["probability", "max_factor"])
+    def test_non_finite_number_names_field(self, key, value):
+        entry = {"op": "zoom", "probability": 1, "min_factor": 1, "max_factor": 2}
+        text = json.dumps({"version": 1, "operations": [dict(entry, **{key: "X"})]})
+        with pytest.raises(ConfigError) as info:
+            parse_config(text.replace('"X"', value))
+        assert f"operations[0].{key} must be a finite number" in str(info.value)
+        assert info.value.field == key
+
+    @pytest.mark.parametrize("name", [["rotate"], {"op": "rotate"}, 3])
+    def test_non_string_op_name(self, name):
+        doc = {"version": 1, "operations": [{"op": name, "probability": 1}]}
+        with pytest.raises(ConfigError) as info:
+            parse_config(json.dumps(doc))
+        assert "unknown operation" in str(info.value)
+
     def test_seed_type(self):
         with pytest.raises(ConfigError):
             parse_config('{"version": 1, "seed": "abc", "operations": []}')

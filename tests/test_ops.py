@@ -31,7 +31,6 @@ from augpipe import (
 from augpipe.geometry import Quad, shear_crop_rect, solve_homography
 from augpipe.ops import (
     crop_kernel,
-    elastic_kernel,
     equalize,
     flip,
     greyscale,
@@ -236,13 +235,15 @@ class TestElastic:
     def test_zero_magnitude_bit_exact(self, np_rng):
         img = random_image(np_rng, 28, 28)
         rng = derive_sample_rng(5, 0)
-        assert np.array_equal(elastic_kernel(img, 4, 4, 0, rng).pixels, img.pixels)
+        spec = Elastic(probability=1, grid_width=4, grid_height=4, magnitude=0)
+        assert np.array_equal(apply_op(spec, img, rng)[0].pixels, img.pixels)
 
     def test_one_cell_grid_is_identity_with_zero_draws(self, np_rng):
         img = random_image(np_rng, 16, 16)
         rng = derive_sample_rng(5, 1)
         before = rng.next_word
-        out = elastic_kernel(img, 1, 1, 9, rng)
+        out, _ = apply_op(Elastic(probability=1, grid_width=1, grid_height=1, magnitude=9),
+                          img, rng)
         assert np.array_equal(out.pixels, img.pixels)
         # No interior nodes means no draws: the stream is untouched.
         fresh = derive_sample_rng(5, 1)
@@ -250,7 +251,8 @@ class TestElastic:
 
     def test_dims_preserved(self, np_rng):
         img = random_image(np_rng, 28, 28)
-        out = elastic_kernel(img, 4, 4, 5, derive_sample_rng(1, 2))
+        spec = Elastic(probability=1, grid_width=4, grid_height=4, magnitude=5)
+        out, _ = apply_op(spec, img, derive_sample_rng(1, 2))
         assert (out.width, out.height) == (28, 28)
 
 

@@ -121,6 +121,18 @@ class TestPipelineAssembly:
         with pytest.raises(TypeError):
             Pipeline().add("rotate")
 
+    @pytest.mark.parametrize("seed, label, class_seed", [
+        (42, "3", 0x149322AACB1EA446),
+        (0, "chiffre-\u00e9", 0xD72BD9790A1A5CDA),
+        (2**64 - 1, "", 0x7DDC93B2B3A915AF),
+    ])
+    def test_class_seed_is_pinned(self, seed, label, class_seed):
+        # mix64(seed ^ FNV-1a 64 of the UTF-8 label); per-class output
+        # trees depend on these values.
+        p = Pipeline(ops=(Invert(probability=1),), master_seed=seed).for_class(label)
+        assert p.master_seed == class_seed
+        assert p.ops == (Invert(probability=1),)
+
 
 class TestSample:
     def test_zero_count(self, tmp_path, np_rng):
