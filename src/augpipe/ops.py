@@ -6,9 +6,10 @@ them, each OpSpec subclass is an immutable, validated description of one
 configured operation; ``apply_op`` turns a spec plus a random stream into
 an applied transformation, recording every value drawn along the way.
 
-The spec classes are also the config schema: each field is one config key,
-named by ``metadata={"key": ...}`` where it differs from the attribute.
-Numeric fields are required in a config; str and bool fields default.
+The direct subclasses of OpSpec are also the config schema: each field is
+one config key, named by ``metadata={"key": ...}`` where it differs from
+the attribute. Numeric fields are required in a config; str and bool
+fields default.
 
 Draw order is part of the determinism contract. Per variant:
 

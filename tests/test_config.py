@@ -186,7 +186,8 @@ class TestErrors:
         assert f"operations[0].{key} must be a finite number" in str(info.value)
         assert info.value.field == key
 
-    @pytest.mark.parametrize("name", [["rotate"], {"op": "rotate"}, 3])
+    @pytest.mark.parametrize("name", [["rotate"], {"op": "rotate"}, 3],
+                             ids=["list", "object", "number"])
     def test_non_string_op_name(self, name):
         doc = {"version": 1, "operations": [{"op": name, "probability": 1}]}
         with pytest.raises(ConfigError) as info:
