@@ -21,6 +21,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import sys
 from typing import Any
 
 from .errors import ConfigError
@@ -95,6 +96,8 @@ def parse_config(text: str) -> Pipeline:
         raise ConfigError(
             f"syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # an integer literal beyond the int conversion limit
+        raise ConfigError(f"a number has more than {sys.get_int_max_str_digits()} digits") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
     data = dict(doc)
