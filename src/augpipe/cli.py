@@ -28,7 +28,7 @@ from .dataio import (
     load_image,
     save_image,
     scan_dataset,
-    split_by_class,
+    split_by_class,  # not used here; perfbench/child.py setup times cli.split_by_class
 )
 from .errors import (
     AugpipeError,
@@ -117,22 +117,12 @@ def _cmd_run(args) -> int:
     sink = DirectorySink(args.output, image_format=args.format, overwrite=args.overwrite)
 
     started = time.perf_counter()
-    records = []
-    if args.per_class:
-        for label, class_dataset in split_by_class(dataset):
-            class_pipe = pipe.for_class(label)
-            if args.mode == "sample":
-                records.extend(
-                    pipeline_mod.sample(class_pipe, class_dataset, args.count, sink, jobs=args.jobs)
-                )
-            else:
-                records.extend(
-                    pipeline_mod.process(class_pipe, class_dataset, sink, jobs=args.jobs)
-                )
-    elif args.mode == "sample":
-        records = pipeline_mod.sample(pipe, dataset, args.count, sink, jobs=args.jobs)
+    if args.mode == "sample":
+        records = pipeline_mod.sample(pipe, dataset, args.count, sink, jobs=args.jobs,
+                                      per_class=args.per_class)
     else:
-        records = pipeline_mod.process(pipe, dataset, sink, jobs=args.jobs)
+        records = pipeline_mod.process(pipe, dataset, sink, jobs=args.jobs,
+                                       per_class=args.per_class)
     elapsed = time.perf_counter() - started
 
     if args.trace:

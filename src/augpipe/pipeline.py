@@ -15,7 +15,6 @@ across probability edits.
 
 from __future__ import annotations
 
-import atexit
 import json
 import multiprocessing
 import os
@@ -23,7 +22,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .dataio import DatasetIndex, load_image, output_name, save_image
+from .dataio import DatasetIndex, load_image, output_name, save_image, split_by_class
 from .errors import DatasetError, OpError, OutputCollisionError, UnsupportedImageError
 from .imagecore import Image, PixelFormat, RngStream, derive_sample_rng, mix64
 from .ops import OpApplication, OpSpec, apply_op
@@ -223,52 +222,40 @@ def _generate_one(
     return TraceRecord(index, entry.rel_path, tuple(applications), written)
 
 
-def _generate_chunk(pipeline, dataset, indices, sink, choose_source) -> list[TraceRecord]:
+def _generate_chunk(chunk) -> list[TraceRecord]:
+    pipeline, dataset, indices, sink, choose_source = chunk
     return [_generate_one(pipeline, dataset, i, sink, choose_source) for i in indices]
 
 
-# Worker pools are reused across calls (creating one costs far more than a
-# typical per-class batch); shut down at interpreter exit.
-_POOLS: dict[int, ProcessPoolExecutor] = {}
+def _run(pipeline, dataset, per_class, count, sink, jobs) -> list[TraceRecord]:
+    """Generate samples 0..count-1 of the dataset, or of each class with its
+    own seed when per_class; count None passes every image through once.
 
-
-def _get_pool(jobs: int) -> ProcessPoolExecutor:
-    pool = _POOLS.get(jobs)
-    if pool is None:
-        ctx = multiprocessing.get_context("fork")
-        pool = ProcessPoolExecutor(max_workers=jobs, mp_context=ctx)
-        _POOLS[jobs] = pool
-    return pool
-
-
-def _shutdown_pools() -> None:
-    while _POOLS:
-        _POOLS.popitem()[1].shutdown()
-
-
-atexit.register(_shutdown_pools)
-
-
-def _run_indices(pipeline, dataset, indices, sink, choose_source, jobs) -> list[TraceRecord]:
-    if jobs <= 1 or len(indices) <= 1:
-        return _generate_chunk(pipeline, dataset, indices, sink, choose_source)
-    # Contiguous chunks keep per-worker cache locality; results are in
-    # index order regardless because map preserves argument order.
-    chunk_count = min(len(indices), jobs * 4)
-    step = (len(indices) + chunk_count - 1) // chunk_count
-    chunks = [indices[i : i + step] for i in range(0, len(indices), step)]
-    records: list[TraceRecord] = []
-    pool = _get_pool(jobs)
-    for part in pool.map(
-        _generate_chunk,
-        [pipeline] * len(chunks),
-        [dataset] * len(chunks),
-        chunks,
-        [sink] * len(chunks),
-        [choose_source] * len(chunks),
-    ):
-        records.extend(part)
-    return records
+    Records come in class order, then index order. With jobs > 1 the chunks
+    of every class go through one fork pool, which is shut down, its queued
+    chunks cancelled, before this returns or raises.
+    """
+    if per_class:
+        runs = [(pipeline.for_class(label), part) for label, part in split_by_class(dataset)]
+    else:
+        runs = [(pipeline, dataset)]
+    chunks = []
+    for run_pipeline, run_dataset in runs:
+        indices = range(len(run_dataset.entries) if count is None else count)
+        # Contiguous chunks keep per-worker cache locality; records come back
+        # in chunk order because map preserves argument order.
+        step = max(1, -(-len(indices) // (jobs * 4)))
+        chunks.extend(
+            (run_pipeline, run_dataset, indices[i : i + step], sink, count is not None)
+            for i in range(0, len(indices), step)
+        )
+    if jobs <= 1 or len(chunks) <= 1:
+        return [record for chunk in chunks for record in _generate_chunk(chunk)]
+    pool = ProcessPoolExecutor(max_workers=jobs, mp_context=multiprocessing.get_context("fork"))
+    try:
+        return [record for part in pool.map(_generate_chunk, chunks) for record in part]
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 def sample(
@@ -277,26 +264,41 @@ def sample(
     count: int,
     sink,
     jobs: int = 1,
+    per_class: bool = False,
 ) -> list[TraceRecord]:
     """Generate `count` samples, drawing sources with replacement.
 
     Sample i derives its stream from (master_seed, i) and draws its
     source position as the first value, so outputs and traces depend only
     on (pipeline, dataset, count), never on scheduling.
+
+    With per_class, each class of ``split_by_class(dataset)`` gets `count`
+    samples of its own, drawn by ``pipeline.for_class(label)``; records
+    come in class order.
     """
     if not dataset.entries:
         raise DatasetError("cannot sample from an empty dataset")
     if count < 0:
         raise ValueError(f"sample count must be >= 0, got {count}")
-    return _run_indices(pipeline, dataset, list(range(count)), sink, True, jobs)
+    return _run(pipeline, dataset, per_class, count, sink, jobs)
 
 
-def process(pipeline: Pipeline, dataset: DatasetIndex, sink, jobs: int = 1) -> list[TraceRecord]:
+def process(
+    pipeline: Pipeline,
+    dataset: DatasetIndex,
+    sink,
+    jobs: int = 1,
+    per_class: bool = False,
+) -> list[TraceRecord]:
     """Pass every dataset image through the pipeline exactly once, in
-    dataset order; sample i is dataset entry i."""
+    dataset order; sample i is dataset entry i.
+
+    With per_class, each class of ``split_by_class(dataset)`` is processed
+    by ``pipeline.for_class(label)``, with indices from 0 per class.
+    """
     if not dataset.entries:
         raise DatasetError("cannot process an empty dataset")
-    return _run_indices(pipeline, dataset, list(range(len(dataset.entries))), sink, False, jobs)
+    return _run(pipeline, dataset, per_class, None, sink, jobs)
 
 
 def write_trace(records: list[TraceRecord], path) -> None:

@@ -1,8 +1,10 @@
 """CLI behaviour: commands, exit codes, flags, determinism, contact sheets."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -249,6 +251,26 @@ class TestValidate:
         assert main(["validate", "--config", str(cfg)]) == 1
         assert "rotete" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("where", ["seed", "parameter"])
+    def test_huge_integer_literal_is_1(self, tmp_path, where):
+        # Beyond the interpreter's int conversion limit json.loads raises a
+        # plain ValueError, not a JSONDecodeError.
+        huge = "9" * 5000
+        if where == "seed":
+            text = f'{{"version": 1, "seed": {huge}, "operations": []}}'
+        else:
+            text = ('{"version": 1, "operations": [{"op": "rotate", "probability": 1, '
+                    f'"max_left_rotation": {huge}, "max_right_rotation": 5}}]}}')
+        cfg = tmp_path / "huge.json"
+        cfg.write_text(text)
+        proc = subprocess.run(
+            [sys.executable, "-m", "augpipe", "validate", "--config", str(cfg)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 1
+        assert "config error" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 class TestSheet:
     def test_single_tile_empty_pipeline_is_the_input(self, tmp_path, np_rng):
@@ -391,3 +413,18 @@ class TestConsoleEntry:
         )
         assert proc.returncode == 1
         assert "config error" in proc.stderr
+
+
+def test_perfbench_setup_child_reads_cli(tmp_path, corpus, recipe):
+    # perfbench/child.py times parse_config, scan_dataset and split_by_class
+    # as attributes of augpipe.cli; this keeps those names importable there.
+    repo = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(repo / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(repo / "perfbench" / "child.py"), "setup", str(recipe), str(corpus)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    times = json.loads(proc.stdout)
+    assert set(times) == {"import_s", "parse_s", "scan_s"}
+    assert all(isinstance(v, float) and v >= 0 for v in times.values())

@@ -1,6 +1,7 @@
 """Gating semantics, ordering, determinism, parallel equivalence, trace format."""
 
 import json
+import multiprocessing
 import os
 
 import numpy as np
@@ -24,6 +25,7 @@ from augpipe import (
     run_sample,
     save_image,
     scan_dataset,
+    split_by_class,
     write_trace,
 )
 from augpipe import pipeline as pipeline_mod
@@ -279,6 +281,57 @@ class TestProcess:
         r2 = pipeline_mod.process(p, ds, DirectorySink(tmp_path / "j2"), jobs=2)
         assert tree_bytes(tmp_path / "j1") == tree_bytes(tmp_path / "j2")
         assert r1 == r2
+
+
+class TestPerCallPool:
+    def test_no_worker_outlives_a_parallel_call(self, tmp_path, np_rng):
+        ds = _small_dataset(tmp_path / "in", np_rng)
+        pipeline_mod.sample(Pipeline(master_seed=3).add(Invert(probability=0.5)), ds, 20,
+                            CollectingSink(), jobs=2)
+        assert multiprocessing.active_children() == []
+
+    def test_parallel_failure_matches_sequential_and_closes_pool(self, tmp_path, np_rng):
+        # Only sample 0's source is too small to crop; map yields chunks in
+        # order, so every worker count reports that sample first.
+        root = tmp_path / "in"
+        save_image(random_image(np_rng, 8, 8), root / "a.png")
+        for i in range(39):
+            save_image(random_image(np_rng, 16, 16), root / f"b{i:02d}.png")
+        ds = scan_dataset(root)
+        p = Pipeline().add(CropCentre(probability=1, width=12, height=12))
+        messages = []
+        for jobs in (1, 2):
+            with pytest.raises(OpError) as info:
+                pipeline_mod.process(p, ds, DirectorySink(tmp_path / f"j{jobs}"), jobs=jobs)
+            messages.append(str(info.value))
+            assert multiprocessing.active_children() == []
+        assert messages[0] == messages[1]
+        assert messages[0].startswith("sample 0 (source a.png): op 0 (crop_centre)")
+
+    @pytest.mark.parametrize("mode", ["sample", "process"])
+    def test_per_class_equals_class_loop(self, tmp_path, np_rng, mode):
+        root = tmp_path / "in"
+        for label in ("cat", "dog", "emu"):
+            for i in range(4):
+                save_image(random_image(np_rng, 12, 12), root / label / f"{i}.png")
+        ds = scan_dataset(root)
+        p = Pipeline(master_seed=31).add(
+            Elastic(probability=1, grid_width=2, grid_height=2, magnitude=2)
+        ).add(Rotate(probability=0.5, max_left=8, max_right=8))
+
+        def run(pipe, dataset, sink, **kwargs):
+            if mode == "sample":
+                return pipeline_mod.sample(pipe, dataset, 7, sink, **kwargs)
+            return pipeline_mod.process(pipe, dataset, sink, **kwargs)
+
+        loop_sink = DirectorySink(tmp_path / "loop")
+        expected = []
+        for label, class_dataset in split_by_class(ds):
+            expected.extend(run(p.for_class(label), class_dataset, loop_sink))
+        got = run(p, ds, DirectorySink(tmp_path / "j2"), jobs=2, per_class=True)
+        assert got == expected
+        assert tree_bytes(tmp_path / "j2") == tree_bytes(tmp_path / "loop")
+        assert len(tree_bytes(tmp_path / "loop")) == (21 if mode == "sample" else 12)
 
 
 class TestTrace:
