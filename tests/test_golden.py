@@ -31,16 +31,28 @@ import pytest
 
 from augpipe import (
     CollectingSink,
+    CropCentre,
     CropRandom,
     Elastic,
+    Equalize,
+    Flip,
+    Greyscale,
     Image,
+    Invert,
     Pipeline,
     PixelFormat,
+    Resize,
+    Rotate,
+    RotateCardinal,
     Scale,
+    Shear,
+    Skew,
+    Zoom,
     canonical_text,
     derive_sample_rng,
     parse_config,
     process,
+    sample,
     scan_dataset,
     save_image,
 )
@@ -222,6 +234,8 @@ DIGESTS = {
     "resize_nearest": "3e75a8c0a52c67077dcf9511e230a15c481f72516977c6c96559b5a064c57846",
     "resize_bicubic": "1c5799312464a957641bc712efc43a6e960bff0a52f2b6d40a465896e4681f6b",
     "encoded_pipeline": "9ab7c1931a0926369b8a2c5eed0b431a760b3d47fb45a5b3e887488c236110dc",
+    "mixed_sample": "324c6794cbc845dbb47ecfe0bd5b2b2b76ad03c5a13c605510434b94f188ea51",
+    "mixed_process": "461790dc04d730d9b04557a3a2d7cddc41cfcf303616c95d572dce7e04cecec5",
     "decode_colour_0": "c0170d3fbf68018b13e0d150faf3137d5a161141e91f3cc2d55413d26e68d375",
     "decode_colour_2": "20329bff2f1321d01e78cf7bf630097473081fe3c3d0d03959282f6a17119c87",
     "decode_colour_3": "9d2b5cd0f44f11ecd6feb5c9b2301dce71a773f74fe10f561deef5f2d31a0714",
@@ -262,6 +276,62 @@ def encoded_pipeline_digest(root) -> str:
     return h.hexdigest()
 
 
+# Every op, gated so that samples of one source shape drift apart in shape
+# and format; the sources straddle the 16384-pixel warp band (130 x 130).
+ALL_OPS_PIPELINE = (
+    Pipeline(master_seed=2024)
+    .add(Rotate(probability=0.5, max_left=20, max_right=15))
+    .add(RotateCardinal(probability=0.3))
+    .add(Flip(probability=0.5))
+    .add(Shear(probability=0.5, max_angle=12))
+    .add(Skew(probability=0.5, severity=0.4))
+    .add(Elastic(probability=0.7, grid_width=4, grid_height=3, magnitude=4))
+    .add(Zoom(probability=0.5, min_factor=1.05, max_factor=1.4))
+    .add(CropRandom(probability=0.5, area_fraction=0.6, resize_back=True))
+    .add(Greyscale(probability=0.2))
+    .add(Invert(probability=0.3))
+    .add(Equalize(probability=0.3))
+    .add(Scale(probability=0.3, factor=0.8))
+    .add(CropCentre(probability=0.3, width=16, height=16))
+    .add(Resize(probability=0.2, width=30, height=20))
+)
+MIXED_SOURCES = ((28, 28, PixelFormat.GRAY8), (28, 28, PixelFormat.GRAY8),
+                 (40, 24, PixelFormat.RGB8), (130, 130, PixelFormat.RGBA8))
+
+
+def mixed_corpus(root):
+    """Two classes of 28x28 grey, 40x24 RGB and 130x130 RGBA PNGs."""
+    for label in ("a", "b"):
+        for i, (w, h, fmt) in enumerate(MIXED_SOURCES):
+            img = pattern(w, h, fmt)
+            if label == "b" or i == 1:
+                img = Image.from_array(img.pixels[::-1, ::-1] ^ (40 * (i + 1)), fmt)
+            save_image(img, root / label / f"{i}.png")
+    return scan_dataset(root)
+
+
+def collected_digest(sink, records) -> str:
+    h = hashlib.sha256()
+    for record in records:
+        h.update(record.to_json().encode())
+    for rel, img in sink.images:
+        h.update(f"{rel};{img.width}x{img.height}x{img.channels};".encode())
+        h.update(img.pixels.tobytes())
+    return h.hexdigest()
+
+
+def mixed_sample_digest(root) -> str:
+    sink = CollectingSink()
+    records = sample(ALL_OPS_PIPELINE, mixed_corpus(root), 100, sink, per_class=True)
+    return collected_digest(sink, records)
+
+
+def mixed_process_digest(root) -> str:
+    sink = CollectingSink()
+    records = process(ALL_OPS_PIPELINE, mixed_corpus(root), sink)
+    return collected_digest(sink, records)
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_kernel_digest(name):
     assert case_digest(name) == DIGESTS[name]
@@ -292,6 +362,14 @@ def test_decode_digest(colour):
     assert decode_digest(colour) == DIGESTS[f"decode_colour_{colour}"]
 
 
+def test_mixed_sample_digest(tmp_path):
+    assert mixed_sample_digest(tmp_path) == DIGESTS["mixed_sample"]
+
+
+def test_mixed_process_digest(tmp_path):
+    assert mixed_process_digest(tmp_path) == DIGESTS["mixed_process"]
+
+
 def test_canonical_config_digest():
     kinds = {entry["op"] for entry in CANONICAL_CONFIG["operations"]}
     assert len(kinds) == 14
@@ -306,6 +384,10 @@ if __name__ == "__main__":
         print(f'    "{case}": "{case_digest(case)}",')
     with tempfile.TemporaryDirectory() as tmp:
         print(f'    "encoded_pipeline": "{encoded_pipeline_digest(Path(tmp))}",')
+    with tempfile.TemporaryDirectory() as tmp:
+        print(f'    "mixed_sample": "{mixed_sample_digest(Path(tmp))}",')
+    with tempfile.TemporaryDirectory() as tmp:
+        print(f'    "mixed_process": "{mixed_process_digest(Path(tmp))}",')
     for colour in sorted(DECODE_COLOURS):
         print(f'    "decode_colour_{colour}": "{decode_digest(colour)}",')
     print(f'    "canonical_config": "{canonical_digest()}",')
