@@ -38,9 +38,22 @@ from typing import Any, ClassVar
 import numpy as np
 
 from .errors import ConfigError, GeometryError, OpError
-from .geometry import _SNAP, CropRect, Quad, inscribed_crop_rect, shear_crop_rect, solve_homography
+from .geometry import _SNAP, CropRect, Homography, Quad, inscribed_crop_rect, shear_crop_rect, solve_homography
 from .imagecore import Image, PixelFormat, RngStream, clamp_round_array, round_half_away
-from .warp import AffineTransform, DisplacementGrid, Filter, warp_affine, warp_mesh, warp_projective, resize
+# perfbench/spans.py times the warps through these names, warp_mesh included.
+from .warp import (  # noqa: F401
+    _BAND_PIXELS,
+    AffineTransform,
+    DisplacementGrid,
+    Filter,
+    resize,
+    warp_affine,
+    warp_affine_batch,
+    warp_mesh,
+    warp_mesh_batch,
+    warp_projective,
+    warp_projective_batch,
+)
 
 __all__ = [
     "OpSpec",
@@ -72,6 +85,10 @@ __all__ = [
     "equalize",
 ]
 
+# Largest image, in pixels, that an op may make (8192 x 8192); sizes come
+# from the config, and a bigger one is refused before anything is allocated.
+_MAX_OUTPUT_PIXELS = 1 << 26
+
 # --------------------------------------------------------------------------
 # Kernels
 
@@ -84,9 +101,13 @@ def rotate_arbitrary(img: Image, theta_deg: float, filt: Filter = Filter.BILINEA
     size. Implemented as one composed destination-to-source affine warp.
     Positive angles turn clockwise, negative counter-clockwise.
     """
+    w, h = img.width, img.height
+    return warp_affine(img, _rotation(w, h, theta_deg), w, h, filt)
+
+
+def _rotation(w: int, h: int, theta_deg: float) -> AffineTransform:
     if abs(theta_deg) > 45:
         raise GeometryError(f"rotation angle must satisfy |theta| <= 45, got {theta_deg}")
-    w, h = img.width, img.height
     crop = inscribed_crop_rect(w, h, theta_deg)
     rad = math.radians(theta_deg)
     cs, sn = math.cos(rad), math.sin(rad)
@@ -96,8 +117,7 @@ def rotate_arbitrary(img: Image, theta_deg: float, filt: Filter = Filter.BILINEA
     d, e = -sn * kx, cs * ky
     c = w / 2 - a * (w / 2) - b * (h / 2)
     f = h / 2 - d * (w / 2) - e * (h / 2)
-    m = AffineTransform(np.array([[a, b, c], [d, e, f]], dtype=np.float64))
-    return warp_affine(img, m, w, h, filt)
+    return AffineTransform(np.array([[a, b, c], [d, e, f]], dtype=np.float64))
 
 
 def rotate_cardinal(img: Image, k: int) -> Image:
@@ -131,6 +151,10 @@ def shear_kernel(img: Image, axis: str, angle_deg: float, filt: Filter = Filter.
     Composed into a single affine warp; all source samples stay in-bounds.
     """
     w, h = img.width, img.height
+    return warp_affine(img, _shear(w, h, axis, angle_deg), w, h, filt)
+
+
+def _shear(w: int, h: int, axis: str, angle_deg: float) -> AffineTransform:
     t = math.tan(math.radians(angle_deg))
     try:
         crop = shear_crop_rect(w, h, axis, t)
@@ -140,7 +164,7 @@ def shear_kernel(img: Image, axis: str, angle_deg: float, filt: Filter = Filter.
         m = np.array([[crop.w / w, -t, crop.x], [0.0, 1.0, 0.0]], dtype=np.float64)
     else:
         m = np.array([[1.0, 0.0, 0.0], [-t, crop.h / h, crop.y]], dtype=np.float64)
-    return warp_affine(img, AffineTransform(m), w, h, filt)
+    return AffineTransform(m)
 
 
 def _skew_quad(kind: str, w: int, h: int, d: int) -> Quad:
@@ -163,14 +187,17 @@ def skew_kernel(img: Image, kind: str, d: int, filt: Filter = Filter.BILINEAR) -
     The source quad stays inside the image, so the warp needs no fill.
     """
     w, h = img.width, img.height
+    return warp_projective(img, _skew(w, h, kind, d), w, h, filt)
+
+
+def _skew(w: int, h: int, kind: str, d: int) -> Homography:
     if not 0 <= d < min(w, h) / 2:
         raise OpError(
             f"skew displacement {d} out of range [0, {min(w, h) / 2}) for {w}x{h}",
             op_kind="skew",
         )
     src = _skew_quad(kind, w, h, d)
-    hom = solve_homography(src, Quad.from_rect(w, h))
-    return warp_projective(img, hom, w, h, filt)
+    return solve_homography(src, Quad.from_rect(w, h))
 
 
 def _interior_nodes(gw: int, gh: int):
@@ -181,20 +208,28 @@ def _interior_nodes(gw: int, gh: int):
 
 
 def _grid_from_offsets(gw: int, gh: int, values) -> DisplacementGrid:
+    # values are dx, dy per interior node in _interior_nodes order.
     nodes = np.zeros((gh + 1, gw + 1, 2), dtype=np.float64)
-    it = iter(values)
-    for a, b in _interior_nodes(gw, gh):
-        nodes[b, a, 0] = next(it)
-        nodes[b, a, 1] = next(it)
+    nodes[1:gh, 1:gw] = np.reshape(np.array(values, dtype=np.float64), (gh - 1, gw - 1, 2))
     return DisplacementGrid(gw, gh, nodes)
 
 
+def _check_output_size(w: int, h: int, kind: str) -> None:
+    if w * h > _MAX_OUTPUT_PIXELS:
+        raise OpError(
+            f"{kind} output {w}x{h} exceeds the limit of {_MAX_OUTPUT_PIXELS} pixels", op_kind=kind
+        )
+
+
 def _scaled_size(img: Image, factor: float, kind: str) -> tuple[int, int]:
-    """Both dimensions times factor, rounded; OpError if either is not finite."""
+    """Both dimensions times factor, rounded; OpError if either is not
+    finite or the image would exceed _MAX_OUTPUT_PIXELS."""
     w, h = img.width * factor, img.height * factor
     if not (math.isfinite(w) and math.isfinite(h)):
         raise OpError(f"{kind} factor {factor} gives a non-finite image size", op_kind=kind)
-    return round_half_away(w), round_half_away(h)
+    w, h = round_half_away(w), round_half_away(h)
+    _check_output_size(w, h, kind)
+    return w, h
 
 
 def zoom_kernel(img: Image, factor: float, filt: Filter = Filter.BILINEAR) -> Image:
@@ -308,11 +343,36 @@ class OpSpec:
         )
 
     def draw(self, rng: RngStream, width: int, height: int) -> list[tuple[str, Any]]:
-        """Draw this op's random parameters, in the documented order."""
+        """Draw this op's random parameters, in the documented order.
+
+        rng may also be a LaneStream: each value is then an array holding
+        one draw per lane.
+        """
         return []
 
+    def transform(self, drawn: list[tuple[str, Any]], width: int, height: int):
+        """A warp op's destination-to-source map for a width x height image
+        (AffineTransform, Homography or DisplacementGrid); None otherwise.
+
+        Ops that give a map need no apply: the map is warped onto an image
+        of the same size, batched when many images share one shape.
+        """
+        return None
+
     def apply(self, img: Image, drawn: list[tuple[str, Any]]) -> Image:
-        raise NotImplementedError
+        return self.apply_batch([img], [drawn])[0]
+
+    def apply_batch(self, imgs: list[Image], drawn: list[list[tuple[str, Any]]]) -> list[Image]:
+        """apply on each of some same-shape images, with its own draws."""
+        w, h = imgs[0].width, imgs[0].height
+        maps = [self.transform(values, w, h) for values in drawn]
+        if maps[0] is None:
+            return [self.apply(img, values) for img, values in zip(imgs, drawn)]
+        if isinstance(maps[0], DisplacementGrid):
+            return warp_mesh_batch(imgs, maps)
+        if isinstance(maps[0], Homography):
+            return warp_projective_batch(imgs, maps, w, h)
+        return warp_affine_batch(imgs, maps, w, h)
 
 
 @dataclass(frozen=True)
@@ -333,8 +393,8 @@ class Rotate(OpSpec):
     def draw(self, rng, width, height):
         return [("angle", rng.uniform_real(-self.max_left, self.max_right))]
 
-    def apply(self, img, drawn):
-        return rotate_arbitrary(img, dict(drawn)["angle"])
+    def transform(self, drawn, width, height):
+        return _rotation(width, height, dict(drawn)["angle"])
 
 
 @dataclass(frozen=True)
@@ -351,7 +411,7 @@ class RotateCardinal(OpSpec):
 
     def draw(self, rng, width, height):
         if self.which == "random":
-            return [("degrees", (90, 180, 270)[rng.uniform_int(0, 2)])]
+            return [("degrees", rng.choice((90, 180, 270)))]
         return []
 
     def apply(self, img, drawn):
@@ -374,7 +434,7 @@ class Flip(OpSpec):
 
     def draw(self, rng, width, height):
         if self.axis == "random":
-            return [("axis", ("horizontal", "vertical")[rng.uniform_int(0, 1)])]
+            return [("axis", rng.choice(("horizontal", "vertical")))]
         return []
 
     def apply(self, img, drawn):
@@ -399,13 +459,13 @@ class Shear(OpSpec):
     def draw(self, rng, width, height):
         drawn = []
         if self.axis == "random":
-            drawn.append(("axis", ("x", "y")[rng.uniform_int(0, 1)]))
+            drawn.append(("axis", rng.choice(("x", "y"))))
         drawn.append(("angle", rng.uniform_real(-self.max_angle, self.max_angle)))
         return drawn
 
-    def apply(self, img, drawn):
+    def transform(self, drawn, width, height):
         d = dict(drawn)
-        return shear_kernel(img, d.get("axis", self.axis), d["angle"])
+        return _shear(width, height, d.get("axis", self.axis), d["angle"])
 
 
 @dataclass(frozen=True)
@@ -430,14 +490,14 @@ class Skew(OpSpec):
     def draw(self, rng, width, height):
         drawn = []
         if self.skew_kind == "random":
-            drawn.append(("kind", ("forward", "backward", "left", "right")[rng.uniform_int(0, 3)]))
+            drawn.append(("kind", rng.choice(("forward", "backward", "left", "right"))))
         d_max = int(math.floor(self.severity * min(width, height) / 2 + _SNAP))
         drawn.append(("displacement", rng.uniform_int(0, d_max)))
         return drawn
 
-    def apply(self, img, drawn):
+    def transform(self, drawn, width, height):
         d = dict(drawn)
-        return skew_kernel(img, d.get("kind", self.skew_kind), d["displacement"])
+        return _skew(width, height, d.get("kind", self.skew_kind), d["displacement"])
 
 
 @dataclass(frozen=True)
@@ -456,10 +516,16 @@ class Elastic(OpSpec):
                  f"must be an integer >= 1, got {self.grid_width}")
         _require(isinstance(self.grid_height, int) and self.grid_height >= 1, "grid_height",
                  f"must be an integer >= 1, got {self.grid_height}")
-        _require(isinstance(self.magnitude, int) and self.magnitude >= 0, "magnitude",
-                 f"must be an integer >= 0, got {self.magnitude}")
+        _require(isinstance(self.magnitude, int) and 0 <= self.magnitude < 1 << 63, "magnitude",
+                 f"must be an integer in [0, 2**63), got {self.magnitude}")
 
     def draw(self, rng, width, height):
+        if self.grid_width * self.grid_height > width * height:
+            raise OpError(
+                f"elastic grid {self.grid_width}x{self.grid_height} has more cells than "
+                f"the {width}x{height} image has pixels",
+                op_kind=self.kind,
+            )
         drawn = []
         m = self.magnitude
         for a, b in _interior_nodes(self.grid_width, self.grid_height):
@@ -467,9 +533,8 @@ class Elastic(OpSpec):
             drawn.append((f"dy_{a}_{b}", rng.uniform_int(-m, m)))
         return drawn
 
-    def apply(self, img, drawn):
-        grid = _grid_from_offsets(self.grid_width, self.grid_height, (v for _, v in drawn))
-        return warp_mesh(img, grid)
+    def transform(self, drawn, width, height):
+        return _grid_from_offsets(self.grid_width, self.grid_height, [v for _, v in drawn])
 
 
 @dataclass(frozen=True)
@@ -570,6 +635,7 @@ class Resize(OpSpec):
                  f"must be an integer >= 1, got {self.height}")
 
     def apply(self, img, drawn):
+        _check_output_size(self.width, self.height, self.kind)
         return resize(img, self.width, self.height)
 
 
@@ -621,7 +687,12 @@ def apply_op(spec: OpSpec, img: Image, rng: RngStream) -> tuple[Image, OpApplica
     Probability gating happens in the pipeline; apply_op always applies.
     Kernel failures after drawing surface as OpError carrying the drawn
     values, so a failing sample can be reproduced exactly.
+
+    img may also be a list of same-shape images, with rng a LaneStream of
+    one lane each; see _apply_lanes.
     """
+    if not isinstance(img, Image):
+        return _apply_lanes(spec, img, rng)
     drawn = spec.draw(rng, img.width, img.height)
     try:
         out = spec.apply(img, drawn)
@@ -630,3 +701,23 @@ def apply_op(spec: OpSpec, img: Image, rng: RngStream) -> tuple[Image, OpApplica
     except GeometryError as exc:
         raise OpError(f"{spec.kind}: {exc}", op_kind=spec.kind, drawn=tuple(drawn)) from exc
     return out, OpApplication(spec.kind, True, tuple(drawn))
+
+
+def _apply_lanes(spec: OpSpec, imgs: list[Image], lanes) -> tuple[list[Image], list[OpApplication]]:
+    """apply_op on every lane at once: one draw per lane, then the kernel
+    on batches of at most _BAND_PIXELS pixels.
+
+    Lane k gets exactly the draws and the output that apply_op gives
+    image k with lane k's RngStream. Errors are not annotated: a caller
+    finds the failing sample by running the samples one by one.
+    """
+    w, h = imgs[0].width, imgs[0].height
+    columns = spec.draw(lanes, w, h)
+    names = [name for name, _ in columns]
+    values = zip(*(column.tolist() for _, column in columns)) if columns else [()] * len(imgs)
+    drawn = [list(zip(names, row)) for row in values]
+    step = max(1, _BAND_PIXELS // (w * h))
+    out = []
+    for start in range(0, len(imgs), step):
+        out += spec.apply_batch(imgs[start : start + step], drawn[start : start + step])
+    return out, [OpApplication(spec.kind, True, tuple(row)) for row in drawn]

@@ -45,8 +45,11 @@ __all__ = [
     "monitor_source_bounds",
     "sample",
     "warp_affine",
+    "warp_affine_batch",
     "warp_projective",
+    "warp_projective_batch",
     "warp_mesh",
+    "warp_mesh_batch",
     "resize",
 ]
 
@@ -171,27 +174,57 @@ def _centers(start: int, count: int) -> np.ndarray:
     return centers
 
 
-def _observe(img: Image, xs: np.ndarray, ys: np.ndarray) -> None:
+class _Stack:
+    """Same-shape images stacked for one gather.
+
+    ``flat`` holds their pixels as (count * height * width, channels);
+    sample coordinates of image n index its block through a base offset
+    of n * height * width.
+    """
+
+    __slots__ = ("flat", "count", "width", "height", "format")
+
+    def __init__(self, imgs):
+        first = imgs[0]
+        px = first.pixels if len(imgs) == 1 else np.stack([img.pixels for img in imgs])
+        self.flat = px.reshape(-1, first.channels)
+        self.count = len(imgs)
+        self.width, self.height, self.format = first.width, first.height, first.format
+
+
+def _observe(src: _Stack, xs: np.ndarray, ys: np.ndarray) -> None:
+    # xs and ys carry a leading axis of one coordinate array per image.
     for monitor in _active_monitors:
-        monitor.observe(xs, ys, img.width, img.height)
+        for image_xs, image_ys in zip(xs, ys):
+            monitor.observe(image_xs, image_ys, src.width, src.height)
 
 
-def _sample_values(img: Image, xs: np.ndarray, ys: np.ndarray, filt: Filter) -> np.ndarray:
+def _sample_values(src: _Stack, xs: np.ndarray, ys: np.ndarray, base, filt: Filter) -> np.ndarray:
     """Sample per-channel real values at continuous coordinates.
 
-    Returns float64 with shape xs.shape + (channels,).
+    ``base`` is None for a single image, else each coordinate's image
+    offset (broadcast against ys). Returns float64 with shape
+    xs.shape + (channels,).
     """
     if filt is Filter.NEAREST:
-        return _sample_nearest(img, xs, ys)
+        return _sample_nearest(src, xs, ys, base)
     if filt is Filter.BILINEAR:
-        return _sample_bilinear(img, xs, ys)
-    return _sample_bicubic(img, xs, ys)
+        return _sample_bilinear(src, xs, ys, base)
+    return _sample_bicubic(src, xs, ys, base)
 
 
-def _sample_nearest(img: Image, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    ix = np.clip(np.floor(xs).astype(np.int64), 0, img.width - 1)
-    iy = np.clip(np.floor(ys).astype(np.int64), 0, img.height - 1)
-    return img.pixels[iy, ix].astype(np.float64)
+def _row_starts(src: _Stack, rows: np.ndarray, base) -> np.ndarray:
+    # Flat index of the first pixel of each (clamped) source row; in place.
+    rows *= src.width
+    if base is not None:
+        rows += base
+    return rows
+
+
+def _sample_nearest(src: _Stack, xs: np.ndarray, ys: np.ndarray, base) -> np.ndarray:
+    ix = np.clip(np.floor(xs).astype(np.int64), 0, src.width - 1)
+    iy = np.clip(np.floor(ys).astype(np.int64), 0, src.height - 1)
+    return src.flat.take(_row_starts(src, iy, base) + ix, axis=0).astype(np.float64)
 
 
 def _clamp(indices: np.ndarray, top: int) -> np.ndarray:
@@ -222,13 +255,12 @@ def _lerp(a: np.ndarray, b: np.ndarray, f: np.ndarray, g: np.ndarray) -> np.ndar
     return a
 
 
-def _sample_bilinear(img: Image, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    w = img.width
-    x0, x1, fx = _bilinear_taps(xs, w)
-    y0, y1, fy = _bilinear_taps(ys, img.height)
-    y0 *= w
-    y1 *= w
-    flat = img.pixels.reshape(-1, img.channels)
+def _sample_bilinear(src: _Stack, xs: np.ndarray, ys: np.ndarray, base) -> np.ndarray:
+    x0, x1, fx = _bilinear_taps(xs, src.width)
+    y0, y1, fy = _bilinear_taps(ys, src.height)
+    y0 = _row_starts(src, y0, base)
+    y1 = _row_starts(src, y1, base)
+    flat = src.flat
     fx = fx[..., None]
     gx = 1.0 - fx
     top = _lerp(flat.take(y0 + x0, axis=0), flat.take(y0 + x1, axis=0), fx, gx)
@@ -268,8 +300,7 @@ def _catmull_rom_weights(t: np.ndarray) -> tuple[np.ndarray, ...]:
     return w0, w1, w2, w3
 
 
-def _sample_bicubic(img: Image, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    px = img.pixels
+def _sample_bicubic(src: _Stack, xs: np.ndarray, ys: np.ndarray, base) -> np.ndarray:
     u = xs - 0.5
     v = ys - 0.5
     x1 = np.floor(u)
@@ -278,45 +309,72 @@ def _sample_bicubic(img: Image, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     wy = _catmull_rom_weights(v - y1)
     x1 = x1.astype(np.int64)
     y1 = y1.astype(np.int64)
-    cols = [np.clip(x1 + d, 0, img.width - 1) for d in (-1, 0, 1, 2)]
-    rows = [np.clip(y1 + d, 0, img.height - 1) for d in (-1, 0, 1, 2)]
-    out = np.zeros(xs.shape + (img.channels,), dtype=np.float64)
+    cols = [np.clip(x1 + d, 0, src.width - 1) for d in (-1, 0, 1, 2)]
+    rows = [_row_starts(src, np.clip(y1 + d, 0, src.height - 1), base) for d in (-1, 0, 1, 2)]
+    out = np.zeros(xs.shape + (src.flat.shape[1],), dtype=np.float64)
     for wj, rj in zip(wy, rows):
         row_acc = np.zeros_like(out)
         for wi, ci in zip(wx, cols):
-            row_acc += wi[..., None] * px[rj, ci].astype(np.float64)
+            row_acc += wi[..., None] * src.flat.take(rj + ci, axis=0).astype(np.float64)
         out += wj[..., None] * row_acc
     return out
 
 
 def sample(img: Image, x: float, y: float, filt: Filter = Filter.BILINEAR) -> tuple[float, ...]:
     """Per-channel real values at one continuous coordinate."""
+    src = _Stack([img])
     xs, ys = np.array([x], dtype=np.float64), np.array([y], dtype=np.float64)
-    _observe(img, xs, ys)
-    return tuple(float(v) for v in _sample_values(img, xs, ys, filt)[0])
+    _observe(src, xs[None], ys[None])
+    return tuple(float(v) for v in _sample_values(src, xs, ys, None, filt)[0])
 
 
-def _quantise_bands(img: Image, height: int, width: int, sample_rows) -> Image:
-    """Build a height x width image in bands of rows.
+def _quantise_bands(count: int, height: int, width: int, fmt, sample_rows) -> list[Image]:
+    """Build count height x width images in bands of rows.
 
-    ``sample_rows(band)`` returns the real values of the rows in the
-    slice ``band``; each band is quantised on its own, which keeps the
-    float64 temporaries small and in cache.
+    The images are stacked row after row; ``sample_rows(band)`` returns
+    the real values of the stacked rows in the slice ``band``. Each band
+    is quantised on its own, which keeps the float64 temporaries small
+    and in cache.
     """
-    out = np.empty((height, width, img.channels), dtype=np.uint8)
+    out = np.empty((count, height, width, fmt.channels), dtype=np.uint8)
+    rows = out.reshape(count * height, width, fmt.channels)
     step = max(1, _BAND_PIXELS // width)
-    for start in range(0, height, step):
+    for start in range(0, count * height, step):
         band = slice(start, start + step)
-        out[band] = clamp_round_array(sample_rows(band))
-    return Image._wrap(out, img.format)
+        rows[band] = clamp_round_array(sample_rows(band))
+    return [Image._wrap(image, fmt) for image in out]
 
 
-def _warp(img: Image, xs: np.ndarray, ys: np.ndarray, filt: Filter) -> Image:
-    """Sample img at the (h, w) source coordinates xs, ys."""
-    _observe(img, xs, ys)
+def _warp(src: _Stack, xs: np.ndarray, ys: np.ndarray, filt: Filter) -> list[Image]:
+    """Sample image n of src at the (h, w) source coordinates xs[n], ys[n]."""
+    _observe(src, xs, ys)
+    count, height, width = xs.shape
+    xs = xs.reshape(count * height, width)
+    ys = ys.reshape(count * height, width)
+    if count == 1:
+        return _quantise_bands(
+            1, height, width, src.format, lambda band: _sample_values(src, xs[band], ys[band], None, filt)
+        )
+    base = np.repeat(np.arange(count, dtype=np.intp) * (src.width * src.height), height)[:, None]
     return _quantise_bands(
-        img, *xs.shape, lambda band: _sample_values(img, xs[band], ys[band], filt)
+        count, height, width, src.format,
+        lambda band: _sample_values(src, xs[band], ys[band], base[band], filt),
     )
+
+
+def _check_size(out_w: int, out_h: int) -> None:
+    if out_w < 1 or out_h < 1:
+        raise ValueError(f"output dimensions must be >= 1, got {out_w}x{out_h}")
+
+
+def warp_affine_batch(imgs, transforms, out_w: int, out_h: int, filt: Filter = Filter.BILINEAR) -> list[Image]:
+    """warp_affine of each same-shape image through its own transform."""
+    _check_size(out_w, out_h)
+    m = np.stack([t.m for t in transforms])[:, :, :, None, None]
+    xs, ys = _centers(0, out_w), _centers(0, out_h)[:, None]
+    sx = m[:, 0, 0] * xs + m[:, 0, 1] * ys + m[:, 0, 2]
+    sy = m[:, 1, 0] * xs + m[:, 1, 1] * ys + m[:, 1, 2]
+    return _warp(_Stack(imgs), sx, sy, filt)
 
 
 def warp_affine(
@@ -327,10 +385,20 @@ def warp_affine(
     filt: Filter = Filter.BILINEAR,
 ) -> Image:
     """Resample through a destination-to-source affine map."""
-    if out_w < 1 or out_h < 1:
-        raise ValueError(f"output dimensions must be >= 1, got {out_w}x{out_h}")
-    sx, sy = transform.map_points(_centers(0, out_w), _centers(0, out_h)[:, None])
-    return _warp(img, sx, sy, filt)
+    return warp_affine_batch([img], [transform], out_w, out_h, filt)[0]
+
+
+def warp_projective_batch(imgs, homs, out_w: int, out_h: int, filt: Filter = Filter.BILINEAR) -> list[Image]:
+    """warp_projective of each same-shape image through its own homography."""
+    _check_size(out_w, out_h)
+    m = np.stack([hom.m for hom in homs])[:, :, :, None, None]
+    xs, ys = _centers(0, out_w), _centers(0, out_h)[:, None]
+    den = m[:, 2, 0] * xs + m[:, 2, 1] * ys + m[:, 2, 2]
+    if np.min(np.abs(den)) < 1e-9:
+        raise GeometryError("horizon inside image: projective denominator vanishes")
+    sx = (m[:, 0, 0] * xs + m[:, 0, 1] * ys + m[:, 0, 2]) / den
+    sy = (m[:, 1, 0] * xs + m[:, 1, 1] * ys + m[:, 1, 2]) / den
+    return _warp(_Stack(imgs), sx, sy, filt)
 
 
 def warp_projective(
@@ -345,10 +413,30 @@ def warp_projective(
     Raises GeometryError if the projective denominator vanishes at any
     destination pixel center (horizon crossing the output).
     """
-    if out_w < 1 or out_h < 1:
-        raise ValueError(f"output dimensions must be >= 1, got {out_w}x{out_h}")
-    sx, sy = hom.map_points(_centers(0, out_w), _centers(0, out_h)[:, None])
-    return _warp(img, sx, sy, filt)
+    return warp_projective_batch([img], [hom], out_w, out_h, filt)[0]
+
+
+def warp_mesh_batch(imgs, grids, filt: Filter = Filter.BILINEAR) -> list[Image]:
+    """warp_mesh of each same-shape image by its own grid; the grids share
+    one lattice size."""
+    w, h = imgs[0].width, imgs[0].height
+    gw, gh = grids[0].gw, grids[0].gh
+    xs, ys = _centers(0, w), _centers(0, h)
+    tx = xs * (gw / w)
+    ty = ys * (gh / h)
+    ax = _clamp(np.floor(tx).astype(np.intp), gw - 1)
+    by = _clamp(np.floor(ty).astype(np.intp), gh - 1)
+    fx = tx - ax
+    fy = (ty - by)[:, None]
+    gy = 1.0 - fy
+    # (2, count, gh + 1, gw + 1): the dx and dy planes of every grid.
+    offsets = np.stack([grid.nodes for grid in grids]).transpose(3, 0, 1, 2)
+    node_rows = _lerp(offsets[..., ax], offsets[..., ax + 1], fx, 1.0 - fx)
+    sx = _lerp(node_rows[0][:, by], node_rows[0][:, by + 1], fy, gy)
+    sy = _lerp(node_rows[1][:, by], node_rows[1][:, by + 1], fy, gy)
+    sx += xs
+    sy += ys[:, None]
+    return _warp(_Stack(imgs), sx, sy, filt)
 
 
 def warp_mesh(img: Image, grid: DisplacementGrid, filt: Filter = Filter.BILINEAR) -> Image:
@@ -364,22 +452,7 @@ def warp_mesh(img: Image, grid: DisplacementGrid, filt: Filter = Filter.BILINEAR
     every node row is blended along x once and the output rows blend two
     of those.
     """
-    w, h = img.width, img.height
-    xs, ys = _centers(0, w), _centers(0, h)
-    tx = xs * (grid.gw / w)
-    ty = ys * (grid.gh / h)
-    ax = _clamp(np.floor(tx).astype(np.intp), grid.gw - 1)
-    by = _clamp(np.floor(ty).astype(np.intp), grid.gh - 1)
-    fx = tx - ax
-    fy = (ty - by)[:, None]
-    gy = 1.0 - fy
-    offsets = grid.nodes.transpose(2, 0, 1)  # (2, gh + 1, gw + 1): dx, dy planes
-    node_rows = _lerp(offsets[:, :, ax], offsets[:, :, ax + 1], fx, 1.0 - fx)
-    sx = _lerp(node_rows[0, by], node_rows[0, by + 1], fy, gy)
-    sy = _lerp(node_rows[1, by], node_rows[1, by + 1], fy, gy)
-    sx += xs
-    sy += ys[:, None]
-    return _warp(img, sx, sy, filt)
+    return warp_mesh_batch([img], [grid], filt)[0]
 
 
 def resize(
@@ -395,8 +468,7 @@ def resize(
     window, only that integral sub-rectangle of the out_w x out_h result
     is computed and returned; its pixels equal those of the full resize.
     """
-    if out_w < 1 or out_h < 1:
-        raise ValueError(f"output dimensions must be >= 1, got {out_w}x{out_h}")
+    _check_size(out_w, out_h)
     if window is None:
         window = CropRect(0, 0, out_w, out_h)
     x, y = window.x, window.y
@@ -404,12 +476,14 @@ def resize(
         raise ValueError(f"window {window} is not an integral part of {out_w}x{out_h}")
     sx = _centers(int(x), window.w) * (img.width / out_w)
     sy = _centers(int(y), window.h) * (img.height / out_h)
+    src = _Stack([img])
     if filt is not Filter.BILINEAR:
-        return _warp(img, *np.broadcast_arrays(sx, sy[:, None]), filt)
-    _observe(img, sx, sy)
+        xs, ys = np.broadcast_arrays(sx, sy[:, None])
+        return _warp(src, xs[None], ys[None], filt)[0]
+    _observe(src, sx[None], sy[None])
     x0, x1, fx = _bilinear_taps(sx, img.width)
     fx = fx[:, None]
     x_taps = (x0, x1, fx, 1.0 - fx)
     return _quantise_bands(
-        img, window.h, window.w, lambda band: _resize_bilinear(img, x_taps, sy[band])
-    )
+        1, window.h, window.w, img.format, lambda band: _resize_bilinear(img, x_taps, sy[band])
+    )[0]
