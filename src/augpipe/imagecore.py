@@ -75,6 +75,12 @@ class Image:
                 f"does not match {expected}/uint8"
             )
 
+    def __setstate__(self, state):
+        # Unpickled arrays are writable; an image from another process is
+        # as immutable as one made here.
+        state["pixels"].flags.writeable = False
+        self.__dict__.update(state)
+
     @property
     def channels(self) -> int:
         return self.format.channels

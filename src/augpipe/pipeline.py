@@ -24,8 +24,9 @@ from pathlib import Path
 
 from .dataio import DatasetIndex, load_image, output_name, save_image, split_by_class
 from .errors import DatasetError, OpError, OutputCollisionError, UnsupportedImageError
-from .imagecore import Image, PixelFormat, RngStream, derive_sample_rng, mix64
+from .imagecore import Image, LaneStream, PixelFormat, RngStream, derive_sample_rng, mix64
 from .ops import OpApplication, OpSpec, apply_op
+from .warp import _BAND_PIXELS
 
 __all__ = [
     "Pipeline",
@@ -198,33 +199,126 @@ def _generate_one(
 ) -> TraceRecord:
     rng = derive_sample_rng(pipeline.master_seed, index)
     position = rng.uniform_int(0, len(dataset.entries) - 1) if choose_source else index
-    entry = dataset.entries[position]
-    img = _load_cached(dataset.path_of(entry))
+    source = _Source(dataset, position)
+    img = _load_cached(source.path)
     try:
         out, applications = run_sample(pipeline, img, rng)
     except OpError as exc:
         raise OpError(
-            f"sample {index} (source {entry.rel_path}): {exc}",
+            f"sample {index} (source {source.rel_path}): {exc}",
             op_kind=exc.op_kind,
             drawn=exc.drawn,
             op_index=exc.op_index,
         ) from exc
-    rel_path = Path(entry.rel_path)
-    rel_dir = rel_path.parent.as_posix() if rel_path.parent != Path(".") else ""
-    try:
-        written = sink.write(rel_dir, rel_path.stem, index, out)
-    except OutputCollisionError as exc:
-        raise OutputCollisionError(f"sample {index}: {exc}") from exc
-    except UnsupportedImageError as exc:
-        raise UnsupportedImageError(f"sample {index}: {exc}") from exc
-    except OSError as exc:
-        raise OSError(f"sample {index}: {exc}") from exc
-    return TraceRecord(index, entry.rel_path, tuple(applications), written)
+    return source.write(sink, index, out, applications)
+
+
+class _Source:
+    """A dataset entry's path, and the directory and stem of its outputs."""
+
+    __slots__ = ("rel_path", "path", "rel_dir", "stem")
+
+    def __init__(self, dataset: DatasetIndex, position: int):
+        entry = dataset.entries[position]
+        rel_path = Path(entry.rel_path)
+        self.rel_path = entry.rel_path
+        self.path = dataset.path_of(entry)
+        self.rel_dir = rel_path.parent.as_posix() if rel_path.parent != Path(".") else ""
+        self.stem = rel_path.stem
+
+    def write(self, sink, index: int, img: Image, applications) -> TraceRecord:
+        try:
+            written = sink.write(self.rel_dir, self.stem, index, img)
+        except OutputCollisionError as exc:
+            raise OutputCollisionError(f"sample {index}: {exc}") from exc
+        except UnsupportedImageError as exc:
+            raise UnsupportedImageError(f"sample {index}: {exc}") from exc
+        except OSError as exc:
+            raise OSError(f"sample {index}: {exc}") from exc
+        return TraceRecord(index, self.rel_path, tuple(applications), written)
+
+
+def _apply_ops(pipeline: Pipeline, lanes: LaneStream, images: list[Image]) -> list[list[OpApplication]]:
+    """run_sample on every lane at once, op by op; images is updated in place.
+
+    Per op: one gate draw per lane, then one apply_op per group of passed
+    samples that share a shape and format.
+    """
+    applications: list[list[OpApplication]] = [[] for _ in images]
+    for spec in pipeline.ops:
+        passed = lanes.unit_real() < spec.probability
+        skipped = OpApplication(spec.kind, False)
+        groups: dict[tuple, list[int]] = {}
+        for k, gate in enumerate(passed.tolist()):
+            if gate:
+                img = images[k]
+                groups.setdefault((img.width, img.height, img.format), []).append(k)
+            else:
+                applications[k].append(skipped)
+        for members in groups.values():
+            group = lanes.take(members)
+            outs, applied = apply_op(spec, [images[k] for k in members], group)
+            lanes.put(members, group)
+            for k, out, application in zip(members, outs, applied):
+                images[k] = out
+                applications[k].append(application)
+    return applications
 
 
 def _generate_chunk(chunk) -> list[TraceRecord]:
+    """Generate a chunk of samples op-major, writing them in index order.
+
+    The chunk's streams are one LaneStream. Consecutive samples whose
+    sources are smaller than one warp band go through the ops together;
+    a larger source goes alone, so the pixels held at a time stay about
+    what one sample needs. If anything fails in a group before its writes,
+    its samples are generated again one by one, which raises the error of
+    the first failing sample after writing the samples before it.
+    """
     pipeline, dataset, indices, sink, choose_source = chunk
-    return [_generate_one(pipeline, dataset, i, sink, choose_source) for i in indices]
+    lanes = LaneStream.for_samples(pipeline.master_seed, indices)
+    if choose_source:
+        positions = lanes.uniform_int(0, len(dataset.entries) - 1).tolist()
+    else:
+        positions = list(indices)
+    sources: dict[int, _Source] = {}
+    records: list[TraceRecord] = []
+    pending: list[tuple[int, int, _Source, Image]] = []  # lane, sample index, source, image
+
+    def flush():
+        members = [lane for lane, _index, _source, _img in pending]
+        images = [img for _lane, _index, _source, img in pending]
+        try:
+            applications = _apply_ops(pipeline, lanes.take(members), images)
+        except Exception:
+            records.extend(_generate_one(pipeline, dataset, index, sink, choose_source)
+                           for _lane, index, _source, _img in pending)
+        else:
+            records.extend(source.write(sink, index, out, apps)
+                           for (_lane, index, source, _img), out, apps
+                           in zip(pending, images, applications))
+        pending.clear()
+
+    for lane, index in enumerate(indices):
+        position = positions[lane]
+        source = sources.get(position)
+        if source is None:
+            source = sources[position] = _Source(dataset, position)
+        try:
+            img = _load_cached(source.path)
+        except Exception:
+            flush()
+            records.append(_generate_one(pipeline, dataset, index, sink, choose_source))
+            continue
+        large = img.width * img.height >= _BAND_PIXELS
+        if large and pending:
+            flush()
+        pending.append((lane, index, source, img))
+        if large:
+            flush()
+    if pending:
+        flush()
+    return records
 
 
 def _run(pipeline, dataset, per_class, count, sink, jobs) -> list[TraceRecord]:
@@ -252,10 +346,24 @@ def _run(pipeline, dataset, per_class, count, sink, jobs) -> list[TraceRecord]:
     if jobs <= 1 or len(chunks) <= 1:
         return [record for chunk in chunks for record in _generate_chunk(chunk)]
     pool = ProcessPoolExecutor(max_workers=jobs, mp_context=multiprocessing.get_context("fork"))
+    records = []
     try:
-        return [record for part in pool.map(_generate_chunk, chunks) for record in part]
+        for part, collected in pool.map(_generate_chunk_in_worker, chunks):
+            records.extend(part)
+            if collected:
+                sink.images.extend(collected)
+        return records
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
+
+
+def _generate_chunk_in_worker(chunk) -> tuple[list[TraceRecord], list]:
+    """_generate_chunk, plus the images a CollectingSink gathered meanwhile:
+    the worker's sink is a copy, so they go back with the records."""
+    sink = chunk[3]
+    before = len(sink.images) if isinstance(sink, CollectingSink) else 0
+    records = _generate_chunk(chunk)
+    return records, sink.images[before:] if isinstance(sink, CollectingSink) else []
 
 
 def sample(
