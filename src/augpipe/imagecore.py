@@ -324,7 +324,7 @@ class LaneStream:
             w %= np.uint64(n)
         if -(1 << 63) <= lo and hi < (1 << 63):
             return (w + np.uint64(lo & _MASK64)).view(np.int64)
-        if lo >= 0:
+        if lo >= 0 and hi < _TWO64:
             return w + np.uint64(lo)
         return np.array([lo + v for v in w.tolist()], dtype=object)
 

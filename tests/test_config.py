@@ -153,6 +153,15 @@ class TestErrors:
             parse_config(json.dumps(doc))
         assert "grid_width" in str(info.value)
 
+    def test_magnitude_beyond_a_64_bit_draw(self):
+        # uniform_int(-m, m) needs 2m + 1 <= 2**64 values.
+        doc = {"version": 1, "operations": [
+            {"op": "elastic", "probability": 1, "grid_width": 2, "grid_height": 2,
+             "magnitude": 1 << 63}]}
+        with pytest.raises(ConfigError) as info:
+            parse_config(json.dumps(doc))
+        assert info.value.field == "magnitude"
+
     def test_bool_is_not_a_number(self):
         doc = {"version": 1, "operations": [
             {"op": "scale", "probability": 1, "factor": True}]}

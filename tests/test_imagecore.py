@@ -1,11 +1,21 @@
 """Image buffer invariants, channel quantisation, and the RNG contract."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from augpipe import Image, PixelFormat, RngStream, clamp_round, derive_sample_rng, round_half_away
+from augpipe import (
+    Image,
+    LaneStream,
+    PixelFormat,
+    RngStream,
+    clamp_round,
+    derive_sample_rng,
+    round_half_away,
+)
 from augpipe.imagecore import clamp_round_array
 
 
@@ -30,6 +40,12 @@ class TestImage:
         img = Image.from_array(arr, PixelFormat.GRAY8)
         arr[0, 0] = 99
         assert img.pixels[0, 0, 0] == 0
+
+    def test_unpickled_pixels_stay_read_only(self):
+        img = pickle.loads(pickle.dumps(Image.filled(3, 2, PixelFormat.RGB8, (1, 2, 3))))
+        assert img.width == 3 and img.format is PixelFormat.RGB8
+        with pytest.raises(ValueError):
+            img.pixels[0, 0, 0] = 1
 
     def test_mismatched_buffer_rejected(self):
         with pytest.raises(ValueError):
@@ -166,3 +182,97 @@ class TestRngDraws:
         for _ in range(100):
             v = r.uniform_real(2.5, 3.5)
             assert 2.5 <= v < 3.5
+
+    def test_choice_indexes_by_one_int_draw(self):
+        a, b = RngStream(9), RngStream(9)
+        options = ("w", "x", "y", "z")
+        assert [a.choice(options) for _ in range(50)] == [
+            options[b.uniform_int(0, 3)] for _ in range(50)
+        ]
+
+    def test_range_wider_than_64_bits_raises(self):
+        # Rejection sampling could never accept a word for such a range.
+        with pytest.raises(ValueError):
+            RngStream(1).uniform_int(0, 1 << 64)
+
+
+TWO64 = 1 << 64
+# Ranges of every kind uniform_int meets: n just above 2**63 rejects about
+# half of all words, powers of two reject none, and [0, 2**64 - 1] is the
+# full word; lo may be negative or beyond 64 bits.
+INT_RANGES = st.one_of(
+    st.tuples(st.integers(-10**6, 10**6), st.integers(0, 1000)),
+    st.tuples(st.integers(-(1 << 70), 1 << 70), st.integers((1 << 63), (1 << 63) + 1000)),
+    st.tuples(st.integers(-(1 << 70), 1 << 70), st.integers(0, 64).map(lambda k: (1 << k) - 1)),
+    st.tuples(st.sampled_from([0, -(1 << 63), -5, 1 << 80]), st.just(TWO64 - 1)),
+    st.tuples(st.integers(-(1 << 66), 1 << 66), st.integers(0, TWO64 - 1)),
+).map(lambda pair: (pair[0], pair[0] + pair[1]))
+SEEDS = st.one_of(st.integers(0, TWO64 - 1), st.integers(-(1 << 80), 1 << 80))
+
+
+def _draw(stream, call):
+    method, args = call
+    value = getattr(stream, method)(*args)
+    return value.tolist() if isinstance(value, np.ndarray) else value
+
+
+CALLS = st.one_of(
+    st.tuples(st.just("next_word"), st.just(())),
+    st.tuples(st.just("unit_real"), st.just(())),
+    st.tuples(st.just("uniform_real"), st.tuples(
+        st.floats(-1e6, 1e6), st.floats(0, 1e6)).map(lambda p: (p[0], p[0] + p[1]))),
+    st.tuples(st.just("uniform_int"), INT_RANGES),
+    st.tuples(st.just("choice"), st.lists(st.text(max_size=2), min_size=1, max_size=7)
+              .map(lambda options: (tuple(options),))),
+)
+
+
+class TestLaneStream:
+    """Lane k of a LaneStream is, draw for draw, the RngStream of sample k."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=SEEDS, start=st.integers(0, 1 << 40), lanes=st.integers(1, 12),
+           calls=st.lists(CALLS, min_size=1, max_size=12))
+    def test_every_draw_matches_the_scalar_streams(self, seed, start, lanes, calls):
+        indices = range(start, start + lanes)
+        stream = LaneStream.for_samples(seed, indices)
+        scalars = [derive_sample_rng(seed, i) for i in indices]
+        for call in calls:
+            assert _draw(stream, call) == [_draw(rng, call) for rng in scalars]
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=SEEDS, lanes=st.integers(1, 10), data=st.data())
+    def test_draws_on_taken_lanes_advance_only_those_lanes(self, seed, lanes, data):
+        stream = LaneStream.for_samples(seed, range(lanes))
+        scalars = [derive_sample_rng(seed, i) for i in range(lanes)]
+        for _ in range(data.draw(st.integers(1, 6))):
+            positions = data.draw(st.lists(st.integers(0, lanes - 1), unique=True, max_size=lanes))
+            call = data.draw(CALLS)
+            taken = stream.take(positions)
+            assert _draw(taken, call) == [_draw(scalars[k], call) for k in positions]
+            stream.put(positions, taken)
+        assert _draw(stream, ("next_word", ())) == [rng.next_word() for rng in scalars]
+
+    def test_rejections_retry_only_the_rejected_lanes(self):
+        # For n = 2**63 + 1 nearly half of all words are rejected.
+        lo, hi = -3, (1 << 63) - 3
+        stream = LaneStream.for_samples(5, range(64))
+        scalars = [derive_sample_rng(5, i) for i in range(64)]
+        for _ in range(20):
+            assert stream.uniform_int(lo, hi).tolist() == [r.uniform_int(lo, hi) for r in scalars]
+        assert stream.next_word().tolist() == [r.next_word() for r in scalars]
+
+    def test_value_types(self):
+        stream = LaneStream.for_samples(1, range(3))
+        assert stream.uniform_int(-4, 4).dtype == np.int64
+        assert stream.uniform_int(0, TWO64 - 1).dtype == np.uint64
+        assert stream.uniform_int(-1, TWO64 - 2).dtype == object
+        assert all(type(v) is str for v in stream.choice(("a", "b")).tolist())
+
+    def test_empty_and_too_wide_ranges_raise(self):
+        stream = LaneStream.for_samples(1, range(3))
+        for lo, hi in ((1, 0), (0, TWO64)):
+            with pytest.raises(ValueError):
+                stream.uniform_int(lo, hi)
+        with pytest.raises(ValueError):
+            stream.uniform_real(1.0, 0.5)

@@ -6,20 +6,33 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from augpipe import (
     CollectingSink,
     ConfigError,
     CropCentre,
+    CropRandom,
     DatasetError,
     DirectorySink,
     Elastic,
+    Equalize,
+    Flip,
+    Greyscale,
     Image,
     Invert,
     OpError,
     OutputCollisionError,
     Pipeline,
+    PixelFormat,
+    Resize,
     Rotate,
+    RotateCardinal,
+    Scale,
+    Shear,
+    Skew,
+    Zoom,
     derive_sample_rng,
     load_image,
     run_sample,
@@ -29,6 +42,7 @@ from augpipe import (
     write_trace,
 )
 from augpipe import pipeline as pipeline_mod
+from augpipe.warp import monitor_source_bounds
 from conftest import random_image, tree_bytes
 
 
@@ -362,3 +376,130 @@ class TestTrace:
         p = Pipeline().add(Rotate(probability=0, max_left=10, max_right=10))
         _, apps = run_sample(p, img, derive_sample_rng(0, 0))
         assert apps[0].applied is False and apps[0].drawn_params == ()
+
+
+PROBABILITY = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)
+# Every op kind, with parameters that usually, not always, succeed on the
+# mixed corpus below.
+OP_SPECS = st.one_of(
+    st.builds(Rotate, probability=PROBABILITY, max_left=st.floats(0, 20), max_right=st.floats(0, 20)),
+    st.builds(RotateCardinal, probability=PROBABILITY,
+              which=st.sampled_from(["r90", "r180", "r270", "random"])),
+    st.builds(Flip, probability=PROBABILITY, axis=st.sampled_from(["horizontal", "vertical", "random"])),
+    st.builds(Shear, probability=PROBABILITY, max_angle=st.floats(0, 30),
+              axis=st.sampled_from(["x", "y", "random"])),
+    st.builds(Skew, probability=PROBABILITY, severity=st.floats(0.05, 1.0),
+              skew_kind=st.sampled_from(["forward", "backward", "left", "right", "random"])),
+    st.builds(Elastic, probability=PROBABILITY, grid_width=st.integers(1, 5),
+              grid_height=st.integers(1, 5), magnitude=st.integers(0, 6)),
+    st.tuples(st.floats(1.0, 1.5), st.floats(0.0, 0.5)).flatmap(
+        lambda f: st.builds(Zoom, probability=PROBABILITY, min_factor=st.just(f[0]),
+                            max_factor=st.just(f[0] + f[1]))),
+    st.builds(CropRandom, probability=PROBABILITY, area_fraction=st.floats(0.1, 1.0),
+              resize_back=st.booleans()),
+    st.builds(CropCentre, probability=PROBABILITY, width=st.integers(1, 30), height=st.integers(1, 30)),
+    st.builds(Resize, probability=PROBABILITY, width=st.integers(1, 50), height=st.integers(1, 50)),
+    st.builds(Scale, probability=PROBABILITY, factor=st.floats(0.2, 1.5)),
+    st.builds(Greyscale, probability=PROBABILITY),
+    st.builds(Invert, probability=PROBABILITY),
+    st.builds(Equalize, probability=PROBABILITY),
+)
+
+
+@pytest.fixture(scope="module")
+def mixed_dataset(tmp_path_factory):
+    """Sources of several shapes and formats, one above a warp band."""
+    root = tmp_path_factory.mktemp("mixed")
+    rng = np.random.default_rng(77)
+    shapes = ((28, 28, PixelFormat.GRAY8), (28, 28, PixelFormat.GRAY8), (40, 24, PixelFormat.RGB8),
+              (40, 24, PixelFormat.RGB8), (9, 7, PixelFormat.RGB8), (130, 130, PixelFormat.RGBA8))
+    for i, (w, h, fmt) in enumerate(shapes):
+        save_image(random_image(rng, w, h, fmt), root / f"s{i}.png")
+    return scan_dataset(root)
+
+
+def _outcome(generate):
+    """Records, or the error's type, message and draws; then what the sink got."""
+    sink = CollectingSink()
+    try:
+        result = generate(sink)
+    except Exception as exc:
+        result = (type(exc), str(exc), getattr(exc, "drawn", None))
+    return result, [(rel, img.format, img.pixels.shape, img.pixels.tobytes())
+                    for rel, img in sink.images]
+
+
+class TestOpMajorChunks:
+    @settings(max_examples=60, deadline=None)
+    @given(ops=st.lists(OP_SPECS, max_size=6), seed=st.integers(0, 1 << 64),
+           start=st.integers(0, 100), count=st.integers(1, 40), choose_source=st.booleans())
+    def test_batched_chunk_equals_per_sample_loop(self, mixed_dataset, ops, seed, start, count,
+                                                  choose_source):
+        pipe = Pipeline(tuple(ops), seed)
+        if choose_source:
+            indices = range(start, start + count)
+        else:
+            indices = range(len(mixed_dataset.entries))
+
+        def chunk(sink):
+            return pipeline_mod._generate_chunk((pipe, mixed_dataset, indices, sink, choose_source))
+
+        def loop(sink):
+            return [pipeline_mod._generate_one(pipe, mixed_dataset, i, sink, choose_source)
+                    for i in indices]
+
+        assert _outcome(chunk) == _outcome(loop)
+
+    def test_failure_mid_batch_matches_per_sample_loop(self, tmp_path, np_rng):
+        # Rotating a 120x4 image by more than about 5.7 degrees leaves no
+        # crop. At seed 263 sample 37 is the first to draw such an angle: it
+        # sits inside a batch, in the last chunk at --jobs 1 and at --jobs 2,
+        # so each worker count writes every sample before it.
+        root = tmp_path / "in"
+        for i in range(3):
+            save_image(random_image(np_rng, 120, 4), root / f"w{i}.png")
+        ds = scan_dataset(root)
+        pipe = Pipeline(master_seed=263).add(Rotate(probability=1, max_left=6, max_right=6))
+        reference = DirectorySink(tmp_path / "loop")
+        with pytest.raises(OpError) as info:
+            for i in range(40):
+                pipeline_mod._generate_one(pipe, ds, i, reference, True)
+        assert i == 37
+        expected = (str(info.value), info.value.drawn, info.value.op_index,
+                    tree_bytes(tmp_path / "loop"))
+        assert len(expected[3]) == 37
+        for jobs in (1, 2):
+            with pytest.raises(OpError) as info:
+                pipeline_mod.sample(pipe, ds, 40, DirectorySink(tmp_path / f"j{jobs}"), jobs=jobs)
+            got = (str(info.value), info.value.drawn, info.value.op_index,
+                   tree_bytes(tmp_path / f"j{jobs}"))
+            assert got == expected
+
+    def test_monitor_sees_one_warp_per_applied_warp_op(self, mixed_dataset):
+        pipe = (Pipeline(master_seed=12)
+                .add(Rotate(probability=0.5, max_left=10, max_right=10))
+                .add(Shear(probability=0.5, max_angle=10))
+                .add(Skew(probability=0.5, severity=0.3))
+                .add(Elastic(probability=0.7, grid_width=3, grid_height=3, magnitude=2)))
+        with monitor_source_bounds() as monitor:
+            records = pipeline_mod.sample(pipe, mixed_dataset, 60, CollectingSink())
+        applied = sum(app.applied for record in records for app in record.ops)
+        assert applied > 60
+        assert monitor.warps == applied
+        assert monitor.violations == 0
+
+    @pytest.mark.parametrize("mode", ["sample", "process"])
+    def test_collecting_sink_gets_worker_images(self, mixed_dataset, mode):
+        pipe = Pipeline(master_seed=4).add(Elastic(probability=1, grid_width=2, grid_height=2,
+                                                   magnitude=3))
+        collected = []
+        for jobs in (1, 2):
+            sink = CollectingSink()
+            if mode == "sample":
+                pipeline_mod.sample(pipe, mixed_dataset, 20, sink, jobs=jobs)
+            else:
+                pipeline_mod.process(pipe, mixed_dataset, sink, jobs=jobs)
+            collected.append([(rel, img.pixels.tobytes()) for rel, img in sink.images])
+            assert all(not img.pixels.flags.writeable for _rel, img in sink.images)
+        assert len(collected[1]) == (20 if mode == "sample" else len(mixed_dataset.entries))
+        assert collected[1] == collected[0]
