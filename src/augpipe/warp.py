@@ -370,8 +370,12 @@ def warp_affine_batch(imgs, transforms, out_w: int, out_h: int, filt: Filter = F
     _check_size(out_w, out_h)
     m = np.stack([t.m for t in transforms])[:, :, :, None, None]
     xs, ys = _centers(0, out_w), _centers(0, out_h)[:, None]
-    sx = m[:, 0, 0] * xs + m[:, 0, 1] * ys + m[:, 0, 2]
-    sy = m[:, 1, 0] * xs + m[:, 1, 1] * ys + m[:, 1, 2]
+    # The constant terms are added in place: a full-size temporary plus a
+    # broadcast operand would otherwise cost a second full-size array.
+    sx = m[:, 0, 0] * xs + m[:, 0, 1] * ys
+    sx += m[:, 0, 2]
+    sy = m[:, 1, 0] * xs + m[:, 1, 1] * ys
+    sy += m[:, 1, 2]
     return _warp(_Stack(imgs), sx, sy, filt)
 
 
@@ -391,11 +395,18 @@ def warp_projective_batch(imgs, homs, out_w: int, out_h: int, filt: Filter = Fil
     _check_size(out_w, out_h)
     m = np.stack([hom.m for hom in homs])[:, :, :, None, None]
     xs, ys = _centers(0, out_w), _centers(0, out_h)[:, None]
-    den = m[:, 2, 0] * xs + m[:, 2, 1] * ys + m[:, 2, 2]
+    # In place, as in warp_affine_batch.
+    den = m[:, 2, 0] * xs + m[:, 2, 1] * ys
+    den += m[:, 2, 2]
     if np.min(np.abs(den)) < 1e-9:
         raise GeometryError("horizon inside image: projective denominator vanishes")
-    sx = (m[:, 0, 0] * xs + m[:, 0, 1] * ys + m[:, 0, 2]) / den
-    sy = (m[:, 1, 0] * xs + m[:, 1, 1] * ys + m[:, 1, 2]) / den
+    sx = m[:, 0, 0] * xs + m[:, 0, 1] * ys
+    sx += m[:, 0, 2]
+    sx /= den
+    sy = m[:, 1, 0] * xs + m[:, 1, 1] * ys
+    sy += m[:, 1, 2]
+    sy /= den
+    del den
     return _warp(_Stack(imgs), sx, sy, filt)
 
 
