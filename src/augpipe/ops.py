@@ -27,6 +27,12 @@ Draw order is part of the determinism contract. Per variant:
 Geometric kernels that could leave blank borders (rotate, shear, skew)
 crop to the largest usable region and resize back, composed into a single
 inverse-mapping warp, so every source sample stays inside the image.
+
+Every ``draw`` runs unchanged on an RngStream or on a LaneStream, whose
+draws return one value per lane, so ``apply_op`` can draw and apply an op
+for many same-shape images at once. The warp ops (rotate, shear, skew,
+elastic) give their map through ``transform`` and are warped in batches;
+the other ops apply image by image.
 """
 
 from __future__ import annotations

@@ -11,6 +11,12 @@ Within one sample the draw layout is fixed: first the source selection
 parameter draws when the gate passes. The gate draw happens even for
 probabilities 0 and 1, which keeps draw sequences structurally identical
 across probability edits.
+
+``run_sample`` applies the ops to one sample. A chunk of samples runs
+op-major instead (``_generate_chunk``): each op is drawn and applied for
+every sample of the chunk before the next op, which keeps each sample's
+own draw order and so its bytes; ``run_sample`` stays the reference and
+the path a failure is reported from.
 """
 
 from __future__ import annotations
@@ -361,9 +367,10 @@ def _generate_chunk_in_worker(chunk) -> tuple[list[TraceRecord], list]:
     """_generate_chunk, plus the images a CollectingSink gathered meanwhile:
     the worker's sink is a copy, so they go back with the records."""
     sink = chunk[3]
-    before = len(sink.images) if isinstance(sink, CollectingSink) else 0
-    records = _generate_chunk(chunk)
-    return records, sink.images[before:] if isinstance(sink, CollectingSink) else []
+    if not isinstance(sink, CollectingSink):
+        return _generate_chunk(chunk), []
+    before = len(sink.images)
+    return _generate_chunk(chunk), sink.images[before:]
 
 
 def sample(

@@ -12,6 +12,10 @@ types 0-4 cycling over the rows, as outside encoders write them, in each
 colour type the decoder reads and at sizes on both sides of the width
 from which it unfilters by wavefront instead of row by row.
 
+The mixed cases run ``sample(..., per_class=True)`` and ``process()``
+with every op on sources of three shapes and formats, one of them above
+a warp band, and pin the records and pixels a ``CollectingSink`` gets.
+
 A digest may change only together with a declared change of the output
 contract. The canonical-config digest pins ``canonical_text`` for a config
 that names every op, with every optional key both omitted and set. To
