@@ -269,9 +269,6 @@ class LaneStream:
         words[0][(words[0] | words[1] | words[2] | words[3]) == 0] = _GOLDEN
         return cls(words)
 
-    def __len__(self) -> int:
-        return self._s[0].size
-
     def take(self, positions) -> "LaneStream":
         """A stream of its own holding a copy of the lanes at positions."""
         return LaneStream([word[positions] for word in self._s])
