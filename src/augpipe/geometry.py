@@ -84,16 +84,6 @@ class Homography:
             (m[1, 0] * x + m[1, 1] * y + m[1, 2]) / d,
         )
 
-    def map_points(self, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorised map_point; raises if the horizon line crosses the points."""
-        m = self.m
-        den = m[2, 0] * xs + m[2, 1] * ys + m[2, 2]
-        if np.min(np.abs(den)) < 1e-9:
-            raise GeometryError("horizon inside image: projective denominator vanishes")
-        sx = (m[0, 0] * xs + m[0, 1] * ys + m[0, 2]) / den
-        sy = (m[1, 0] * xs + m[1, 1] * ys + m[1, 2]) / den
-        return sx, sy
-
 
 def inscribed_crop_rect(width: int, height: int, theta_deg: float) -> CropRect:
     """Largest same-aspect, centred, axis-aligned rect inside a rotated image.

@@ -20,6 +20,9 @@ it: a resize blends each source row it reads along x once (the column
 fractions do not depend on the row), the mesh warp blends each node row
 along x once, and a zoom computes only the visible window of its
 enlargement. Large outputs are sampled and quantised in bands of rows.
+The mesh, affine and projective warps also come in a batch form that
+stacks same-shape images and gathers from all of them at once; the
+single-image warps are its one-image case.
 Reordering, fusing or narrowing any of these operations changes output
 bytes, and the golden digests in tests/test_golden.py pin them.
 """
