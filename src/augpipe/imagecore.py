@@ -150,9 +150,10 @@ def mix64(z: int) -> int:
     """Avalanching 64-bit finalizer (splitmix64 style).
 
     The single hash behind all seed derivation; a one-bit change in the
-    input flips about half the output bits.
+    input flips about half the output bits. It also maps a uint64 array
+    elementwise, since uint64 arithmetic wraps as the masks do.
     """
-    z &= _MASK64
+    z = z & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return (z ^ (z >> 31)) & _MASK64
@@ -233,13 +234,6 @@ def _range_size(lo: int, hi: int) -> int:
     return n
 
 
-def _mix64_lanes(z: np.ndarray) -> np.ndarray:
-    # mix64 on uint64 lanes, whose arithmetic wraps mod 2**64 as mix64 masks.
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
-
-
 class LaneStream:
     """Many RngStreams stepped together: one uint64 xoshiro256** lane each.
 
@@ -261,11 +255,11 @@ class LaneStream:
     def for_samples(cls, master_seed: int, indices) -> "LaneStream":
         """One lane per sample index, each seeded as derive_sample_rng."""
         index = np.asarray(indices, dtype=np.uint64)
-        acc = _mix64_lanes(np.uint64(master_seed & _MASK64) + (index + 1) * np.uint64(_GOLDEN))
+        acc = mix64(np.uint64(master_seed & _MASK64) + (index + 1) * np.uint64(_GOLDEN))
         words = []
         for _ in range(4):
             acc = acc + np.uint64(_GOLDEN)
-            words.append(_mix64_lanes(acc))
+            words.append(mix64(acc))
         words[0][(words[0] | words[1] | words[2] | words[3]) == 0] = _GOLDEN
         return cls(words)
 
@@ -301,11 +295,8 @@ class LaneStream:
         return lo + self.unit_real() * (hi - lo)
 
     def uniform_int(self, lo: int, hi: int) -> np.ndarray:
-        """Per lane, RngStream.uniform_int(lo, hi).
-
-        int64 when [lo, hi] fits it, else uint64 when it fits that, else
-        an object array of Python ints.
-        """
+        """Per lane, RngStream.uniform_int(lo, hi): int64 when [lo, hi]
+        fits it, else an object array of Python ints."""
         n = _range_size(lo, hi)
         limit = (_TWO64 // n) * n
         w = self.next_word()
@@ -321,8 +312,6 @@ class LaneStream:
             w %= np.uint64(n)
         if -(1 << 63) <= lo and hi < (1 << 63):
             return (w + np.uint64(lo & _MASK64)).view(np.int64)
-        if lo >= 0 and hi < _TWO64:
-            return w + np.uint64(lo)
         return np.array([lo + v for v in w.tolist()], dtype=object)
 
     def choice(self, options) -> np.ndarray:

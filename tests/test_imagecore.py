@@ -265,8 +265,7 @@ class TestLaneStream:
     def test_value_types(self):
         stream = LaneStream.for_samples(1, range(3))
         assert stream.uniform_int(-4, 4).dtype == np.int64
-        assert stream.uniform_int(0, TWO64 - 1).dtype == np.uint64
-        assert stream.uniform_int(-1, TWO64 - 2).dtype == object
+        assert stream.uniform_int(0, TWO64 - 1).dtype == object
         assert all(type(v) is str for v in stream.choice(("a", "b")).tolist())
 
     def test_empty_and_too_wide_ranges_raise(self):
