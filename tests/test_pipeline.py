@@ -430,7 +430,7 @@ def _outcome(generate):
 
 
 class TestOpMajorChunks:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(ops=st.lists(OP_SPECS, max_size=6), seed=st.integers(0, 1 << 64),
            start=st.integers(0, 100), count=st.integers(1, 40), choose_source=st.booleans())
     def test_batched_chunk_equals_per_sample_loop(self, mixed_dataset, ops, seed, start, count,
