@@ -352,14 +352,12 @@ def _warp(src: _Stack, xs: np.ndarray, ys: np.ndarray, filt: Filter) -> list[Ima
     count, height, width = xs.shape
     xs = xs.reshape(count * height, width)
     ys = ys.reshape(count * height, width)
-    if count == 1:
-        return _quantise_bands(
-            1, height, width, src.format, lambda band: _sample_values(src, xs[band], ys[band], None, filt)
-        )
-    base = np.repeat(np.arange(count, dtype=np.intp) * (src.width * src.height), height)[:, None]
+    base = None  # per output row, the flat offset of its source image in the stack
+    if count > 1:
+        base = np.repeat(np.arange(count, dtype=np.intp) * (src.width * src.height), height)[:, None]
     return _quantise_bands(
         count, height, width, src.format,
-        lambda band: _sample_values(src, xs[band], ys[band], base[band], filt),
+        lambda band: _sample_values(src, xs[band], ys[band], None if base is None else base[band], filt),
     )
 
 
