@@ -274,12 +274,14 @@ def _apply_ops(pipeline: Pipeline, lanes: LaneStream, images: list[Image]) -> li
 def _generate_chunk(chunk) -> list[TraceRecord]:
     """Generate a chunk of samples op-major, writing them in index order.
 
-    The chunk's streams are one LaneStream. Consecutive samples whose
-    sources are smaller than one warp band go through the ops together;
-    a larger source goes alone, so the pixels held at a time stay about
-    what one sample needs. If anything fails in a group before its writes,
-    its samples are generated again one by one, which raises the error of
-    the first failing sample after writing the samples before it.
+    The chunk's streams are one LaneStream. A run of consecutive samples
+    whose sources are smaller than one warp band goes through the ops
+    together, and is written after its last op; a larger source runs
+    alone, so the pixels held at a time stay about what one sample needs.
+    If a load or an op fails in a run, whatever the exception, the run is
+    generated again one sample at a time, which writes the samples before
+    the first failing one and raises its error exactly as the per-sample
+    loop does.
     """
     pipeline, dataset, indices, sink, choose_source = chunk
     lanes = LaneStream.for_samples(pipeline.master_seed, indices)
