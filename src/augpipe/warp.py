@@ -346,19 +346,30 @@ def _quantise_bands(count: int, height: int, width: int, fmt, sample_rows) -> li
     return [Image._wrap(image, fmt) for image in out]
 
 
-def _warp(src: _Stack, xs: np.ndarray, ys: np.ndarray, filt: Filter) -> list[Image]:
-    """Sample image n of src at the (h, w) source coordinates xs[n], ys[n]."""
-    _observe(src, xs, ys)
-    count, height, width = xs.shape
-    xs = xs.reshape(count * height, width)
-    ys = ys.reshape(count * height, width)
-    base = None  # per output row, the flat offset of its source image in the stack
-    if count > 1:
-        base = np.repeat(np.arange(count, dtype=np.intp) * (src.width * src.height), height)[:, None]
-    return _quantise_bands(
-        count, height, width, src.format,
-        lambda band: _sample_values(src, xs[band], ys[band], None if base is None else base[band], filt),
-    )
+def _warp(src: _Stack, height: int, width: int, coords, filt: Filter) -> list[Image]:
+    """Sample every image of src onto a height x width output.
+
+    ``coords(rows)`` returns the source coordinates (xs, ys) of the output
+    rows in the slice ``rows``, for every image: two (count, rows, width)
+    arrays. A single image gets them band by band, so no full-size
+    coordinate array is ever held; a batch holds at most one band of
+    pixels, so it gets all of them at once.
+    """
+    if _active_monitors:
+        _observe(src, *coords(slice(0, height)))
+    if src.count == 1:
+        def sample_rows(band):
+            xs, ys = coords(band)
+            return _sample_values(src, xs[0], ys[0], None, filt)
+    else:
+        xs, ys = (c.reshape(src.count * height, width) for c in coords(slice(0, height)))
+        # Per output row, the flat offset of its source image in the stack.
+        base = np.repeat(np.arange(src.count, dtype=np.intp) * (src.width * src.height), height)
+        base = base[:, None]
+
+        def sample_rows(band):
+            return _sample_values(src, xs[band], ys[band], base[band], filt)
+    return _quantise_bands(src.count, height, width, src.format, sample_rows)
 
 
 def _check_size(out_w: int, out_h: int) -> None:
@@ -371,13 +382,17 @@ def warp_affine_batch(imgs, transforms, out_w: int, out_h: int, filt: Filter = F
     _check_size(out_w, out_h)
     m = np.stack([t.m for t in transforms])[:, :, :, None, None]
     xs, ys = _centers(0, out_w), _centers(0, out_h)[:, None]
-    # The constant terms are added in place: a full-size temporary plus a
-    # broadcast operand would otherwise cost a second full-size array.
-    sx = m[:, 0, 0] * xs + m[:, 0, 1] * ys
-    sx += m[:, 0, 2]
-    sy = m[:, 1, 0] * xs + m[:, 1, 1] * ys
-    sy += m[:, 1, 2]
-    return _warp(_Stack(imgs), sx, sy, filt)
+
+    def coords(rows):
+        # The constant terms are added in place: a temporary plus a
+        # broadcast operand would otherwise cost a second array.
+        sx = m[:, 0, 0] * xs + m[:, 0, 1] * ys[rows]
+        sx += m[:, 0, 2]
+        sy = m[:, 1, 0] * xs + m[:, 1, 1] * ys[rows]
+        sy += m[:, 1, 2]
+        return sx, sy
+
+    return _warp(_Stack(imgs), out_h, out_w, coords, filt)
 
 
 def warp_affine(
@@ -396,19 +411,22 @@ def warp_projective_batch(imgs, homs, out_w: int, out_h: int, filt: Filter = Fil
     _check_size(out_w, out_h)
     m = np.stack([hom.m for hom in homs])[:, :, :, None, None]
     xs, ys = _centers(0, out_w), _centers(0, out_h)[:, None]
-    # In place, as in warp_affine_batch.
-    den = m[:, 2, 0] * xs + m[:, 2, 1] * ys
-    den += m[:, 2, 2]
-    if np.min(np.abs(den)) < 1e-9:
-        raise GeometryError("horizon inside image: projective denominator vanishes")
-    sx = m[:, 0, 0] * xs + m[:, 0, 1] * ys
-    sx += m[:, 0, 2]
-    sx /= den
-    sy = m[:, 1, 0] * xs + m[:, 1, 1] * ys
-    sy += m[:, 1, 2]
-    sy /= den
-    del den
-    return _warp(_Stack(imgs), sx, sy, filt)
+
+    def coords(rows):
+        # In place, as in warp_affine_batch.
+        den = m[:, 2, 0] * xs + m[:, 2, 1] * ys[rows]
+        den += m[:, 2, 2]
+        if np.min(np.abs(den)) < 1e-9:
+            raise GeometryError("horizon inside image: projective denominator vanishes")
+        sx = m[:, 0, 0] * xs + m[:, 0, 1] * ys[rows]
+        sx += m[:, 0, 2]
+        sx /= den
+        sy = m[:, 1, 0] * xs + m[:, 1, 1] * ys[rows]
+        sy += m[:, 1, 2]
+        sy /= den
+        return sx, sy
+
+    return _warp(_Stack(imgs), out_h, out_w, coords, filt)
 
 
 def warp_projective(
@@ -442,11 +460,16 @@ def warp_mesh_batch(imgs, grids, filt: Filter = Filter.BILINEAR) -> list[Image]:
     # (2, count, gh + 1, gw + 1): the dx and dy planes of every grid.
     offsets = np.stack([grid.nodes for grid in grids]).transpose(3, 0, 1, 2)
     node_rows = _lerp(offsets[..., ax], offsets[..., ax + 1], fx, 1.0 - fx)
-    sx = _lerp(node_rows[0][:, by], node_rows[0][:, by + 1], fy, gy)
-    sy = _lerp(node_rows[1][:, by], node_rows[1][:, by + 1], fy, gy)
-    sx += xs
-    sy += ys[:, None]
-    return _warp(_Stack(imgs), sx, sy, filt)
+
+    def coords(rows):
+        lower, upper = by[rows], by[rows] + 1
+        sx = _lerp(node_rows[0][:, lower], node_rows[0][:, upper], fy[rows], gy[rows])
+        sy = _lerp(node_rows[1][:, lower], node_rows[1][:, upper], fy[rows], gy[rows])
+        sx += xs
+        sy += ys[rows, None]
+        return sx, sy
+
+    return _warp(_Stack(imgs), h, w, coords, filt)
 
 
 def warp_mesh(img: Image, grid: DisplacementGrid, filt: Filter = Filter.BILINEAR) -> Image:
@@ -488,8 +511,11 @@ def resize(
     sy = _centers(int(y), window.h) * (img.height / out_h)
     src = _Stack([img])
     if filt is not Filter.BILINEAR:
-        xs, ys = np.broadcast_arrays(sx, sy[:, None])
-        return _warp(src, xs[None], ys[None], filt)[0]
+        def coords(rows):
+            xs, ys = np.broadcast_arrays(sx, sy[rows, None])
+            return xs[None], ys[None]
+
+        return _warp(src, window.h, window.w, coords, filt)[0]
     _observe(src, sx[None], sy[None])
     x0, x1, fx = _bilinear_taps(sx, img.width)
     fx = fx[:, None]
