@@ -19,7 +19,8 @@ offsets with the same expression. The fast paths only share work around
 it: a resize blends each source row it reads along x once (the column
 fractions do not depend on the row), the mesh warp blends each node row
 along x once, and a zoom computes only the visible window of its
-enlargement. Large outputs are sampled and quantised in bands of rows.
+enlargement. Large outputs are sampled and quantised in bands of rows,
+and their source coordinates are computed band by band.
 The mesh, affine and projective warps also come in a batch form that
 stacks same-shape images and gathers from all of them at once; the
 single-image warps are its one-image case.
