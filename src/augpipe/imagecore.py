@@ -32,6 +32,7 @@ __all__ = [
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _TWO64 = 1 << 64
+_U = {k: np.uint64(k) for k in (5, 7, 9, 11, 17, 19, 45, 57)}
 
 
 class PixelFormat(Enum):
@@ -274,20 +275,24 @@ class LaneStream:
 
     def next_word(self) -> np.ndarray:
         """Next raw 64-bit output word of every lane."""
+        # The shift and multiply constants are uint64 scalars, which numpy
+        # applies without converting a Python int on every call.
         s0, s1, s2, s3 = self._s
-        x = s1 * 5
-        result = ((x << 7) | (x >> 57)) * 9
-        t = s1 << 17
+        x = s1 * _U[5]
+        result = ((x << _U[7]) | (x >> _U[57])) * _U[9]
+        t = s1 << _U[17]
         s2 ^= s0
         s3 ^= s1
         s1 ^= s2
         s0 ^= s3
         s2 ^= t
-        s3[:] = (s3 << 45) | (s3 >> 19)
+        np.right_shift(s3, _U[19], out=t)
+        s3 <<= _U[45]
+        s3 |= t
         return result
 
     def unit_real(self) -> np.ndarray:
-        return (self.next_word() >> np.uint64(11)) * 1.1102230246251565e-16  # 2**-53
+        return (self.next_word() >> _U[11]) * 1.1102230246251565e-16  # 2**-53
 
     def uniform_real(self, lo: float, hi: float) -> np.ndarray:
         if lo > hi:
@@ -300,7 +305,7 @@ class LaneStream:
         n = _range_size(lo, hi)
         limit = (_TWO64 // n) * n
         w = self.next_word()
-        if limit < _TWO64:
+        if limit < _TWO64 and (w >= limit).any():
             limit = np.uint64(limit)
             retry = np.flatnonzero(w >= limit)
             while retry.size:
@@ -311,7 +316,8 @@ class LaneStream:
         if n < _TWO64:
             w %= np.uint64(n)
         if -(1 << 63) <= lo and hi < (1 << 63):
-            return (w + np.uint64(lo & _MASK64)).view(np.int64)
+            w += np.uint64(lo & _MASK64)
+            return w.view(np.int64)
         return np.array([lo + v for v in w.tolist()], dtype=object)
 
     def choice(self, options) -> np.ndarray:
