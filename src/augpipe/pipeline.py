@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .dataio import DatasetIndex, load_image, output_name, save_image, split_by_class
-from .errors import DatasetError, OpError, OutputCollisionError, UnsupportedImageError
+from .errors import AugpipeError, DatasetError, OpError, OutputCollisionError, UnsupportedImageError
 from .imagecore import Image, LaneStream, PixelFormat, RngStream, derive_sample_rng, mix64
 from .ops import OpApplication, OpSpec, apply_op
 from .warp import _BAND_PIXELS
@@ -271,17 +271,23 @@ def _apply_ops(pipeline: Pipeline, lanes: LaneStream, images: list[Image]) -> li
     return applications
 
 
+# What the per-sample loop raises when a sample fails; a batch that raises
+# one of these is rerun sample by sample. Anything else is a fault of the
+# batched path itself and propagates.
+_RERUN_ERRORS = (AugpipeError, OSError, ValueError, MemoryError)
+
+
 def _generate_chunk(chunk) -> list[TraceRecord]:
     """Generate a chunk of samples op-major, writing them in index order.
 
     The chunk's streams are one LaneStream. A run of consecutive samples
-    whose sources are smaller than one warp band goes through the ops
-    together, and is written after its last op; a larger source runs
-    alone, so the pixels held at a time stay about what one sample needs.
-    If a load or an op fails in a run, whatever the exception, the run is
-    generated again one sample at a time, which writes the samples before
-    the first failing one and raises its error exactly as the per-sample
-    loop does.
+    whose sources add up to at most one warp band of pixels goes through
+    the ops together, and is written after its last op; a larger source
+    runs alone. So the images held at a time are one run's, never a
+    chunk's. If a load fails, or an op raises an error the
+    per-sample loop can raise too, the run is generated again one sample at
+    a time, which writes the samples before the first failing one and
+    raises its error exactly as the per-sample loop does.
     """
     pipeline, dataset, indices, sink, choose_source = chunk
     lanes = LaneStream.for_samples(pipeline.master_seed, indices)
@@ -292,13 +298,15 @@ def _generate_chunk(chunk) -> list[TraceRecord]:
     sources: dict[int, _Source] = {}
     records: list[TraceRecord] = []
     pending: list[tuple[int, int, _Source, Image]] = []  # lane, sample index, source, image
+    pending_pixels = 0
 
     def flush():
+        nonlocal pending_pixels
         members = [lane for lane, _index, _source, _img in pending]
         images = [img for _lane, _index, _source, img in pending]
         try:
             applications = _apply_ops(pipeline, lanes.take(members), images)
-        except Exception:
+        except _RERUN_ERRORS:
             records.extend(_generate_one(pipeline, dataset, index, sink, choose_source)
                            for _lane, index, _source, _img in pending)
         else:
@@ -306,6 +314,7 @@ def _generate_chunk(chunk) -> list[TraceRecord]:
                            for (_lane, index, source, _img), out, apps
                            in zip(pending, images, applications))
         pending.clear()
+        pending_pixels = 0
 
     for lane, index in enumerate(indices):
         position = positions[lane]
@@ -318,12 +327,11 @@ def _generate_chunk(chunk) -> list[TraceRecord]:
             flush()
             records.append(_generate_one(pipeline, dataset, index, sink, choose_source))
             continue
-        large = img.width * img.height >= _BAND_PIXELS
-        if large and pending:
+        pixels = img.width * img.height
+        if pending and pending_pixels + pixels > _BAND_PIXELS:
             flush()
         pending.append((lane, index, source, img))
-        if large:
-            flush()
+        pending_pixels += pixels
     if pending:
         flush()
     return records
@@ -353,6 +361,9 @@ def _run(pipeline, dataset, per_class, count, sink, jobs) -> list[TraceRecord]:
         )
     if jobs <= 1 or len(chunks) <= 1:
         return [record for chunk in chunks for record in _generate_chunk(chunk)]
+    if isinstance(sink, CollectingSink):
+        # Each chunk collects into a sink of its own, shipped empty.
+        chunks = [chunk[:3] + (CollectingSink(),) + chunk[4:] for chunk in chunks]
     pool = ProcessPoolExecutor(max_workers=jobs, mp_context=multiprocessing.get_context("fork"))
     records = []
     try:
@@ -366,13 +377,11 @@ def _run(pipeline, dataset, per_class, count, sink, jobs) -> list[TraceRecord]:
 
 
 def _generate_chunk_in_worker(chunk) -> tuple[list[TraceRecord], list]:
-    """_generate_chunk, plus the images a CollectingSink gathered meanwhile:
-    the worker's sink is a copy, so they go back with the records."""
+    """_generate_chunk, plus the images its CollectingSink gathered: the
+    worker's sink is not the caller's, so they go back with the records."""
+    records = _generate_chunk(chunk)
     sink = chunk[3]
-    if not isinstance(sink, CollectingSink):
-        return _generate_chunk(chunk), []
-    before = len(sink.images)
-    return _generate_chunk(chunk), sink.images[before:]
+    return records, sink.images if isinstance(sink, CollectingSink) else []
 
 
 def sample(

@@ -3,6 +3,7 @@
 import json
 import multiprocessing
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -42,7 +43,7 @@ from augpipe import (
     write_trace,
 )
 from augpipe import pipeline as pipeline_mod
-from augpipe.warp import monitor_source_bounds
+from augpipe.warp import _BAND_PIXELS, monitor_source_bounds
 from conftest import random_image, tree_bytes
 
 
@@ -418,6 +419,16 @@ def mixed_dataset(tmp_path_factory):
     return scan_dataset(root)
 
 
+def _worker_with_empty_sink(chunk):
+    """The pool's worker function, failing if its chunk carries images the
+    caller already collected."""
+    assert not chunk[3].images, "a chunk shipped collected images to its worker"
+    return _generate_chunk_in_worker(chunk)
+
+
+_generate_chunk_in_worker = pipeline_mod._generate_chunk_in_worker
+
+
 def _outcome(generate):
     """Records, or the error's type, message and draws; then what the sink got."""
     sink = CollectingSink()
@@ -448,7 +459,39 @@ class TestOpMajorChunks:
             return [pipeline_mod._generate_one(pipe, mixed_dataset, i, sink, choose_source)
                     for i in indices]
 
-        assert _outcome(chunk) == _outcome(loop)
+        expected = _outcome(loop)
+        reruns = []
+        generate_one = pipeline_mod._generate_one
+
+        def counted(*args):
+            reruns.append(args[2])
+            return generate_one(*args)
+
+        with mock.patch.object(pipeline_mod, "_generate_one", counted):
+            assert _outcome(chunk) == expected
+        if isinstance(expected[0], list):
+            # Nothing failed, so the batched path made every sample itself.
+            assert reruns == []
+
+    def test_runs_hold_at_most_one_band_of_sources(self, mixed_dataset, tmp_path, np_rng):
+        for i in range(5):
+            save_image(random_image(np_rng, 28, 28), tmp_path / f"d{i}.png")
+        digits = scan_dataset(tmp_path)
+        pipe = Pipeline(master_seed=9).add(Resize(probability=1, width=224, height=224))
+        runs = []
+        apply_ops = pipeline_mod._apply_ops
+
+        def recorded(pipeline, lanes, images):
+            runs.append([img.width * img.height for img in images])
+            return apply_ops(pipeline, lanes, images)
+
+        with mock.patch.object(pipeline_mod, "_apply_ops", recorded):
+            pipeline_mod.sample(pipe, digits, 200, CollectingSink())
+            assert max(len(run) for run in runs) == _BAND_PIXELS // (28 * 28)
+            runs.clear()
+            pipeline_mod.sample(pipe, mixed_dataset, 200, CollectingSink())
+        assert sum(map(len, runs)) == 200
+        assert all(len(run) == 1 or sum(run) <= _BAND_PIXELS for run in runs)
 
     def test_failure_mid_batch_matches_per_sample_loop(self, tmp_path, np_rng):
         # Rotating a 120x4 image by more than about 5.7 degrees leaves no
@@ -487,6 +530,13 @@ class TestOpMajorChunks:
         assert applied > 60
         assert monitor.warps == applied
         assert monitor.violations == 0
+
+    def test_chunks_ship_empty_collecting_sinks(self, mixed_dataset, monkeypatch):
+        monkeypatch.setattr(pipeline_mod, "_generate_chunk_in_worker", _worker_with_empty_sink)
+        pipe = Pipeline(master_seed=6).add(Invert(probability=0.5))
+        sink = CollectingSink()
+        records = pipeline_mod.sample(pipe, mixed_dataset, 400, sink, jobs=2)
+        assert [rel for rel, _img in sink.images] == [record.output for record in records]
 
     @pytest.mark.parametrize("mode", ["sample", "process"])
     def test_collecting_sink_gets_worker_images(self, mixed_dataset, mode):
