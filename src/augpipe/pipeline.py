@@ -284,10 +284,10 @@ def _generate_chunk(chunk) -> list[TraceRecord]:
     whose sources add up to at most one warp band of pixels goes through
     the ops together, and is written after its last op; a larger source
     runs alone. So the images held at a time are one run's, never a
-    chunk's. If a load fails, or an op raises an error the
-    per-sample loop can raise too, the run is generated again one sample at
-    a time, which writes the samples before the first failing one and
-    raises its error exactly as the per-sample loop does.
+    chunk's. If a load fails, or an op raises an error the per-sample
+    loop can raise too, the run is generated again one sample at a time,
+    which writes the samples before the first failing one and raises its
+    error exactly as the per-sample loop does.
     """
     pipeline, dataset, indices, sink, choose_source = chunk
     lanes = LaneStream.for_samples(pipeline.master_seed, indices)
