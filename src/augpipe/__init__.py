@@ -28,7 +28,6 @@ from .errors import (
 from .geometry import CropRect, Homography, Quad, inscribed_crop_rect, shear_crop_rect, solve_homography
 from .imagecore import (
     Image,
-    LaneStream,
     PixelFormat,
     RngStream,
     clamp_round,

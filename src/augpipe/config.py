@@ -98,6 +98,8 @@ def parse_config(text: str) -> Pipeline:
         ) from exc
     except ValueError as exc:  # an integer literal beyond the int conversion limit
         raise ConfigError(f"a number has more than {sys.get_int_max_str_digits()} digits") from exc
+    except RecursionError as exc:
+        raise ConfigError("arrays and objects are nested too deeply") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
     data = dict(doc)

@@ -21,7 +21,6 @@ __all__ = [
     "PixelFormat",
     "Image",
     "RngStream",
-    "LaneStream",
     "derive_sample_rng",
     "mix64",
     "clamp_round",
@@ -32,7 +31,6 @@ __all__ = [
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _TWO64 = 1 << 64
-_U = {k: np.uint64(k) for k in (5, 7, 9, 11, 17, 19, 45, 57)}
 
 
 class PixelFormat(Enum):
@@ -151,8 +149,7 @@ def mix64(z: int) -> int:
     """Avalanching 64-bit finalizer (splitmix64 style).
 
     The single hash behind all seed derivation; a one-bit change in the
-    input flips about half the output bits. It also maps a uint64 array
-    elementwise, since uint64 arithmetic wraps as the masks do.
+    input flips about half the output bits.
     """
     z = z & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
@@ -214,7 +211,11 @@ class RngStream:
         Rejection sampling on raw words, so every value is equally likely
         (no modulo bias).
         """
-        n = _range_size(lo, hi)
+        n = hi - lo + 1
+        if n < 1:
+            raise ValueError(f"empty range: lo={lo} > hi={hi}")
+        if n > _TWO64:
+            raise ValueError(f"range [{lo}, {hi}] holds more than 2**64 integers")
         limit = (_TWO64 // n) * n
         w = self.next_word()
         while w >= limit:
@@ -224,106 +225,6 @@ class RngStream:
     def choice(self, options):
         """One of options, uniformly: options[uniform_int(0, len - 1)]."""
         return options[self.uniform_int(0, len(options) - 1)]
-
-
-def _range_size(lo: int, hi: int) -> int:
-    n = hi - lo + 1
-    if n < 1:
-        raise ValueError(f"empty range: lo={lo} > hi={hi}")
-    if n > _TWO64:
-        raise ValueError(f"range [{lo}, {hi}] holds more than 2**64 integers")
-    return n
-
-
-class LaneStream:
-    """Many RngStreams stepped together: one uint64 xoshiro256** lane each.
-
-    Lane k draws exactly the values of the RngStream it was seeded as, and
-    each draw returns an array with one value per lane (``choice`` an
-    object array of the options), so code written against RngStream's
-    draw methods runs unchanged on every lane at once. Rejection sampling
-    retries only the lanes whose word was rejected, so each lane consumes
-    the words its RngStream would. ``take`` copies some lanes out into a
-    stream of their own, and ``put`` writes their state back.
-    """
-
-    __slots__ = ("_s",)
-
-    def __init__(self, words: list[np.ndarray]):
-        self._s = words  # the four state words, one uint64 array each
-
-    @classmethod
-    def for_samples(cls, master_seed: int, indices) -> "LaneStream":
-        """One lane per sample index, each seeded as derive_sample_rng."""
-        index = np.asarray(indices, dtype=np.uint64)
-        acc = mix64(np.uint64(master_seed & _MASK64) + (index + 1) * np.uint64(_GOLDEN))
-        words = []
-        for _ in range(4):
-            acc = acc + np.uint64(_GOLDEN)
-            words.append(mix64(acc))
-        words[0][(words[0] | words[1] | words[2] | words[3]) == 0] = _GOLDEN
-        return cls(words)
-
-    def take(self, positions) -> "LaneStream":
-        """A stream of its own holding a copy of the lanes at positions."""
-        return LaneStream([word[positions] for word in self._s])
-
-    def put(self, positions, lanes: "LaneStream") -> None:
-        """Write the state of lanes, taken from positions, back to them."""
-        for word, taken in zip(self._s, lanes._s):
-            word[positions] = taken
-
-    def next_word(self) -> np.ndarray:
-        """Next raw 64-bit output word of every lane."""
-        # The shift and multiply constants are uint64 scalars, which numpy
-        # applies without converting a Python int on every call.
-        s0, s1, s2, s3 = self._s
-        x = s1 * _U[5]
-        result = ((x << _U[7]) | (x >> _U[57])) * _U[9]
-        t = s1 << _U[17]
-        s2 ^= s0
-        s3 ^= s1
-        s1 ^= s2
-        s0 ^= s3
-        s2 ^= t
-        np.right_shift(s3, _U[19], out=t)
-        s3 <<= _U[45]
-        s3 |= t
-        return result
-
-    def unit_real(self) -> np.ndarray:
-        return (self.next_word() >> _U[11]) * 1.1102230246251565e-16  # 2**-53
-
-    def uniform_real(self, lo: float, hi: float) -> np.ndarray:
-        if lo > hi:
-            raise ValueError(f"empty range: lo={lo} > hi={hi}")
-        return lo + self.unit_real() * (hi - lo)
-
-    def uniform_int(self, lo: int, hi: int) -> np.ndarray:
-        """Per lane, RngStream.uniform_int(lo, hi): int64 when [lo, hi]
-        fits it, else an object array of Python ints."""
-        n = _range_size(lo, hi)
-        limit = (_TWO64 // n) * n
-        w = self.next_word()
-        if limit < _TWO64 and (w >= limit).any():
-            limit = np.uint64(limit)
-            retry = np.flatnonzero(w >= limit)
-            while retry.size:
-                lanes = self.take(retry)
-                w[retry] = lanes.next_word()
-                self.put(retry, lanes)
-                retry = retry[w[retry] >= limit]
-        if n < _TWO64:
-            w %= np.uint64(n)
-        if -(1 << 63) <= lo and hi < (1 << 63):
-            w += np.uint64(lo & _MASK64)
-            return w.view(np.int64)
-        return np.array([lo + v for v in w.tolist()], dtype=object)
-
-    def choice(self, options) -> np.ndarray:
-        picks = np.empty(len(options), dtype=object)
-        picks[:] = options
-        return picks[self.uniform_int(0, len(options) - 1)]
 
 
 def derive_sample_rng(master_seed: int, sample_index: int) -> RngStream:

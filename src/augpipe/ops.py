@@ -28,17 +28,19 @@ Geometric kernels that could leave blank borders (rotate, shear, skew)
 crop to the largest usable region and resize back, composed into a single
 inverse-mapping warp, so every source sample stays inside the image.
 
-Every ``draw`` runs unchanged on an RngStream or on a LaneStream, whose
-draws return one value per lane, so ``apply_op`` can draw and apply an op
-for many same-shape images at once. The warp ops (rotate, shear, skew,
-elastic) give their map through ``transform`` and are warped in batches;
-the other ops apply image by image.
+A ``draw`` is plain code against one sample's RngStream and may branch
+on a value it drew. ``apply_op`` also takes many same-shape images, each
+with its own stream: it draws for each image in turn, then applies the op
+to all of them. The warp ops (rotate, shear, skew, elastic) give their map
+through ``transform`` and are warped in batches; the other ops apply
+image by image.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Any, ClassVar
 
 import numpy as np
@@ -206,25 +208,19 @@ def _skew(w: int, h: int, kind: str, d: int) -> Homography:
     return solve_homography(src, Quad.from_rect(w, h))
 
 
-def _interior_nodes(gw: int, gh: int):
-    # Row-major over interior lattice nodes; boundary nodes stay pinned.
-    for b in range(1, gh):
-        for a in range(1, gw):
-            yield a, b
+@lru_cache(maxsize=16)
+def _node_names(gw: int, gh: int) -> tuple[tuple[str, str], ...]:
+    """The dx and dy draw names of each interior node, row-major; boundary
+    nodes stay pinned. Made once per lattice: every sample's trace record
+    keeps them until the trace is written."""
+    return tuple((f"dx_{a}_{b}", f"dy_{a}_{b}") for b in range(1, gh) for a in range(1, gw))
 
 
 def _grid_from_offsets(gw: int, gh: int, values) -> DisplacementGrid:
-    # values are dx, dy per interior node in _interior_nodes order.
+    # values are dx, dy per interior node in _node_names order.
     nodes = np.zeros((gh + 1, gw + 1, 2), dtype=np.float64)
     nodes[1:gh, 1:gw] = np.reshape(np.array(values, dtype=np.float64), (gh - 1, gw - 1, 2))
     return DisplacementGrid(gw, gh, nodes)
-
-
-def _check_output_size(w: int, h: int, kind: str) -> None:
-    if w * h > _MAX_OUTPUT_PIXELS:
-        raise OpError(
-            f"{kind} output {w}x{h} exceeds the limit of {_MAX_OUTPUT_PIXELS} pixels", op_kind=kind
-        )
 
 
 def _scaled_size(img: Image, factor: float, kind: str) -> tuple[int, int]:
@@ -234,7 +230,10 @@ def _scaled_size(img: Image, factor: float, kind: str) -> tuple[int, int]:
     if not (math.isfinite(w) and math.isfinite(h)):
         raise OpError(f"{kind} factor {factor} gives a non-finite image size", op_kind=kind)
     w, h = round_half_away(w), round_half_away(h)
-    _check_output_size(w, h, kind)
+    if w * h > _MAX_OUTPUT_PIXELS:
+        raise OpError(
+            f"{kind} output {w}x{h} exceeds the limit of {_MAX_OUTPUT_PIXELS} pixels", op_kind=kind
+        )
     return w, h
 
 
@@ -349,11 +348,8 @@ class OpSpec:
         )
 
     def draw(self, rng: RngStream, width: int, height: int) -> list[tuple[str, Any]]:
-        """Draw this op's random parameters, in the documented order.
-
-        rng may also be a LaneStream: each value is then an array holding
-        one draw per lane.
-        """
+        """Draw this op's random parameters from one sample's stream, in
+        the documented order."""
         return []
 
     def transform(self, drawn: list[tuple[str, Any]], width: int, height: int):
@@ -534,9 +530,9 @@ class Elastic(OpSpec):
             )
         drawn = []
         m = self.magnitude
-        for a, b in _interior_nodes(self.grid_width, self.grid_height):
-            drawn.append((f"dx_{a}_{b}", rng.uniform_int(-m, m)))
-            drawn.append((f"dy_{a}_{b}", rng.uniform_int(-m, m)))
+        for dx, dy in _node_names(self.grid_width, self.grid_height):
+            drawn.append((dx, rng.uniform_int(-m, m)))
+            drawn.append((dy, rng.uniform_int(-m, m)))
         return drawn
 
     def transform(self, drawn, width, height):
@@ -639,9 +635,11 @@ class Resize(OpSpec):
                  f"must be an integer >= 1, got {self.width}")
         _require(isinstance(self.height, int) and self.height >= 1, "height",
                  f"must be an integer >= 1, got {self.height}")
+        _require(self.width * self.height <= _MAX_OUTPUT_PIXELS, "width",
+                 f"x height must be at most {_MAX_OUTPUT_PIXELS} pixels, "
+                 f"got {self.width}x{self.height}")
 
     def apply(self, img, drawn):
-        _check_output_size(self.width, self.height, self.kind)
         return resize(img, self.width, self.height)
 
 
@@ -694,11 +692,11 @@ def apply_op(spec: OpSpec, img: Image, rng: RngStream) -> tuple[Image, OpApplica
     Kernel failures after drawing surface as OpError carrying the drawn
     values, so a failing sample can be reproduced exactly.
 
-    img may also be a list of same-shape images, with rng a LaneStream of
-    one lane each; see _apply_lanes.
+    img may also be a list of same-shape images, with rng a list of their
+    streams; see _apply_group.
     """
     if not isinstance(img, Image):
-        return _apply_lanes(spec, img, rng)
+        return _apply_group(spec, img, rng)
     drawn = spec.draw(rng, img.width, img.height)
     try:
         out = spec.apply(img, drawn)
@@ -709,21 +707,20 @@ def apply_op(spec: OpSpec, img: Image, rng: RngStream) -> tuple[Image, OpApplica
     return out, OpApplication(spec.kind, True, tuple(drawn))
 
 
-def _apply_lanes(spec: OpSpec, imgs: list[Image], lanes) -> tuple[list[Image], list[OpApplication]]:
-    """apply_op on every lane at once: one draw per lane, then the kernel
-    on batches of at most _BAND_PIXELS pixels.
+def _apply_group(
+    spec: OpSpec, imgs: list[Image], rngs: list[RngStream]
+) -> tuple[list[Image], list[OpApplication]]:
+    """apply_op on each image with its own stream: the draws image by
+    image, then the kernel on batches of at most _BAND_PIXELS pixels.
 
-    Lane k gets exactly the draws and the output that apply_op gives
-    image k with lane k's RngStream. Errors are not annotated: a caller
-    finds the failing sample by running the samples one by one.
+    Image k gets exactly the draws and the output that apply_op gives it
+    with rngs[k]. Errors are not annotated: a caller finds the failing
+    sample by running the samples one by one.
     """
     w, h = imgs[0].width, imgs[0].height
-    columns = spec.draw(lanes, w, h)
-    names = [name for name, _ in columns]
-    values = zip(*(column.tolist() for _, column in columns)) if columns else [()] * len(imgs)
-    drawn = [list(zip(names, row)) for row in values]
+    drawn = [spec.draw(rng, w, h) for rng in rngs]
     step = max(1, _BAND_PIXELS // (w * h))
     out = []
     for start in range(0, len(imgs), step):
         out += spec.apply_batch(imgs[start : start + step], drawn[start : start + step])
-    return out, [OpApplication(spec.kind, True, tuple(row)) for row in drawn]
+    return out, [OpApplication(spec.kind, True, tuple(values)) for values in drawn]

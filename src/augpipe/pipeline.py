@@ -30,7 +30,7 @@ from pathlib import Path
 
 from .dataio import DatasetIndex, load_image, output_name, save_image, split_by_class
 from .errors import AugpipeError, DatasetError, OpError, OutputCollisionError, UnsupportedImageError
-from .imagecore import Image, LaneStream, PixelFormat, RngStream, derive_sample_rng, mix64
+from .imagecore import Image, PixelFormat, RngStream, derive_sample_rng, mix64
 from .ops import OpApplication, OpSpec, apply_op
 from .warp import _BAND_PIXELS
 
@@ -196,6 +196,14 @@ def _load_cached(path: Path) -> Image:
     return img
 
 
+def _start(pipeline: Pipeline, dataset: DatasetIndex, index: int, choose_source: bool):
+    """Sample index's stream, and the dataset position of its source: the
+    stream's first draw in sample mode, the index itself otherwise."""
+    rng = derive_sample_rng(pipeline.master_seed, index)
+    position = rng.uniform_int(0, len(dataset.entries) - 1) if choose_source else index
+    return rng, position
+
+
 def _generate_one(
     pipeline: Pipeline,
     dataset: DatasetIndex,
@@ -203,8 +211,7 @@ def _generate_one(
     sink,
     choose_source: bool,
 ) -> TraceRecord:
-    rng = derive_sample_rng(pipeline.master_seed, index)
-    position = rng.uniform_int(0, len(dataset.entries) - 1) if choose_source else index
+    rng, position = _start(pipeline, dataset, index, choose_source)
     source = _Source(dataset, position)
     img = _load_cached(source.path)
     try:
@@ -244,27 +251,26 @@ class _Source:
         return TraceRecord(index, self.rel_path, tuple(applications), written)
 
 
-def _apply_ops(pipeline: Pipeline, lanes: LaneStream, images: list[Image]) -> list[list[OpApplication]]:
-    """run_sample on every lane at once, op by op; images is updated in place.
+def _apply_ops(
+    pipeline: Pipeline, rngs: list[RngStream], images: list[Image]
+) -> list[list[OpApplication]]:
+    """run_sample on every sample at once, op by op; images is updated in place.
 
-    Per op: one gate draw per lane, then one apply_op per group of passed
-    samples that share a shape and format.
+    Per op: one gate draw from each sample's stream, then one apply_op per
+    group of passed samples that share a shape and format.
     """
     applications: list[list[OpApplication]] = [[] for _ in images]
     for spec in pipeline.ops:
-        passed = lanes.unit_real() < spec.probability
         skipped = OpApplication(spec.kind, False)
         groups: dict[tuple, list[int]] = {}
-        for k, gate in enumerate(passed.tolist()):
-            if gate:
+        for k, rng in enumerate(rngs):
+            if rng.unit_real() < spec.probability:
                 img = images[k]
                 groups.setdefault((img.width, img.height, img.format), []).append(k)
             else:
                 applications[k].append(skipped)
         for members in groups.values():
-            group = lanes.take(members)
-            outs, applied = apply_op(spec, [images[k] for k in members], group)
-            lanes.put(members, group)
+            outs, applied = apply_op(spec, [images[k] for k in members], [rngs[k] for k in members])
             for k, out, application in zip(members, outs, applied):
                 images[k] = out
                 applications[k].append(application)
@@ -280,44 +286,38 @@ _RERUN_ERRORS = (AugpipeError, OSError, ValueError, MemoryError)
 def _generate_chunk(chunk) -> list[TraceRecord]:
     """Generate a chunk of samples op-major, writing them in index order.
 
-    The chunk's streams are one LaneStream. A run of consecutive samples
-    whose sources add up to at most one warp band of pixels goes through
-    the ops together, and is written after its last op; a larger source
-    runs alone. So the images held at a time are one run's, never a
-    chunk's. If a load fails, or an op raises an error the per-sample
-    loop can raise too, the run is generated again one sample at a time,
-    which writes the samples before the first failing one and raises its
-    error exactly as the per-sample loop does.
+    Each sample draws from its own stream, as in the per-sample loop. A
+    run of consecutive samples whose sources add up to at most one warp
+    band of pixels goes through the ops together, and is written after
+    its last op; a larger source runs alone. So the images held at a time
+    are one run's, never a chunk's. If a load fails, or an op raises an
+    error the per-sample loop can raise too, the run is generated again
+    one sample at a time, which writes the samples before the first
+    failing one and raises its error exactly as the per-sample loop does.
     """
     pipeline, dataset, indices, sink, choose_source = chunk
-    lanes = LaneStream.for_samples(pipeline.master_seed, indices)
-    if choose_source:
-        positions = lanes.uniform_int(0, len(dataset.entries) - 1).tolist()
-    else:
-        positions = list(indices)
     sources: dict[int, _Source] = {}
     records: list[TraceRecord] = []
-    pending: list[tuple[int, int, _Source, Image]] = []  # lane, sample index, source, image
+    pending: list[tuple[int, _Source, RngStream, Image]] = []  # sample index, source, stream, image
     pending_pixels = 0
 
     def flush():
         nonlocal pending_pixels
-        members = [lane for lane, _index, _source, _img in pending]
-        images = [img for _lane, _index, _source, img in pending]
+        images = [img for _index, _source, _rng, img in pending]
         try:
-            applications = _apply_ops(pipeline, lanes.take(members), images)
+            applications = _apply_ops(pipeline, [rng for _index, _source, rng, _img in pending], images)
         except _RERUN_ERRORS:
             records.extend(_generate_one(pipeline, dataset, index, sink, choose_source)
-                           for _lane, index, _source, _img in pending)
+                           for index, _source, _rng, _img in pending)
         else:
             records.extend(source.write(sink, index, out, apps)
-                           for (_lane, index, source, _img), out, apps
+                           for (index, source, _rng, _img), out, apps
                            in zip(pending, images, applications))
         pending.clear()
         pending_pixels = 0
 
-    for lane, index in enumerate(indices):
-        position = positions[lane]
+    for index in indices:
+        rng, position = _start(pipeline, dataset, index, choose_source)
         source = sources.get(position)
         if source is None:
             source = sources[position] = _Source(dataset, position)
@@ -330,7 +330,7 @@ def _generate_chunk(chunk) -> list[TraceRecord]:
         pixels = img.width * img.height
         if pending and pending_pixels + pixels > _BAND_PIXELS:
             flush()
-        pending.append((lane, index, source, img))
+        pending.append((index, source, rng, img))
         pending_pixels += pixels
     if pending:
         flush()

@@ -330,21 +330,19 @@ def sample(img: Image, x: float, y: float, filt: Filter = Filter.BILINEAR) -> tu
     return tuple(float(v) for v in _sample_values(src, xs, ys, None, filt)[0])
 
 
-def _quantise_bands(count: int, height: int, width: int, fmt, sample_rows) -> list[Image]:
-    """Build count height x width images in bands of rows.
+def _quantise_bands(height: int, width: int, fmt, sample_rows) -> Image:
+    """Build a height x width image in bands of rows.
 
-    The images are stacked row after row; ``sample_rows(band)`` returns
-    the real values of the stacked rows in the slice ``band``. Each band
-    is quantised on its own, which keeps the float64 temporaries small
-    and in cache.
+    ``sample_rows(band)`` returns the real values of the rows in the slice
+    ``band``. Each band is quantised on its own, which keeps the float64
+    temporaries small and in cache.
     """
-    out = np.empty((count, height, width, fmt.channels), dtype=np.uint8)
-    rows = out.reshape(count * height, width, fmt.channels)
+    out = np.empty((height, width, fmt.channels), dtype=np.uint8)
     step = max(1, _BAND_PIXELS // width)
-    for start in range(0, count * height, step):
+    for start in range(0, height, step):
         band = slice(start, start + step)
-        rows[band] = clamp_round_array(sample_rows(band))
-    return [Image._wrap(image, fmt) for image in out]
+        out[band] = clamp_round_array(sample_rows(band))
+    return Image._wrap(out, fmt)
 
 
 def _warp(src: _Stack, height: int, width: int, coords, filt: Filter) -> list[Image]:
@@ -352,25 +350,24 @@ def _warp(src: _Stack, height: int, width: int, coords, filt: Filter) -> list[Im
 
     ``coords(rows)`` returns the source coordinates (xs, ys) of the output
     rows in the slice ``rows``, for every image: two (count, rows, width)
-    arrays. A single image gets them band by band, so no full-size
-    coordinate array is ever held; a batch holds at most one band of
-    pixels, so it gets all of them at once.
+    arrays. A band is the same rows of every image, at most _BAND_PIXELS
+    pixels unless one row of each is more; its coordinates are made,
+    sampled and quantised together, so no full-size coordinate array is
+    ever held.
     """
     if _active_monitors:
         _observe(src, *coords(slice(0, height)))
-    if src.count == 1:
-        def sample_rows(band):
-            xs, ys = coords(band)
-            return _sample_values(src, xs[0], ys[0], None, filt)
-    else:
-        xs, ys = (c.reshape(src.count * height, width) for c in coords(slice(0, height)))
-        # Per output row, the flat offset of its source image in the stack.
-        base = np.repeat(np.arange(src.count, dtype=np.intp) * (src.width * src.height), height)
-        base = base[:, None]
-
-        def sample_rows(band):
-            return _sample_values(src, xs[band], ys[band], base[band], filt)
-    return _quantise_bands(src.count, height, width, src.format, sample_rows)
+    out = np.empty((src.count, height, width, src.format.channels), dtype=np.uint8)
+    # The flat offset of each image's block in the stack; none for one image.
+    base = None
+    if src.count > 1:
+        base = (np.arange(src.count, dtype=np.intp) * (src.width * src.height))[:, None, None]
+    step = max(1, _BAND_PIXELS // (src.count * width))
+    for start in range(0, height, step):
+        rows = slice(start, start + step)
+        xs, ys = coords(rows)
+        out[:, rows] = clamp_round_array(_sample_values(src, xs, ys, base, filt))
+    return [Image._wrap(image, src.format) for image in out]
 
 
 def _check_size(out_w: int, out_h: int) -> None:
@@ -521,6 +518,5 @@ def resize(
     x0, x1, fx = _bilinear_taps(sx, img.width)
     fx = fx[:, None]
     x_taps = (x0, x1, fx, 1.0 - fx)
-    return _quantise_bands(
-        1, window.h, window.w, img.format, lambda band: _resize_bilinear(img, x_taps, sy[band])
-    )[0]
+    return _quantise_bands(window.h, window.w, img.format,
+                           lambda band: _resize_bilinear(img, x_taps, sy[band]))

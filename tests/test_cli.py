@@ -227,12 +227,11 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("entry", [
         {"op": "scale", "probability": 1, "factor": 1e6},
-        {"op": "resize", "probability": 1, "width": 100000, "height": 100000},
         {"op": "zoom", "probability": 1, "min_factor": 1e6, "max_factor": 1e6},
         {"op": "elastic", "probability": 1, "grid_width": 17, "grid_height": 16, "magnitude": 1},
         {"op": "elastic", "probability": 1, "grid_width": 10**12, "grid_height": 10**12,
          "magnitude": 1},
-    ], ids=["scale", "resize", "zoom", "elastic", "elastic-huge"])
+    ], ids=["scale", "zoom", "elastic", "elastic-huge"])
     def test_oversized_output_is_3(self, tmp_path, np_rng, capsys, entry):
         # Sizes from the config are refused before anything is allocated.
         save_image(random_image(np_rng, 16, 16), tmp_path / "in" / "a.png")
@@ -244,6 +243,18 @@ class TestExitCodes:
         assert f"op 0 ({entry['op']})" in err
         assert "Traceback" not in err
         assert not (tmp_path / "o").exists() or not any((tmp_path / "o").rglob("*.png"))
+
+    def test_oversized_resize_target_is_1(self, tmp_path, corpus, capsys):
+        # A resize target is known from the config alone.
+        entry = {"op": "resize", "probability": 1, "width": 100000, "height": 100000}
+        cfg = write_config(tmp_path / "big.json", {"version": 1, "operations": [entry]})
+        assert main(["validate", "--config", str(cfg)]) == 1
+        assert main(["run", "--config", str(cfg), "--input", str(corpus),
+                     "--output", str(tmp_path / "o"), "--count", "2", "--seed", "0"]) == 1
+        err = capsys.readouterr().err
+        assert err.count(f"at most {1 << 26} pixels, got 100000x100000") == 2
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
 
 class TestValidate:

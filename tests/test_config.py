@@ -1,8 +1,15 @@
 """Config parsing: schema validation, field-level errors, canonical fixed point."""
 
+import contextlib
+import copy
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from augpipe import (
     ConfigError,
@@ -25,7 +32,9 @@ from augpipe import (
     canonical_text,
     parse_config,
 )
+from augpipe.cli import main
 from conftest import DIGITS_RECIPE
+from test_golden import CANONICAL_CONFIG
 
 # One spec per op class, every field away from its dataclass default.
 NON_DEFAULT_SPECS = {
@@ -206,6 +215,79 @@ class TestErrors:
     def test_seed_type(self):
         with pytest.raises(ConfigError):
             parse_config('{"version": 1, "seed": "abc", "operations": []}')
+
+    def test_nesting_beyond_the_recursion_limit(self):
+        depth = 100_000
+        with pytest.raises(ConfigError, match="nested too deeply"):
+            parse_config('{"version": 1, "operations": ' + "[" * depth + "]" * depth + "}")
+
+    def test_resize_target_beyond_the_output_limit(self):
+        entry = {"op": "resize", "probability": 1, "width": 8192, "height": 8192}
+        assert parse_config(json.dumps({"version": 1, "operations": [entry]})).ops[0].height == 8192
+        with pytest.raises(ConfigError) as info:
+            parse_config(json.dumps({"version": 1, "operations": [dict(entry, height=8193)]}))
+        assert info.value.field == "width"
+
+
+# A string that the fuzz test below turns into an integer literal beyond the
+# interpreter's int conversion limit once the document is serialised.
+_HUGE_LITERAL = "<huge literal>"
+# Values a mutation puts in place of another: every JSON type, numbers far
+# outside any parameter's range, non-finite numbers, and the op kinds.
+_JUNK = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=4), st.integers(-1000, 1000), st.floats(),
+    st.sampled_from([1 << 63, 1 << 64, -(1 << 64), 10**30, 10**400, 1e308, -1e308, 5e-324]),
+    st.just(_HUGE_LITERAL),
+    st.sampled_from([cls.kind for cls in OpSpec.__subclasses__()]),
+    st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+)
+
+
+def _containers(node, path=()):
+    """Paths to every object and array in a JSON document, the root first."""
+    if isinstance(node, (dict, list)):
+        yield path
+        for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from _containers(child, path + (key,))
+
+
+class TestFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_mutated_config_is_valid_or_a_config_error(self, data):
+        # Mutations of the config that names every op: drop a key or an
+        # element, put another value in its place, or nest it one level.
+        doc = copy.deepcopy(CANONICAL_CONFIG)
+        for _ in range(data.draw(st.integers(1, 4))):
+            container = doc
+            for key in data.draw(st.sampled_from(list(_containers(doc)))):
+                container = container[key]
+            if not container:
+                continue
+            key = data.draw(st.sampled_from(list(container.keys() if isinstance(container, dict)
+                                                 else range(len(container)))))
+            mutation = data.draw(st.sampled_from(["drop", "swap", "nest"]))
+            if mutation == "drop":
+                del container[key]
+            elif mutation == "swap":
+                container[key] = data.draw(_JUNK)
+            else:
+                container[key] = data.draw(st.sampled_from([[container[key]], {"x": container[key]}]))
+        text = json.dumps(doc).replace(json.dumps(_HUGE_LITERAL), "9" * 5000)
+        try:
+            parse_config(text)
+            expected = 0
+        except ConfigError:
+            expected = 1
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "config.json"
+            path.write_text(text)
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(["validate", "--config", str(path)])
+        assert code == expected
+        assert "Traceback" not in err.getvalue()
 
 
 class TestCanonical:

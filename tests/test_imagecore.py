@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from augpipe import (
     Image,
-    LaneStream,
     PixelFormat,
     RngStream,
     clamp_round,
@@ -130,6 +129,20 @@ class TestRngDerivation:
         ]
 
 
+TWO64 = 1 << 64
+# Ranges of every kind uniform_int meets: n just above 2**63 rejects about
+# half of all words, powers of two reject none, and [0, 2**64 - 1] is the
+# full word; lo may be negative or beyond 64 bits.
+INT_RANGES = st.one_of(
+    st.tuples(st.integers(-10**6, 10**6), st.integers(0, 1000)),
+    st.tuples(st.integers(-(1 << 70), 1 << 70), st.integers((1 << 63), (1 << 63) + 1000)),
+    st.tuples(st.integers(-(1 << 70), 1 << 70), st.integers(0, 64).map(lambda k: (1 << k) - 1)),
+    st.tuples(st.sampled_from([0, -(1 << 63), -5, 1 << 80]), st.just(TWO64 - 1)),
+    st.tuples(st.integers(-(1 << 66), 1 << 66), st.integers(0, TWO64 - 1)),
+).map(lambda pair: (pair[0], pair[0] + pair[1]))
+SEEDS = st.one_of(st.integers(0, TWO64 - 1), st.integers(-(1 << 80), 1 << 80))
+
+
 class TestRngDraws:
     def test_degenerate_int_range(self):
         r = RngStream(9)
@@ -142,13 +155,31 @@ class TestRngDraws:
         with pytest.raises(ValueError):
             r.uniform_real(1.0, 0.5)
 
-    @given(st.integers(min_value=-1000, max_value=1000), st.integers(min_value=0, max_value=500),
-           st.integers(min_value=0, max_value=2**63))
+    @given(INT_RANGES, SEEDS)
     @settings(max_examples=100)
-    def test_int_always_in_range(self, lo, span, seed):
-        r = RngStream(seed)
-        v = r.uniform_int(lo, lo + span)
-        assert lo <= v <= lo + span
+    def test_int_always_in_range(self, bounds, seed):
+        lo, hi = bounds
+        assert lo <= RngStream(seed).uniform_int(lo, hi) <= hi
+
+    def test_uniform_int_known_answers(self):
+        # Frozen like the reference sequence above. [-3, 2**63 - 3] holds
+        # 2**63 + 1 integers, so about half of all words are rejected: these
+        # eight draws take 16 words, with runs of two and three rejections.
+        # [0, 2**64 - 1] takes every word as it is. next_word afterwards
+        # checks that each draw consumed exactly the words it should.
+        r = derive_sample_rng(5, 0)
+        assert [r.uniform_int(-3, (1 << 63) - 3) for _ in range(8)] == [
+            1277474170729341930, 6952935063909826510, 4295766356877155651,
+            5884959525119857003, 8392073897184456000, 7249809071968997047,
+            1614835614682183589, 5713278700247216497,
+        ]
+        assert r.next_word() == 14102472494967736999
+        r = derive_sample_rng(5, 1)
+        assert [r.uniform_int(0, TWO64 - 1) for _ in range(4)] == [
+            12296417080679554530, 8177488920940596896, 1877368636649557009,
+            10060579947125563419,
+        ]
+        assert r.next_word() == 14042902218896996361
 
     def test_real_sample_mean(self):
         # CLT bound: sigma/sqrt(n) of U(-10, 10) is about 0.018, so 0.2
@@ -195,83 +226,3 @@ class TestRngDraws:
         with pytest.raises(ValueError):
             RngStream(1).uniform_int(0, 1 << 64)
 
-
-TWO64 = 1 << 64
-# Ranges of every kind uniform_int meets: n just above 2**63 rejects about
-# half of all words, powers of two reject none, and [0, 2**64 - 1] is the
-# full word; lo may be negative or beyond 64 bits.
-INT_RANGES = st.one_of(
-    st.tuples(st.integers(-10**6, 10**6), st.integers(0, 1000)),
-    st.tuples(st.integers(-(1 << 70), 1 << 70), st.integers((1 << 63), (1 << 63) + 1000)),
-    st.tuples(st.integers(-(1 << 70), 1 << 70), st.integers(0, 64).map(lambda k: (1 << k) - 1)),
-    st.tuples(st.sampled_from([0, -(1 << 63), -5, 1 << 80]), st.just(TWO64 - 1)),
-    st.tuples(st.integers(-(1 << 66), 1 << 66), st.integers(0, TWO64 - 1)),
-).map(lambda pair: (pair[0], pair[0] + pair[1]))
-SEEDS = st.one_of(st.integers(0, TWO64 - 1), st.integers(-(1 << 80), 1 << 80))
-
-
-def _draw(stream, call):
-    method, args = call
-    value = getattr(stream, method)(*args)
-    return value.tolist() if isinstance(value, np.ndarray) else value
-
-
-CALLS = st.one_of(
-    st.tuples(st.just("next_word"), st.just(())),
-    st.tuples(st.just("unit_real"), st.just(())),
-    st.tuples(st.just("uniform_real"), st.tuples(
-        st.floats(-1e6, 1e6), st.floats(0, 1e6)).map(lambda p: (p[0], p[0] + p[1]))),
-    st.tuples(st.just("uniform_int"), INT_RANGES),
-    st.tuples(st.just("choice"), st.lists(st.text(max_size=2), min_size=1, max_size=7)
-              .map(lambda options: (tuple(options),))),
-)
-
-
-class TestLaneStream:
-    """Lane k of a LaneStream is, draw for draw, the RngStream of sample k."""
-
-    @settings(max_examples=150, deadline=None)
-    @given(seed=SEEDS, start=st.integers(0, 1 << 40), lanes=st.integers(1, 12),
-           calls=st.lists(CALLS, min_size=1, max_size=12))
-    def test_every_draw_matches_the_scalar_streams(self, seed, start, lanes, calls):
-        indices = range(start, start + lanes)
-        stream = LaneStream.for_samples(seed, indices)
-        scalars = [derive_sample_rng(seed, i) for i in indices]
-        for call in calls:
-            assert _draw(stream, call) == [_draw(rng, call) for rng in scalars]
-
-    @settings(max_examples=100, deadline=None)
-    @given(seed=SEEDS, lanes=st.integers(1, 10), data=st.data())
-    def test_draws_on_taken_lanes_advance_only_those_lanes(self, seed, lanes, data):
-        stream = LaneStream.for_samples(seed, range(lanes))
-        scalars = [derive_sample_rng(seed, i) for i in range(lanes)]
-        for _ in range(data.draw(st.integers(1, 6))):
-            positions = data.draw(st.lists(st.integers(0, lanes - 1), unique=True, max_size=lanes))
-            call = data.draw(CALLS)
-            taken = stream.take(positions)
-            assert _draw(taken, call) == [_draw(scalars[k], call) for k in positions]
-            stream.put(positions, taken)
-        assert _draw(stream, ("next_word", ())) == [rng.next_word() for rng in scalars]
-
-    def test_rejections_retry_only_the_rejected_lanes(self):
-        # For n = 2**63 + 1 nearly half of all words are rejected.
-        lo, hi = -3, (1 << 63) - 3
-        stream = LaneStream.for_samples(5, range(64))
-        scalars = [derive_sample_rng(5, i) for i in range(64)]
-        for _ in range(20):
-            assert stream.uniform_int(lo, hi).tolist() == [r.uniform_int(lo, hi) for r in scalars]
-        assert stream.next_word().tolist() == [r.next_word() for r in scalars]
-
-    def test_value_types(self):
-        stream = LaneStream.for_samples(1, range(3))
-        assert stream.uniform_int(-4, 4).dtype == np.int64
-        assert stream.uniform_int(0, TWO64 - 1).dtype == object
-        assert all(type(v) is str for v in stream.choice(("a", "b")).tolist())
-
-    def test_empty_and_too_wide_ranges_raise(self):
-        stream = LaneStream.for_samples(1, range(3))
-        for lo, hi in ((1, 0), (0, TWO64)):
-            with pytest.raises(ValueError):
-                stream.uniform_int(lo, hi)
-        with pytest.raises(ValueError):
-            stream.uniform_real(1.0, 0.5)

@@ -481,9 +481,9 @@ class TestOpMajorChunks:
         runs = []
         apply_ops = pipeline_mod._apply_ops
 
-        def recorded(pipeline, lanes, images):
+        def recorded(pipeline, rngs, images):
             runs.append([img.width * img.height for img in images])
-            return apply_ops(pipeline, lanes, images)
+            return apply_ops(pipeline, rngs, images)
 
         with mock.patch.object(pipeline_mod, "_apply_ops", recorded):
             pipeline_mod.sample(pipe, digits, 200, CollectingSink())
