@@ -653,6 +653,11 @@ class Scale(OpSpec):
     def __post_init__(self):
         super().__post_init__()
         _require(self.factor > 0.0, "factor", f"must be > 0, got {self.factor}")
+        # Even a 1x1 source must fit the output budget.
+        _require(math.isfinite(self.factor)
+                 and round_half_away(self.factor) ** 2 <= _MAX_OUTPUT_PIXELS, "factor",
+                 f"must scale a 1x1 image to at most {_MAX_OUTPUT_PIXELS} pixels, "
+                 f"got {self.factor}")
 
     def apply(self, img, drawn):
         nw, nh = _scaled_size(img, self.factor, self.kind)

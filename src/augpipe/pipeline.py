@@ -26,6 +26,7 @@ import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from itertools import zip_longest
 from pathlib import Path
 
 from .dataio import DatasetIndex, load_image, output_name, save_image, split_by_class
@@ -283,7 +284,7 @@ def _apply_ops(
 _RERUN_ERRORS = (AugpipeError, OSError, ValueError, MemoryError)
 
 
-def _generate_chunk(chunk) -> list[TraceRecord]:
+def _generate_chunk(chunk, stop=lambda: None) -> list[TraceRecord]:
     """Generate a chunk of samples op-major, writing them in index order.
 
     Each sample draws from its own stream, as in the per-sample loop. A
@@ -294,6 +295,7 @@ def _generate_chunk(chunk) -> list[TraceRecord]:
     error the per-sample loop can raise too, the run is generated again
     one sample at a time, which writes the samples before the first
     failing one and raises its error exactly as the per-sample loop does.
+    stop is called before each run and may raise to end the chunk there.
     """
     pipeline, dataset, indices, sink, choose_source = chunk
     sources: dict[int, _Source] = {}
@@ -303,6 +305,7 @@ def _generate_chunk(chunk) -> list[TraceRecord]:
 
     def flush():
         nonlocal pending_pixels
+        stop()
         images = [img for _index, _source, _rng, img in pending]
         try:
             applications = _apply_ops(pipeline, [rng for _index, _source, rng, _img in pending], images)
@@ -350,24 +353,35 @@ def _run(pipeline, dataset, per_class, count, sink, jobs) -> list[TraceRecord]:
     else:
         runs = [(pipeline, dataset)]
     chunks = []
+    run_positions = []  # per run, the positions of its chunks in chunks
     for run_pipeline, run_dataset in runs:
         indices = range(len(run_dataset.entries) if count is None else count)
-        # Contiguous chunks keep per-worker cache locality; records come back
-        # in chunk order because map preserves argument order.
+        # Contiguous chunks keep per-worker cache locality.
         step = max(1, -(-len(indices) // (jobs * 4)))
-        chunks.extend(
+        run_chunks = [
             (run_pipeline, run_dataset, indices[i : i + step], sink, count is not None)
             for i in range(0, len(indices), step)
-        )
+        ]
+        run_positions.append(range(len(chunks), len(chunks) + len(run_chunks)))
+        chunks.extend(run_chunks)
     if jobs <= 1 or len(chunks) <= 1:
         return [record for chunk in chunks for record in _generate_chunk(chunk)]
     if isinstance(sink, CollectingSink):
         # Each chunk collects into a sink of its own, shipped empty.
         chunks = [chunk[:3] + (CollectingSink(),) + chunk[4:] for chunk in chunks]
-    pool = ProcessPoolExecutor(max_workers=jobs, mp_context=multiprocessing.get_context("fork"))
-    records = []
+    context = multiprocessing.get_context("fork")
+    failed = context.Value("q", len(chunks))
+    pool = ProcessPoolExecutor(max_workers=jobs, mp_context=context,
+                               initializer=_init_worker, initargs=(failed,))
     try:
-        for part, collected in pool.map(_generate_chunk_in_worker, chunks):
+        futures = [None] * len(chunks)
+        for position in _round_robin(run_positions):
+            futures[position] = pool.submit(_generate_chunk_in_worker, chunks[position], position)
+        # Results are read in chunk order, so records, collected images and
+        # the error raised are those of a jobs=1 call.
+        records = []
+        for future in futures:
+            part, collected = future.result()
             records.extend(part)
             if collected:
                 sink.images.extend(collected)
@@ -376,10 +390,54 @@ def _run(pipeline, dataset, per_class, count, sink, jobs) -> list[TraceRecord]:
         pool.shutdown(wait=True, cancel_futures=True)
 
 
-def _generate_chunk_in_worker(chunk) -> tuple[list[TraceRecord], list]:
+def _round_robin(run_positions) -> list[int]:
+    """Chunk positions in submission order: the first chunk of every run
+    (every class of a per-class call), then the second, and so on.
+
+    Two chunks fewer than C submissions apart, while C runs have chunks
+    left, belong to different runs. Classes write into directories of
+    their own, so workers seldom create files in one directory at once,
+    where each create waits for the directory's lock.
+    """
+    return [position for layer in zip_longest(*run_positions) for position in layer
+            if position is not None]
+
+
+class _ChunkStopped(Exception):
+    """A chunk gave up because a chunk before it failed."""
+
+
+# In a pool worker: the shared position of the earliest chunk that failed,
+# the number of chunks while none has.
+_failed_chunk = None
+
+
+def _init_worker(failed) -> None:
+    global _failed_chunk
+    _failed_chunk = failed
+
+
+def _generate_chunk_in_worker(chunk, position: int) -> tuple[list[TraceRecord], list]:
     """_generate_chunk, plus the images its CollectingSink gathered: the
-    worker's sink is not the caller's, so they go back with the records."""
-    records = _generate_chunk(chunk)
+    worker's sink is not the caller's, so they go back with the records.
+
+    Once a chunk before it has failed, a chunk stops before its next run
+    of samples, so it writes little that a jobs=1 call would not; the
+    chunks before the failed one run on, so the error the caller raises
+    is the one a jobs=1 call raises."""
+
+    def stop() -> None:
+        if _failed_chunk.value < position:
+            raise _ChunkStopped
+
+    try:
+        records = _generate_chunk(chunk, stop)
+    except _ChunkStopped:
+        raise
+    except BaseException:
+        with _failed_chunk.get_lock():
+            _failed_chunk.value = min(_failed_chunk.value, position)
+        raise
     sink = chunk[3]
     return records, sink.images if isinstance(sink, CollectingSink) else []
 

@@ -215,9 +215,8 @@ class TestExitCodes:
         assert "must be a finite number" in capsys.readouterr().err
 
     @pytest.mark.parametrize("entry", [
-        {"op": "scale", "probability": 1, "factor": 1e308},
         {"op": "zoom", "probability": 1, "min_factor": 1e308, "max_factor": 1e308},
-    ], ids=["scale", "zoom"])
+    ], ids=["zoom"])
     def test_non_finite_target_size_is_3(self, tmp_path, corpus, capsys, entry):
         cfg = write_config(tmp_path / "huge.json", {"version": 1, "operations": [entry]})
         code = main(["run", "--config", str(cfg), "--input", str(corpus),
@@ -226,7 +225,8 @@ class TestExitCodes:
         assert "non-finite image size" in capsys.readouterr().err
 
     @pytest.mark.parametrize("entry", [
-        {"op": "scale", "probability": 1, "factor": 1e6},
+        # Fits a 1x1 source, so only the 16x16 source refuses it.
+        {"op": "scale", "probability": 1, "factor": 600},
         {"op": "zoom", "probability": 1, "min_factor": 1e6, "max_factor": 1e6},
         {"op": "elastic", "probability": 1, "grid_width": 17, "grid_height": 16, "magnitude": 1},
         {"op": "elastic", "probability": 1, "grid_width": 10**12, "grid_height": 10**12,
@@ -243,6 +243,19 @@ class TestExitCodes:
         assert f"op 0 ({entry['op']})" in err
         assert "Traceback" not in err
         assert not (tmp_path / "o").exists() or not any((tmp_path / "o").rglob("*.png"))
+
+    @pytest.mark.parametrize("factor", [1e6, 1e308], ids=["1e6", "1e308"])
+    def test_oversized_scale_factor_is_1(self, tmp_path, corpus, capsys, factor):
+        # A factor no source could take is known from the config alone.
+        entry = {"op": "scale", "probability": 1, "factor": factor}
+        cfg = write_config(tmp_path / "big.json", {"version": 1, "operations": [entry]})
+        assert main(["validate", "--config", str(cfg)]) == 1
+        assert main(["run", "--config", str(cfg), "--input", str(corpus),
+                     "--output", str(tmp_path / "o"), "--count", "2", "--seed", "0"]) == 1
+        err = capsys.readouterr().err
+        assert err.count(f"factor must scale a 1x1 image to at most {1 << 26} pixels") == 2
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
     def test_oversized_resize_target_is_1(self, tmp_path, corpus, capsys):
         # A resize target is known from the config alone.

@@ -228,6 +228,14 @@ class TestErrors:
             parse_config(json.dumps({"version": 1, "operations": [dict(entry, height=8193)]}))
         assert info.value.field == "width"
 
+    def test_scale_factor_beyond_the_output_limit(self):
+        entry = {"op": "scale", "probability": 1, "factor": 8192}
+        assert parse_config(json.dumps({"version": 1, "operations": [entry]})).ops[0].factor == 8192
+        with pytest.raises(ConfigError) as info:
+            parse_config(json.dumps({"version": 1, "operations": [dict(entry, factor=8192.5)]}))
+        assert info.value.field == "factor"
+        assert "factor must scale a 1x1 image" in str(info.value)
+
 
 # A string that the fuzz test below turns into an integer literal beyond the
 # interpreter's int conversion limit once the document is serialised.

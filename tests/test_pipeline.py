@@ -306,12 +306,15 @@ class TestPerCallPool:
         assert multiprocessing.active_children() == []
 
     def test_parallel_failure_matches_sequential_and_closes_pool(self, tmp_path, np_rng):
-        # Only sample 0's source is too small to crop; map yields chunks in
-        # order, so every worker count reports that sample first.
+        # Only sample 0's source is too small to crop; results are read in
+        # chunk order, so every worker count reports that sample first.
+        # Once sample 0's chunk fails, the other chunks of 50 stop before
+        # they write unless a worker had already begun one, so at most one
+        # other chunk writes.
         root = tmp_path / "in"
         save_image(random_image(np_rng, 8, 8), root / "a.png")
-        for i in range(39):
-            save_image(random_image(np_rng, 16, 16), root / f"b{i:02d}.png")
+        for i in range(399):
+            save_image(random_image(np_rng, 16, 16), root / f"b{i:03d}.png")
         ds = scan_dataset(root)
         p = Pipeline().add(CropCentre(probability=1, width=12, height=12))
         messages = []
@@ -322,6 +325,42 @@ class TestPerCallPool:
             assert multiprocessing.active_children() == []
         assert messages[0] == messages[1]
         assert messages[0].startswith("sample 0 (source a.png): op 0 (crop_centre)")
+        assert not (tmp_path / "j1").exists()
+        assert len(list((tmp_path / "j2").glob("*.png"))) <= 50
+
+    def test_parallel_failure_reports_the_earlier_class(self, tmp_path, np_rng):
+        # Class a fails at its last sample, in its last chunk; class b fails
+        # at its first, in a chunk submitted second, so b usually fails
+        # first in time. The error is a's, as at jobs=1, also with more
+        # workers than cores.
+        root = tmp_path / "in"
+        for label, small in (("a", "z"), ("b", "a")):
+            save_image(random_image(np_rng, 8, 8), root / label / f"{small}.png")
+            for i in range(39):
+                save_image(random_image(np_rng, 16, 16), root / label / f"p{i:02d}.png")
+        ds = scan_dataset(root)
+        p = Pipeline().add(CropCentre(probability=1, width=12, height=12))
+        messages = []
+        for jobs in (1, 2, 8):
+            with pytest.raises(OpError) as info:
+                pipeline_mod.process(p, ds, DirectorySink(tmp_path / f"j{jobs}"), jobs=jobs,
+                                     per_class=True)
+            messages.append(str(info.value))
+        assert messages[1:] == messages[:1] * 2
+        assert messages[0].startswith("sample 39 (source a/z.png): op 0 (crop_centre)")
+
+    def test_round_robin_interleaves_runs(self):
+        run_positions = [range(0, 8), range(8, 16), range(16, 19)]
+        order = pipeline_mod._round_robin(run_positions)
+        assert sorted(order) == list(range(19))
+        run_of = {position: run for run, positions in enumerate(run_positions)
+                  for position in positions}
+        for i in range(len(order)):
+            runs_left = len({run_of[position] for position in order[i:]})
+            window = [run_of[position] for position in order[i : i + runs_left]]
+            assert len(set(window)) == len(window)
+        assert order[:4] == [0, 8, 16, 1]
+        assert pipeline_mod._round_robin([range(5)]) == list(range(5))
 
     @pytest.mark.parametrize("mode", ["sample", "process"])
     def test_per_class_equals_class_loop(self, tmp_path, np_rng, mode):
@@ -419,11 +458,11 @@ def mixed_dataset(tmp_path_factory):
     return scan_dataset(root)
 
 
-def _worker_with_empty_sink(chunk):
+def _worker_with_empty_sink(chunk, position):
     """The pool's worker function, failing if its chunk carries images the
     caller already collected."""
     assert not chunk[3].images, "a chunk shipped collected images to its worker"
-    return _generate_chunk_in_worker(chunk)
+    return _generate_chunk_in_worker(chunk, position)
 
 
 _generate_chunk_in_worker = pipeline_mod._generate_chunk_in_worker
@@ -552,4 +591,24 @@ class TestOpMajorChunks:
             collected.append([(rel, img.pixels.tobytes()) for rel, img in sink.images])
             assert all(not img.pixels.flags.writeable for _rel, img in sink.images)
         assert len(collected[1]) == (20 if mode == "sample" else len(mixed_dataset.entries))
+        assert collected[1] == collected[0]
+
+    @pytest.mark.parametrize("mode", ["sample", "process"])
+    def test_per_class_collecting_sink_gets_worker_images(self, tmp_path, np_rng, mode):
+        for label in ("cat", "dog", "emu"):
+            for i in range(5):
+                save_image(random_image(np_rng, 12, 12), tmp_path / label / f"{i}.png")
+        ds = scan_dataset(tmp_path)
+        pipe = Pipeline(master_seed=4).add(Elastic(probability=1, grid_width=2, grid_height=2,
+                                                   magnitude=3))
+        collected = []
+        for jobs in (1, 2):
+            sink = CollectingSink()
+            if mode == "sample":
+                records = pipeline_mod.sample(pipe, ds, 20, sink, jobs=jobs, per_class=True)
+            else:
+                records = pipeline_mod.process(pipe, ds, sink, jobs=jobs, per_class=True)
+            assert [rel for rel, _img in sink.images] == [record.output for record in records]
+            collected.append([(rel, img.pixels.tobytes()) for rel, img in sink.images])
+        assert len(collected[1]) == (60 if mode == "sample" else 15)
         assert collected[1] == collected[0]
