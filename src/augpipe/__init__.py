@@ -64,6 +64,6 @@ from .pipeline import (
     sample,
     write_trace,
 )
-from .warp import AffineTransform, DisplacementGrid, Filter
+from .warp import AffineTransform, DisplacementGrid
 
 __version__ = "0.1.0"

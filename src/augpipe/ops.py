@@ -3,8 +3,8 @@
 Two layers live here. The kernels are deterministic image transforms
 (rotate, shear, skew, elastic, zoom, crop, flips, pixel ops). On top of
 them, each OpSpec subclass is an immutable, validated description of one
-configured operation; ``apply_op`` turns a spec plus a random stream into
-an applied transformation, recording every value drawn along the way.
+configured operation; ``apply_op`` turns a spec plus random streams into
+applied transformations, recording every value drawn along the way.
 
 The direct subclasses of OpSpec are also the config schema: each field is
 one config key, named by ``metadata={"key": ...}`` where it differs from
@@ -29,11 +29,11 @@ crop to the largest usable region and resize back, composed into a single
 inverse-mapping warp, so every source sample stays inside the image.
 
 A ``draw`` is plain code against one sample's RngStream and may branch
-on a value it drew. ``apply_op`` also takes many same-shape images, each
-with its own stream: it draws for each image in turn, then applies the op
-to all of them. The warp ops (rotate, shear, skew, elastic) give their map
-through ``transform`` and are warped in batches; the other ops apply
-image by image.
+on a value it drew. ``apply_op`` takes a list of same-shape images, each
+with its own stream, a single image being a list of one: it draws for
+each image in turn, then applies the op to all of them. The warp ops
+(rotate, shear, skew, elastic) give their map through ``transform`` and
+are warped in batches; the other ops ``apply`` image by image.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ from .warp import (  # noqa: F401
     _BAND_PIXELS,
     AffineTransform,
     DisplacementGrid,
-    Filter,
     resize,
     warp_affine,
     warp_affine_batch,
@@ -101,7 +100,7 @@ _MAX_OUTPUT_PIXELS = 1 << 26
 # Kernels
 
 
-def rotate_arbitrary(img: Image, theta_deg: float, filt: Filter = Filter.BILINEAR) -> Image:
+def rotate_arbitrary(img: Image, theta_deg: float) -> Image:
     """Rotate about the center without introducing fill regions.
 
     Conceptually: rotate onto the expanded bounding box, crop to the
@@ -110,7 +109,7 @@ def rotate_arbitrary(img: Image, theta_deg: float, filt: Filter = Filter.BILINEA
     Positive angles turn clockwise, negative counter-clockwise.
     """
     w, h = img.width, img.height
-    return warp_affine(img, _rotation(w, h, theta_deg), w, h, filt)
+    return warp_affine(img, _rotation(w, h, theta_deg), w, h)
 
 
 def _rotation(w: int, h: int, theta_deg: float) -> AffineTransform:
@@ -153,13 +152,13 @@ def flip(img: Image, axis: str) -> Image:
     return Image._wrap(np.ascontiguousarray(out), img.format)
 
 
-def shear_kernel(img: Image, axis: str, angle_deg: float, filt: Filter = Filter.BILINEAR) -> Image:
+def shear_kernel(img: Image, axis: str, angle_deg: float) -> Image:
     """Shear along one axis, cropped and stretched back to the input size.
 
     Composed into a single affine warp; all source samples stay in-bounds.
     """
     w, h = img.width, img.height
-    return warp_affine(img, _shear(w, h, axis, angle_deg), w, h, filt)
+    return warp_affine(img, _shear(w, h, axis, angle_deg), w, h)
 
 
 def _shear(w: int, h: int, axis: str, angle_deg: float) -> AffineTransform:
@@ -189,13 +188,13 @@ def _skew_quad(kind: str, w: int, h: int, d: int) -> Quad:
     return Quad(corners)
 
 
-def skew_kernel(img: Image, kind: str, d: int, filt: Filter = Filter.BILINEAR) -> Image:
+def skew_kernel(img: Image, kind: str, d: int) -> Image:
     """Perspective tilt: two corners of the source move inward by d pixels.
 
     The source quad stays inside the image, so the warp needs no fill.
     """
     w, h = img.width, img.height
-    return warp_projective(img, _skew(w, h, kind, d), w, h, filt)
+    return warp_projective(img, _skew(w, h, kind, d), w, h)
 
 
 def _skew(w: int, h: int, kind: str, d: int) -> Homography:
@@ -237,22 +236,17 @@ def _scaled_size(img: Image, factor: float, kind: str) -> tuple[int, int]:
     return w, h
 
 
-def zoom_kernel(img: Image, factor: float, filt: Filter = Filter.BILINEAR) -> Image:
+def zoom_kernel(img: Image, factor: float) -> Image:
     """Enlarge by factor >= 1, then centre-crop back to the input size."""
     if factor < 1:
         raise OpError(f"zoom-out would require padding (factor {factor} < 1)", op_kind="zoom")
     w, h = img.width, img.height
     nw, nh = _scaled_size(img, factor, "zoom")
     # Only the centred w x h window of the enlargement is computed.
-    return resize(img, nw, nh, filt, window=CropRect((nw - w) // 2, (nh - h) // 2, w, h))
+    return resize(img, nw, nh, window=CropRect((nw - w) // 2, (nh - h) // 2, w, h))
 
 
-def crop_kernel(
-    img: Image,
-    region: CropRect,
-    resize_back: bool = False,
-    filt: Filter = Filter.BILINEAR,
-) -> Image:
+def crop_kernel(img: Image, region: CropRect, resize_back: bool = False) -> Image:
     """Exact sub-rectangle copy, optionally resized back to the input size."""
     x, y = region.x, region.y
     if x != int(x) or y != int(y):
@@ -266,7 +260,7 @@ def crop_kernel(
         )
     sub = Image._wrap(np.ascontiguousarray(img.pixels[y : y + region.h, x : x + region.w]), img.format)
     if resize_back and (region.w, region.h) != (img.width, img.height):
-        return resize(sub, img.width, img.height, filt)
+        return resize(sub, img.width, img.height)
     return sub
 
 
@@ -362,7 +356,8 @@ class OpSpec:
         return None
 
     def apply(self, img: Image, drawn: list[tuple[str, Any]]) -> Image:
-        return self.apply_batch([img], [drawn])[0]
+        """An op without a transform: its kernel on one image, with its draws."""
+        raise NotImplementedError
 
     def apply_batch(self, imgs: list[Image], drawn: list[list[tuple[str, Any]]]) -> list[Image]:
         """apply on each of some same-shape images, with its own draws."""
@@ -690,42 +685,29 @@ class Equalize(OpSpec):
         return equalize(img)
 
 
-def apply_op(spec: OpSpec, img: Image, rng: RngStream) -> tuple[Image, OpApplication]:
-    """Draw the spec's parameters, run its kernel, and record the draws.
-
-    Probability gating happens in the pipeline; apply_op always applies.
-    Kernel failures after drawing surface as OpError carrying the drawn
-    values, so a failing sample can be reproduced exactly.
-
-    img may also be a list of same-shape images, with rng a list of their
-    streams; see _apply_group.
-    """
-    if not isinstance(img, Image):
-        return _apply_group(spec, img, rng)
-    drawn = spec.draw(rng, img.width, img.height)
-    try:
-        out = spec.apply(img, drawn)
-    except OpError as exc:
-        raise OpError(str(exc), op_kind=spec.kind, drawn=tuple(drawn)) from exc
-    except GeometryError as exc:
-        raise OpError(f"{spec.kind}: {exc}", op_kind=spec.kind, drawn=tuple(drawn)) from exc
-    return out, OpApplication(spec.kind, True, tuple(drawn))
-
-
-def _apply_group(
+def apply_op(
     spec: OpSpec, imgs: list[Image], rngs: list[RngStream]
 ) -> tuple[list[Image], list[OpApplication]]:
-    """apply_op on each image with its own stream: the draws image by
-    image, then the kernel on batches of at most _BAND_PIXELS pixels.
+    """Apply spec to same-shape images, image k drawing from rngs[k]:
+    the draws image by image, then the kernel on batches of at most
+    _BAND_PIXELS pixels. Returns the outputs and a record of each image's
+    draws; image k's output and draws do not depend on the other images.
 
-    Image k gets exactly the draws and the output that apply_op gives it
-    with rngs[k]. Errors are not annotated: a caller finds the failing
-    sample by running the samples one by one.
+    Probability gating happens in the pipeline; apply_op always applies.
+    A kernel failure surfaces as an OpError; for a single image it carries
+    the drawn values, so the failing sample can be reproduced exactly.
     """
     w, h = imgs[0].width, imgs[0].height
     drawn = [spec.draw(rng, w, h) for rng in rngs]
+    # A group's error does not say which image failed, so it carries no draws.
+    failed_draws = tuple(drawn[0]) if len(drawn) == 1 else None
     step = max(1, _BAND_PIXELS // (w * h))
     out = []
-    for start in range(0, len(imgs), step):
-        out += spec.apply_batch(imgs[start : start + step], drawn[start : start + step])
+    try:
+        for start in range(0, len(imgs), step):
+            out += spec.apply_batch(imgs[start : start + step], drawn[start : start + step])
+    except OpError as exc:
+        raise OpError(str(exc), op_kind=spec.kind, drawn=failed_draws) from exc
+    except GeometryError as exc:
+        raise OpError(f"{spec.kind}: {exc}", op_kind=spec.kind, drawn=failed_draws) from exc
     return out, [OpApplication(spec.kind, True, tuple(values)) for values in drawn]

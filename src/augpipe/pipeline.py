@@ -12,11 +12,12 @@ parameter draws when the gate passes. The gate draw happens even for
 probabilities 0 and 1, which keeps draw sequences structurally identical
 across probability edits.
 
-``run_sample`` applies the ops to one sample. A chunk of samples runs
-op-major instead (``_generate_chunk``): each op is drawn and applied for
-every sample of the chunk before the next op, which keeps each sample's
-own draw order and so its bytes; ``run_sample`` stays the reference and
-the path a failure is reported from.
+One loop (``_apply_ops``) gates, draws and applies the ops, op-major:
+each op is drawn and applied for every sample it is given before the
+next op, which keeps each sample's own draw order and so its bytes. A
+chunk of samples goes through it in runs (``_generate_chunk``); a run
+that fails goes through it again one sample at a time, which is how a
+failure is reported. ``run_sample`` is that loop on one image.
 """
 
 from __future__ import annotations
@@ -100,28 +101,10 @@ class TraceRecord:
 
 
 def run_sample(pipeline: Pipeline, img: Image, rng: RngStream) -> tuple[Image, list[OpApplication]]:
-    """Pass one image through the pipeline using the given stream.
-
-    Per op: draw the gate; apply when gate < probability, else record a
-    skip. Op failures are annotated with the index of the failing op.
-    """
-    applications: list[OpApplication] = []
-    for index, spec in enumerate(pipeline.ops):
-        gate = rng.unit_real()
-        if gate < spec.probability:
-            try:
-                img, application = apply_op(spec, img, rng)
-            except OpError as exc:
-                raise OpError(
-                    f"op {index} ({spec.kind}): {exc}",
-                    op_kind=exc.op_kind,
-                    drawn=exc.drawn,
-                    op_index=index,
-                ) from exc
-        else:
-            application = OpApplication(spec.kind, False)
-        applications.append(application)
-    return img, applications
+    """Pass one image through the pipeline using the given stream."""
+    images = [img]
+    apps = _apply_ops(pipeline, [rng], images)[0]
+    return images[0], apps
 
 
 class DirectorySink:
@@ -212,11 +195,13 @@ def _generate_one(
     sink,
     choose_source: bool,
 ) -> TraceRecord:
+    """Generate and write one sample as a run of its own; an OpError
+    names the sample and its source, and carries the sample's draws."""
     rng, position = _start(pipeline, dataset, index, choose_source)
     source = _Source(dataset, position)
-    img = _load_cached(source.path)
+    images = [_load_cached(source.path)]
     try:
-        out, applications = run_sample(pipeline, img, rng)
+        applications = _apply_ops(pipeline, [rng], images)[0]
     except OpError as exc:
         raise OpError(
             f"sample {index} (source {source.rel_path}): {exc}",
@@ -224,7 +209,7 @@ def _generate_one(
             drawn=exc.drawn,
             op_index=exc.op_index,
         ) from exc
-    return source.write(sink, index, out, applications)
+    return source.write(sink, index, images[0], applications)
 
 
 class _Source:
@@ -255,13 +240,16 @@ class _Source:
 def _apply_ops(
     pipeline: Pipeline, rngs: list[RngStream], images: list[Image]
 ) -> list[list[OpApplication]]:
-    """run_sample on every sample at once, op by op; images is updated in place.
+    """Pass every image through the pipeline, image k drawing from rngs[k];
+    images is updated in place.
 
     Per op: one gate draw from each sample's stream, then one apply_op per
-    group of passed samples that share a shape and format.
+    group of passed samples that share a shape and format. A sample applies
+    the op when its gate < probability, else records a skip. Op failures
+    are annotated with the index of the failing op.
     """
     applications: list[list[OpApplication]] = [[] for _ in images]
-    for spec in pipeline.ops:
+    for index, spec in enumerate(pipeline.ops):
         skipped = OpApplication(spec.kind, False)
         groups: dict[tuple, list[int]] = {}
         for k, rng in enumerate(rngs):
@@ -271,30 +259,35 @@ def _apply_ops(
             else:
                 applications[k].append(skipped)
         for members in groups.values():
-            outs, applied = apply_op(spec, [images[k] for k in members], [rngs[k] for k in members])
+            try:
+                outs, applied = apply_op(spec, [images[k] for k in members],
+                                         [rngs[k] for k in members])
+            except OpError as exc:
+                raise OpError(f"op {index} ({spec.kind}): {exc}", op_kind=exc.op_kind,
+                              drawn=exc.drawn, op_index=index) from exc
             for k, out, application in zip(members, outs, applied):
                 images[k] = out
                 applications[k].append(application)
     return applications
 
 
-# What the per-sample loop raises when a sample fails; a batch that raises
-# one of these is rerun sample by sample. Anything else is a fault of the
-# batched path itself and propagates.
+# What a sample raises when it fails; a run of samples that raises one of
+# these is generated again sample by sample. Anything else is a fault of
+# the batched path itself and propagates.
 _RERUN_ERRORS = (AugpipeError, OSError, ValueError, MemoryError)
 
 
 def _generate_chunk(chunk, stop=lambda: None) -> list[TraceRecord]:
     """Generate a chunk of samples op-major, writing them in index order.
 
-    Each sample draws from its own stream, as in the per-sample loop. A
-    run of consecutive samples whose sources add up to at most one warp
-    band of pixels goes through the ops together, and is written after
-    its last op; a larger source runs alone. So the images held at a time
-    are one run's, never a chunk's. If a load fails, or an op raises an
-    error the per-sample loop can raise too, the run is generated again
-    one sample at a time, which writes the samples before the first
-    failing one and raises its error exactly as the per-sample loop does.
+    Each sample draws from its own stream, so its bytes do not depend on
+    the run it is in. A run of consecutive samples whose sources add up to
+    at most one warp band of pixels goes through the ops together, and is
+    written after its last op; a larger source runs alone. So the images
+    held at a time are one run's, never a chunk's. If a load fails, or a
+    run raises one of _RERUN_ERRORS, the run is generated again one sample
+    at a time (_generate_one), which writes the samples before the first
+    failing one and raises that sample's own error.
     stop is called before each run and may raise to end the chunk there.
     """
     pipeline, dataset, indices, sink, choose_source = chunk

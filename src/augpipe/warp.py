@@ -4,8 +4,9 @@ Every warp walks the destination lattice and pulls a source coordinate
 for each pixel center, so outputs are gap-free by construction. Source
 coordinates live in the continuous plane (pixel centers at half-integers);
 neighbour indices that fall off the raster clamp to the nearest edge
-pixel. Interpolation is per channel; callers get real values and the
-warps quantise once at the end, which keeps identity mappings bit-exact.
+pixel. Interpolation is bilinear and per channel; callers get real
+values and the warps quantise once at the end, which keeps identity
+mappings bit-exact.
 
 The order of the bilinear floating-point operations is part of the
 byte contract. With p00, p10, p01, p11 the four neighbours and fx, fy
@@ -32,7 +33,6 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 
 import numpy as np
@@ -42,7 +42,6 @@ from .geometry import CropRect, Homography
 from .imagecore import Image, clamp_round_array
 
 __all__ = [
-    "Filter",
     "AffineTransform",
     "DisplacementGrid",
     "SamplingMonitor",
@@ -56,12 +55,6 @@ __all__ = [
     "warp_mesh_batch",
     "resize",
 ]
-
-
-class Filter(Enum):
-    NEAREST = "nearest"
-    BILINEAR = "bilinear"
-    BICUBIC = "bicubic"  # Catmull-Rom kernel (a = -0.5)
 
 
 @dataclass(frozen=True)
@@ -201,32 +194,12 @@ def _observe(src: _Stack, xs: np.ndarray, ys: np.ndarray) -> None:
             monitor.observe(image_xs, image_ys, src.width, src.height)
 
 
-def _sample_values(src: _Stack, xs: np.ndarray, ys: np.ndarray, base, filt: Filter) -> np.ndarray:
-    """Sample per-channel real values at continuous coordinates.
-
-    ``base`` is None for a single image, else each coordinate's image
-    offset (broadcast against ys). Returns float64 with shape
-    xs.shape + (channels,).
-    """
-    if filt is Filter.NEAREST:
-        return _sample_nearest(src, xs, ys, base)
-    if filt is Filter.BILINEAR:
-        return _sample_bilinear(src, xs, ys, base)
-    return _sample_bicubic(src, xs, ys, base)
-
-
 def _row_starts(src: _Stack, rows: np.ndarray, base) -> np.ndarray:
     # Flat index of the first pixel of each (clamped) source row; in place.
     rows *= src.width
     if base is not None:
         rows += base
     return rows
-
-
-def _sample_nearest(src: _Stack, xs: np.ndarray, ys: np.ndarray, base) -> np.ndarray:
-    ix = np.clip(np.floor(xs).astype(np.int64), 0, src.width - 1)
-    iy = np.clip(np.floor(ys).astype(np.int64), 0, src.height - 1)
-    return src.flat.take(_row_starts(src, iy, base) + ix, axis=0).astype(np.float64)
 
 
 def _clamp(indices: np.ndarray, top: int) -> np.ndarray:
@@ -258,6 +231,12 @@ def _lerp(a: np.ndarray, b: np.ndarray, f: np.ndarray, g: np.ndarray) -> np.ndar
 
 
 def _sample_bilinear(src: _Stack, xs: np.ndarray, ys: np.ndarray, base) -> np.ndarray:
+    """Sample per-channel real values at continuous coordinates.
+
+    ``base`` is None for a single image, else each coordinate's image
+    offset (broadcast against ys). Returns float64 with shape
+    xs.shape + (channels,).
+    """
     x0, x1, fx = _bilinear_taps(xs, src.width)
     y0, y1, fy = _bilinear_taps(ys, src.height)
     y0 = _row_starts(src, y0, base)
@@ -291,43 +270,12 @@ def _resize_bilinear(img: Image, x_taps: tuple, sy: np.ndarray) -> np.ndarray:
     return _lerp(blended[position[y0]], blended[position[y1]], fy, 1.0 - fy)
 
 
-def _catmull_rom_weights(t: np.ndarray) -> tuple[np.ndarray, ...]:
-    # Basis for taps at offsets -1, 0, +1, +2; weights sum to 1.
-    t2 = t * t
-    t3 = t2 * t
-    w0 = 0.5 * (-t3 + 2.0 * t2 - t)
-    w1 = 0.5 * (3.0 * t3 - 5.0 * t2 + 2.0)
-    w2 = 0.5 * (-3.0 * t3 + 4.0 * t2 + t)
-    w3 = 0.5 * (t3 - t2)
-    return w0, w1, w2, w3
-
-
-def _sample_bicubic(src: _Stack, xs: np.ndarray, ys: np.ndarray, base) -> np.ndarray:
-    u = xs - 0.5
-    v = ys - 0.5
-    x1 = np.floor(u)
-    y1 = np.floor(v)
-    wx = _catmull_rom_weights(u - x1)
-    wy = _catmull_rom_weights(v - y1)
-    x1 = x1.astype(np.int64)
-    y1 = y1.astype(np.int64)
-    cols = [np.clip(x1 + d, 0, src.width - 1) for d in (-1, 0, 1, 2)]
-    rows = [_row_starts(src, np.clip(y1 + d, 0, src.height - 1), base) for d in (-1, 0, 1, 2)]
-    out = np.zeros(xs.shape + (src.flat.shape[1],), dtype=np.float64)
-    for wj, rj in zip(wy, rows):
-        row_acc = np.zeros_like(out)
-        for wi, ci in zip(wx, cols):
-            row_acc += wi[..., None] * src.flat.take(rj + ci, axis=0).astype(np.float64)
-        out += wj[..., None] * row_acc
-    return out
-
-
-def sample(img: Image, x: float, y: float, filt: Filter = Filter.BILINEAR) -> tuple[float, ...]:
+def sample(img: Image, x: float, y: float) -> tuple[float, ...]:
     """Per-channel real values at one continuous coordinate."""
     src = _Stack([img])
     xs, ys = np.array([x], dtype=np.float64), np.array([y], dtype=np.float64)
     _observe(src, xs[None], ys[None])
-    return tuple(float(v) for v in _sample_values(src, xs, ys, None, filt)[0])
+    return tuple(float(v) for v in _sample_bilinear(src, xs, ys, None)[0])
 
 
 def _quantise_bands(height: int, width: int, fmt, sample_rows) -> Image:
@@ -345,7 +293,7 @@ def _quantise_bands(height: int, width: int, fmt, sample_rows) -> Image:
     return Image._wrap(out, fmt)
 
 
-def _warp(src: _Stack, height: int, width: int, coords, filt: Filter) -> list[Image]:
+def _warp(src: _Stack, height: int, width: int, coords) -> list[Image]:
     """Sample every image of src onto a height x width output.
 
     ``coords(rows)`` returns the source coordinates (xs, ys) of the output
@@ -366,7 +314,7 @@ def _warp(src: _Stack, height: int, width: int, coords, filt: Filter) -> list[Im
     for start in range(0, height, step):
         rows = slice(start, start + step)
         xs, ys = coords(rows)
-        out[:, rows] = clamp_round_array(_sample_values(src, xs, ys, base, filt))
+        out[:, rows] = clamp_round_array(_sample_bilinear(src, xs, ys, base))
     return [Image._wrap(image, src.format) for image in out]
 
 
@@ -375,7 +323,7 @@ def _check_size(out_w: int, out_h: int) -> None:
         raise ValueError(f"output dimensions must be >= 1, got {out_w}x{out_h}")
 
 
-def warp_affine_batch(imgs, transforms, out_w: int, out_h: int, filt: Filter = Filter.BILINEAR) -> list[Image]:
+def warp_affine_batch(imgs, transforms, out_w: int, out_h: int) -> list[Image]:
     """warp_affine of each same-shape image through its own transform."""
     _check_size(out_w, out_h)
     m = np.stack([t.m for t in transforms])[:, :, :, None, None]
@@ -390,21 +338,15 @@ def warp_affine_batch(imgs, transforms, out_w: int, out_h: int, filt: Filter = F
         sy += m[:, 1, 2]
         return sx, sy
 
-    return _warp(_Stack(imgs), out_h, out_w, coords, filt)
+    return _warp(_Stack(imgs), out_h, out_w, coords)
 
 
-def warp_affine(
-    img: Image,
-    transform: AffineTransform,
-    out_w: int,
-    out_h: int,
-    filt: Filter = Filter.BILINEAR,
-) -> Image:
+def warp_affine(img: Image, transform: AffineTransform, out_w: int, out_h: int) -> Image:
     """Resample through a destination-to-source affine map."""
-    return warp_affine_batch([img], [transform], out_w, out_h, filt)[0]
+    return warp_affine_batch([img], [transform], out_w, out_h)[0]
 
 
-def warp_projective_batch(imgs, homs, out_w: int, out_h: int, filt: Filter = Filter.BILINEAR) -> list[Image]:
+def warp_projective_batch(imgs, homs, out_w: int, out_h: int) -> list[Image]:
     """warp_projective of each same-shape image through its own homography."""
     _check_size(out_w, out_h)
     m = np.stack([hom.m for hom in homs])[:, :, :, None, None]
@@ -424,25 +366,19 @@ def warp_projective_batch(imgs, homs, out_w: int, out_h: int, filt: Filter = Fil
         sy /= den
         return sx, sy
 
-    return _warp(_Stack(imgs), out_h, out_w, coords, filt)
+    return _warp(_Stack(imgs), out_h, out_w, coords)
 
 
-def warp_projective(
-    img: Image,
-    hom: Homography,
-    out_w: int,
-    out_h: int,
-    filt: Filter = Filter.BILINEAR,
-) -> Image:
+def warp_projective(img: Image, hom: Homography, out_w: int, out_h: int) -> Image:
     """Resample through a destination-to-source homography.
 
     Raises GeometryError if the projective denominator vanishes at any
     destination pixel center (horizon crossing the output).
     """
-    return warp_projective_batch([img], [hom], out_w, out_h, filt)[0]
+    return warp_projective_batch([img], [hom], out_w, out_h)[0]
 
 
-def warp_mesh_batch(imgs, grids, filt: Filter = Filter.BILINEAR) -> list[Image]:
+def warp_mesh_batch(imgs, grids) -> list[Image]:
     """warp_mesh of each same-shape image by its own grid; the grids share
     one lattice size."""
     w, h = imgs[0].width, imgs[0].height
@@ -467,10 +403,10 @@ def warp_mesh_batch(imgs, grids, filt: Filter = Filter.BILINEAR) -> list[Image]:
         sy += ys[rows, None]
         return sx, sy
 
-    return _warp(_Stack(imgs), h, w, coords, filt)
+    return _warp(_Stack(imgs), h, w, coords)
 
 
-def warp_mesh(img: Image, grid: DisplacementGrid, filt: Filter = Filter.BILINEAR) -> Image:
+def warp_mesh(img: Image, grid: DisplacementGrid) -> Image:
     """Elastic mesh warp driven by a displacement grid.
 
     Output dimensions equal the input's. Each destination pixel center p
@@ -483,21 +419,15 @@ def warp_mesh(img: Image, grid: DisplacementGrid, filt: Filter = Filter.BILINEAR
     every node row is blended along x once and the output rows blend two
     of those.
     """
-    return warp_mesh_batch([img], [grid], filt)[0]
+    return warp_mesh_batch([img], [grid])[0]
 
 
-def resize(
-    img: Image,
-    out_w: int,
-    out_h: int,
-    filt: Filter = Filter.BILINEAR,
-    window: CropRect | None = None,
-) -> Image:
-    """Point-sampled resize: destination centers map proportionally to source.
+def resize(img: Image, out_w: int, out_h: int, *, window: CropRect | None = None) -> Image:
+    """Bilinear resize: destination centers map proportionally to source.
 
-    A same-size bilinear resize is bit-identical to the input. With a
-    window, only that integral sub-rectangle of the out_w x out_h result
-    is computed and returned; its pixels equal those of the full resize.
+    A same-size resize is bit-identical to the input. With a window, only
+    that integral sub-rectangle of the out_w x out_h result is computed
+    and returned; its pixels equal those of the full resize.
     """
     _check_size(out_w, out_h)
     if window is None:
@@ -507,14 +437,7 @@ def resize(
         raise ValueError(f"window {window} is not an integral part of {out_w}x{out_h}")
     sx = _centers(int(x), window.w) * (img.width / out_w)
     sy = _centers(int(y), window.h) * (img.height / out_h)
-    src = _Stack([img])
-    if filt is not Filter.BILINEAR:
-        def coords(rows):
-            xs, ys = np.broadcast_arrays(sx, sy[rows, None])
-            return xs[None], ys[None]
-
-        return _warp(src, window.h, window.w, coords, filt)[0]
-    _observe(src, sx[None], sy[None])
+    _observe(_Stack([img]), sx[None], sy[None])
     x0, x1, fx = _bilinear_taps(sx, img.width)
     fx = fx[:, None]
     x_taps = (x0, x1, fx, 1.0 - fx)

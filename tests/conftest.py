@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from augpipe import Image, PixelFormat, save_image
+from augpipe import Image, PixelFormat, apply_op, save_image
 
 # The elastic + gated-rotation recipe used across integration tests.
 DIGITS_RECIPE = {
@@ -51,6 +51,12 @@ def build_digit_corpus(root: Path, classes: int = 10, per_class: int = 100,
         for i in range(per_class):
             save_image(digit_like(rng, size), folder / f"{i:04d}.png")
     return root
+
+
+def apply_one(spec, img: Image, rng):
+    """apply_op on one image with its stream: the output and its record."""
+    outs, applications = apply_op(spec, [img], [rng])
+    return outs[0], applications[0]
 
 
 def write_config(path: Path, doc: dict) -> Path:

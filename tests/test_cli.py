@@ -4,14 +4,19 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from augpipe import (
     DirectorySink,
+    Pipeline,
     PixelFormat,
+    canonical_text,
     load_image,
     parse_config,
     sample,
@@ -21,6 +26,7 @@ from augpipe import (
 )
 from augpipe.cli import main
 from conftest import DIGITS_RECIPE, random_image, tree_bytes, write_config
+from test_pipeline import OP_SPECS
 
 
 @pytest.fixture
@@ -472,3 +478,42 @@ def test_perfbench_setup_child_reads_cli(tmp_path, corpus, recipe):
     times = json.loads(proc.stdout)
     assert set(times) == {"import_s", "parse_s", "scan_s"}
     assert all(isinstance(v, float) and v >= 0 for v in times.values())
+
+
+# A tiny source: width, height, then how it is stored.
+SOURCES = st.tuples(
+    st.integers(1, 6), st.integers(1, 6),
+    st.sampled_from([("png", PixelFormat.GRAY8), ("png", PixelFormat.RGB8),
+                     ("png", PixelFormat.RGBA8), ("pgm", PixelFormat.GRAY8),
+                     ("ppm", PixelFormat.RGB8)]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ops=st.lists(OP_SPECS, min_size=1, max_size=4), seed=st.integers(0, 1 << 64),
+       sources=st.lists(SOURCES, min_size=1, max_size=4), classes=st.booleans(),
+       mode=st.sampled_from(["sample", "process"]), count=st.integers(0, 6),
+       image_format=st.sampled_from(["png", "ppm"]))
+def test_run_on_tiny_sources_exits_with_a_documented_code(ops, seed, sources, classes, mode,
+                                                          count, image_format):
+    # Ops that fail on such small images, and RGBA written as PPM, must end
+    # in an exit code, never in an exception.
+    rng = np.random.default_rng(seed % (1 << 32))
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for i, (width, height, (suffix, fmt)) in enumerate(sources):
+            folder = root / "in" / (str(i % 2) if classes else "")
+            save_image(random_image(rng, width, height, fmt), folder / f"s{i}.{suffix}",
+                       "png" if suffix == "png" else "ppm")
+        config = root / "config.json"
+        config.write_text(canonical_text(Pipeline(tuple(ops))))
+        args = ["run", "--config", str(config), "--input", str(root / "in"),
+                "--output", str(root / "out"), "--mode", mode, "--seed", str(seed),
+                "--jobs", "1", "--format", image_format]
+        if mode == "sample":
+            args += ["--count", str(count)]
+        if classes:
+            args.append("--per-class")
+        code = main(args)
+        event(f"exit {code}")
+        assert code in (0, 1, 2, 3)

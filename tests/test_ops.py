@@ -17,6 +17,7 @@ from augpipe import (
     Image,
     Invert,
     OpError,
+    OpSpec,
     PixelFormat,
     Resize,
     Rotate,
@@ -25,7 +26,6 @@ from augpipe import (
     Shear,
     Skew,
     Zoom,
-    apply_op,
     derive_sample_rng,
 )
 from augpipe.geometry import Quad, shear_crop_rect, solve_homography
@@ -42,7 +42,7 @@ from augpipe.ops import (
     zoom_kernel,
 )
 from augpipe.warp import AffineTransform, monitor_source_bounds, resize, warp_affine, warp_projective
-from conftest import random_image
+from conftest import apply_one, random_image
 
 
 class TestRotate:
@@ -236,14 +236,14 @@ class TestElastic:
         img = random_image(np_rng, 28, 28)
         rng = derive_sample_rng(5, 0)
         spec = Elastic(probability=1, grid_width=4, grid_height=4, magnitude=0)
-        assert np.array_equal(apply_op(spec, img, rng)[0].pixels, img.pixels)
+        assert np.array_equal(apply_one(spec, img, rng)[0].pixels, img.pixels)
 
     def test_one_cell_grid_is_identity_with_zero_draws(self, np_rng):
         img = random_image(np_rng, 16, 16)
         rng = derive_sample_rng(5, 1)
         before = rng.next_word
-        out, _ = apply_op(Elastic(probability=1, grid_width=1, grid_height=1, magnitude=9),
-                          img, rng)
+        out, _ = apply_one(Elastic(probability=1, grid_width=1, grid_height=1, magnitude=9),
+                           img, rng)
         assert np.array_equal(out.pixels, img.pixels)
         # No interior nodes means no draws: the stream is untouched.
         fresh = derive_sample_rng(5, 1)
@@ -252,7 +252,7 @@ class TestElastic:
     def test_dims_preserved(self, np_rng):
         img = random_image(np_rng, 28, 28)
         spec = Elastic(probability=1, grid_width=4, grid_height=4, magnitude=5)
-        out, _ = apply_op(spec, img, derive_sample_rng(1, 2))
+        out, _ = apply_one(spec, img, derive_sample_rng(1, 2))
         assert (out.width, out.height) == (28, 28)
 
 
@@ -297,7 +297,7 @@ class TestCrops:
 
     def test_centre_crop_offset(self, np_rng):
         img = random_image(np_rng, 32, 32)
-        out, app = apply_op(CropCentre(probability=1, width=28, height=28), img,
+        out, app = apply_one(CropCentre(probability=1, width=28, height=28), img,
                             derive_sample_rng(0, 0))
         assert np.array_equal(out.pixels, img.pixels[2:30, 2:30])
         assert app.drawn_params == ()
@@ -305,7 +305,7 @@ class TestCrops:
     def test_crop_random_extent(self, np_rng):
         img = random_image(np_rng, 100, 100)
         spec = CropRandom(probability=1, area_fraction=0.25)
-        out, app = apply_op(spec, img, derive_sample_rng(3, 1))
+        out, app = apply_one(spec, img, derive_sample_rng(3, 1))
         assert (out.width, out.height) == (50, 50)
         drawn = app.params_dict()
         assert 0 <= drawn["x"] <= 50 and 0 <= drawn["y"] <= 50
@@ -313,7 +313,7 @@ class TestCrops:
     def test_crop_random_resize_back(self, np_rng):
         img = random_image(np_rng, 100, 100)
         spec = CropRandom(probability=1, area_fraction=0.25, resize_back=True)
-        out, _ = apply_op(spec, img, derive_sample_rng(3, 1))
+        out, _ = apply_one(spec, img, derive_sample_rng(3, 1))
         assert (out.width, out.height) == (100, 100)
 
 
@@ -375,7 +375,7 @@ class TestSpecsAndApply:
     def test_elastic_draw_layout(self, np_rng):
         img = random_image(np_rng, 28, 28)
         spec = Elastic(probability=1, grid_width=4, grid_height=4, magnitude=5)
-        out, app = apply_op(spec, img, derive_sample_rng(42, 0))
+        out, app = apply_one(spec, img, derive_sample_rng(42, 0))
         assert (out.width, out.height) == (28, 28)
         assert len(app.drawn_params) == 18  # 9 interior nodes x (dx, dy)
         assert all(isinstance(v, int) and -5 <= v <= 5 for _, v in app.drawn_params)
@@ -386,29 +386,33 @@ class TestSpecsAndApply:
         img = random_image(np_rng, 16, 16)
         spec = Rotate(probability=0.5, max_left=10, max_right=10)
         for i in range(50):
-            _, app = apply_op(spec, img, derive_sample_rng(9, i))
+            _, app = apply_one(spec, img, derive_sample_rng(9, i))
             angle = app.params_dict()["angle"]
             assert -10 <= angle <= 10
 
     def test_apply_op_deterministic(self, np_rng):
         img = random_image(np_rng, 20, 20)
         spec = Elastic(probability=1, grid_width=3, grid_height=3, magnitude=4)
-        out1, app1 = apply_op(spec, img, derive_sample_rng(12, 3))
-        out2, app2 = apply_op(spec, img, derive_sample_rng(12, 3))
+        out1, app1 = apply_one(spec, img, derive_sample_rng(12, 3))
+        out2, app2 = apply_one(spec, img, derive_sample_rng(12, 3))
         assert np.array_equal(out1.pixels, out2.pixels)
         assert app1 == app2
+
+    def test_spec_without_apply_or_transform_raises(self, np_rng):
+        with pytest.raises(NotImplementedError):
+            apply_one(OpSpec(probability=1), random_image(np_rng, 4, 4), derive_sample_rng(0, 0))
 
     def test_invert_applied_twice_restores(self, np_rng):
         img = random_image(np_rng, 6, 6, PixelFormat.RGB8)
         spec = Invert(probability=1)
-        once, _ = apply_op(spec, img, derive_sample_rng(0, 0))
-        twice, _ = apply_op(spec, once, derive_sample_rng(0, 1))
+        once, _ = apply_one(spec, img, derive_sample_rng(0, 0))
+        twice, _ = apply_one(spec, once, derive_sample_rng(0, 1))
         assert np.array_equal(twice.pixels, img.pixels)
 
     def test_shear_random_axis_draw_order(self, np_rng):
         img = random_image(np_rng, 30, 30)
         spec = Shear(probability=1, max_angle=20, axis="random")
-        _, app = apply_op(spec, img, derive_sample_rng(2, 2))
+        _, app = apply_one(spec, img, derive_sample_rng(2, 2))
         names = [name for name, _ in app.drawn_params]
         assert names == ["axis", "angle"]
 
@@ -416,7 +420,7 @@ class TestSpecsAndApply:
         img = random_image(np_rng, 28, 28)
         spec = Skew(probability=1, severity=0.9, skew_kind="random")
         for i in range(30):
-            _, app = apply_op(spec, img, derive_sample_rng(5, i))
+            _, app = apply_one(spec, img, derive_sample_rng(5, i))
             d = app.params_dict()["displacement"]
             assert 0 <= d <= 12  # floor(0.9 * 28 / 2)
 
@@ -430,7 +434,7 @@ class TestSpecsAndApply:
         hit = None
         for i in range(200):
             try:
-                apply_op(spec, img, derive_sample_rng(5, i))
+                apply_one(spec, img, derive_sample_rng(5, i))
             except OpError as exc:
                 hit = exc
                 break
@@ -443,7 +447,7 @@ class TestSpecsAndApply:
         spec = Shear(probability=1, max_angle=44, axis="x")
         with pytest.raises(OpError) as info:
             for i in range(200):
-                apply_op(spec, img, derive_sample_rng(1, i))
+                apply_one(spec, img, derive_sample_rng(1, i))
         assert info.value.drawn is not None
         assert info.value.op_kind == "shear"
 
@@ -495,7 +499,7 @@ class TestCatalogueInvariants:
     @pytest.mark.parametrize("spec", CATALOGUE, ids=lambda s: s.kind)
     def test_constant_stays_constant(self, spec):
         for i in range(10):
-            out, _ = apply_op(spec, _constant(), derive_sample_rng(31, i))
+            out, _ = apply_one(spec, _constant(), derive_sample_rng(31, i))
             expected = 255 - CONSTANT_VALUE if spec.kind == "invert" else CONSTANT_VALUE
             if spec.kind == "equalize":
                 expected = CONSTANT_VALUE  # single intensity: unchanged
@@ -510,5 +514,5 @@ class TestCatalogueInvariants:
     def test_dimensions_preserved(self, spec, np_rng):
         img = random_image(np_rng, 26, 31)
         for i in range(5):
-            out, _ = apply_op(spec, img, derive_sample_rng(8, i))
+            out, _ = apply_one(spec, img, derive_sample_rng(8, i))
             assert (out.width, out.height) == (26, 31), spec.kind

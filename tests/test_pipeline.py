@@ -3,6 +3,7 @@
 import json
 import multiprocessing
 import os
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -17,12 +18,16 @@ from augpipe import (
     CropRandom,
     DatasetError,
     DirectorySink,
+    DisplacementGrid,
     Elastic,
     Equalize,
     Flip,
+    GeometryError,
     Greyscale,
+    Homography,
     Image,
     Invert,
+    OpApplication,
     OpError,
     OutputCollisionError,
     Pipeline,
@@ -43,7 +48,8 @@ from augpipe import (
     write_trace,
 )
 from augpipe import pipeline as pipeline_mod
-from augpipe.warp import _BAND_PIXELS, monitor_source_bounds
+from augpipe.pipeline import TraceRecord
+from augpipe.warp import _BAND_PIXELS, monitor_source_bounds, warp_affine, warp_mesh, warp_projective
 from conftest import random_image, tree_bytes
 
 
@@ -468,6 +474,51 @@ def _worker_with_empty_sink(chunk, position):
 _generate_chunk_in_worker = pipeline_mod._generate_chunk_in_worker
 
 
+def _reference_sample(pipe, dataset, index, sink, choose_source):
+    """Sample index generated one op at a time on its own image: the gate,
+    the op's draws, then its apply or the single-image warp of its
+    transform. The reference that the op-major chunks are checked against;
+    an OpError carries the message, draws and op index the pipeline gives
+    a failing sample."""
+    rng = derive_sample_rng(pipe.master_seed, index)
+    position = rng.uniform_int(0, len(dataset.entries) - 1) if choose_source else index
+    entry = dataset.entries[position]
+    img = load_image(dataset.path_of(entry))
+    applications = []
+    for op_index, spec in enumerate(pipe.ops):
+        if rng.unit_real() >= spec.probability:
+            applications.append(OpApplication(spec.kind, False))
+            continue
+        where = f"sample {index} (source {entry.rel_path}): op {op_index} ({spec.kind})"
+        w, h = img.width, img.height
+        try:
+            drawn = spec.draw(rng, w, h)
+        except OpError as exc:
+            # Nothing was drawn that could reproduce the failure.
+            raise OpError(f"{where}: {exc}", op_kind=exc.op_kind, op_index=op_index) from exc
+        try:
+            transform = spec.transform(drawn, w, h)
+            if transform is None:
+                img = spec.apply(img, drawn)
+            elif isinstance(transform, DisplacementGrid):
+                img = warp_mesh(img, transform)
+            elif isinstance(transform, Homography):
+                img = warp_projective(img, transform, w, h)
+            else:
+                img = warp_affine(img, transform, w, h)
+        except OpError as exc:
+            raise OpError(f"{where}: {exc}", op_kind=spec.kind, drawn=tuple(drawn),
+                          op_index=op_index) from exc
+        except GeometryError as exc:
+            raise OpError(f"{where}: {spec.kind}: {exc}", op_kind=spec.kind, drawn=tuple(drawn),
+                          op_index=op_index) from exc
+        applications.append(OpApplication(spec.kind, True, tuple(drawn)))
+    rel = Path(entry.rel_path)
+    rel_dir = rel.parent.as_posix() if rel.parent != Path(".") else ""
+    return TraceRecord(index, entry.rel_path, tuple(applications),
+                       sink.write(rel_dir, rel.stem, index, img))
+
+
 def _outcome(generate):
     """Records, or the error's type, message and draws; then what the sink got."""
     sink = CollectingSink()
@@ -495,7 +546,7 @@ class TestOpMajorChunks:
             return pipeline_mod._generate_chunk((pipe, mixed_dataset, indices, sink, choose_source))
 
         def loop(sink):
-            return [pipeline_mod._generate_one(pipe, mixed_dataset, i, sink, choose_source)
+            return [_reference_sample(pipe, mixed_dataset, i, sink, choose_source)
                     for i in indices]
 
         expected = _outcome(loop)
@@ -545,16 +596,33 @@ class TestOpMajorChunks:
         reference = DirectorySink(tmp_path / "loop")
         with pytest.raises(OpError) as info:
             for i in range(40):
-                pipeline_mod._generate_one(pipe, ds, i, reference, True)
+                _reference_sample(pipe, ds, i, reference, True)
         assert i == 37
         expected = (str(info.value), info.value.drawn, info.value.op_index,
                     tree_bytes(tmp_path / "loop"))
-        assert len(expected[3]) == 37
-        for jobs in (1, 2):
+        assert len(expected[3]) == 37 and expected[1] is not None
+
+        # The batch holding sample 37 fails as a group, whose error cannot
+        # name the failing sample's draws ...
+        starts = [pipeline_mod._start(pipe, ds, k, True) for k in range(30, 40)]
+        images = [load_image(ds.path_of(ds.entries[position])) for _rng, position in starts]
+        with pytest.raises(OpError) as info:
+            pipeline_mod._apply_ops(pipe, [rng for rng, _position in starts], images)
+        assert info.value.drawn is None and info.value.op_index == 0
+
+        # ... so the caller's error comes from sample 37 run on its own.
+        for jobs in (1, 2, 8):
+            out = tmp_path / f"j{jobs}"
             with pytest.raises(OpError) as info:
-                pipeline_mod.sample(pipe, ds, 40, DirectorySink(tmp_path / f"j{jobs}"), jobs=jobs)
+                pipeline_mod.sample(pipe, ds, 40, DirectorySink(out), jobs=jobs)
+            written = tree_bytes(out)
+            # At --jobs 8 sample 37's chunk is not the last: the chunk of
+            # samples 38 and 39 may already be running and write its run
+            # (README).
+            later = {name for name in written if int(name[-10:-4]) > 37}
+            assert not later or jobs == 8
             got = (str(info.value), info.value.drawn, info.value.op_index,
-                   tree_bytes(tmp_path / f"j{jobs}"))
+                   {name: data for name, data in written.items() if name not in later})
             assert got == expected
 
     def test_monitor_sees_one_warp_per_applied_warp_op(self, mixed_dataset):

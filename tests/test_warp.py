@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from augpipe import (
     AffineTransform,
     DisplacementGrid,
-    Filter,
     GeometryError,
     Image,
     PixelFormat,
@@ -19,7 +18,6 @@ from augpipe import warp
 from augpipe.geometry import CropRect, Homography
 from augpipe.ops import zoom_kernel
 from augpipe.warp import (
-    _catmull_rom_weights,
     monitor_source_bounds,
     resize,
     sample,
@@ -29,35 +27,24 @@ from augpipe.warp import (
 )
 from conftest import random_image
 
-ALL_FILTERS = (Filter.NEAREST, Filter.BILINEAR, Filter.BICUBIC)
-
 
 class TestSample:
     def test_exact_center_hits_give_pixel_values(self, np_rng):
         img = random_image(np_rng, 6, 5, PixelFormat.RGB8)
-        for filt in ALL_FILTERS:
-            for x, y in ((0, 0), (3, 2), (5, 4)):
-                got = sample(img, x + 0.5, y + 0.5, filt)
-                assert got == tuple(float(v) for v in img.pixels[y, x])
+        for x, y in ((0, 0), (3, 2), (5, 4)):
+            got = sample(img, x + 0.5, y + 0.5)
+            assert got == tuple(float(v) for v in img.pixels[y, x])
 
     def test_constant_image_everywhere(self, np_rng):
         img = Image.filled(7, 7, PixelFormat.GRAY8, 93)
         coords = np_rng.uniform(-5, 12, size=(50, 2))
-        for filt in ALL_FILTERS:
-            for x, y in coords:
-                assert sample(img, x, y, filt)[0] == pytest.approx(93.0, abs=1e-9)
+        for x, y in coords:
+            assert sample(img, x, y)[0] == pytest.approx(93.0, abs=1e-9)
 
     def test_two_tap_midpoint(self):
         img = Image.from_array(np.array([[0, 100]], dtype=np.uint8), PixelFormat.GRAY8)
         # centers at x = 0.5 and 1.5; x = 1.0 is halfway between them
-        assert sample(img, 1.0, 0.5, Filter.BILINEAR) == (50.0,)
-
-    def test_catmull_rom_partition_of_unity(self, np_rng):
-        t = np_rng.uniform(0, 1, size=1000)
-        w0, w1, w2, w3 = _catmull_rom_weights(t)
-        assert np.allclose(w0 + w1 + w2 + w3, 1.0, atol=1e-12)
-        assert np.allclose(np.array(_catmull_rom_weights(np.array([0.0]))).ravel(),
-                           [0, 1, 0, 0], atol=0)
+        assert sample(img, 1.0, 0.5) == (50.0,)
 
 
 class TestWarpAffine:
@@ -71,22 +58,19 @@ class TestWarpAffine:
         ramp = np.arange(10, dtype=np.uint8)[None, :] * 20
         img = Image.from_array(ramp, PixelFormat.GRAY8)
         # dest -> src shift of -3: content moves right, left edge replicates
-        out = warp_affine(img, AffineTransform.translation(-3, 0), 10, 1, Filter.BILINEAR)
+        out = warp_affine(img, AffineTransform.translation(-3, 0), 10, 1)
         expected = np.array([ramp[0, max(x - 3, 0)] for x in range(10)], dtype=np.uint8)
         assert np.array_equal(out.pixels[0, :, 0], expected)
-        out_nearest = warp_affine(img, AffineTransform.translation(-3, 0), 10, 1, Filter.NEAREST)
-        assert np.array_equal(out_nearest.pixels, out.pixels)
 
     def test_constant_survives_any_transform(self, np_rng):
         img = Image.filled(9, 9, PixelFormat.RGB8, (12, 200, 7))
         m = AffineTransform(np.array([[0.37, -1.2, 4.0], [0.9, 0.33, -2.5]]))
-        for filt in ALL_FILTERS:
-            out = warp_affine(img, m, 13, 6, filt)
-            assert np.all(out.pixels == np.array([12, 200, 7], dtype=np.uint8))
+        out = warp_affine(img, m, 13, 6)
+        assert np.all(out.pixels == np.array([12, 200, 7], dtype=np.uint8))
 
     def test_quarter_turn_roundtrip_is_exact(self, np_rng):
-        # Rotate 90 degrees onto the swapped-dims canvas and back with the
-        # nearest filter: centers map to centers, so this is a permutation.
+        # Rotate 90 degrees onto the swapped-dims canvas and back: centers
+        # map to centers, so every bilinear sample is one source pixel.
         img = random_image(np_rng, 8, 5)
         w, h = img.width, img.height
 
@@ -100,8 +84,8 @@ class TestWarpAffine:
             f = src_h / 2 - d * dst_w / 2 - e * dst_h / 2
             return AffineTransform(np.array([[a, b, c], [d, e, f]]))
 
-        turned = warp_affine(img, rot_matrix(90, w, h, h, w), h, w, Filter.NEAREST)
-        back = warp_affine(turned, rot_matrix(-90, h, w, w, h), w, h, Filter.NEAREST)
+        turned = warp_affine(img, rot_matrix(90, w, h, h, w), h, w)
+        back = warp_affine(turned, rot_matrix(-90, h, w, w, h), w, h)
         assert np.array_equal(back.pixels, img.pixels)
 
     def test_output_dimension_validation(self, np_rng):
@@ -121,10 +105,9 @@ class TestWarpProjective:
         img = random_image(np_rng, 10, 10)
         hom = Homography(np.array([[1.0, 0.0, 2.5], [0.0, 1.0, -1.25], [0.0, 0.0, 1.0]]))
         aff = AffineTransform.translation(2.5, -1.25)
-        for filt in ALL_FILTERS:
-            a = warp_projective(img, hom, 10, 10, filt)
-            b = warp_affine(img, aff, 10, 10, filt)
-            assert np.array_equal(a.pixels, b.pixels)
+        a = warp_projective(img, hom, 10, 10)
+        b = warp_affine(img, aff, 10, 10)
+        assert np.array_equal(a.pixels, b.pixels)
 
     def test_horizon_inside_image_raises(self, np_rng):
         img = random_image(np_rng, 10, 10)
@@ -189,13 +172,13 @@ class TestWarpMesh:
 class TestResize:
     def test_same_size_bilinear_is_bit_exact(self, np_rng):
         img = random_image(np_rng, 13, 7, PixelFormat.RGB8)
-        out = resize(img, 13, 7, Filter.BILINEAR)
+        out = resize(img, 13, 7)
         assert np.array_equal(out.pixels, img.pixels)
 
     def test_four_tap_average_to_single_pixel(self):
         img = Image.from_array(np.array([[0, 100], [200, 60]], dtype=np.uint8),
                                PixelFormat.GRAY8)
-        out = resize(img, 1, 1, Filter.BILINEAR)
+        out = resize(img, 1, 1)
         assert out.pixels[0, 0, 0] == 90
 
     def test_constant_any_size(self):
@@ -205,18 +188,10 @@ class TestResize:
             assert np.all(out.pixels == np.array([9, 8, 7, 255], dtype=np.uint8))
             assert (out.width, out.height) == (w, h)
 
-    def test_values_stay_in_range_after_bicubic(self, np_rng):
-        # Catmull-Rom can overshoot; quantisation must clamp into [0, 255].
-        img = random_image(np_rng, 16, 16)
-        out = resize(img, 37, 9, Filter.BICUBIC)
-        assert out.pixels.min() >= 0 and out.pixels.max() <= 255
-
-
-    @pytest.mark.parametrize("filt", ALL_FILTERS)
-    def test_window_equals_crop_of_full_resize(self, np_rng, filt):
+    def test_window_equals_crop_of_full_resize(self, np_rng):
         img = random_image(np_rng, 300, 9, PixelFormat.RGB8)
-        full = resize(img, 413, 40, filt)
-        part = resize(img, 413, 40, filt, window=CropRect(57, 3, 300, 33))
+        full = resize(img, 413, 40)
+        part = resize(img, 413, 40, window=CropRect(57, 3, 300, 33))
         assert np.array_equal(part.pixels, full.pixels[3:36, 57:357])
 
     def test_window_must_lie_inside_the_output(self, np_rng):
@@ -224,6 +199,8 @@ class TestResize:
         for window in (CropRect(1, 0, 8, 8), CropRect(0.5, 0, 4, 4), CropRect(-1, 0, 2, 2)):
             with pytest.raises(ValueError):
                 resize(img, 8, 8, window=window)
+        with pytest.raises(TypeError):  # the window is keyword-only
+            resize(img, 8, 8, CropRect(0, 0, 8, 8))
 
     def test_bands_match_one_pass(self, np_rng, monkeypatch):
         # Outputs are sampled in bands of rows; the band size must not
