@@ -65,6 +65,8 @@ class DatasetIndex:
 
 
 def _png_chunks(data: bytes):
+    """(type, payload) per chunk; each payload is a view of data, not a copy."""
+    view = memoryview(data)
     pos = 8
     while pos < len(data):
         if pos + 8 > len(data):
@@ -73,7 +75,7 @@ def _png_chunks(data: bytes):
         end = pos + 8 + length
         if end + 4 > len(data):
             raise DecodeError(f"truncated PNG: {ctype!r} chunk cut short")
-        payload = data[pos + 8 : end]
+        payload = view[pos + 8 : end]
         (crc,) = struct.unpack(">I", data[end : end + 4])
         if crc != (zlib.crc32(payload, zlib.crc32(ctype)) & 0xFFFFFFFF):
             raise DecodeError(f"corrupt PNG: bad CRC in {ctype!r} chunk")

@@ -18,19 +18,21 @@ next op, which keeps each sample's own draw order and so its bytes. A
 chunk of samples goes through it in runs (``_generate_chunk``); a run
 that fails goes through it again one sample at a time, which is how a
 failure is reported. ``run_sample`` is that loop on one image.
+
+Each call decodes its sources into a table of its own (``_Sources``)
+that lives only as long as the call, so no call sees another's sources.
 """
 
 from __future__ import annotations
 
 import json
 import multiprocessing
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import zip_longest
 from pathlib import Path
 
-from .dataio import DatasetIndex, load_image, output_name, save_image, split_by_class
+from .dataio import DatasetEntry, DatasetIndex, load_image, output_name, save_image, split_by_class
 from .errors import AugpipeError, DatasetError, OpError, OutputCollisionError, UnsupportedImageError
 from .imagecore import Image, PixelFormat, RngStream, derive_sample_rng, mix64
 from .ops import OpApplication, OpSpec, apply_op
@@ -151,35 +153,6 @@ class CollectingSink:
         return rel
 
 
-# Per-process cache of decoded source images: path -> ((mtime_ns, size),
-# image), oldest decode first. A file rewritten since it was decoded has a new
-# stamp, and its fresh decode replaces the stale entry, so there is one
-# entry per path. Once the cached pixels exceed _IMAGE_CACHE_MAX_BYTES the
-# oldest entries are evicted; the cap holds 1000 28x28 grey digits (0.8 MB)
-# or a 1024x1024 and eight 256x256 RGB photos (4.7 MB) several times over.
-_IMAGE_CACHE_MAX_BYTES = 32 << 20
-_IMAGE_CACHE: dict[str, tuple[tuple[int, int], Image]] = {}
-_image_cache_bytes = 0
-
-
-def _load_cached(path: Path) -> Image:
-    global _image_cache_bytes
-    key = str(path)
-    st = os.stat(key)
-    stamp = (st.st_mtime_ns, st.st_size)
-    entry = _IMAGE_CACHE.get(key)
-    if entry is not None and entry[0] == stamp:
-        return entry[1]
-    img = load_image(path)
-    if entry is not None:
-        _image_cache_bytes -= _IMAGE_CACHE.pop(key)[1].pixels.nbytes
-    _IMAGE_CACHE[key] = (stamp, img)
-    _image_cache_bytes += img.pixels.nbytes
-    while _image_cache_bytes > _IMAGE_CACHE_MAX_BYTES:
-        _image_cache_bytes -= _IMAGE_CACHE.pop(next(iter(_IMAGE_CACHE)))[1].pixels.nbytes
-    return img
-
-
 def _start(pipeline: Pipeline, dataset: DatasetIndex, index: int, choose_source: bool):
     """Sample index's stream, and the dataset position of its source: the
     stream's first draw in sample mode, the index itself otherwise."""
@@ -188,37 +161,12 @@ def _start(pipeline: Pipeline, dataset: DatasetIndex, index: int, choose_source:
     return rng, position
 
 
-def _generate_one(
-    pipeline: Pipeline,
-    dataset: DatasetIndex,
-    index: int,
-    sink,
-    choose_source: bool,
-) -> TraceRecord:
-    """Generate and write one sample as a run of its own; an OpError
-    names the sample and its source, and carries the sample's draws."""
-    rng, position = _start(pipeline, dataset, index, choose_source)
-    source = _Source(dataset, position)
-    images = [_load_cached(source.path)]
-    try:
-        applications = _apply_ops(pipeline, [rng], images)[0]
-    except OpError as exc:
-        raise OpError(
-            f"sample {index} (source {source.rel_path}): {exc}",
-            op_kind=exc.op_kind,
-            drawn=exc.drawn,
-            op_index=exc.op_index,
-        ) from exc
-    return source.write(sink, index, images[0], applications)
-
-
 class _Source:
     """A dataset entry's path, and the directory and stem of its outputs."""
 
     __slots__ = ("rel_path", "path", "rel_dir", "stem")
 
-    def __init__(self, dataset: DatasetIndex, position: int):
-        entry = dataset.entries[position]
+    def __init__(self, dataset: DatasetIndex, entry: DatasetEntry):
         rel_path = Path(entry.rel_path)
         self.rel_path = entry.rel_path
         self.path = dataset.path_of(entry)
@@ -235,6 +183,34 @@ class _Source:
         except OSError as exc:
             raise OSError(f"sample {index}: {exc}") from exc
         return TraceRecord(index, self.rel_path, tuple(applications), written)
+
+
+class _Sources:
+    """One call's sources by dataset entry: each entry's _Source, built
+    once, and its image as decoded at its first load. Past max_bytes of
+    pixels the oldest decodes are evicted; the cap holds 1000 28x28 grey
+    digits (0.8 MB) or a 1024x1024 and eight 256x256 RGB photos (4.7 MB)
+    several times over."""
+
+    max_bytes = 32 << 20
+
+    def __init__(self):
+        self.sources: dict[DatasetEntry, _Source] = {}
+        self.images: dict[DatasetEntry, Image] = {}  # oldest decode first
+        self.image_bytes = 0
+
+    def load(self, dataset: DatasetIndex, position: int) -> tuple[_Source, Image]:
+        entry = dataset.entries[position]
+        source = self.sources.get(entry)
+        if source is None:
+            source = self.sources[entry] = _Source(dataset, entry)
+        img = self.images.get(entry)
+        if img is None:
+            img = self.images[entry] = load_image(source.path)
+            self.image_bytes += img.pixels.nbytes
+            while self.image_bytes > self.max_bytes:
+                self.image_bytes -= self.images.pop(next(iter(self.images))).pixels.nbytes
+        return source, img
 
 
 def _apply_ops(
@@ -277,52 +253,57 @@ def _apply_ops(
 _RERUN_ERRORS = (AugpipeError, OSError, ValueError, MemoryError)
 
 
-def _generate_chunk(chunk, stop=lambda: None) -> list[TraceRecord]:
+def _generate_chunk(chunk, sources: _Sources, stop=lambda: None) -> list[TraceRecord]:
     """Generate a chunk of samples op-major, writing them in index order.
 
     Each sample draws from its own stream, so its bytes do not depend on
     the run it is in. A run of consecutive samples whose sources add up to
     at most one warp band of pixels goes through the ops together, and is
     written after its last op; a larger source runs alone. So the images
-    held at a time are one run's, never a chunk's. If a load fails, or a
-    run raises one of _RERUN_ERRORS, the run is generated again one sample
-    at a time (_generate_one), which writes the samples before the first
-    failing one and raises that sample's own error.
-    stop is called before each run and may raise to end the chunk there.
+    held at a time are one run's, never a chunk's. A run of several
+    samples that raises one of _RERUN_ERRORS is run again one sample at a
+    time, each from a freshly derived stream, which writes the samples
+    before the first failing one and raises that sample's own error. A
+    source that fails to load ends the chunk with its error once the run
+    before it is written. sources is the call's source table; stop is
+    called before each run and may raise to end the chunk there.
     """
     pipeline, dataset, indices, sink, choose_source = chunk
-    sources: dict[int, _Source] = {}
     records: list[TraceRecord] = []
     pending: list[tuple[int, _Source, RngStream, Image]] = []  # sample index, source, stream, image
     pending_pixels = 0
 
+    def run(batch) -> None:
+        images = [img for _index, _source, _rng, img in batch]
+        try:
+            applications = _apply_ops(pipeline, [rng for _index, _source, rng, _img in batch], images)
+        except _RERUN_ERRORS as exc:
+            if len(batch) > 1:
+                for index, source, _rng, img in batch:
+                    run([(index, source, _start(pipeline, dataset, index, choose_source)[0], img)])
+                return
+            if not isinstance(exc, OpError):
+                raise
+            index, source = batch[0][:2]
+            raise OpError(f"sample {index} (source {source.rel_path}): {exc}",
+                          op_kind=exc.op_kind, drawn=exc.drawn, op_index=exc.op_index) from exc
+        records.extend(source.write(sink, index, out, apps)
+                       for (index, source, _rng, _img), out, apps in zip(batch, images, applications))
+
     def flush():
         nonlocal pending_pixels
         stop()
-        images = [img for _index, _source, _rng, img in pending]
-        try:
-            applications = _apply_ops(pipeline, [rng for _index, _source, rng, _img in pending], images)
-        except _RERUN_ERRORS:
-            records.extend(_generate_one(pipeline, dataset, index, sink, choose_source)
-                           for index, _source, _rng, _img in pending)
-        else:
-            records.extend(source.write(sink, index, out, apps)
-                           for (index, source, _rng, _img), out, apps
-                           in zip(pending, images, applications))
+        run(pending)
         pending.clear()
         pending_pixels = 0
 
     for index in indices:
         rng, position = _start(pipeline, dataset, index, choose_source)
-        source = sources.get(position)
-        if source is None:
-            source = sources[position] = _Source(dataset, position)
         try:
-            img = _load_cached(source.path)
+            source, img = sources.load(dataset, position)
         except Exception:
             flush()
-            records.append(_generate_one(pipeline, dataset, index, sink, choose_source))
-            continue
+            raise
         pixels = img.width * img.height
         if pending and pending_pixels + pixels > _BAND_PIXELS:
             flush()
@@ -358,7 +339,8 @@ def _run(pipeline, dataset, per_class, count, sink, jobs) -> list[TraceRecord]:
         run_positions.append(range(len(chunks), len(chunks) + len(run_chunks)))
         chunks.extend(run_chunks)
     if jobs <= 1 or len(chunks) <= 1:
-        return [record for chunk in chunks for record in _generate_chunk(chunk)]
+        sources = _Sources()
+        return [record for chunk in chunks for record in _generate_chunk(chunk, sources)]
     if isinstance(sink, CollectingSink):
         # Each chunk collects into a sink of its own, shipped empty.
         chunks = [chunk[:3] + (CollectingSink(),) + chunk[4:] for chunk in chunks]
@@ -400,14 +382,17 @@ class _ChunkStopped(Exception):
     """A chunk gave up because a chunk before it failed."""
 
 
-# In a pool worker: the shared position of the earliest chunk that failed,
-# the number of chunks while none has.
+# In a pool worker, for the lifetime of the call's pool: the shared
+# position of the earliest chunk that failed (the number of chunks while
+# none has), and the worker's source table.
 _failed_chunk = None
+_worker_sources = None
 
 
 def _init_worker(failed) -> None:
-    global _failed_chunk
+    global _failed_chunk, _worker_sources
     _failed_chunk = failed
+    _worker_sources = _Sources()
 
 
 def _generate_chunk_in_worker(chunk, position: int) -> tuple[list[TraceRecord], list]:
@@ -424,7 +409,7 @@ def _generate_chunk_in_worker(chunk, position: int) -> tuple[list[TraceRecord], 
             raise _ChunkStopped
 
     try:
-        records = _generate_chunk(chunk, stop)
+        records = _generate_chunk(chunk, _worker_sources, stop)
     except _ChunkStopped:
         raise
     except BaseException:
@@ -479,10 +464,20 @@ def process(
 
 
 def write_trace(records: list[TraceRecord], path) -> None:
-    """Write one JSON object per line, in sample order."""
+    """Write one JSON object per line, in sample order, to a temporary
+    file that replaces path once complete; if the write fails, path is
+    left as it was and the temporary file is removed."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(record.to_json())
-            fh.write("\n")
+    temporary = path.with_name(f".{path.name}.{multiprocessing.current_process().pid}.tmp")
+    # Mode "x" creates with O_CREAT | O_EXCL and mode 0o666, less the umask.
+    fh = temporary.open("x", encoding="utf-8")
+    try:
+        with fh:
+            for record in records:
+                fh.write(record.to_json())
+                fh.write("\n")
+        temporary.replace(path)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise

@@ -28,6 +28,17 @@ from augpipe.cli import main
 from conftest import DIGITS_RECIPE, random_image, tree_bytes, write_config
 from test_pipeline import OP_SPECS
 
+REPO = Path(__file__).resolve().parents[1]
+# The environment of a fresh interpreter that imports this checkout's augpipe.
+SRC_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])))
+
+
+def _augpipe(*args):
+    """``python -m augpipe ARGS`` in a fresh interpreter, output captured."""
+    return subprocess.run([sys.executable, "-m", "augpipe", *args],
+                          capture_output=True, text=True, env=SRC_ENV)
+
 
 @pytest.fixture
 def corpus(tmp_path, np_rng):
@@ -313,10 +324,7 @@ class TestValidate:
                     f'"max_left_rotation": {huge}, "max_right_rotation": 5}}]}}')
         cfg = tmp_path / "huge.json"
         cfg.write_text(text)
-        proc = subprocess.run(
-            [sys.executable, "-m", "augpipe", "validate", "--config", str(cfg)],
-            capture_output=True, text=True,
-        )
+        proc = _augpipe("validate", "--config", str(cfg))
         assert proc.returncode == 1
         assert "config error" in proc.stderr
         assert "Traceback" not in proc.stderr
@@ -435,32 +443,22 @@ class TestConsoleEntry:
         # Fresh interpreter per run: byte-identical trees must not depend
         # on any in-process state.
         for name in ("p1", "p2"):
-            proc = subprocess.run(
-                [sys.executable, "-m", "augpipe", "run",
-                 "--config", str(recipe), "--input", str(corpus),
-                 "--output", str(tmp_path / name), "--count", "10",
-                 "--seed", "13", "--trace", str(tmp_path / f"{name}.jsonl")],
-                capture_output=True, text=True,
-            )
+            proc = _augpipe("run", "--config", str(recipe), "--input", str(corpus),
+                            "--output", str(tmp_path / name), "--count", "10",
+                            "--seed", "13", "--trace", str(tmp_path / f"{name}.jsonl"))
             assert proc.returncode == 0, proc.stderr
         assert tree_bytes(tmp_path / "p1") == tree_bytes(tmp_path / "p2")
         assert (tmp_path / "p1.jsonl").read_bytes() == (tmp_path / "p2.jsonl").read_bytes()
 
     def test_module_invocation(self, tmp_path, recipe):
-        proc = subprocess.run(
-            [sys.executable, "-m", "augpipe", "validate", "--config", str(recipe)],
-            capture_output=True, text=True,
-        )
+        proc = _augpipe("validate", "--config", str(recipe))
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["version"] == 1
 
     def test_module_invocation_failure_code(self, tmp_path):
         cfg = tmp_path / "bad.json"
         cfg.write_text("{")
-        proc = subprocess.run(
-            [sys.executable, "-m", "augpipe", "validate", "--config", str(cfg)],
-            capture_output=True, text=True,
-        )
+        proc = _augpipe("validate", "--config", str(cfg))
         assert proc.returncode == 1
         assert "config error" in proc.stderr
 
@@ -468,11 +466,9 @@ class TestConsoleEntry:
 def test_perfbench_setup_child_reads_cli(tmp_path, corpus, recipe):
     # perfbench/child.py times parse_config, scan_dataset and split_by_class
     # as attributes of augpipe.cli; this keeps those names importable there.
-    repo = Path(__file__).resolve().parents[1]
-    path = os.pathsep.join(filter(None, [str(repo / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, str(repo / "perfbench" / "child.py"), "setup", str(recipe), str(corpus)],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
+        [sys.executable, str(REPO / "perfbench" / "child.py"), "setup", str(recipe), str(corpus)],
+        capture_output=True, text=True, env=SRC_ENV,
     )
     assert proc.returncode == 0, proc.stderr
     times = json.loads(proc.stdout)

@@ -3,6 +3,7 @@
 import json
 import multiprocessing
 import os
+import stat
 from pathlib import Path
 from unittest import mock
 
@@ -17,6 +18,7 @@ from augpipe import (
     CropCentre,
     CropRandom,
     DatasetError,
+    DecodeError,
     DirectorySink,
     DisplacementGrid,
     Elastic,
@@ -248,30 +250,67 @@ class TestSourceCache:
         os.utime(path, ns=(stamp + 1_000_000, stamp + 1_000_000))
         assert path.stat().st_size == size
         assert np.array_equal(self._sample_one(tmp_path), second.pixels)
-        # The fresh decode replaced the stale entry instead of adding one.
-        assert np.array_equal(pipeline_mod._IMAGE_CACHE[str(path)][1].pixels, second.pixels)
+
+    def test_same_size_rewrite_with_same_mtime(self, tmp_path, np_rng):
+        # Neither size nor modification time tells the two versions apart:
+        # only a call that keeps no sources from an earlier call sees the
+        # rewrite.
+        path = tmp_path / "a.pgm"
+        first = random_image(np_rng, 6, 6)
+        second = Image.from_array(255 - first.pixels, first.format)
+        save_image(first, path, "ppm")
+        assert np.array_equal(self._sample_one(tmp_path), first.pixels)
+        before = path.stat()
+        save_image(second, path, "ppm")
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        assert (path.stat().st_mtime_ns, path.stat().st_size) == (before.st_mtime_ns, before.st_size)
+        assert np.array_equal(self._sample_one(tmp_path), second.pixels)
 
     def test_cache_stays_within_its_cap(self, tmp_path, np_rng, monkeypatch):
         # Each 8x8 grey source decodes to 64 bytes; the cap holds three.
-        monkeypatch.setattr(pipeline_mod, "_IMAGE_CACHE", {})
-        monkeypatch.setattr(pipeline_mod, "_image_cache_bytes", 0)
-        monkeypatch.setattr(pipeline_mod, "_IMAGE_CACHE_MAX_BYTES", 3 * 64 + 10)
-        paths = [tmp_path / f"{i}.png" for i in range(5)]
-        for path in paths:
-            save_image(random_image(np_rng, 8, 8), path)
+        sources = pipeline_mod._Sources()
+        sources.max_bytes = 3 * 64 + 10
+        for i in range(5):
+            save_image(random_image(np_rng, 8, 8), tmp_path / f"{i}.png")
+        ds = scan_dataset(tmp_path)
+        entries = list(ds.entries)
         decoded = []
         monkeypatch.setattr(pipeline_mod, "load_image",
                             lambda path: decoded.append(path) or load_image(path))
-        for path in paths:
-            pipeline_mod._load_cached(path)
-            cached = pipeline_mod._IMAGE_CACHE.values()
-            assert sum(img.pixels.nbytes for _, img in cached) <= 3 * 64 + 10
-        assert list(pipeline_mod._IMAGE_CACHE) == [str(p) for p in paths[2:]]
-        assert pipeline_mod._image_cache_bytes == 3 * 64
-        pipeline_mod._load_cached(paths[4])  # still cached
-        pipeline_mod._load_cached(paths[0])  # evicted: decoded again
-        assert decoded == paths + [paths[0]]
-        assert list(pipeline_mod._IMAGE_CACHE) == [str(p) for p in paths[3:] + paths[:1]]
+        for position in range(5):
+            source, img = sources.load(ds, position)
+            assert source.path == ds.path_of(entries[position])
+            assert np.array_equal(img.pixels, load_image(source.path).pixels)
+            assert sum(held.pixels.nbytes for held in sources.images.values()) <= 3 * 64 + 10
+        assert list(sources.images) == entries[2:]
+        assert sources.image_bytes == 3 * 64
+        sources.load(ds, 4)  # still held: not decoded again
+        sources.load(ds, 0)  # evicted: decoded again
+        assert decoded == [ds.path_of(entry) for entry in entries + entries[:1]]
+        assert list(sources.images) == entries[3:] + entries[:1]
+        # Each entry's _Source is built once per table, evicted image or not.
+        assert sources.load(ds, 0)[0] is sources.sources[entries[0]]
+        assert list(sources.sources) == entries
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_call_leaves_no_module_state(self, tmp_path, np_rng, jobs):
+        ds = _small_dataset(tmp_path, np_rng, count=4, size=8)
+        pipe = Pipeline(master_seed=3).add(Invert(probability=0.5))
+
+        def state():
+            return {name: (value, dict(value) if isinstance(value, dict) else
+                           list(value) if isinstance(value, (list, set)) else None)
+                    for name, value in vars(pipeline_mod).items()}
+
+        before = state()
+        pipeline_mod.sample(pipe, ds, 40, CollectingSink(), jobs=jobs)
+        after = state()
+        assert after.keys() == before.keys()
+        for name, (value, contents) in before.items():
+            assert after[name][0] is value, name
+            assert after[name][1] == contents, name
+        assert pipeline_mod._failed_chunk is None
+        assert pipeline_mod._worker_sources is None
 
 
 class TestProcess:
@@ -417,6 +456,36 @@ class TestTrace:
         rotate_ops = [json.loads(l)["ops"][1] for l in lines]
         assert any(op["applied"] for op in rotate_ops) or len(lines) < 10
 
+    def test_failed_write_keeps_the_old_trace(self, tmp_path, np_rng, monkeypatch):
+        ds = _small_dataset(tmp_path / "in", np_rng, count=2)
+        records = pipeline_mod.sample(Pipeline(master_seed=5), ds, 3, CollectingSink())
+        out = tmp_path / "out"
+        trace_path = out / "trace.jsonl"
+        out.mkdir()
+        trace_path.write_text("an earlier run's trace\n")
+        old = trace_path.read_bytes()
+        to_json = TraceRecord.to_json
+        written = []
+
+        def failing(record):
+            if written:
+                raise RuntimeError("disk gone")
+            written.append(record)
+            return to_json(record)
+
+        monkeypatch.setattr(TraceRecord, "to_json", failing)
+        with pytest.raises(RuntimeError, match="disk gone"):
+            write_trace(records, trace_path)
+        assert trace_path.read_bytes() == old
+        assert sorted(path.name for path in out.iterdir()) == ["trace.jsonl"]
+        monkeypatch.setattr(TraceRecord, "to_json", to_json)
+        write_trace(records, trace_path)
+        assert len(trace_path.read_text().splitlines()) == 3
+        assert sorted(path.name for path in out.iterdir()) == ["trace.jsonl"]
+        umask = os.umask(0)
+        os.umask(umask)
+        assert stat.S_IMODE(trace_path.stat().st_mode) == 0o666 & ~umask
+
     def test_skipped_ops_record_no_params(self, np_rng):
         img = random_image(np_rng, 8, 8)
         p = Pipeline().add(Rotate(probability=0, max_left=10, max_right=10))
@@ -543,25 +612,27 @@ class TestOpMajorChunks:
             indices = range(len(mixed_dataset.entries))
 
         def chunk(sink):
-            return pipeline_mod._generate_chunk((pipe, mixed_dataset, indices, sink, choose_source))
+            return pipeline_mod._generate_chunk((pipe, mixed_dataset, indices, sink, choose_source),
+                                                pipeline_mod._Sources())
 
         def loop(sink):
             return [_reference_sample(pipe, mixed_dataset, i, sink, choose_source)
                     for i in indices]
 
         expected = _outcome(loop)
-        reruns = []
-        generate_one = pipeline_mod._generate_one
+        derived = []
+        derive = pipeline_mod.derive_sample_rng
 
-        def counted(*args):
-            reruns.append(args[2])
-            return generate_one(*args)
+        def counted(seed, index):
+            derived.append(index)
+            return derive(seed, index)
 
-        with mock.patch.object(pipeline_mod, "_generate_one", counted):
+        with mock.patch.object(pipeline_mod, "derive_sample_rng", counted):
             assert _outcome(chunk) == expected
         if isinstance(expected[0], list):
-            # Nothing failed, so the batched path made every sample itself.
-            assert reruns == []
+            # Nothing failed, so no run was generated again: each sample's
+            # stream was derived once, in index order.
+            assert derived == list(indices)
 
     def test_runs_hold_at_most_one_band_of_sources(self, mixed_dataset, tmp_path, np_rng):
         for i in range(5):
@@ -624,6 +695,24 @@ class TestOpMajorChunks:
             got = (str(info.value), info.value.drawn, info.value.op_index,
                    {name: data for name, data in written.items() if name not in later})
             assert got == expected
+
+    def test_load_failure_writes_the_run_before_it(self, tmp_path, np_rng, monkeypatch):
+        # Seven sources make chunks of two at --jobs 1; sample 5, whose
+        # source is a bare PNG signature, shares its chunk with sample 4.
+        root = tmp_path / "in"
+        for i in range(5):
+            save_image(random_image(np_rng, 8, 8), root / f"a{i}.png")
+        (root / "b.png").write_bytes(b"\x89PNG\r\n\x1a\n")
+        save_image(random_image(np_rng, 8, 8), root / "c.png")
+        ds = scan_dataset(root)
+        loads = []
+        monkeypatch.setattr(pipeline_mod, "load_image",
+                            lambda path: loads.append(Path(path).name) or load_image(path))
+        out = tmp_path / "out"
+        with pytest.raises(DecodeError, match="missing IHDR"):
+            pipeline_mod.process(Pipeline().add(Invert(probability=1)), ds, DirectorySink(out))
+        assert sorted(tree_bytes(out)) == [f"a{i}_aug_{i:06d}.png" for i in range(5)]
+        assert loads.count("b.png") == 1 and "c.png" not in loads
 
     def test_monitor_sees_one_warp_per_applied_warp_op(self, mixed_dataset):
         pipe = (Pipeline(master_seed=12)
