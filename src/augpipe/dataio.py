@@ -321,6 +321,9 @@ def _png_chunk(ctype: bytes, payload: bytes) -> bytes:
 # PPM / PGM (binary, maxval 255)
 
 
+_PNM_MAX_DIGITS = 20
+
+
 def _pnm_tokens(data: bytes, count: int, start: int) -> tuple[list[int], int]:
     """Read `count` whitespace-separated integers, honouring # comments."""
     tokens: list[int] = []
@@ -339,6 +342,11 @@ def _pnm_tokens(data: bytes, count: int, start: int) -> tuple[list[int], int]:
                 current = b""
             pos += 1
         elif ch.isdigit():
+            # No image has a size or maxval this long; the cap also keeps
+            # int() within its digit limit and the byte appends short.
+            if len(current) == _PNM_MAX_DIGITS:
+                raise DecodeError(f"PNM header number longer than {_PNM_MAX_DIGITS} digits "
+                                  f"near byte {pos}")
             current += ch
             pos += 1
         else:

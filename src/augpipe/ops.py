@@ -1,10 +1,10 @@
 """Augmentation operation catalogue.
 
-Two layers live here. The kernels are deterministic image transforms
-(rotate, shear, skew, elastic, zoom, crop, flips, pixel ops). On top of
-them, each OpSpec subclass is an immutable, validated description of one
-configured operation; ``apply_op`` turns a spec plus random streams into
-applied transformations, recording every value drawn along the way.
+Each op is declared once: a frozen dataclass that subclasses OpSpec
+directly. It is an immutable, validated description of one configured
+operation, it draws its random parameters, and it holds its kernel.
+``apply_op`` turns a spec plus random streams into applied
+transformations, recording every value drawn along the way.
 
 The direct subclasses of OpSpec are also the config schema: each field is
 one config key, named by ``metadata={"key": ...}`` where it differs from
@@ -24,16 +24,17 @@ Draw order is part of the determinism contract. Per variant:
 - crop_random:      x = int(0, W - cw), then y = int(0, H - ch)
 - everything else:  draws nothing
 
-Geometric kernels that could leave blank borders (rotate, shear, skew)
-crop to the largest usable region and resize back, composed into a single
-inverse-mapping warp, so every source sample stays inside the image.
-
 A ``draw`` is plain code against one sample's RngStream and may branch
 on a value it drew. ``apply_op`` takes a list of same-shape images, each
 with its own stream, a single image being a list of one: it draws for
-each image in turn, then applies the op to all of them. The warp ops
-(rotate, shear, skew, elastic) give their map through ``transform`` and
-are warped in batches; the other ops ``apply`` image by image.
+each image in turn, then applies the op to all of them.
+
+The warp ops (rotate, shear, skew, elastic) define only ``transform``,
+which gives their destination-to-source map; the maps are warped in
+batches. Rotate, shear and skew, which could leave blank borders, crop to
+the largest usable region and resize back within that one map, so every
+source sample stays inside the image. Every other op holds its kernel in
+``apply``, run image by image.
 """
 
 from __future__ import annotations
@@ -48,7 +49,8 @@ import numpy as np
 from .errors import ConfigError, GeometryError, OpError
 from .geometry import _SNAP, CropRect, Homography, Quad, inscribed_crop_rect, shear_crop_rect, solve_homography
 from .imagecore import Image, PixelFormat, RngStream, clamp_round_array, round_half_away
-# perfbench/spans.py times the warps through these names, warp_mesh included.
+# perfbench/spans.py times the warps through these names; the one-image
+# warp_affine, warp_projective and warp_mesh are imported for it alone.
 from .warp import (  # noqa: F401
     _BAND_PIXELS,
     AffineTransform,
@@ -62,116 +64,9 @@ from .warp import (  # noqa: F401
     warp_projective_batch,
 )
 
-__all__ = [
-    "OpSpec",
-    "OpApplication",
-    "apply_op",
-    "Rotate",
-    "RotateCardinal",
-    "Flip",
-    "Shear",
-    "Skew",
-    "Elastic",
-    "Zoom",
-    "CropRandom",
-    "CropCentre",
-    "Resize",
-    "Scale",
-    "Greyscale",
-    "Invert",
-    "Equalize",
-    "rotate_arbitrary",
-    "rotate_cardinal",
-    "flip",
-    "shear_kernel",
-    "skew_kernel",
-    "zoom_kernel",
-    "crop_kernel",
-    "greyscale",
-    "invert",
-    "equalize",
-]
-
 # Largest image, in pixels, that an op may make (8192 x 8192); sizes come
 # from the config, and a bigger one is refused before anything is allocated.
 _MAX_OUTPUT_PIXELS = 1 << 26
-
-# --------------------------------------------------------------------------
-# Kernels
-
-
-def rotate_arbitrary(img: Image, theta_deg: float) -> Image:
-    """Rotate about the center without introducing fill regions.
-
-    Conceptually: rotate onto the expanded bounding box, crop to the
-    largest same-aspect inscribed rectangle, resize back to the input
-    size. Implemented as one composed destination-to-source affine warp.
-    Positive angles turn clockwise, negative counter-clockwise.
-    """
-    w, h = img.width, img.height
-    return warp_affine(img, _rotation(w, h, theta_deg), w, h)
-
-
-def _rotation(w: int, h: int, theta_deg: float) -> AffineTransform:
-    if abs(theta_deg) > 45:
-        raise GeometryError(f"rotation angle must satisfy |theta| <= 45, got {theta_deg}")
-    crop = inscribed_crop_rect(w, h, theta_deg)
-    rad = math.radians(theta_deg)
-    cs, sn = math.cos(rad), math.sin(rad)
-    kx = crop.w / w
-    ky = crop.h / h
-    a, b = cs * kx, sn * ky
-    d, e = -sn * kx, cs * ky
-    c = w / 2 - a * (w / 2) - b * (h / 2)
-    f = h / 2 - d * (w / 2) - e * (h / 2)
-    return AffineTransform(np.array([[a, b, c], [d, e, f]], dtype=np.float64))
-
-
-def rotate_cardinal(img: Image, k: int) -> Image:
-    """Lossless quarter-turn rotation (clockwise); 90/270 swap dimensions."""
-    px = img.pixels
-    if k == 90:
-        out = px.transpose(1, 0, 2)[:, ::-1]
-    elif k == 180:
-        out = px[::-1, ::-1]
-    elif k == 270:
-        out = px.transpose(1, 0, 2)[::-1]
-    else:
-        raise ValueError(f"cardinal rotation must be 90, 180 or 270, got {k}")
-    return Image._wrap(np.ascontiguousarray(out), img.format)
-
-
-def flip(img: Image, axis: str) -> Image:
-    """Exact mirror: 'horizontal' swaps left-right, 'vertical' top-bottom."""
-    if axis == "horizontal":
-        out = img.pixels[:, ::-1]
-    elif axis == "vertical":
-        out = img.pixels[::-1]
-    else:
-        raise ValueError(f"flip axis must be 'horizontal' or 'vertical', got {axis!r}")
-    return Image._wrap(np.ascontiguousarray(out), img.format)
-
-
-def shear_kernel(img: Image, axis: str, angle_deg: float) -> Image:
-    """Shear along one axis, cropped and stretched back to the input size.
-
-    Composed into a single affine warp; all source samples stay in-bounds.
-    """
-    w, h = img.width, img.height
-    return warp_affine(img, _shear(w, h, axis, angle_deg), w, h)
-
-
-def _shear(w: int, h: int, axis: str, angle_deg: float) -> AffineTransform:
-    t = math.tan(math.radians(angle_deg))
-    try:
-        crop = shear_crop_rect(w, h, axis, t)
-    except GeometryError as exc:
-        raise OpError(str(exc), op_kind="shear") from exc
-    if axis == "x":
-        m = np.array([[crop.w / w, -t, crop.x], [0.0, 1.0, 0.0]], dtype=np.float64)
-    else:
-        m = np.array([[1.0, 0.0, 0.0], [-t, crop.h / h, crop.y]], dtype=np.float64)
-    return AffineTransform(m)
 
 
 def _skew_quad(kind: str, w: int, h: int, d: int) -> Quad:
@@ -188,38 +83,12 @@ def _skew_quad(kind: str, w: int, h: int, d: int) -> Quad:
     return Quad(corners)
 
 
-def skew_kernel(img: Image, kind: str, d: int) -> Image:
-    """Perspective tilt: two corners of the source move inward by d pixels.
-
-    The source quad stays inside the image, so the warp needs no fill.
-    """
-    w, h = img.width, img.height
-    return warp_projective(img, _skew(w, h, kind, d), w, h)
-
-
-def _skew(w: int, h: int, kind: str, d: int) -> Homography:
-    if not 0 <= d < min(w, h) / 2:
-        raise OpError(
-            f"skew displacement {d} out of range [0, {min(w, h) / 2}) for {w}x{h}",
-            op_kind="skew",
-        )
-    src = _skew_quad(kind, w, h, d)
-    return solve_homography(src, Quad.from_rect(w, h))
-
-
 @lru_cache(maxsize=16)
 def _node_names(gw: int, gh: int) -> tuple[tuple[str, str], ...]:
     """The dx and dy draw names of each interior node, row-major; boundary
     nodes stay pinned. Made once per lattice: every sample's trace record
     keeps them until the trace is written."""
     return tuple((f"dx_{a}_{b}", f"dy_{a}_{b}") for b in range(1, gh) for a in range(1, gw))
-
-
-def _grid_from_offsets(gw: int, gh: int, values) -> DisplacementGrid:
-    # values are dx, dy per interior node in _node_names order.
-    nodes = np.zeros((gh + 1, gw + 1, 2), dtype=np.float64)
-    nodes[1:gh, 1:gw] = np.reshape(np.array(values, dtype=np.float64), (gh - 1, gw - 1, 2))
-    return DisplacementGrid(gw, gh, nodes)
 
 
 def _scaled_size(img: Image, factor: float, kind: str) -> tuple[int, int]:
@@ -236,17 +105,7 @@ def _scaled_size(img: Image, factor: float, kind: str) -> tuple[int, int]:
     return w, h
 
 
-def zoom_kernel(img: Image, factor: float) -> Image:
-    """Enlarge by factor >= 1, then centre-crop back to the input size."""
-    if factor < 1:
-        raise OpError(f"zoom-out would require padding (factor {factor} < 1)", op_kind="zoom")
-    w, h = img.width, img.height
-    nw, nh = _scaled_size(img, factor, "zoom")
-    # Only the centred w x h window of the enlargement is computed.
-    return resize(img, nw, nh, window=CropRect((nw - w) // 2, (nh - h) // 2, w, h))
-
-
-def crop_kernel(img: Image, region: CropRect, resize_back: bool = False) -> Image:
+def _crop(img: Image, region: CropRect, resize_back: bool = False) -> Image:
     """Exact sub-rectangle copy, optionally resized back to the input size."""
     x, y = region.x, region.y
     if x != int(x) or y != int(y):
@@ -262,44 +121,6 @@ def crop_kernel(img: Image, region: CropRect, resize_back: bool = False) -> Imag
     if resize_back and (region.w, region.h) != (img.width, img.height):
         return resize(sub, img.width, img.height)
     return sub
-
-
-def greyscale(img: Image) -> Image:
-    """Luma conversion (BT.601 weights); alpha is dropped. Identity on Gray8."""
-    if img.format is PixelFormat.GRAY8:
-        return img
-    rgb = img.pixels[..., :3].astype(np.float64)
-    y = clamp_round_array(0.299 * rgb[..., 0] + 0.587 * rgb[..., 1] + 0.114 * rgb[..., 2])
-    return Image._wrap(y[..., None], PixelFormat.GRAY8)
-
-
-def invert(img: Image) -> Image:
-    """Negate every colour channel (v -> 255 - v); alpha untouched."""
-    arr = img.pixels.copy()
-    cc = img.format.color_channels
-    arr[..., :cc] = 255 - arr[..., :cc]
-    return Image._wrap(arr, img.format)
-
-
-def equalize(img: Image) -> Image:
-    """Histogram equalisation, independently per colour channel.
-
-    Remaps v to (cdf(v) - cdf_min) / (N - cdf_min) * 255 where cdf_min is
-    the smallest nonzero cdf value; a channel with a single intensity is
-    left unchanged. Alpha untouched.
-    """
-    arr = img.pixels.copy()
-    n = img.width * img.height
-    for ch in range(img.format.color_channels):
-        channel = arr[..., ch]
-        hist = np.bincount(channel.ravel(), minlength=256)
-        cdf = np.cumsum(hist)
-        cdf_min = int(cdf[np.nonzero(hist)[0][0]])
-        if cdf_min == n:
-            continue
-        lut = clamp_round_array((cdf - cdf_min) / (n - cdf_min) * 255.0)
-        arr[..., ch] = lut[channel]
-    return Image._wrap(arr, img.format)
 
 
 # --------------------------------------------------------------------------
@@ -360,7 +181,8 @@ class OpSpec:
         raise NotImplementedError
 
     def apply_batch(self, imgs: list[Image], drawn: list[list[tuple[str, Any]]]) -> list[Image]:
-        """apply on each of some same-shape images, with its own draws."""
+        """The op on each of some same-shape images, each with its own
+        draws: the transforms warped together, or apply image by image."""
         w, h = imgs[0].width, imgs[0].height
         maps = [self.transform(values, w, h) for values in drawn]
         if maps[0] is None:
@@ -391,7 +213,20 @@ class Rotate(OpSpec):
         return [("angle", rng.uniform_real(-self.max_left, self.max_right))]
 
     def transform(self, drawn, width, height):
-        return _rotation(width, height, dict(drawn)["angle"])
+        """Rotate about the centre onto the expanded bounding box, crop to
+        the largest same-aspect inscribed rectangle, resize back: one
+        affine map. Positive angles turn clockwise."""
+        theta = dict(drawn)["angle"]
+        crop = inscribed_crop_rect(width, height, theta)
+        rad = math.radians(theta)
+        cs, sn = math.cos(rad), math.sin(rad)
+        kx = crop.w / width
+        ky = crop.h / height
+        a, b = cs * kx, sn * ky
+        d, e = -sn * kx, cs * ky
+        c = width / 2 - a * (width / 2) - b * (height / 2)
+        f = height / 2 - d * (width / 2) - e * (height / 2)
+        return AffineTransform(np.array([[a, b, c], [d, e, f]], dtype=np.float64))
 
 
 @dataclass(frozen=True)
@@ -412,9 +247,18 @@ class RotateCardinal(OpSpec):
         return []
 
     def apply(self, img, drawn):
-        if self.which == "random":
-            return rotate_cardinal(img, dict(drawn)["degrees"])
-        return rotate_cardinal(img, int(self.which[1:]))
+        """Lossless quarter turn, clockwise; 90 and 270 swap dimensions."""
+        k = dict(drawn)["degrees"] if self.which == "random" else int(self.which[1:])
+        px = img.pixels
+        if k == 90:
+            out = px.transpose(1, 0, 2)[:, ::-1]
+        elif k == 180:
+            out = px[::-1, ::-1]
+        elif k == 270:
+            out = px.transpose(1, 0, 2)[::-1]
+        else:
+            raise ValueError(f"cardinal rotation must be 90, 180 or 270, got {k}")
+        return Image._wrap(np.ascontiguousarray(out), img.format)
 
 
 @dataclass(frozen=True)
@@ -435,7 +279,10 @@ class Flip(OpSpec):
         return []
 
     def apply(self, img, drawn):
-        return flip(img, dict(drawn).get("axis", self.axis))
+        """Exact mirror: horizontal swaps left-right, vertical top-bottom."""
+        axis = dict(drawn).get("axis", self.axis)
+        out = img.pixels[:, ::-1] if axis == "horizontal" else img.pixels[::-1]
+        return Image._wrap(np.ascontiguousarray(out), img.format)
 
 
 @dataclass(frozen=True)
@@ -461,8 +308,20 @@ class Shear(OpSpec):
         return drawn
 
     def transform(self, drawn, width, height):
+        """Shear, crop to the widest fully covered strip, stretch back to
+        the input size: one affine map, every source sample in bounds."""
         d = dict(drawn)
-        return _shear(width, height, d.get("axis", self.axis), d["angle"])
+        axis = d.get("axis", self.axis)
+        t = math.tan(math.radians(d["angle"]))
+        try:
+            crop = shear_crop_rect(width, height, axis, t)
+        except GeometryError as exc:
+            raise OpError(str(exc), op_kind=self.kind) from exc
+        if axis == "x":
+            m = np.array([[crop.w / width, -t, crop.x], [0.0, 1.0, 0.0]], dtype=np.float64)
+        else:
+            m = np.array([[1.0, 0.0, 0.0], [-t, crop.h / height, crop.y]], dtype=np.float64)
+        return AffineTransform(m)
 
 
 @dataclass(frozen=True)
@@ -493,8 +352,18 @@ class Skew(OpSpec):
         return drawn
 
     def transform(self, drawn, width, height):
+        """Perspective tilt: two corners of the source move inward by the
+        displacement. The source quad stays inside the image: no fill."""
         d = dict(drawn)
-        return _skew(width, height, d.get("kind", self.skew_kind), d["displacement"])
+        shift = d["displacement"]
+        if not 0 <= shift < min(width, height) / 2:
+            raise OpError(
+                f"skew displacement {shift} out of range [0, {min(width, height) / 2}) "
+                f"for {width}x{height}",
+                op_kind=self.kind,
+            )
+        src = _skew_quad(d.get("kind", self.skew_kind), width, height, shift)
+        return solve_homography(src, Quad.from_rect(width, height))
 
 
 @dataclass(frozen=True)
@@ -531,7 +400,12 @@ class Elastic(OpSpec):
         return drawn
 
     def transform(self, drawn, width, height):
-        return _grid_from_offsets(self.grid_width, self.grid_height, [v for _, v in drawn])
+        # drawn holds dx, dy per interior node in _node_names order.
+        gw, gh = self.grid_width, self.grid_height
+        nodes = np.zeros((gh + 1, gw + 1, 2), dtype=np.float64)
+        offsets = np.array([v for _, v in drawn], dtype=np.float64)
+        nodes[1:gh, 1:gw] = np.reshape(offsets, (gh - 1, gw - 1, 2))
+        return DisplacementGrid(gw, gh, nodes)
 
 
 @dataclass(frozen=True)
@@ -553,7 +427,14 @@ class Zoom(OpSpec):
         return [("factor", rng.uniform_real(self.min_factor, self.max_factor))]
 
     def apply(self, img, drawn):
-        return zoom_kernel(img, dict(drawn)["factor"])
+        """Enlarge by the factor, then centre-crop back to the input size."""
+        factor = dict(drawn)["factor"]
+        if factor < 1:
+            raise OpError(f"zoom-out would require padding (factor {factor} < 1)", op_kind=self.kind)
+        w, h = img.width, img.height
+        nw, nh = _scaled_size(img, factor, self.kind)
+        # Only the centred w x h window of the enlargement is computed.
+        return resize(img, nw, nh, window=CropRect((nw - w) // 2, (nh - h) // 2, w, h))
 
 
 @dataclass(frozen=True)
@@ -586,7 +467,7 @@ class CropRandom(OpSpec):
         d = dict(drawn)
         cw, ch = self._extent(img.width, img.height)
         cw, ch = min(cw, img.width), min(ch, img.height)
-        return crop_kernel(img, CropRect(d["x"], d["y"], cw, ch), resize_back=self.resize_back)
+        return _crop(img, CropRect(d["x"], d["y"], cw, ch), resize_back=self.resize_back)
 
 
 @dataclass(frozen=True)
@@ -613,7 +494,7 @@ class CropCentre(OpSpec):
             )
         ox = (img.width - self.width) // 2
         oy = (img.height - self.height) // 2
-        return crop_kernel(img, CropRect(ox, oy, self.width, self.height))
+        return _crop(img, CropRect(ox, oy, self.width, self.height))
 
 
 @dataclass(frozen=True)
@@ -666,7 +547,12 @@ class Greyscale(OpSpec):
     kind: ClassVar[str] = "greyscale"
 
     def apply(self, img, drawn):
-        return greyscale(img)
+        """Luma conversion (BT.601 weights); alpha is dropped. Identity on Gray8."""
+        if img.format is PixelFormat.GRAY8:
+            return img
+        rgb = img.pixels[..., :3].astype(np.float64)
+        y = clamp_round_array(0.299 * rgb[..., 0] + 0.587 * rgb[..., 1] + 0.114 * rgb[..., 2])
+        return Image._wrap(y[..., None], PixelFormat.GRAY8)
 
 
 @dataclass(frozen=True)
@@ -674,7 +560,11 @@ class Invert(OpSpec):
     kind: ClassVar[str] = "invert"
 
     def apply(self, img, drawn):
-        return invert(img)
+        """Negate every colour channel (v -> 255 - v); alpha untouched."""
+        arr = img.pixels.copy()
+        cc = img.format.color_channels
+        arr[..., :cc] = 255 - arr[..., :cc]
+        return Image._wrap(arr, img.format)
 
 
 @dataclass(frozen=True)
@@ -682,7 +572,24 @@ class Equalize(OpSpec):
     kind: ClassVar[str] = "equalize"
 
     def apply(self, img, drawn):
-        return equalize(img)
+        """Histogram equalisation, independently per colour channel.
+
+        Remaps v to (cdf(v) - cdf_min) / (N - cdf_min) * 255 where cdf_min
+        is the smallest nonzero cdf value; a channel with a single intensity
+        is left unchanged. Alpha untouched.
+        """
+        arr = img.pixels.copy()
+        n = img.width * img.height
+        for ch in range(img.format.color_channels):
+            channel = arr[..., ch]
+            hist = np.bincount(channel.ravel(), minlength=256)
+            cdf = np.cumsum(hist)
+            cdf_min = int(cdf[np.nonzero(hist)[0][0]])
+            if cdf_min == n:
+                continue
+            lut = clamp_round_array((cdf - cdf_min) / (n - cdf_min) * 255.0)
+            arr[..., ch] = lut[channel]
+        return Image._wrap(arr, img.format)
 
 
 def apply_op(
@@ -711,3 +618,7 @@ def apply_op(
     except GeometryError as exc:
         raise OpError(f"{spec.kind}: {exc}", op_kind=spec.kind, drawn=failed_draws) from exc
     return out, [OpApplication(spec.kind, True, tuple(values)) for values in drawn]
+
+
+# Every op class is exported, found as parse_config finds it.
+__all__ = ["OpSpec", "OpApplication", "apply_op", *(spec.__name__ for spec in OpSpec.__subclasses__())]

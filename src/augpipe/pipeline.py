@@ -186,31 +186,28 @@ class _Source:
 
 
 class _Sources:
-    """One call's sources by dataset entry: each entry's _Source, built
-    once, and its image as decoded at its first load. Past max_bytes of
-    pixels the oldest decodes are evicted; the cap holds 1000 28x28 grey
-    digits (0.8 MB) or a 1024x1024 and eight 256x256 RGB photos (4.7 MB)
-    several times over."""
+    """One call's sources by dataset entry: each entry's _Source with its
+    image as decoded at its first load. Past max_bytes of pixels the oldest
+    decodes are evicted, each with its _Source; the cap holds 1000 28x28
+    grey digits (0.8 MB) or a 1024x1024 and eight 256x256 RGB photos
+    (4.7 MB) several times over."""
 
     max_bytes = 32 << 20
 
     def __init__(self):
-        self.sources: dict[DatasetEntry, _Source] = {}
-        self.images: dict[DatasetEntry, Image] = {}  # oldest decode first
+        self.loaded: dict[DatasetEntry, tuple[_Source, Image]] = {}  # oldest decode first
         self.image_bytes = 0
 
     def load(self, dataset: DatasetIndex, position: int) -> tuple[_Source, Image]:
         entry = dataset.entries[position]
-        source = self.sources.get(entry)
-        if source is None:
-            source = self.sources[entry] = _Source(dataset, entry)
-        img = self.images.get(entry)
-        if img is None:
-            img = self.images[entry] = load_image(source.path)
-            self.image_bytes += img.pixels.nbytes
+        held = self.loaded.get(entry)
+        if held is None:
+            source = _Source(dataset, entry)
+            held = self.loaded[entry] = (source, load_image(source.path))
+            self.image_bytes += held[1].pixels.nbytes
             while self.image_bytes > self.max_bytes:
-                self.image_bytes -= self.images.pop(next(iter(self.images))).pixels.nbytes
-        return source, img
+                self.image_bytes -= self.loaded.pop(next(iter(self.loaded)))[1].pixels.nbytes
+        return held
 
 
 def _apply_ops(

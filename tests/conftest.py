@@ -59,6 +59,12 @@ def apply_one(spec, img: Image, rng):
     return outs[0], applications[0]
 
 
+def run_op(spec, img: Image, **drawn) -> Image:
+    """spec on one image with fixed draws, named as its draw names them,
+    through apply_batch as the pipeline runs it."""
+    return spec.apply_batch([img], [list(drawn.items())])[0]
+
+
 def write_config(path: Path, doc: dict) -> Path:
     path.write_text(json.dumps(doc))
     return path

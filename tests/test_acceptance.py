@@ -14,10 +14,17 @@ import pytest
 
 from augpipe import (
     Elastic,
+    Flip,
     GeometryError,
     Image,
+    Invert,
     OpError,
     PixelFormat,
+    Rotate,
+    RotateCardinal,
+    Shear,
+    Skew,
+    Zoom,
     derive_sample_rng,
     inscribed_crop_rect,
     load_image,
@@ -26,21 +33,13 @@ from augpipe import (
     solve_homography,
 )
 from augpipe.cli import main as cli_main
-from augpipe.ops import (
-    flip,
-    invert,
-    rotate_arbitrary,
-    rotate_cardinal,
-    shear_kernel,
-    skew_kernel,
-    zoom_kernel,
-)
 from augpipe.warp import monitor_source_bounds, resize
 from conftest import (
     DIGITS_RECIPE,
     apply_one,
     build_digit_corpus,
     random_image,
+    run_op,
     tree_bytes,
     write_config,
 )
@@ -168,14 +167,15 @@ def test_criterion_4_no_fill_guarantee():
         done = 0
         while done < 1000:
             w, h = int(rng.integers(8, 65)), int(rng.integers(8, 65))
-            rotate_arbitrary(image(w, h), float(rng.uniform(-45, 45)))
+            run_op(Rotate(probability=1), image(w, h), angle=float(rng.uniform(-45, 45)))
             done += 1
         done = 0
         while done < 1000:
             w, h = int(rng.integers(8, 65)), int(rng.integers(8, 65))
             axis = "x" if rng.integers(0, 2) == 0 else "y"
             try:
-                shear_kernel(image(w, h), axis, float(rng.uniform(-44.9, 44.9)))
+                run_op(Shear(probability=1, axis=axis), image(w, h),
+                       angle=float(rng.uniform(-44.9, 44.9)))
             except OpError:
                 continue  # shear exceeded image extent: no warp happened
             done += 1
@@ -184,7 +184,7 @@ def test_criterion_4_no_fill_guarantee():
             w, h = int(rng.integers(8, 65)), int(rng.integers(8, 65))
             kind = ("forward", "backward", "left", "right")[int(rng.integers(0, 4))]
             d = int(rng.integers(0, (min(w, h) - 1) // 2 + 1))
-            skew_kernel(image(w, h), kind, d)
+            run_op(Skew(probability=1, skew_kind=kind), image(w, h), displacement=d)
             done += 1
     ok = monitor.violations == 0 and monitor.warps == 3000
     _report(4, ok, f"{monitor.warps} instrumented warps, {monitor.violations} "
@@ -258,19 +258,23 @@ def test_criterion_6_identity_involution_suite():
         img = random_image(rng, 25, 19, fmt)
         still = Elastic(probability=1, grid_width=4, grid_height=4, magnitude=0)
         check("zero-magnitude elastic", apply_one(still, img, derive_sample_rng(1, 1))[0], img)
-        check("zero-angle rotate", rotate_arbitrary(img, 0.0), img)
-        check("zero-angle shear", shear_kernel(img, "x", 0.0), img)
-        check("zero-displacement skew", skew_kernel(img, "forward", 0), img)
-        check("unit zoom", zoom_kernel(img, 1.0), img)
+        check("zero-angle rotate", run_op(Rotate(probability=1), img, angle=0.0), img)
+        check("zero-angle shear", run_op(Shear(probability=1, axis="x"), img, angle=0.0), img)
+        check("zero-displacement skew",
+              run_op(Skew(probability=1, skew_kind="forward"), img, displacement=0), img)
+        check("unit zoom", run_op(Zoom(probability=1), img, factor=1.0), img)
         check("same-size resize", resize(img, 25, 19), img)
-        check("double horizontal flip", flip(flip(img, "horizontal"), "horizontal"), img)
-        check("double vertical flip", flip(flip(img, "vertical"), "vertical"), img)
-        check("double invert", invert(invert(img)), img)
+        for axis in ("horizontal", "vertical"):
+            mirror = Flip(probability=1, axis=axis)
+            check(f"double {axis} flip", run_op(mirror, run_op(mirror, img)), img)
+        invert = Invert(probability=1)
+        check("double invert", run_op(invert, run_op(invert, img)), img)
+        turn = RotateCardinal(probability=1)
         quad = img
         for _ in range(4):
-            quad = rotate_cardinal(quad, 90)
+            quad = run_op(turn, quad, degrees=90)
         check("quadruple quarter-turn", quad, img)
-        check("double half-turn", rotate_cardinal(rotate_cardinal(img, 180), 180), img)
+        check("double half-turn", run_op(turn, run_op(turn, img, degrees=180), degrees=180), img)
     ok = not failures
     _report(6, ok, "all identities bit-exact across Gray8/RGB8/RGBA8"
             if ok else f"bit-exactness broken: {sorted(set(failures))}")

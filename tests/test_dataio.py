@@ -246,6 +246,13 @@ class TestPnm:
         with pytest.raises(DecodeError):
             load_image(path)
 
+    @pytest.mark.parametrize("digits", [21, 5000])  # int() converts at most 4300
+    def test_overlong_header_number_is_decode_error(self, tmp_path, digits):
+        path = tmp_path / "long.pgm"
+        path.write_bytes(b"P5 " + b"9" * digits + b" 1 255\n\x00")
+        with pytest.raises(DecodeError, match="longer than 20 digits"):
+            load_image(path)
+
     def test_truncated_pixels(self, tmp_path):
         path = tmp_path / "short.ppm"
         path.write_bytes(b"P6\n2 2\n255\n\x00\x01")

@@ -1,7 +1,8 @@
-"""Golden SHA-256 digests of kernel outputs on a fixed synthetic corpus.
+"""Golden SHA-256 digests of op outputs on a fixed synthetic corpus.
 
 Run-against-run comparisons cannot catch a refactor that changes every
-run the same way; these digests can. Each case runs one kernel over six
+run the same way; these digests can. Each case runs ops, with fixed or
+seeded draws and through the path the pipeline takes, or a resize, over six
 images (GRAY8, RGB8 and RGBA8, each square and non-square) built from a
 closed-form pattern, so the inputs depend on no random generator. A
 case's digest covers the shape and the bytes of all six outputs.
@@ -61,16 +62,8 @@ from augpipe import (
     save_image,
 )
 from augpipe.dataio import _decode_png, _encode_png, _encode_pnm, _use_wavefront
-from augpipe.geometry import CropRect
-from augpipe.ops import (
-    crop_kernel,
-    rotate_arbitrary,
-    shear_kernel,
-    skew_kernel,
-    zoom_kernel,
-)
 from augpipe.warp import resize
-from conftest import apply_one
+from conftest import apply_one, run_op
 
 SIZES = ((32, 32), (45, 29))
 FORMATS = (PixelFormat.GRAY8, PixelFormat.RGB8, PixelFormat.RGBA8)
@@ -93,21 +86,33 @@ def _spec(spec, index):
     return lambda img: apply_one(spec, img, derive_sample_rng(77, index))[0]
 
 
+def _fixed(spec, **drawn):
+    return lambda img: run_op(spec, img, **drawn)
+
+
+def _window_resize_back(img):
+    # The 17x11 window at (3, 2) stretched back to the image's size: the
+    # centred crop of the image's 23x15 corner, then a resize.
+    corner = Image.from_array(img.pixels[:15, :23], img.format)
+    window = run_op(CropCentre(probability=1, width=17, height=11), corner)
+    return run_op(Resize(probability=1, width=img.width, height=img.height), window)
+
+
 CASES = {
-    "rotate_pos": lambda img: rotate_arbitrary(img, 7.3),
-    "rotate_neg": lambda img: rotate_arbitrary(img, -31.0),
-    "shear_x": lambda img: shear_kernel(img, "x", 12.5),
-    "shear_y": lambda img: shear_kernel(img, "y", -9.0),
-    "skew_forward": lambda img: skew_kernel(img, "forward", 5),
-    "skew_backward": lambda img: skew_kernel(img, "backward", 3),
-    "skew_left": lambda img: skew_kernel(img, "left", 6),
-    "skew_right": lambda img: skew_kernel(img, "right", 4),
+    "rotate_pos": _fixed(Rotate(probability=1), angle=7.3),
+    "rotate_neg": _fixed(Rotate(probability=1), angle=-31.0),
+    "shear_x": _fixed(Shear(probability=1, axis="x"), angle=12.5),
+    "shear_y": _fixed(Shear(probability=1, axis="y"), angle=-9.0),
+    "skew_forward": _fixed(Skew(probability=1, skew_kind="forward"), displacement=5),
+    "skew_backward": _fixed(Skew(probability=1, skew_kind="backward"), displacement=3),
+    "skew_left": _fixed(Skew(probability=1, skew_kind="left"), displacement=6),
+    "skew_right": _fixed(Skew(probability=1, skew_kind="right"), displacement=4),
     "elastic_4x4": _spec(Elastic(probability=1, grid_width=4, grid_height=4, magnitude=5), 1),
     "elastic_3x2": _spec(Elastic(probability=1, grid_width=3, grid_height=2, magnitude=9), 2),
-    "zoom_small": lambda img: zoom_kernel(img, 1.05),
-    "zoom_large": lambda img: zoom_kernel(img, 1.37),
+    "zoom_small": _fixed(Zoom(probability=1), factor=1.05),
+    "zoom_large": _fixed(Zoom(probability=1), factor=1.37),
     "crop_resize_back": _spec(CropRandom(probability=1, area_fraction=0.6, resize_back=True), 3),
-    "crop_window_resize_back": lambda img: crop_kernel(img, CropRect(3, 2, 17, 11), True),
+    "crop_window_resize_back": _window_resize_back,
     "resize_up": lambda img: resize(img, 71, 53),
     "resize_down": lambda img: resize(img, 13, 9),
     "resize_anisotropic": lambda img: resize(img, 60, 14),

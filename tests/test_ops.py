@@ -1,5 +1,6 @@
 """Operation catalogue: kernels, draw orders, invariants, failure paths."""
 
+import inspect
 import math
 
 import numpy as np
@@ -9,7 +10,6 @@ from augpipe import (
     ConfigError,
     CropCentre,
     CropRandom,
-    CropRect,
     Elastic,
     Equalize,
     Flip,
@@ -28,31 +28,30 @@ from augpipe import (
     Zoom,
     derive_sample_rng,
 )
+from augpipe import ops
 from augpipe.geometry import Quad, shear_crop_rect, solve_homography
-from augpipe.ops import (
-    crop_kernel,
-    equalize,
-    flip,
-    greyscale,
-    invert,
-    rotate_arbitrary,
-    rotate_cardinal,
-    shear_kernel,
-    skew_kernel,
-    zoom_kernel,
-)
 from augpipe.warp import AffineTransform, monitor_source_bounds, resize, warp_affine, warp_projective
-from conftest import apply_one, random_image
+from conftest import apply_one, random_image, run_op
+
+ROTATE = Rotate(probability=1)
+TURN = RotateCardinal(probability=1)
+H_FLIP = Flip(probability=1, axis="horizontal")
+V_FLIP = Flip(probability=1, axis="vertical")
+SHEAR_X = Shear(probability=1, axis="x")
+ZOOM = Zoom(probability=1)
+INVERT = Invert(probability=1)
+GREYSCALE = Greyscale(probability=1)
+EQUALIZE = Equalize(probability=1)
 
 
 class TestRotate:
     def test_zero_angle_bit_exact(self, np_rng):
         img = random_image(np_rng, 33, 21, PixelFormat.RGB8)
-        assert np.array_equal(rotate_arbitrary(img, 0.0).pixels, img.pixels)
+        assert np.array_equal(run_op(ROTATE, img, angle=0.0).pixels, img.pixels)
 
     def test_constant_input_any_angle(self):
         img = Image.filled(40, 30, PixelFormat.GRAY8, 77)
-        out = rotate_arbitrary(img, 17.3)
+        out = run_op(ROTATE, img, angle=17.3)
         assert (out.width, out.height) == (40, 30)
         assert np.all(out.pixels == 77)
 
@@ -63,13 +62,13 @@ class TestRotate:
         arr[0, 0] = 0
         img = Image.from_array(arr, PixelFormat.GRAY8)
         with monitor_source_bounds() as monitor:
-            out = rotate_arbitrary(img, 10.0)
+            out = run_op(ROTATE, img, angle=10.0)
         assert (out.width, out.height) == (100, 100)
         assert monitor.violations == 0
 
     def test_angle_domain_error(self, np_rng):
         with pytest.raises(Exception):
-            rotate_arbitrary(random_image(np_rng, 8, 8), 46.0)
+            run_op(ROTATE, random_image(np_rng, 8, 8), angle=46.0)
 
     def test_positive_angle_turns_clockwise(self):
         # A bright pixel right of center must move down under a clockwise
@@ -77,7 +76,7 @@ class TestRotate:
         arr = np.zeros((41, 41), dtype=np.uint8)
         arr[20, 32] = 255
         img = Image.from_array(arr, PixelFormat.GRAY8)
-        out = rotate_arbitrary(img, 20.0)
+        out = run_op(ROTATE, img, angle=20.0)
         ys, xs = np.nonzero(out.pixels[:, :, 0] > 100)
         assert ys.mean() > 20.5
 
@@ -99,13 +98,13 @@ class TestRotate:
             ]
         )
         manual = warp_affine(img, AffineTransform(m), 50, 40)
-        assert np.array_equal(rotate_arbitrary(img, theta).pixels, manual.pixels)
+        assert np.array_equal(run_op(ROTATE, img, angle=theta).pixels, manual.pixels)
 
 
 class TestRotateCardinal:
     def test_permutation_formula(self, np_rng):
         img = random_image(np_rng, 5, 3, PixelFormat.RGB8)
-        out = rotate_cardinal(img, 90)
+        out = run_op(TURN, img, degrees=90)
         assert (out.width, out.height) == (3, 5)
         for y in range(out.height):
             for x in range(out.width):
@@ -114,51 +113,51 @@ class TestRotateCardinal:
 
     def test_two_by_one_column(self):
         img = Image.from_array(np.array([[10, 200]], dtype=np.uint8), PixelFormat.GRAY8)
-        out = rotate_cardinal(img, 90)
+        out = run_op(TURN, img, degrees=90)
         assert (out.width, out.height) == (1, 2)
         assert list(out.pixels[:, 0, 0]) == [10, 200]
 
     def test_involutions(self, np_rng):
         img = random_image(np_rng, 7, 4)
-        assert np.array_equal(rotate_cardinal(rotate_cardinal(img, 180), 180).pixels, img.pixels)
+        assert np.array_equal(run_op(TURN, run_op(TURN, img, degrees=180), degrees=180).pixels, img.pixels)
         out = img
         for _ in range(4):
-            out = rotate_cardinal(out, 90)
+            out = run_op(TURN, out, degrees=90)
         assert np.array_equal(out.pixels, img.pixels)
 
     def test_270_is_triple_90(self, np_rng):
         img = random_image(np_rng, 6, 9)
-        triple = rotate_cardinal(rotate_cardinal(rotate_cardinal(img, 90), 90), 90)
-        assert np.array_equal(rotate_cardinal(img, 270).pixels, triple.pixels)
+        triple = run_op(TURN, run_op(TURN, run_op(TURN, img, degrees=90), degrees=90), degrees=90)
+        assert np.array_equal(run_op(TURN, img, degrees=270).pixels, triple.pixels)
 
     def test_invalid_angle(self, np_rng):
         with pytest.raises(ValueError):
-            rotate_cardinal(random_image(np_rng, 2, 2), 45)
+            run_op(TURN, random_image(np_rng, 2, 2), degrees=45)
 
 
 class TestFlip:
     def test_examples_and_involution(self, np_rng):
         img = Image.from_array(np.array([[1, 2]], dtype=np.uint8), PixelFormat.GRAY8)
-        assert list(flip(img, "horizontal").pixels[0, :, 0]) == [2, 1]
+        assert list(run_op(H_FLIP, img).pixels[0, :, 0]) == [2, 1]
         rnd = random_image(np_rng, 9, 5, PixelFormat.RGBA8)
-        for axis in ("horizontal", "vertical"):
-            assert np.array_equal(flip(flip(rnd, axis), axis).pixels, rnd.pixels)
+        for spec in (H_FLIP, V_FLIP):
+            assert np.array_equal(run_op(spec, run_op(spec, rnd)).pixels, rnd.pixels)
 
     def test_flip_both_axes_equals_rotate_180(self, np_rng):
         img = random_image(np_rng, 8, 6, PixelFormat.RGB8)
-        both = flip(flip(img, "horizontal"), "vertical")
-        assert np.array_equal(both.pixels, rotate_cardinal(img, 180).pixels)
+        both = run_op(V_FLIP, run_op(H_FLIP, img))
+        assert np.array_equal(both.pixels, run_op(TURN, img, degrees=180).pixels)
 
 
 class TestShear:
     def test_zero_angle_bit_exact(self, np_rng):
         img = random_image(np_rng, 30, 30)
-        assert np.array_equal(shear_kernel(img, "x", 0.0).pixels, img.pixels)
+        assert np.array_equal(run_op(SHEAR_X, img, angle=0.0).pixels, img.pixels)
 
     def test_constant_any_valid_shear(self):
         img = Image.filled(50, 50, PixelFormat.GRAY8, 31)
         for axis in ("x", "y"):
-            out = shear_kernel(img, axis, -23.0)
+            out = run_op(Shear(probability=1, axis=axis), img, angle=-23.0)
             assert (out.width, out.height) == (50, 50)
             assert np.all(out.pixels == 31)
 
@@ -171,12 +170,12 @@ class TestShear:
         assert (crop.x, crop.w) == (18, 82)
         m = AffineTransform(np.array([[crop.w / 100, -t, crop.x], [0.0, 1.0, 0.0]]))
         manual = warp_affine(img, m, 100, 100)
-        assert np.array_equal(shear_kernel(img, "x", 10.0).pixels, manual.pixels)
+        assert np.array_equal(run_op(SHEAR_X, img, angle=10.0).pixels, manual.pixels)
 
     def test_excess_shear_is_op_error(self, np_rng):
         img = random_image(np_rng, 20, 200)
         with pytest.raises(OpError):
-            shear_kernel(img, "x", 40.0)  # tan(40) * 200 > 20
+            run_op(SHEAR_X, img, angle=40.0)  # tan(40) * 200 > 20
 
     def test_in_bounds_sampling(self, np_rng):
         with monitor_source_bounds() as monitor:
@@ -186,7 +185,7 @@ class TestShear:
                 angle = float(np_rng.uniform(-44, 44))
                 axis = "x" if np_rng.integers(0, 2) == 0 else "y"
                 try:
-                    shear_kernel(random_image(np_rng, w, h), axis, angle)
+                    run_op(Shear(probability=1, axis=axis), random_image(np_rng, w, h), angle=angle)
                 except OpError:
                     continue
         assert monitor.violations == 0
@@ -196,11 +195,11 @@ class TestSkew:
     def test_zero_displacement_bit_exact(self, np_rng):
         img = random_image(np_rng, 25, 35, PixelFormat.RGB8)
         for kind in ("forward", "backward", "left", "right"):
-            assert np.array_equal(skew_kernel(img, kind, 0).pixels, img.pixels)
+            assert np.array_equal(run_op(Skew(probability=1, skew_kind=kind), img, displacement=0).pixels, img.pixels)
 
     def test_constant_input(self):
         img = Image.filled(30, 30, PixelFormat.GRAY8, 99)
-        out = skew_kernel(img, "left", 10)
+        out = run_op(Skew(probability=1, skew_kind="left"), img, displacement=10)
         assert np.all(out.pixels == 99)
         assert (out.width, out.height) == (30, 30)
 
@@ -213,12 +212,12 @@ class TestSkew:
             mx, my = hom.map_point(dx, dy)
             assert abs(mx - sx) < 1e-9 and abs(my - sy) < 1e-9
         manual = warp_projective(img, hom, 100, 100)
-        assert np.array_equal(skew_kernel(img, "forward", 10).pixels, manual.pixels)
+        assert np.array_equal(run_op(Skew(probability=1, skew_kind="forward"), img, displacement=10).pixels, manual.pixels)
 
     def test_displacement_range_error(self, np_rng):
         img = random_image(np_rng, 20, 30)
         with pytest.raises(OpError):
-            skew_kernel(img, "forward", 10)  # min(20, 30)/2 = 10 is excluded
+            run_op(Skew(probability=1, skew_kind="forward"), img, displacement=10)  # min(20, 30)/2 = 10 is excluded
 
     def test_in_bounds_sampling(self, np_rng):
         with monitor_source_bounds() as monitor:
@@ -227,7 +226,7 @@ class TestSkew:
                 h = int(np_rng.integers(8, 64))
                 d = int(np_rng.integers(0, (min(w, h) - 1) // 2 + 1))
                 kind = ("forward", "backward", "left", "right")[int(np_rng.integers(0, 4))]
-                skew_kernel(random_image(np_rng, w, h), kind, d)
+                run_op(Skew(probability=1, skew_kind=kind), random_image(np_rng, w, h), displacement=d)
         assert monitor.violations == 0
 
 
@@ -259,22 +258,22 @@ class TestElastic:
 class TestZoom:
     def test_factor_one_bit_exact(self, np_rng):
         img = random_image(np_rng, 19, 23, PixelFormat.RGB8)
-        assert np.array_equal(zoom_kernel(img, 1.0).pixels, img.pixels)
+        assert np.array_equal(run_op(ZOOM, img, factor=1.0).pixels, img.pixels)
 
     def test_factor_two_matches_resize_then_center_crop(self, np_rng):
         img = random_image(np_rng, 100, 100)
         manual = resize(img, 200, 200)
         manual_crop = Image.from_array(manual.pixels[50:150, 50:150], PixelFormat.GRAY8)
-        assert np.array_equal(zoom_kernel(img, 2.0).pixels, manual_crop.pixels)
+        assert np.array_equal(run_op(ZOOM, img, factor=2.0).pixels, manual_crop.pixels)
 
     def test_zoom_out_rejected(self, np_rng):
         with pytest.raises(OpError):
-            zoom_kernel(random_image(np_rng, 8, 8), 0.9)
+            run_op(ZOOM, random_image(np_rng, 8, 8), factor=0.9)
 
     def test_constant_any_factor(self):
         img = Image.filled(21, 13, PixelFormat.GRAY8, 55)
         for f in (1.0, 1.3, 2.71):
-            out = zoom_kernel(img, f)
+            out = run_op(ZOOM, img, factor=f)
             assert (out.width, out.height) == (21, 13)
             assert np.all(out.pixels == 55)
 
@@ -282,18 +281,18 @@ class TestZoom:
 class TestCrops:
     def test_full_image_crop_identity(self, np_rng):
         img = random_image(np_rng, 10, 12)
-        out = crop_kernel(img, CropRect(0, 0, 10, 12))
+        out = run_op(CropRandom(probability=1, area_fraction=1.0), img, x=0, y=0)
         assert np.array_equal(out.pixels, img.pixels)
 
     def test_out_of_bounds_rejected(self, np_rng):
         img = random_image(np_rng, 10, 10)
         with pytest.raises(OpError):
-            crop_kernel(img, CropRect(5, 5, 6, 6))
+            run_op(CropRandom(probability=1, area_fraction=0.36), img, x=5, y=5)
 
     def test_fractional_offsets_rejected(self, np_rng):
         img = random_image(np_rng, 10, 10)
         with pytest.raises(OpError):
-            crop_kernel(img, CropRect(0.5, 0, 5, 5))
+            run_op(CropRandom(probability=1, area_fraction=0.25), img, x=0.5, y=0)
 
     def test_centre_crop_offset(self, np_rng):
         img = random_image(np_rng, 32, 32)
@@ -320,41 +319,41 @@ class TestCrops:
 class TestPixelOps:
     def test_invert_is_involution(self, np_rng):
         img = random_image(np_rng, 9, 9, PixelFormat.RGB8)
-        assert np.array_equal(invert(invert(img)).pixels, img.pixels)
+        assert np.array_equal(run_op(INVERT, run_op(INVERT, img)).pixels, img.pixels)
 
     def test_invert_leaves_alpha(self, np_rng):
         img = random_image(np_rng, 5, 5, PixelFormat.RGBA8)
-        out = invert(img)
+        out = run_op(INVERT, img)
         assert np.array_equal(out.pixels[..., 3], img.pixels[..., 3])
         assert np.array_equal(out.pixels[..., :3], 255 - img.pixels[..., :3])
 
     def test_greyscale_of_pure_red(self):
         img = Image.filled(2, 2, PixelFormat.RGB8, (255, 0, 0))
-        out = greyscale(img)
+        out = run_op(GREYSCALE, img)
         assert out.format is PixelFormat.GRAY8
         assert np.all(out.pixels == 76)  # 0.299 * 255 = 76.245
 
     def test_greyscale_identity_on_gray(self, np_rng):
         img = random_image(np_rng, 4, 4)
-        assert greyscale(img) is img
+        assert run_op(GREYSCALE, img) is img
 
     def test_greyscale_drops_alpha(self, np_rng):
         img = random_image(np_rng, 4, 4, PixelFormat.RGBA8)
-        assert greyscale(img).format is PixelFormat.GRAY8
+        assert run_op(GREYSCALE, img).format is PixelFormat.GRAY8
 
     def test_equalize_two_level_unchanged(self):
         arr = np.zeros((4, 4, 1), dtype=np.uint8)
         arr[2:] = 255
         img = Image.from_array(arr, PixelFormat.GRAY8)
-        assert np.array_equal(equalize(img).pixels, img.pixels)
+        assert np.array_equal(run_op(EQUALIZE, img).pixels, img.pixels)
 
     def test_equalize_single_intensity_unchanged(self):
         img = Image.filled(6, 6, PixelFormat.GRAY8, 120)
-        assert np.array_equal(equalize(img).pixels, img.pixels)
+        assert np.array_equal(run_op(EQUALIZE, img).pixels, img.pixels)
 
     def test_equalize_matches_direct_formula(self, np_rng):
         img = random_image(np_rng, 16, 16)
-        out = equalize(img)
+        out = run_op(EQUALIZE, img)
         values = img.pixels[..., 0]
         n = values.size
         hist = np.bincount(values.ravel(), minlength=256)
@@ -368,7 +367,7 @@ class TestPixelOps:
 
     def test_equalize_leaves_alpha(self, np_rng):
         img = random_image(np_rng, 6, 6, PixelFormat.RGBA8)
-        assert np.array_equal(equalize(img).pixels[..., 3], img.pixels[..., 3])
+        assert np.array_equal(run_op(EQUALIZE, img).pixels[..., 3], img.pixels[..., 3])
 
 
 class TestSpecsAndApply:
@@ -468,6 +467,19 @@ class TestSpecsAndApply:
             CropRandom(probability=1, area_fraction=0.0)
         with pytest.raises(ConfigError):
             Skew(probability=1, severity=2.0)
+
+
+def test_each_op_is_declared_by_one_class():
+    # An op is one direct OpSpec subclass, which holds its kernel in apply
+    # or gives its warp map through transform; the module has no public
+    # kernel function beside the classes.
+    for spec_cls in OpSpec.__subclasses__():
+        assert ("apply" in vars(spec_cls)) != ("transform" in vars(spec_cls)), spec_cls.kind
+    spec_names = {spec_cls.__name__ for spec_cls in OpSpec.__subclasses__()}
+    assert set(ops.__all__) == {"OpSpec", "OpApplication", "apply_op"} | spec_names
+    functions = [name for name, value in vars(ops).items() if inspect.isfunction(value)
+                 and value.__module__ == ops.__name__ and not name.startswith("_")]
+    assert functions == ["apply_op"]
 
 
 CONSTANT_VALUE = 137

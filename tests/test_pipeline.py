@@ -20,13 +20,11 @@ from augpipe import (
     DatasetError,
     DecodeError,
     DirectorySink,
-    DisplacementGrid,
     Elastic,
     Equalize,
     Flip,
     GeometryError,
     Greyscale,
-    Homography,
     Image,
     Invert,
     OpApplication,
@@ -51,8 +49,8 @@ from augpipe import (
 )
 from augpipe import pipeline as pipeline_mod
 from augpipe.pipeline import TraceRecord
-from augpipe.warp import _BAND_PIXELS, monitor_source_bounds, warp_affine, warp_mesh, warp_projective
-from conftest import random_image, tree_bytes
+from augpipe.warp import _BAND_PIXELS, monitor_source_bounds
+from conftest import random_image, run_op, tree_bytes
 
 
 def _small_dataset(root, np_rng, count=10, size=12):
@@ -281,16 +279,33 @@ class TestSourceCache:
             source, img = sources.load(ds, position)
             assert source.path == ds.path_of(entries[position])
             assert np.array_equal(img.pixels, load_image(source.path).pixels)
-            assert sum(held.pixels.nbytes for held in sources.images.values()) <= 3 * 64 + 10
-        assert list(sources.images) == entries[2:]
+            assert sum(held.pixels.nbytes for _source, held in sources.loaded.values()) <= 3 * 64 + 10
+        assert list(sources.loaded) == entries[2:]
         assert sources.image_bytes == 3 * 64
         sources.load(ds, 4)  # still held: not decoded again
         sources.load(ds, 0)  # evicted: decoded again
         assert decoded == [ds.path_of(entry) for entry in entries + entries[:1]]
-        assert list(sources.images) == entries[3:] + entries[:1]
-        # Each entry's _Source is built once per table, evicted image or not.
-        assert sources.load(ds, 0)[0] is sources.sources[entries[0]]
-        assert list(sources.sources) == entries
+        assert list(sources.loaded) == entries[3:] + entries[:1]
+        # A held entry's _Source is built once per table.
+        assert sources.load(ds, 0) is sources.loaded[entries[0]]
+
+    def test_evicted_image_takes_its_source_along(self, tmp_path, np_rng):
+        # Every _Source the table can reach belongs to an image it holds.
+        sources = pipeline_mod._Sources()
+        sources.max_bytes = 2 * 64
+        for i in range(5):
+            save_image(random_image(np_rng, 8, 8), tmp_path / f"{i}.png")
+        ds = scan_dataset(tmp_path)
+        for position in range(5):
+            sources.load(ds, position)
+        reached, todo = [], [vars(sources)]
+        while todo:
+            value = todo.pop()
+            if isinstance(value, pipeline_mod._Source):
+                reached.append(value.path)
+            elif isinstance(value, (dict, list, tuple)):
+                todo.extend(value.values() if isinstance(value, dict) else value)
+        assert sorted(reached) == [ds.path_of(entry) for entry in ds.entries[3:]]
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_call_leaves_no_module_state(self, tmp_path, np_rng, jobs):
@@ -545,8 +560,7 @@ _generate_chunk_in_worker = pipeline_mod._generate_chunk_in_worker
 
 def _reference_sample(pipe, dataset, index, sink, choose_source):
     """Sample index generated one op at a time on its own image: the gate,
-    the op's draws, then its apply or the single-image warp of its
-    transform. The reference that the op-major chunks are checked against;
+    the op's draws, then the op on that one image. The reference that the op-major chunks are checked against;
     an OpError carries the message, draws and op index the pipeline gives
     a failing sample."""
     rng = derive_sample_rng(pipe.master_seed, index)
@@ -559,22 +573,13 @@ def _reference_sample(pipe, dataset, index, sink, choose_source):
             applications.append(OpApplication(spec.kind, False))
             continue
         where = f"sample {index} (source {entry.rel_path}): op {op_index} ({spec.kind})"
-        w, h = img.width, img.height
         try:
-            drawn = spec.draw(rng, w, h)
+            drawn = spec.draw(rng, img.width, img.height)
         except OpError as exc:
             # Nothing was drawn that could reproduce the failure.
             raise OpError(f"{where}: {exc}", op_kind=exc.op_kind, op_index=op_index) from exc
         try:
-            transform = spec.transform(drawn, w, h)
-            if transform is None:
-                img = spec.apply(img, drawn)
-            elif isinstance(transform, DisplacementGrid):
-                img = warp_mesh(img, transform)
-            elif isinstance(transform, Homography):
-                img = warp_projective(img, transform, w, h)
-            else:
-                img = warp_affine(img, transform, w, h)
+            img = run_op(spec, img, **dict(drawn))
         except OpError as exc:
             raise OpError(f"{where}: {exc}", op_kind=spec.kind, drawn=tuple(drawn),
                           op_index=op_index) from exc

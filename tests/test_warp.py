@@ -12,11 +12,11 @@ from augpipe import (
     GeometryError,
     Image,
     PixelFormat,
+    Zoom,
     round_half_away,
 )
 from augpipe import warp
 from augpipe.geometry import CropRect, Homography
-from augpipe.ops import zoom_kernel
 from augpipe.warp import (
     monitor_source_bounds,
     resize,
@@ -25,7 +25,7 @@ from augpipe.warp import (
     warp_mesh,
     warp_projective,
 )
-from conftest import random_image
+from conftest import random_image, run_op
 
 
 class TestSample:
@@ -297,7 +297,7 @@ class TestBilinearMatchesReference:
         nw, nh = round_half_away(img.width * factor), round_half_away(img.height * factor)
         ox, oy = (nw - img.width) // 2, (nh - img.height) // 2
         full = resize(img, nw, nh).pixels[oy : oy + img.height, ox : ox + img.width]
-        assert np.array_equal(zoom_kernel(img, factor).pixels, full)
+        assert np.array_equal(run_op(Zoom(probability=1), img, factor=factor).pixels, full)
 
     @settings(max_examples=60, deadline=None)
     @given(_image(), _sizes, _sizes,
