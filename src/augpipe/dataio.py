@@ -8,6 +8,7 @@ reproducibility contract depends on.
 
 from __future__ import annotations
 
+import re
 import struct
 import zlib
 from dataclasses import dataclass
@@ -324,33 +325,42 @@ def _png_chunk(ctype: bytes, payload: bytes) -> bytes:
 _PNM_MAX_DIGITS = 20
 
 
+# One header piece where it starts: whitespace, a comment (up to the next
+# CR or LF) or a number. A number is matched to one digit past the cap, so
+# an overlong one is refused without reading all of it.
+_PNM_PIECE = re.compile(rb"([ \t\n\r\x0b\x0c]+)|#[^\n\r]*|([0-9]{1,%d})" % (_PNM_MAX_DIGITS + 1))
+
+
 def _pnm_tokens(data: bytes, count: int, start: int) -> tuple[list[int], int]:
-    """Read `count` whitespace-separated integers, honouring # comments."""
+    """Read `count` whitespace-separated integers, honouring # comments.
+
+    A number ends at the first whitespace byte after it, which may follow
+    a comment; the returned position is just past the one that ends the
+    last number. Each comment, number or run of whitespace is one match.
+    """
     tokens: list[int] = []
     pos = start
-    current = b""
+    number = None  # read, but not yet ended by whitespace
     while len(tokens) < count:
         if pos >= len(data):
             raise DecodeError("truncated PNM header")
-        ch = data[pos : pos + 1]
-        if ch == b"#":
-            while pos < len(data) and data[pos : pos + 1] not in (b"\n", b"\r"):
-                pos += 1
-        elif ch.isspace():
-            if current:
-                tokens.append(int(current))
-                current = b""
-            pos += 1
-        elif ch.isdigit():
-            # No image has a size or maxval this long; the cap also keeps
-            # int() within its digit limit and the byte appends short.
-            if len(current) == _PNM_MAX_DIGITS:
-                raise DecodeError(f"PNM header number longer than {_PNM_MAX_DIGITS} digits "
-                                  f"near byte {pos}")
-            current += ch
-            pos += 1
-        else:
+        piece = _PNM_PIECE.match(data, pos)
+        if piece is None:
             raise DecodeError(f"malformed PNM header near byte {pos}")
+        spaces, digits = piece.groups()
+        if spaces and number is not None:
+            tokens.append(number)
+            number = None
+            pos += 1
+            continue
+        if digits:
+            # No image has a size or maxval this long; the cap also keeps
+            # int() within its digit limit.
+            if len(digits) > _PNM_MAX_DIGITS:
+                raise DecodeError(f"PNM header number longer than {_PNM_MAX_DIGITS} digits "
+                                  f"near byte {pos + _PNM_MAX_DIGITS}")
+            number = int(digits)
+        pos = piece.end()
     return tokens, pos
 
 

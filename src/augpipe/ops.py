@@ -30,10 +30,12 @@ with its own stream, a single image being a list of one: it draws for
 each image in turn, then applies the op to all of them.
 
 The warp ops (rotate, shear, skew, elastic) define only ``transform``,
-which gives their destination-to-source map; the maps are warped in
-batches. Rotate, shear and skew, which could leave blank borders, crop to
-the largest usable region and resize back within that one map, so every
-source sample stays inside the image. Every other op holds its kernel in
+which gives their destination-to-source map; ``apply_batch`` hands the
+maps to ``warp.warp_batch``, which alone knows how each map type is
+warped and how many images it stacks at a time. Rotate, shear and skew,
+which could leave blank borders, crop to the largest usable region and
+resize back within that one map, so every source sample stays inside
+the image. Every other op holds its kernel in
 ``apply``, run image by image.
 """
 
@@ -47,21 +49,18 @@ from typing import Any, ClassVar
 import numpy as np
 
 from .errors import ConfigError, GeometryError, OpError
-from .geometry import _SNAP, CropRect, Homography, Quad, inscribed_crop_rect, shear_crop_rect, solve_homography
+from .geometry import _SNAP, CropRect, Quad, inscribed_crop_rect, shear_crop_rect, solve_homography
 from .imagecore import Image, PixelFormat, RngStream, clamp_round_array, round_half_away
 # perfbench/spans.py times the warps through these names; the one-image
 # warp_affine, warp_projective and warp_mesh are imported for it alone.
 from .warp import (  # noqa: F401
-    _BAND_PIXELS,
     AffineTransform,
     DisplacementGrid,
     resize,
     warp_affine,
-    warp_affine_batch,
+    warp_batch,
     warp_mesh,
-    warp_mesh_batch,
     warp_projective,
-    warp_projective_batch,
 )
 
 # Largest image, in pixels, that an op may make (8192 x 8192); sizes come
@@ -182,16 +181,13 @@ class OpSpec:
 
     def apply_batch(self, imgs: list[Image], drawn: list[list[tuple[str, Any]]]) -> list[Image]:
         """The op on each of some same-shape images, each with its own
-        draws: the transforms warped together, or apply image by image."""
+        draws: the transforms warped together by warp_batch, or apply
+        image by image."""
         w, h = imgs[0].width, imgs[0].height
         maps = [self.transform(values, w, h) for values in drawn]
         if maps[0] is None:
             return [self.apply(img, values) for img, values in zip(imgs, drawn)]
-        if isinstance(maps[0], DisplacementGrid):
-            return warp_mesh_batch(imgs, maps)
-        if isinstance(maps[0], Homography):
-            return warp_projective_batch(imgs, maps, w, h)
-        return warp_affine_batch(imgs, maps, w, h)
+        return warp_batch(imgs, maps, w, h)
 
 
 @dataclass(frozen=True)
@@ -596,9 +592,9 @@ def apply_op(
     spec: OpSpec, imgs: list[Image], rngs: list[RngStream]
 ) -> tuple[list[Image], list[OpApplication]]:
     """Apply spec to same-shape images, image k drawing from rngs[k]:
-    the draws image by image, then the kernel on batches of at most
-    _BAND_PIXELS pixels. Returns the outputs and a record of each image's
-    draws; image k's output and draws do not depend on the other images.
+    the draws image by image, then one apply_batch on them all. Returns
+    the outputs and a record of each image's draws; image k's output and
+    draws do not depend on the other images.
 
     Probability gating happens in the pipeline; apply_op always applies.
     A kernel failure surfaces as an OpError; for a single image it carries
@@ -608,11 +604,8 @@ def apply_op(
     drawn = [spec.draw(rng, w, h) for rng in rngs]
     # A group's error does not say which image failed, so it carries no draws.
     failed_draws = tuple(drawn[0]) if len(drawn) == 1 else None
-    step = max(1, _BAND_PIXELS // (w * h))
-    out = []
     try:
-        for start in range(0, len(imgs), step):
-            out += spec.apply_batch(imgs[start : start + step], drawn[start : start + step])
+        out = spec.apply_batch(imgs, drawn)
     except OpError as exc:
         raise OpError(str(exc), op_kind=spec.kind, drawn=failed_draws) from exc
     except GeometryError as exc:

@@ -27,13 +27,15 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import posixpath
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import zip_longest
 from pathlib import Path
+from typing import NoReturn
 
 from .dataio import DatasetEntry, DatasetIndex, load_image, output_name, save_image, split_by_class
-from .errors import AugpipeError, DatasetError, OpError, OutputCollisionError, UnsupportedImageError
+from .errors import AugpipeError, DatasetError, OpError, OutputCollisionError
 from .imagecore import Image, PixelFormat, RngStream, derive_sample_rng, mix64
 from .ops import OpApplication, OpSpec, apply_op
 from .warp import _BAND_PIXELS
@@ -161,53 +163,26 @@ def _start(pipeline: Pipeline, dataset: DatasetIndex, index: int, choose_source:
     return rng, position
 
 
-class _Source:
-    """A dataset entry's path, and the directory and stem of its outputs."""
-
-    __slots__ = ("rel_path", "path", "rel_dir", "stem")
-
-    def __init__(self, dataset: DatasetIndex, entry: DatasetEntry):
-        rel_path = Path(entry.rel_path)
-        self.rel_path = entry.rel_path
-        self.path = dataset.path_of(entry)
-        self.rel_dir = rel_path.parent.as_posix() if rel_path.parent != Path(".") else ""
-        self.stem = rel_path.stem
-
-    def write(self, sink, index: int, img: Image, applications) -> TraceRecord:
-        try:
-            written = sink.write(self.rel_dir, self.stem, index, img)
-        except OutputCollisionError as exc:
-            raise OutputCollisionError(f"sample {index}: {exc}") from exc
-        except UnsupportedImageError as exc:
-            raise UnsupportedImageError(f"sample {index}: {exc}") from exc
-        except OSError as exc:
-            raise OSError(f"sample {index}: {exc}") from exc
-        return TraceRecord(index, self.rel_path, tuple(applications), written)
-
-
 class _Sources:
-    """One call's sources by dataset entry: each entry's _Source with its
-    image as decoded at its first load. Past max_bytes of pixels the oldest
-    decodes are evicted, each with its _Source; the cap holds 1000 28x28
-    grey digits (0.8 MB) or a 1024x1024 and eight 256x256 RGB photos
-    (4.7 MB) several times over."""
+    """One call's sources: each dataset entry's image as decoded at its
+    first load. Past max_bytes of pixels the oldest decodes are evicted;
+    the cap holds 1000 28x28 grey digits (0.8 MB) or a 1024x1024 and eight
+    256x256 RGB photos (4.7 MB) several times over."""
 
     max_bytes = 32 << 20
 
     def __init__(self):
-        self.loaded: dict[DatasetEntry, tuple[_Source, Image]] = {}  # oldest decode first
+        self.loaded: dict[DatasetEntry, Image] = {}  # oldest decode first
         self.image_bytes = 0
 
-    def load(self, dataset: DatasetIndex, position: int) -> tuple[_Source, Image]:
-        entry = dataset.entries[position]
-        held = self.loaded.get(entry)
-        if held is None:
-            source = _Source(dataset, entry)
-            held = self.loaded[entry] = (source, load_image(source.path))
-            self.image_bytes += held[1].pixels.nbytes
+    def load(self, dataset: DatasetIndex, entry: DatasetEntry) -> Image:
+        img = self.loaded.get(entry)
+        if img is None:
+            img = self.loaded[entry] = load_image(dataset.path_of(entry))
+            self.image_bytes += img.pixels.nbytes
             while self.image_bytes > self.max_bytes:
-                self.image_bytes -= self.loaded.pop(next(iter(self.loaded)))[1].pixels.nbytes
-        return held
+                self.image_bytes -= self.loaded.pop(next(iter(self.loaded))).pixels.nbytes
+        return img
 
 
 def _apply_ops(
@@ -250,6 +225,21 @@ def _apply_ops(
 _RERUN_ERRORS = (AugpipeError, OSError, ValueError, MemoryError)
 
 
+def _raise_named(exc: BaseException, index: int, entry: DatasetEntry) -> NoReturn:
+    """Raise exc again with sample index and its source before its message.
+
+    The type stays, so the exit code does not change, and an OpError keeps
+    its op kind, draws and op index. Only an AugpipeError or OSError is
+    renamed; any other exception is raised as it is.
+    """
+    message = f"sample {index} (source {entry.rel_path}): {exc}"
+    if isinstance(exc, OpError):
+        raise OpError(message, op_kind=exc.op_kind, drawn=exc.drawn, op_index=exc.op_index) from exc
+    if isinstance(exc, (AugpipeError, OSError)):
+        raise type(exc)(message) from exc
+    raise exc
+
+
 def _generate_chunk(chunk, sources: _Sources, stop=lambda: None) -> list[TraceRecord]:
     """Generate a chunk of samples op-major, writing them in index order.
 
@@ -262,30 +252,37 @@ def _generate_chunk(chunk, sources: _Sources, stop=lambda: None) -> list[TraceRe
     time, each from a freshly derived stream, which writes the samples
     before the first failing one and raises that sample's own error. A
     source that fails to load ends the chunk with its error once the run
-    before it is written. sources is the call's source table; stop is
-    called before each run and may raise to end the chunk there.
+    before it is written. Whether it fails at load, in an op or at write,
+    a sample's error names the sample and its source (_raise_named).
+    sources is the call's source table; stop is called before each run
+    and may raise to end the chunk there.
     """
     pipeline, dataset, indices, sink, choose_source = chunk
     records: list[TraceRecord] = []
-    pending: list[tuple[int, _Source, RngStream, Image]] = []  # sample index, source, stream, image
+    pending: list[tuple[int, DatasetEntry, RngStream, Image]] = []  # sample index, source, stream, image
     pending_pixels = 0
 
     def run(batch) -> None:
-        images = [img for _index, _source, _rng, img in batch]
+        images = [img for _index, _entry, _rng, img in batch]
         try:
-            applications = _apply_ops(pipeline, [rng for _index, _source, rng, _img in batch], images)
+            applications = _apply_ops(pipeline, [rng for _index, _entry, rng, _img in batch], images)
         except _RERUN_ERRORS as exc:
             if len(batch) > 1:
-                for index, source, _rng, img in batch:
-                    run([(index, source, _start(pipeline, dataset, index, choose_source)[0], img)])
+                for index, entry, _rng, img in batch:
+                    run([(index, entry, _start(pipeline, dataset, index, choose_source)[0], img)])
                 return
-            if not isinstance(exc, OpError):
-                raise
-            index, source = batch[0][:2]
-            raise OpError(f"sample {index} (source {source.rel_path}): {exc}",
-                          op_kind=exc.op_kind, drawn=exc.drawn, op_index=exc.op_index) from exc
-        records.extend(source.write(sink, index, out, apps)
-                       for (index, source, _rng, _img), out, apps in zip(batch, images, applications))
+            _raise_named(exc, *batch[0][:2])
+        for (index, entry, _rng, _img), out, apps in zip(batch, images, applications):
+            rel_dir, name = posixpath.split(entry.rel_path)
+            # The name up to its last dot, as Path.stem takes it: a dot
+            # that starts or ends the name begins no suffix.
+            dot = name.rfind(".")
+            stem = name[:dot] if 0 < dot < len(name) - 1 else name
+            try:
+                written = sink.write(rel_dir, stem, index, out)
+            except Exception as exc:
+                _raise_named(exc, index, entry)
+            records.append(TraceRecord(index, entry.rel_path, tuple(apps), written))
 
     def flush():
         nonlocal pending_pixels
@@ -296,15 +293,16 @@ def _generate_chunk(chunk, sources: _Sources, stop=lambda: None) -> list[TraceRe
 
     for index in indices:
         rng, position = _start(pipeline, dataset, index, choose_source)
+        entry = dataset.entries[position]
         try:
-            source, img = sources.load(dataset, position)
-        except Exception:
+            img = sources.load(dataset, entry)
+        except Exception as exc:
             flush()
-            raise
+            _raise_named(exc, index, entry)
         pixels = img.width * img.height
         if pending and pending_pixels + pixels > _BAND_PIXELS:
             flush()
-        pending.append((index, source, rng, img))
+        pending.append((index, entry, rng, img))
         pending_pixels += pixels
     if pending:
         flush()

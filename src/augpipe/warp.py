@@ -22,11 +22,15 @@ fractions do not depend on the row), the mesh warp blends each node row
 along x once, and a zoom computes only the visible window of its
 enlargement. Large outputs are sampled and quantised in bands of rows,
 and their source coordinates are computed band by band.
-The mesh, affine and projective warps also come in a batch form that
-stacks same-shape images and gathers from all of them at once; the
-single-image warps are its one-image case.
 Reordering, fusing or narrowing any of these operations changes output
 bytes, and the golden digests in tests/test_golden.py pin them.
+
+``warp_batch`` is the one entry for every destination-to-source map
+(AffineTransform, Homography or DisplacementGrid): it picks the map
+type's coordinate builder, stacks same-shape images at most one band of
+source pixels at a time, and gathers from each stack at once.
+``warp_affine``, ``warp_projective`` and ``warp_mesh`` are its one-image
+case. It and ``resize`` share one band loop, ``_warp``.
 """
 
 from __future__ import annotations
@@ -47,12 +51,10 @@ __all__ = [
     "SamplingMonitor",
     "monitor_source_bounds",
     "sample",
+    "warp_batch",
     "warp_affine",
-    "warp_affine_batch",
     "warp_projective",
-    "warp_projective_batch",
     "warp_mesh",
-    "warp_mesh_batch",
     "resize",
 ]
 
@@ -110,12 +112,6 @@ class DisplacementGrid:
     def zero(cls, gw: int, gh: int) -> "DisplacementGrid":
         return cls(gw, gh, np.zeros((gh + 1, gw + 1, 2), dtype=np.float64))
 
-    def rest_positions(self, width: int, height: int) -> tuple[np.ndarray, np.ndarray]:
-        """Node rest coordinates (xs of columns, ys of rows) on a host image."""
-        xs = np.arange(self.gw + 1) * (width / self.gw)
-        ys = np.arange(self.gh + 1) * (height / self.gh)
-        return xs, ys
-
 
 class SamplingMonitor:
     """Collects out-of-domain source coordinates seen while active.
@@ -169,37 +165,11 @@ def _centers(start: int, count: int) -> np.ndarray:
     return centers
 
 
-class _Stack:
-    """Same-shape images stacked for one gather.
-
-    ``flat`` holds their pixels as (count * height * width, channels);
-    sample coordinates of image n index its block through a base offset
-    of n * height * width.
-    """
-
-    __slots__ = ("flat", "count", "width", "height", "format")
-
-    def __init__(self, imgs):
-        first = imgs[0]
-        px = first.pixels if len(imgs) == 1 else np.stack([img.pixels for img in imgs])
-        self.flat = px.reshape(-1, first.channels)
-        self.count = len(imgs)
-        self.width, self.height, self.format = first.width, first.height, first.format
-
-
-def _observe(src: _Stack, xs: np.ndarray, ys: np.ndarray) -> None:
+def _observe(width: int, height: int, xs: np.ndarray, ys: np.ndarray) -> None:
     # xs and ys carry a leading axis of one coordinate array per image.
     for monitor in _active_monitors:
         for image_xs, image_ys in zip(xs, ys):
-            monitor.observe(image_xs, image_ys, src.width, src.height)
-
-
-def _row_starts(src: _Stack, rows: np.ndarray, base) -> np.ndarray:
-    # Flat index of the first pixel of each (clamped) source row; in place.
-    rows *= src.width
-    if base is not None:
-        rows += base
-    return rows
+            monitor.observe(image_xs, image_ys, width, height)
 
 
 def _clamp(indices: np.ndarray, top: int) -> np.ndarray:
@@ -230,18 +200,26 @@ def _lerp(a: np.ndarray, b: np.ndarray, f: np.ndarray, g: np.ndarray) -> np.ndar
     return a
 
 
-def _sample_bilinear(src: _Stack, xs: np.ndarray, ys: np.ndarray, base) -> np.ndarray:
+def _sample_bilinear(pixels: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Sample per-channel real values at continuous coordinates.
 
-    ``base`` is None for a single image, else each coordinate's image
-    offset (broadcast against ys). Returns float64 with shape
+    pixels stacks same-shape images as (count, height, width, channels);
+    xs and ys have shape (count, rows, columns), and entry k of their
+    leading axis addresses image k. Returns float64 with shape
     xs.shape + (channels,).
     """
-    x0, x1, fx = _bilinear_taps(xs, src.width)
-    y0, y1, fy = _bilinear_taps(ys, src.height)
-    y0 = _row_starts(src, y0, base)
-    y1 = _row_starts(src, y1, base)
-    flat = src.flat
+    count, height, width, channels = pixels.shape
+    x0, x1, fx = _bilinear_taps(xs, width)
+    y0, y1, fy = _bilinear_taps(ys, height)
+    if count > 1:
+        # Image k's rows follow the k * height rows of the images before it.
+        first_rows = np.arange(0, count * height, height, dtype=np.intp)[:, None, None]
+        y0 += first_rows
+        y1 += first_rows
+    # In place: the flat index of the first pixel of each tap's row.
+    y0 *= width
+    y1 *= width
+    flat = pixels.reshape(-1, channels)
     fx = fx[..., None]
     gx = 1.0 - fx
     top = _lerp(flat.take(y0 + x0, axis=0), flat.take(y0 + x1, axis=0), fx, gx)
@@ -272,50 +250,27 @@ def _resize_bilinear(img: Image, x_taps: tuple, sy: np.ndarray) -> np.ndarray:
 
 def sample(img: Image, x: float, y: float) -> tuple[float, ...]:
     """Per-channel real values at one continuous coordinate."""
-    src = _Stack([img])
-    xs, ys = np.array([x], dtype=np.float64), np.array([y], dtype=np.float64)
-    _observe(src, xs[None], ys[None])
-    return tuple(float(v) for v in _sample_bilinear(src, xs, ys, None)[0])
+    xs, ys = np.full((1, 1, 1), x, dtype=np.float64), np.full((1, 1, 1), y, dtype=np.float64)
+    _observe(img.width, img.height, xs, ys)
+    return tuple(float(v) for v in _sample_bilinear(img.pixels[None], xs, ys)[0, 0, 0])
 
 
-def _quantise_bands(height: int, width: int, fmt, sample_rows) -> Image:
-    """Build a height x width image in bands of rows.
+def _warp(count: int, height: int, width: int, fmt, sample_rows) -> list[Image]:
+    """Build count height x width images in bands of rows.
 
-    ``sample_rows(band)`` returns the real values of the rows in the slice
-    ``band``. Each band is quantised on its own, which keeps the float64
-    temporaries small and in cache.
+    ``sample_rows(rows)`` returns the real values of the output rows in
+    the slice ``rows`` of every image, (count, rows, width, channels), or
+    without the leading axis when count is 1. A band is the same rows of
+    every image, at most _BAND_PIXELS pixels unless one row of each is
+    more; it is sampled and quantised on its own, so no full-size float64
+    array is ever held.
     """
-    out = np.empty((height, width, fmt.channels), dtype=np.uint8)
-    step = max(1, _BAND_PIXELS // width)
-    for start in range(0, height, step):
-        band = slice(start, start + step)
-        out[band] = clamp_round_array(sample_rows(band))
-    return Image._wrap(out, fmt)
-
-
-def _warp(src: _Stack, height: int, width: int, coords) -> list[Image]:
-    """Sample every image of src onto a height x width output.
-
-    ``coords(rows)`` returns the source coordinates (xs, ys) of the output
-    rows in the slice ``rows``, for every image: two (count, rows, width)
-    arrays. A band is the same rows of every image, at most _BAND_PIXELS
-    pixels unless one row of each is more; its coordinates are made,
-    sampled and quantised together, so no full-size coordinate array is
-    ever held.
-    """
-    if _active_monitors:
-        _observe(src, *coords(slice(0, height)))
-    out = np.empty((src.count, height, width, src.format.channels), dtype=np.uint8)
-    # The flat offset of each image's block in the stack; none for one image.
-    base = None
-    if src.count > 1:
-        base = (np.arange(src.count, dtype=np.intp) * (src.width * src.height))[:, None, None]
-    step = max(1, _BAND_PIXELS // (src.count * width))
+    out = np.empty((count, height, width, fmt.channels), dtype=np.uint8)
+    step = max(1, _BAND_PIXELS // (count * width))
     for start in range(0, height, step):
         rows = slice(start, start + step)
-        xs, ys = coords(rows)
-        out[:, rows] = clamp_round_array(_sample_bilinear(src, xs, ys, base))
-    return [Image._wrap(image, src.format) for image in out]
+        out[:, rows] = clamp_round_array(sample_rows(rows))
+    return [Image._wrap(image, fmt) for image in out]
 
 
 def _check_size(out_w: int, out_h: int) -> None:
@@ -323,9 +278,10 @@ def _check_size(out_w: int, out_h: int) -> None:
         raise ValueError(f"output dimensions must be >= 1, got {out_w}x{out_h}")
 
 
-def warp_affine_batch(imgs, transforms, out_w: int, out_h: int) -> list[Image]:
-    """warp_affine of each same-shape image through its own transform."""
-    _check_size(out_w, out_h)
+def _affine_coordinates(transforms, out_w: int, out_h: int):
+    """coords(rows): the source coordinates (xs, ys) of the output rows in
+    the slice rows, through each transform; two (count, rows, out_w)
+    arrays."""
     m = np.stack([t.m for t in transforms])[:, :, :, None, None]
     xs, ys = _centers(0, out_w), _centers(0, out_h)[:, None]
 
@@ -338,22 +294,17 @@ def warp_affine_batch(imgs, transforms, out_w: int, out_h: int) -> list[Image]:
         sy += m[:, 1, 2]
         return sx, sy
 
-    return _warp(_Stack(imgs), out_h, out_w, coords)
+    return coords
 
 
-def warp_affine(img: Image, transform: AffineTransform, out_w: int, out_h: int) -> Image:
-    """Resample through a destination-to-source affine map."""
-    return warp_affine_batch([img], [transform], out_w, out_h)[0]
-
-
-def warp_projective_batch(imgs, homs, out_w: int, out_h: int) -> list[Image]:
-    """warp_projective of each same-shape image through its own homography."""
-    _check_size(out_w, out_h)
+def _projective_coordinates(homs, out_w: int, out_h: int):
+    """As _affine_coordinates, through each homography; coords raises
+    GeometryError where a denominator vanishes."""
     m = np.stack([hom.m for hom in homs])[:, :, :, None, None]
     xs, ys = _centers(0, out_w), _centers(0, out_h)[:, None]
 
     def coords(rows):
-        # In place, as in warp_affine_batch.
+        # In place, as in _affine_coordinates.
         den = m[:, 2, 0] * xs + m[:, 2, 1] * ys[rows]
         den += m[:, 2, 2]
         if np.min(np.abs(den)) < 1e-9:
@@ -366,26 +317,21 @@ def warp_projective_batch(imgs, homs, out_w: int, out_h: int) -> list[Image]:
         sy /= den
         return sx, sy
 
-    return _warp(_Stack(imgs), out_h, out_w, coords)
+    return coords
 
 
-def warp_projective(img: Image, hom: Homography, out_w: int, out_h: int) -> Image:
-    """Resample through a destination-to-source homography.
+def _mesh_coordinates(grids, out_w: int, out_h: int):
+    """As _affine_coordinates: each output pixel center plus its grid's
+    displacement there, with the lattice laid over the output.
 
-    Raises GeometryError if the projective denominator vanishes at any
-    destination pixel center (horizon crossing the output).
+    A column's cell and fraction depend only on x, a row's only on y, so
+    every node row is blended along x once and the output rows blend two
+    of those.
     """
-    return warp_projective_batch([img], [hom], out_w, out_h)[0]
-
-
-def warp_mesh_batch(imgs, grids) -> list[Image]:
-    """warp_mesh of each same-shape image by its own grid; the grids share
-    one lattice size."""
-    w, h = imgs[0].width, imgs[0].height
     gw, gh = grids[0].gw, grids[0].gh
-    xs, ys = _centers(0, w), _centers(0, h)
-    tx = xs * (gw / w)
-    ty = ys * (gh / h)
+    xs, ys = _centers(0, out_w), _centers(0, out_h)
+    tx = xs * (gw / out_w)
+    ty = ys * (gh / out_h)
     ax = _clamp(np.floor(tx).astype(np.intp), gw - 1)
     by = _clamp(np.floor(ty).astype(np.intp), gh - 1)
     fx = tx - ax
@@ -403,7 +349,55 @@ def warp_mesh_batch(imgs, grids) -> list[Image]:
         sy += ys[rows, None]
         return sx, sy
 
-    return _warp(_Stack(imgs), h, w, coords)
+    return coords
+
+
+_COORDINATES = {
+    AffineTransform: _affine_coordinates,
+    Homography: _projective_coordinates,
+    DisplacementGrid: _mesh_coordinates,
+}
+
+
+def warp_batch(imgs, maps, out_w: int, out_h: int) -> list[Image]:
+    """Resample each of some same-shape images through its own
+    destination-to-source map onto an out_w x out_h output.
+
+    The maps are all AffineTransforms, all Homographies, or all
+    DisplacementGrids of one lattice size; a grid's lattice lies over the
+    output, which a mesh warp gives the image's size. The images are
+    stacked in groups of at most one band (_BAND_PIXELS) of source
+    pixels, and each group is gathered at once; every output is the
+    one-image warp's. Raises GeometryError if a projective denominator
+    vanishes at a destination pixel center (horizon crossing the output).
+    """
+    _check_size(out_w, out_h)
+    coordinates = _COORDINATES[type(maps[0])]
+    width, height, fmt = imgs[0].width, imgs[0].height, imgs[0].format
+    step = max(1, _BAND_PIXELS // (width * height))
+    out = []
+    for start in range(0, len(imgs), step):
+        group = imgs[start : start + step]
+        coords = coordinates(maps[start : start + step], out_w, out_h)
+        if _active_monitors:
+            _observe(width, height, *coords(slice(0, out_h)))
+        pixels = np.stack([img.pixels for img in group]) if len(group) > 1 else group[0].pixels[None]
+        out += _warp(len(group), out_h, out_w, fmt, lambda rows: _sample_bilinear(pixels, *coords(rows)))
+    return out
+
+
+def warp_affine(img: Image, transform: AffineTransform, out_w: int, out_h: int) -> Image:
+    """Resample through a destination-to-source affine map."""
+    return warp_batch([img], [transform], out_w, out_h)[0]
+
+
+def warp_projective(img: Image, hom: Homography, out_w: int, out_h: int) -> Image:
+    """Resample through a destination-to-source homography.
+
+    Raises GeometryError if the projective denominator vanishes at any
+    destination pixel center (horizon crossing the output).
+    """
+    return warp_batch([img], [hom], out_w, out_h)[0]
 
 
 def warp_mesh(img: Image, grid: DisplacementGrid) -> Image:
@@ -414,12 +408,8 @@ def warp_mesh(img: Image, grid: DisplacementGrid) -> Image:
     four surrounding node offsets, evaluated at p's fractional position
     within the cell; shared nodes make the field continuous across cell
     boundaries, and zero boundary nodes pin the image border.
-
-    A column's cell and fraction depend only on x, a row's only on y, so
-    every node row is blended along x once and the output rows blend two
-    of those.
     """
-    return warp_mesh_batch([img], [grid])[0]
+    return warp_batch([img], [grid], img.width, img.height)[0]
 
 
 def resize(img: Image, out_w: int, out_h: int, *, window: CropRect | None = None) -> Image:
@@ -437,9 +427,9 @@ def resize(img: Image, out_w: int, out_h: int, *, window: CropRect | None = None
         raise ValueError(f"window {window} is not an integral part of {out_w}x{out_h}")
     sx = _centers(int(x), window.w) * (img.width / out_w)
     sy = _centers(int(y), window.h) * (img.height / out_h)
-    _observe(_Stack([img]), sx[None], sy[None])
+    _observe(img.width, img.height, sx[None], sy[None])
     x0, x1, fx = _bilinear_taps(sx, img.width)
     fx = fx[:, None]
     x_taps = (x0, x1, fx, 1.0 - fx)
-    return _quantise_bands(window.h, window.w, img.format,
-                           lambda band: _resize_bilinear(img, x_taps, sy[band]))
+    return _warp(1, window.h, window.w, img.format,
+                 lambda rows: _resize_bilinear(img, x_taps, sy[rows]))[0]

@@ -208,6 +208,23 @@ class TestExitCodes:
         assert code == 2
         assert "sample 0" in capsys.readouterr().err
 
+    def test_corrupt_source_is_2_and_names_sample_and_source(self, tmp_path, np_rng,
+                                                            recipe, capsys):
+        root = tmp_path / "in"
+        for i in range(3):
+            save_image(random_image(np_rng, 8, 8), root / "a" / f"{i}.png")
+        data = bytearray((root / "a" / "1.png").read_bytes())
+        data[40] ^= 1  # the IDAT chunk type: its CRC no longer matches
+        (root / "a" / "1.png").write_bytes(bytes(data))
+        out = tmp_path / "o"
+        code = main(["run", "--config", str(recipe), "--input", str(root),
+                     "--output", str(out), "--mode", "process"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "augpipe: i/o error: sample 1 (source a/1.png): "
+            "corrupt PNG: bad CRC in b'IDAU' chunk\n")
+        assert sorted(tree_bytes(out)) == ["a/0_aug_000000.png"]
+
     def test_runtime_op_failure_is_3(self, tmp_path, corpus):
         cfg = write_config(tmp_path / "big.json", {
             "version": 1,

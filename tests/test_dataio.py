@@ -218,6 +218,18 @@ class TestPnm:
         img = load_image(path)
         assert list(img.pixels[0, :, 0]) == [1, 2]
 
+    @pytest.mark.parametrize("end", [b"\n", b"\r"])
+    def test_comments_between_every_token(self, tmp_path, end):
+        # A comment after the magic, after every number (maxval too) and
+        # on a line of its own; the pixels start one byte past the line
+        # end after maxval's comment, and the first pixel is a newline.
+        path = tmp_path / "c.pgm"
+        path.write_bytes(b"P5#m" + end + b"2#w" + end + b"#own line" + end + b" 1 #h" + end
+                         + b"255#after maxval" + end + b"\n\x02")
+        img = load_image(path)
+        assert (img.width, img.height) == (2, 1)
+        assert list(img.pixels[0, :, 0]) == [10, 2]
+
     def test_round_trips(self, tmp_path, np_rng):
         grey = random_image(np_rng, 9, 4, PixelFormat.GRAY8)
         rgb = random_image(np_rng, 3, 8, PixelFormat.RGB8)

@@ -275,37 +275,18 @@ class TestSourceCache:
         decoded = []
         monkeypatch.setattr(pipeline_mod, "load_image",
                             lambda path: decoded.append(path) or load_image(path))
-        for position in range(5):
-            source, img = sources.load(ds, position)
-            assert source.path == ds.path_of(entries[position])
-            assert np.array_equal(img.pixels, load_image(source.path).pixels)
-            assert sum(held.pixels.nbytes for _source, held in sources.loaded.values()) <= 3 * 64 + 10
+        for entry in entries:
+            img = sources.load(ds, entry)
+            assert np.array_equal(img.pixels, load_image(ds.path_of(entry)).pixels)
+            assert sum(held.pixels.nbytes for held in sources.loaded.values()) <= 3 * 64 + 10
         assert list(sources.loaded) == entries[2:]
         assert sources.image_bytes == 3 * 64
-        sources.load(ds, 4)  # still held: not decoded again
-        sources.load(ds, 0)  # evicted: decoded again
+        sources.load(ds, entries[4])  # still held: not decoded again
+        sources.load(ds, entries[0])  # evicted: decoded again
         assert decoded == [ds.path_of(entry) for entry in entries + entries[:1]]
         assert list(sources.loaded) == entries[3:] + entries[:1]
-        # A held entry's _Source is built once per table.
-        assert sources.load(ds, 0) is sources.loaded[entries[0]]
-
-    def test_evicted_image_takes_its_source_along(self, tmp_path, np_rng):
-        # Every _Source the table can reach belongs to an image it holds.
-        sources = pipeline_mod._Sources()
-        sources.max_bytes = 2 * 64
-        for i in range(5):
-            save_image(random_image(np_rng, 8, 8), tmp_path / f"{i}.png")
-        ds = scan_dataset(tmp_path)
-        for position in range(5):
-            sources.load(ds, position)
-        reached, todo = [], [vars(sources)]
-        while todo:
-            value = todo.pop()
-            if isinstance(value, pipeline_mod._Source):
-                reached.append(value.path)
-            elif isinstance(value, (dict, list, tuple)):
-                todo.extend(value.values() if isinstance(value, dict) else value)
-        assert sorted(reached) == [ds.path_of(entry) for entry in ds.entries[3:]]
+        # A held entry's image is the one decoded at its first load.
+        assert sources.load(ds, entries[0]) is sources.loaded[entries[0]]
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_call_leaves_no_module_state(self, tmp_path, np_rng, jobs):
@@ -356,6 +337,22 @@ class TestProcess:
         r2 = pipeline_mod.process(p, ds, DirectorySink(tmp_path / "j2"), jobs=2)
         assert tree_bytes(tmp_path / "j1") == tree_bytes(tmp_path / "j2")
         assert r1 == r2
+
+    def test_output_names_take_path_stems(self, tmp_path, np_rng):
+        # scan_dataset yields names whose only characters before the
+        # suffix are dots; Path.stem of "..png" is ".", not "..png".
+        for rel in ("..png", "...png", ".a.png", "a.b.png", "c/..PNG", "c/x.y.ppm"):
+            save_image(random_image(np_rng, 4, 4), tmp_path / "in" / rel)
+        ds = scan_dataset(tmp_path / "in")
+        records = pipeline_mod.process(Pipeline(), ds, DirectorySink(tmp_path / "out"))
+        expected = []
+        for index, entry in enumerate(ds.entries):
+            rel = Path(entry.rel_path)
+            name = f"{rel.stem}_aug_{index:06d}.png"
+            expected.append(name if rel.parent == Path(".") else f"{rel.parent.as_posix()}/{name}")
+        assert len(expected) == 6
+        assert [record.output for record in records] == expected
+        assert sorted(tree_bytes(tmp_path / "out")) == sorted(expected)
 
 
 class TestPerCallPool:

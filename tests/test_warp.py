@@ -123,12 +123,6 @@ class TestWarpMesh:
         out = warp_mesh(img, DisplacementGrid.zero(4, 4))
         assert np.array_equal(out.pixels, img.pixels)
 
-    def test_grid_rest_positions(self):
-        grid = DisplacementGrid.zero(4, 4)
-        xs, ys = grid.rest_positions(28, 28)
-        assert list(xs) == [0, 7, 14, 21, 28]
-        assert list(ys) == [0, 7, 14, 21, 28]
-
     def test_output_dims_preserved(self, np_rng):
         img = random_image(np_rng, 28, 28)
         nodes = np.zeros((5, 5, 2))
@@ -216,6 +210,36 @@ class TestResize:
             for kernel, expected in zip(kernels, one_pass):
                 assert np.array_equal(kernel().pixels, expected)
         assert monitor.warps == 3
+
+
+class TestWarpBatch:
+    @pytest.mark.parametrize("band_pixels", [warp._BAND_PIXELS, 7])
+    def test_groups_equal_one_image_warps(self, np_rng, monkeypatch, band_pixels):
+        # 50 images of 28x28 stack as groups of 20, 20 and 10 at the real
+        # band size, and one by one at 7 pixels.
+        monkeypatch.setattr(warp, "_BAND_PIXELS", band_pixels)
+        imgs = [random_image(np_rng, 28, 28, PixelFormat.RGB8) for _ in range(50)]
+        affines = [AffineTransform(np.eye(2, 3) + np_rng.uniform(-0.3, 0.3, (2, 3)))
+                   for _ in imgs]
+        homs = []
+        for _ in imgs:
+            m = np.eye(3) + np_rng.uniform(-0.2, 0.2, (3, 3)) * [[1, 1, 10], [1, 1, 10], [1e-3, 1e-3, 0]]
+            homs.append(Homography(m))
+        grids = []
+        for _ in imgs:
+            nodes = np.zeros((5, 5, 2))
+            nodes[1:4, 1:4] = np_rng.uniform(-4.0, 4.0, (3, 3, 2))
+            grids.append(DisplacementGrid(4, 4, nodes))
+        cases = ((affines, 31, 26, lambda img, t: warp_affine(img, t, 31, 26)),
+                 (homs, 26, 31, lambda img, hom: warp_projective(img, hom, 26, 31)),
+                 (grids, 28, 28, warp_mesh))
+        for maps, out_w, out_h, one_image in cases:
+            with monitor_source_bounds() as monitor:
+                batch = warp.warp_batch(imgs, maps, out_w, out_h)
+            assert monitor.warps == len(imgs)
+            expected = [one_image(img, m).pixels.tobytes() for img, m in zip(imgs, maps)]
+            assert [out.pixels.tobytes() for out in batch] == expected
+            assert all((out.width, out.height) == (out_w, out_h) for out in batch)
 
 
 class TestMonitor:
