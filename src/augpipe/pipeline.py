@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import os
 import posixpath
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -341,7 +342,7 @@ def _run(pipeline, dataset, per_class, count, sink, jobs) -> list[TraceRecord]:
         chunks = [chunk[:3] + (CollectingSink(),) + chunk[4:] for chunk in chunks]
     context = multiprocessing.get_context("fork")
     failed = context.Value("q", len(chunks))
-    pool = ProcessPoolExecutor(max_workers=jobs, mp_context=context,
+    pool = ProcessPoolExecutor(max_workers=min(jobs, len(chunks)), mp_context=context,
                                initializer=_init_worker, initargs=(failed,))
     try:
         futures = [None] * len(chunks)
@@ -464,7 +465,10 @@ def write_trace(records: list[TraceRecord], path) -> None:
     left as it was and the temporary file is removed."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    temporary = path.with_name(f".{path.name}.{multiprocessing.current_process().pid}.tmp")
+    # The token keeps a file left by a killed run with the same pid from
+    # blocking this write; such a file is left alone.
+    token = os.urandom(8).hex()
+    temporary = path.with_name(f".{path.name}.{multiprocessing.current_process().pid}.{token}.tmp")
     # Mode "x" creates with O_CREAT | O_EXCL and mode 0o666, less the umask.
     fh = temporary.open("x", encoding="utf-8")
     try:

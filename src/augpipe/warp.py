@@ -35,9 +35,7 @@ case. It and ``resize`` share one band loop, ``_warp``.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -48,9 +46,6 @@ from .imagecore import Image, clamp_round_array
 __all__ = [
     "AffineTransform",
     "DisplacementGrid",
-    "SamplingMonitor",
-    "monitor_source_bounds",
-    "sample",
     "warp_batch",
     "warp_affine",
     "warp_projective",
@@ -113,63 +108,14 @@ class DisplacementGrid:
         return cls(gw, gh, np.zeros((gh + 1, gw + 1, 2), dtype=np.float64))
 
 
-class SamplingMonitor:
-    """Collects out-of-domain source coordinates seen while active.
-
-    A coordinate is a violation when it leaves [0, W] x [0, H] before
-    edge clamping. Used by tests to prove the no-fill guarantee.
-    """
-
-    def __init__(self):
-        self.warps = 0
-        self.violations = 0
-        self.worst = 0.0  # largest excursion outside the domain, in pixels
-
-    def observe(self, xs: np.ndarray, ys: np.ndarray, width: int, height: int) -> None:
-        self.warps += 1
-        excess = max(
-            float(-xs.min()),
-            float(xs.max() - width),
-            float(-ys.min()),
-            float(ys.max() - height),
-            0.0,
-        )
-        if excess > 0.0:
-            self.violations += 1
-            self.worst = max(self.worst, excess)
-
-
-_active_monitors: list[SamplingMonitor] = []
-
 # Output pixels per band of rows that a warp samples and quantises at a
 # time: small enough that the band's float64 temporaries stay in cache.
 _BAND_PIXELS = 1 << 14
 
 
-@contextmanager
-def monitor_source_bounds():
-    """Context manager yielding a SamplingMonitor wired into the sampler."""
-    monitor = SamplingMonitor()
-    _active_monitors.append(monitor)
-    try:
-        yield monitor
-    finally:
-        _active_monitors.remove(monitor)
-
-
-@lru_cache(maxsize=64)
 def _centers(start: int, count: int) -> np.ndarray:
     """Pixel-center coordinates start + 0.5, ..., start + count - 0.5."""
-    centers = np.arange(start, start + count, dtype=np.float64) + 0.5
-    centers.flags.writeable = False
-    return centers
-
-
-def _observe(width: int, height: int, xs: np.ndarray, ys: np.ndarray) -> None:
-    # xs and ys carry a leading axis of one coordinate array per image.
-    for monitor in _active_monitors:
-        for image_xs, image_ys in zip(xs, ys):
-            monitor.observe(image_xs, image_ys, width, height)
+    return np.arange(start, start + count, dtype=np.float64) + 0.5
 
 
 def _clamp(indices: np.ndarray, top: int) -> np.ndarray:
@@ -179,7 +125,12 @@ def _clamp(indices: np.ndarray, top: int) -> np.ndarray:
 
 
 def _bilinear_taps(coords: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Clamped lower and upper neighbour indices and the fraction past the lower."""
+    """Clamped lower and upper neighbour indices and the fraction past the lower.
+
+    Every source coordinate that a warp or resize samples passes through
+    here, band by band and before clamping; the source-bounds monitor in
+    tests/conftest.py relies on that to prove the no-fill guarantee.
+    """
     u = coords - 0.5
     lower = np.floor(u)
     frac = np.subtract(u, lower, out=u)
@@ -248,13 +199,6 @@ def _resize_bilinear(img: Image, x_taps: tuple, sy: np.ndarray) -> np.ndarray:
     return _lerp(blended[position[y0]], blended[position[y1]], fy, 1.0 - fy)
 
 
-def sample(img: Image, x: float, y: float) -> tuple[float, ...]:
-    """Per-channel real values at one continuous coordinate."""
-    xs, ys = np.full((1, 1, 1), x, dtype=np.float64), np.full((1, 1, 1), y, dtype=np.float64)
-    _observe(img.width, img.height, xs, ys)
-    return tuple(float(v) for v in _sample_bilinear(img.pixels[None], xs, ys)[0, 0, 0])
-
-
 def _warp(count: int, height: int, width: int, fmt, sample_rows) -> list[Image]:
     """Build count height x width images in bands of rows.
 
@@ -263,7 +207,7 @@ def _warp(count: int, height: int, width: int, fmt, sample_rows) -> list[Image]:
     without the leading axis when count is 1. A band is the same rows of
     every image, at most _BAND_PIXELS pixels unless one row of each is
     more; it is sampled and quantised on its own, so no full-size float64
-    array is ever held.
+    array is ever held. Each warp group and each resize enters it once.
     """
     out = np.empty((count, height, width, fmt.channels), dtype=np.uint8)
     step = max(1, _BAND_PIXELS // (count * width))
@@ -379,8 +323,6 @@ def warp_batch(imgs, maps, out_w: int, out_h: int) -> list[Image]:
     for start in range(0, len(imgs), step):
         group = imgs[start : start + step]
         coords = coordinates(maps[start : start + step], out_w, out_h)
-        if _active_monitors:
-            _observe(width, height, *coords(slice(0, out_h)))
         pixels = np.stack([img.pixels for img in group]) if len(group) > 1 else group[0].pixels[None]
         out += _warp(len(group), out_h, out_w, fmt, lambda rows: _sample_bilinear(pixels, *coords(rows)))
     return out
@@ -427,7 +369,6 @@ def resize(img: Image, out_w: int, out_h: int, *, window: CropRect | None = None
         raise ValueError(f"window {window} is not an integral part of {out_w}x{out_h}")
     sx = _centers(int(x), window.w) * (img.width / out_w)
     sy = _centers(int(y), window.h) * (img.height / out_h)
-    _observe(img.width, img.height, sx[None], sy[None])
     x0, x1, fx = _bilinear_taps(sx, img.width)
     fx = fx[:, None]
     x_taps = (x0, x1, fx, 1.0 - fx)

@@ -1,14 +1,17 @@
-"""Shared test helpers: deterministic image generators and corpus builders."""
+"""Shared test helpers: deterministic image generators, corpus builders,
+the one-point sampler and the source-bounds monitor."""
 
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from augpipe import Image, PixelFormat, apply_op, save_image
+from augpipe import Image, PixelFormat, apply_op, save_image, warp
 
 # The elastic + gated-rotation recipe used across integration tests.
 DIGITS_RECIPE = {
@@ -63,6 +66,45 @@ def run_op(spec, img: Image, **drawn) -> Image:
     """spec on one image with fixed draws, named as its draw names them,
     through apply_batch as the pipeline runs it."""
     return spec.apply_batch([img], [list(drawn.items())])[0]
+
+
+def sample(img: Image, x: float, y: float) -> tuple[float, ...]:
+    """Per-channel real values at one continuous coordinate, through the
+    warps' bilinear sampler."""
+    xs, ys = np.full((1, 1, 1), x, dtype=np.float64), np.full((1, 1, 1), y, dtype=np.float64)
+    return tuple(float(v) for v in warp._sample_bilinear(img.pixels[None], xs, ys)[0, 0, 0])
+
+
+@contextmanager
+def monitor_source_bounds():
+    """Watch the warps of this process while active; yields a monitor.
+
+    ``warp._warp``, the one band loop, is entered once per warp group or
+    resize, and ``monitor.warps`` adds up the images it builds.
+    ``warp._bilinear_taps`` receives every source coordinate array before
+    clamping; an array with a value outside [0, size] counts as one
+    violation, and ``monitor.worst`` is the largest excursion in pixels.
+    Only work done in this process is seen, so not that of jobs > 1.
+    """
+    monitor = SimpleNamespace(warps=0, violations=0, worst=0.0)
+    band_loop, taps = warp._warp, warp._bilinear_taps
+
+    def counting_band_loop(count, *args):
+        monitor.warps += count
+        return band_loop(count, *args)
+
+    def checking_taps(coords, size):
+        excess = max(float(-coords.min()), float(coords.max() - size), 0.0)
+        if excess > 0.0:
+            monitor.violations += 1
+            monitor.worst = max(monitor.worst, excess)
+        return taps(coords, size)
+
+    warp._warp, warp._bilinear_taps = counting_band_loop, checking_taps
+    try:
+        yield monitor
+    finally:
+        warp._warp, warp._bilinear_taps = band_loop, taps
 
 
 def write_config(path: Path, doc: dict) -> Path:

@@ -33,11 +33,12 @@ from augpipe import (
     solve_homography,
 )
 from augpipe.cli import main as cli_main
-from augpipe.warp import monitor_source_bounds, resize
+from augpipe.warp import resize
 from conftest import (
     DIGITS_RECIPE,
     apply_one,
     build_digit_corpus,
+    monitor_source_bounds,
     random_image,
     run_op,
     tree_bytes,

@@ -30,8 +30,8 @@ from augpipe import (
 )
 from augpipe import ops
 from augpipe.geometry import Quad, shear_crop_rect, solve_homography
-from augpipe.warp import AffineTransform, monitor_source_bounds, resize, warp_affine, warp_projective
-from conftest import apply_one, random_image, run_op
+from augpipe.warp import AffineTransform, resize, warp_affine, warp_projective
+from conftest import apply_one, monitor_source_bounds, random_image, run_op
 
 ROTATE = Rotate(probability=1)
 TURN = RotateCardinal(probability=1)

@@ -49,8 +49,8 @@ from augpipe import (
 )
 from augpipe import pipeline as pipeline_mod
 from augpipe.pipeline import TraceRecord
-from augpipe.warp import _BAND_PIXELS, monitor_source_bounds
-from conftest import random_image, run_op, tree_bytes
+from augpipe.warp import _BAND_PIXELS
+from conftest import monitor_source_bounds, random_image, run_op, tree_bytes
 
 
 def _small_dataset(root, np_rng, count=10, size=12):
@@ -468,6 +468,20 @@ class TestTrace:
         rotate_ops = [json.loads(l)["ops"][1] for l in lines]
         assert any(op["applied"] for op in rotate_ops) or len(lines) < 10
 
+    def test_stale_temporary_of_the_same_pid_does_not_block(self, tmp_path, np_rng):
+        # A killed traced run leaves its temporary file; a later run that
+        # gets the same pid (as PID 1 in a container does) must still write.
+        ds = _small_dataset(tmp_path / "in", np_rng, count=2)
+        records = pipeline_mod.sample(Pipeline(master_seed=5), ds, 3, CollectingSink())
+        out = tmp_path / "out"
+        out.mkdir()
+        stale = out / f".trace.jsonl.{os.getpid()}.tmp"
+        stale.write_text("a killed run's partial trace\n")
+        write_trace(records, out / "trace.jsonl")
+        assert len((out / "trace.jsonl").read_text().splitlines()) == 3
+        assert stale.read_text() == "a killed run's partial trace\n"
+        assert sorted(path.name for path in out.iterdir()) == [stale.name, "trace.jsonl"]
+
     def test_failed_write_keeps_the_old_trace(self, tmp_path, np_rng, monkeypatch):
         ds = _small_dataset(tmp_path / "in", np_rng, count=2)
         records = pipeline_mod.sample(Pipeline(master_seed=5), ds, 3, CollectingSink())
@@ -715,6 +729,30 @@ class TestOpMajorChunks:
             pipeline_mod.process(Pipeline().add(Invert(probability=1)), ds, DirectorySink(out))
         assert sorted(tree_bytes(out)) == [f"a{i}_aug_{i:06d}.png" for i in range(5)]
         assert loads.count("b.png") == 1 and "c.png" not in loads
+
+    @pytest.mark.parametrize("count", [2, 3])
+    def test_pool_has_no_more_workers_than_chunks(self, mixed_dataset, monkeypatch, count):
+        # A fork pool forks all its workers at the first submit, so any
+        # beyond the chunk count would be forked only to sit idle.
+        pool_class = pipeline_mod.ProcessPoolExecutor
+        asked = []
+
+        def recording_pool(max_workers, **kwargs):
+            asked.append(max_workers)
+            if max_workers > count:  # raise before any worker is forked
+                raise AssertionError(f"{max_workers} workers for {count} chunks")
+            return pool_class(max_workers=max_workers, **kwargs)
+
+        monkeypatch.setattr(pipeline_mod, "ProcessPoolExecutor", recording_pool)
+        pipe = Pipeline(master_seed=9).add(Elastic(probability=1, grid_width=2, grid_height=2,
+                                                   magnitude=3))
+        outputs = []
+        for jobs in (1, 64):
+            sink = CollectingSink()
+            records = pipeline_mod.sample(pipe, mixed_dataset, count, sink, jobs=jobs)
+            outputs.append((records, [(rel, img.pixels.tobytes()) for rel, img in sink.images]))
+        assert asked == [count]
+        assert outputs[1] == outputs[0]
 
     def test_monitor_sees_one_warp_per_applied_warp_op(self, mixed_dataset):
         pipe = (Pipeline(master_seed=12)

@@ -17,15 +17,8 @@ from augpipe import (
 )
 from augpipe import warp
 from augpipe.geometry import CropRect, Homography
-from augpipe.warp import (
-    monitor_source_bounds,
-    resize,
-    sample,
-    warp_affine,
-    warp_mesh,
-    warp_projective,
-)
-from conftest import random_image, run_op
+from augpipe.warp import resize, warp_affine, warp_mesh, warp_projective
+from conftest import monitor_source_bounds, random_image, run_op, sample
 
 
 class TestSample:
@@ -258,6 +251,23 @@ class TestMonitor:
             resize(img, 4, 4)
         assert monitor.warps == 2
         assert monitor.violations == 0
+
+    def test_out_of_domain_coordinates_in_a_later_band_are_reported(self, np_rng, monkeypatch):
+        # One row per band. Node (1, 3) pulls rows 4-7 down past the
+        # bottom edge; rows 0-3 sample in place, so the first band is clean.
+        monkeypatch.setattr(warp, "_BAND_PIXELS", 8)
+        nodes = np.zeros((5, 3, 2))
+        nodes[3, 1] = (0.0, 20.0)
+        with monitor_source_bounds() as monitor:
+            warp_mesh(random_image(np_rng, 8, 8), DisplacementGrid(2, 4, nodes))
+        assert monitor.warps == 1
+        assert monitor.violations == 4  # the ys of bands 4-7
+        assert monitor.worst == pytest.approx(11.625)  # row center 6.5 + 0.75 * 17.5 - 8
+
+
+def test_public_names():
+    assert warp.__all__ == ["AffineTransform", "DisplacementGrid", "warp_batch", "warp_affine",
+                            "warp_projective", "warp_mesh", "resize"]
 
 
 def _reference_bilinear(img, xs, ys):
