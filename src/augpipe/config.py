@@ -10,17 +10,16 @@ A config document is versioned JSON:
 
 The OpSpec dataclasses in ``ops`` are the schema: an entry's ``op`` names
 a spec class by its ``kind``, and each dataclass field is one key (see the
-``ops`` docstring). Operations run in listed order. Unknown keys are
-rejected, every range violation names the offending field, and
-canonicalisation is idempotent: parsing the canonical printout yields the
-same pipeline.
+``ops`` docstring), whose rules each spec checks as it is built. Operations
+run in listed order. Unknown keys are rejected, every error in an
+operation names it as ``operations[i].<key>``, and canonicalisation is
+idempotent: parsing the canonical printout yields the same pipeline.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import math
 import sys
 from typing import Any
 
@@ -32,33 +31,9 @@ __all__ = ["CONFIG_VERSION", "parse_config", "canonical_text"]
 
 CONFIG_VERSION = 1
 
-# Field annotation -> (accepted JSON value types, phrase for the error).
-_TYPES = {
-    "float": ((int, float), "a number"),
-    "int": (int, "an integer"),
-    "bool": (bool, "true or false"),
-    "str": (str, "a string"),
-}
-
 
 def _key(field: dataclasses.Field) -> str:
     return field.metadata.get("key", field.name)
-
-
-def _convert(value: Any, field: dataclasses.Field, where: str) -> Any:
-    accepted, phrase = _TYPES[field.type]
-    # bool is a subclass of int, but true/false is never a number.
-    if not isinstance(value, accepted) or (isinstance(value, bool) and field.type != "bool"):
-        raise ConfigError(f"{where} must be {phrase}, got {value!r}", field=_key(field))
-    if field.type != "float":
-        return value
-    try:
-        number = float(value)
-    except OverflowError:  # an integer beyond the float range
-        number = math.inf
-    if not math.isfinite(number):
-        raise ConfigError(f"{where} must be a finite number, got {value!r}", field=_key(field))
-    return number
 
 
 def _parse_operation(entry: Any, position: int, classes: dict[str, type[OpSpec]]) -> OpSpec:
@@ -76,13 +51,16 @@ def _parse_operation(entry: Any, position: int, classes: dict[str, type[OpSpec]]
     for field in dataclasses.fields(spec_cls):
         key = _key(field)
         if key in data:
-            kwargs[field.name] = _convert(data.pop(key), field, f"{where}.{key}")
+            kwargs[field.name] = data.pop(key)
         elif field.type in ("float", "int"):
             raise ConfigError(f"{where} ({name}) is missing '{key}'", field=key)
     if data:
         stray = ", ".join(sorted(data))
         raise ConfigError(f"unknown key(s) for operation {name!r}: {stray}", field=stray)
-    return spec_cls(**kwargs)
+    try:
+        return spec_cls(**kwargs)
+    except ConfigError as exc:
+        raise ConfigError(f"{where}.{exc}", field=exc.field) from exc
 
 
 def parse_config(text: str) -> Pipeline:

@@ -9,7 +9,13 @@ transformations, recording every value drawn along the way.
 The direct subclasses of OpSpec are also the config schema: each field is
 one config key, named by ``metadata={"key": ...}`` where it differs from
 the attribute. Numeric fields are required in a config; str and bool
-fields default.
+fields default. A field declares its own rule: its type is its
+annotation, and its metadata may add a ``"range"`` such as ``"[0, 45)"``
+or ``"(0, 1]"`` or a tuple of allowed ``"choices"``. ``OpSpec`` checks
+every field of every op against these rules when a spec is built, from
+Python or from a config alike, and holds a float field's value as a
+float. An op defines ``__post_init__`` only for a rule that spans fields
+or needs a computed budget.
 
 Draw order is part of the determinism contract. Per variant:
 
@@ -42,8 +48,9 @@ the image. Every other op holds its kernel in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import lru_cache
+import sys
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 from typing import Any, ClassVar
 
 import numpy as np
@@ -82,14 +89,6 @@ def _skew_quad(kind: str, w: int, h: int, d: int) -> Quad:
     return Quad(corners)
 
 
-@lru_cache(maxsize=16)
-def _node_names(gw: int, gh: int) -> tuple[tuple[str, str], ...]:
-    """The dx and dy draw names of each interior node, row-major; boundary
-    nodes stay pinned. Made once per lattice: every sample's trace record
-    keeps them until the trace is written."""
-    return tuple((f"dx_{a}_{b}", f"dy_{a}_{b}") for b in range(1, gh) for a in range(1, gw))
-
-
 def _scaled_size(img: Image, factor: float, kind: str) -> tuple[int, int]:
     """Both dimensions times factor, rounded; OpError if either is not
     finite or the image would exceed _MAX_OUTPUT_PIXELS."""
@@ -116,7 +115,7 @@ def _crop(img: Image, region: CropRect, resize_back: bool = False) -> Image:
             f"{img.width}x{img.height} image",
             op_kind="crop",
         )
-    sub = Image._wrap(np.ascontiguousarray(img.pixels[y : y + region.h, x : x + region.w]), img.format)
+    sub = Image._wrap(img.pixels[y : y + region.h, x : x + region.w], img.format)
     if resize_back and (region.w, region.h) != (img.width, img.height):
         return resize(sub, img.width, img.height)
     return sub
@@ -142,24 +141,49 @@ class OpApplication:
         return dict(self.drawn_params)
 
 
-def _require(condition: bool, field: str, message: str) -> None:
-    if not condition:
-        raise ConfigError(f"{field} {message}", field=field)
+# Field annotation -> (accepted value types, phrase for the error).
+_TYPES = {
+    "float": ((int, float), "a number"),
+    "int": (int, "an integer"),
+    "bool": (bool, "true or false"),
+    "str": (str, "a string"),
+}
+
+
+def _in_range(value, bounds: str) -> bool:
+    """Whether value lies in an interval written like "[0, 45)"."""
+    lo, hi = (float(end) for end in bounds[1:-1].split(","))
+    above = lo <= value if bounds[0] == "[" else lo < value
+    return above and (value <= hi if bounds[-1] == "]" else value < hi)
 
 
 @dataclass(frozen=True)
 class OpSpec:
     """Base of all operation descriptions; every op has a gate probability."""
 
-    probability: float
+    probability: float = field(metadata={"range": "[0, 1]"})
     kind: ClassVar[str] = ""
 
     def __post_init__(self):
-        _require(
-            isinstance(self.probability, (int, float)) and 0.0 <= self.probability <= 1.0,
-            "probability",
-            f"must be in [0, 1], got {self.probability}",
-        )
+        """Check every field against its declared type, range and choices;
+        a ConfigError names the field by its config key."""
+        for f in fields(self):
+            key, value = f.metadata.get("key", f.name), getattr(self, f.name)
+            accepted, phrase = _TYPES[f.type]
+            # bool is a subclass of int, but True/False is never a number.
+            if not isinstance(value, accepted) or (isinstance(value, bool) and f.type != "bool"):
+                raise ConfigError(f"{key} must be {phrase}, got {value!r}", field=key)
+            if f.type == "float":
+                # Refuses inf, nan and an int beyond the float range alike.
+                if not -sys.float_info.max <= value <= sys.float_info.max:
+                    raise ConfigError(f"{key} must be a finite number, got {value!r}", field=key)
+                # Held as a float, so the canonical printout writes 5 as 5.0.
+                object.__setattr__(self, f.name, float(value))
+            if "range" in f.metadata and not _in_range(value, f.metadata["range"]):
+                raise ConfigError(f"{key} must be in {f.metadata['range']}, got {value}", field=key)
+            if "choices" in f.metadata and value not in f.metadata["choices"]:
+                choices = "/".join(f.metadata["choices"])
+                raise ConfigError(f"{key} must be one of {choices}, got {value!r}", field=key)
 
     def draw(self, rng: RngStream, width: int, height: int) -> list[tuple[str, Any]]:
         """Draw this op's random parameters from one sample's stream, in
@@ -194,16 +218,9 @@ class OpSpec:
 class Rotate(OpSpec):
     """Continuous rotation; angle drawn from [-max_left, +max_right] degrees."""
 
-    max_left: float = field(default=0.0, metadata={"key": "max_left_rotation"})
-    max_right: float = field(default=0.0, metadata={"key": "max_right_rotation"})
+    max_left: float = field(default=0.0, metadata={"key": "max_left_rotation", "range": "[0, 45]"})
+    max_right: float = field(default=0.0, metadata={"key": "max_right_rotation", "range": "[0, 45]"})
     kind: ClassVar[str] = "rotate"
-
-    def __post_init__(self):
-        super().__post_init__()
-        _require(0.0 <= self.max_left <= 45.0, "max_left_rotation",
-                 f"must be in [0, 45], got {self.max_left}")
-        _require(0.0 <= self.max_right <= 45.0, "max_right_rotation",
-                 f"must be in [0, 45], got {self.max_right}")
 
     def draw(self, rng, width, height):
         return [("angle", rng.uniform_real(-self.max_left, self.max_right))]
@@ -229,13 +246,8 @@ class Rotate(OpSpec):
 class RotateCardinal(OpSpec):
     """Lossless 90/180/270 rotation, fixed or uniformly random."""
 
-    which: str = "random"
+    which: str = field(default="random", metadata={"choices": ("r90", "r180", "r270", "random")})
     kind: ClassVar[str] = "rotate_cardinal"
-
-    def __post_init__(self):
-        super().__post_init__()
-        _require(self.which in ("r90", "r180", "r270", "random"), "which",
-                 f"must be one of r90/r180/r270/random, got {self.which!r}")
 
     def draw(self, rng, width, height):
         if self.which == "random":
@@ -254,20 +266,15 @@ class RotateCardinal(OpSpec):
             out = px.transpose(1, 0, 2)[::-1]
         else:
             raise ValueError(f"cardinal rotation must be 90, 180 or 270, got {k}")
-        return Image._wrap(np.ascontiguousarray(out), img.format)
+        return Image._wrap(out, img.format)
 
 
 @dataclass(frozen=True)
 class Flip(OpSpec):
     """Mirror along a fixed or randomly chosen axis."""
 
-    axis: str = "random"
+    axis: str = field(default="random", metadata={"choices": ("horizontal", "vertical", "random")})
     kind: ClassVar[str] = "flip"
-
-    def __post_init__(self):
-        super().__post_init__()
-        _require(self.axis in ("horizontal", "vertical", "random"), "axis",
-                 f"must be horizontal/vertical/random, got {self.axis!r}")
 
     def draw(self, rng, width, height):
         if self.axis == "random":
@@ -278,23 +285,16 @@ class Flip(OpSpec):
         """Exact mirror: horizontal swaps left-right, vertical top-bottom."""
         axis = dict(drawn).get("axis", self.axis)
         out = img.pixels[:, ::-1] if axis == "horizontal" else img.pixels[::-1]
-        return Image._wrap(np.ascontiguousarray(out), img.format)
+        return Image._wrap(out, img.format)
 
 
 @dataclass(frozen=True)
 class Shear(OpSpec):
     """Shear by a random angle, along a fixed or random axis."""
 
-    max_angle: float = 0.0
-    axis: str = "random"
+    max_angle: float = field(default=0.0, metadata={"range": "[0, 45)"})
+    axis: str = field(default="random", metadata={"choices": ("x", "y", "random")})
     kind: ClassVar[str] = "shear"
-
-    def __post_init__(self):
-        super().__post_init__()
-        _require(0.0 <= self.max_angle < 45.0, "max_angle",
-                 f"must be in [0, 45), got {self.max_angle}")
-        _require(self.axis in ("x", "y", "random"), "axis",
-                 f"must be x/y/random, got {self.axis!r}")
 
     def draw(self, rng, width, height):
         drawn = []
@@ -328,16 +328,10 @@ class Skew(OpSpec):
     [0, floor(severity * min(W, H) / 2)].
     """
 
-    severity: float = 1.0
-    skew_kind: str = field(default="random", metadata={"key": "kind"})
+    severity: float = field(default=1.0, metadata={"range": "(0, 1]"})
+    skew_kind: str = field(default="random", metadata={
+        "key": "kind", "choices": ("forward", "backward", "left", "right", "random")})
     kind: ClassVar[str] = "skew"
-
-    def __post_init__(self):
-        super().__post_init__()
-        _require(0.0 < self.severity <= 1.0, "severity",
-                 f"must be in (0, 1], got {self.severity}")
-        _require(self.skew_kind in ("forward", "backward", "left", "right", "random"), "kind",
-                 f"must be forward/backward/left/right/random, got {self.skew_kind!r}")
 
     def draw(self, rng, width, height):
         drawn = []
@@ -367,19 +361,19 @@ class Elastic(OpSpec):
     """Grid-based elastic distortion; grid size sets the granularity and
     magnitude bounds the node displacement per axis."""
 
-    grid_width: int = 1
-    grid_height: int = 1
-    magnitude: int = 0
+    grid_width: int = field(default=1, metadata={"range": "[1, inf)"})
+    grid_height: int = field(default=1, metadata={"range": "[1, inf)"})
+    # uniform_int(-m, m) needs 2m + 1 <= 2**64 values.
+    magnitude: int = field(default=0, metadata={"range": f"[0, {1 << 63})"})
     kind: ClassVar[str] = "elastic"
 
-    def __post_init__(self):
-        super().__post_init__()
-        _require(isinstance(self.grid_width, int) and self.grid_width >= 1, "grid_width",
-                 f"must be an integer >= 1, got {self.grid_width}")
-        _require(isinstance(self.grid_height, int) and self.grid_height >= 1, "grid_height",
-                 f"must be an integer >= 1, got {self.grid_height}")
-        _require(isinstance(self.magnitude, int) and 0 <= self.magnitude < 1 << 63, "magnitude",
-                 f"must be an integer in [0, 2**63), got {self.magnitude}")
+    @cached_property
+    def _node_names(self) -> tuple[tuple[str, str], ...]:
+        """The dx and dy draw names of each interior node, row-major; boundary
+        nodes stay pinned. Made once per spec: every sample's trace record
+        shares them until the trace is written."""
+        gw, gh = self.grid_width, self.grid_height
+        return tuple((f"dx_{a}_{b}", f"dy_{a}_{b}") for b in range(1, gh) for a in range(1, gw))
 
     def draw(self, rng, width, height):
         if self.grid_width * self.grid_height > width * height:
@@ -390,13 +384,13 @@ class Elastic(OpSpec):
             )
         drawn = []
         m = self.magnitude
-        for dx, dy in _node_names(self.grid_width, self.grid_height):
+        for dx, dy in self._node_names:
             drawn.append((dx, rng.uniform_int(-m, m)))
             drawn.append((dy, rng.uniform_int(-m, m)))
         return drawn
 
     def transform(self, drawn, width, height):
-        # drawn holds dx, dy per interior node in _node_names order.
+        # drawn holds dx, dy per interior node in self._node_names order.
         gw, gh = self.grid_width, self.grid_height
         nodes = np.zeros((gh + 1, gw + 1, 2), dtype=np.float64)
         offsets = np.array([v for _, v in drawn], dtype=np.float64)
@@ -408,16 +402,16 @@ class Elastic(OpSpec):
 class Zoom(OpSpec):
     """Zoom in by a factor drawn from [min_factor, max_factor]."""
 
-    min_factor: float = 1.0
+    min_factor: float = field(default=1.0, metadata={"range": "[1, inf)"})
     max_factor: float = 1.0
     kind: ClassVar[str] = "zoom"
 
     def __post_init__(self):
         super().__post_init__()
-        _require(self.min_factor >= 1.0, "min_factor",
-                 f"must be >= 1, got {self.min_factor}")
-        _require(self.max_factor >= self.min_factor, "max_factor",
-                 f"must be >= min_factor, got {self.max_factor}")
+        if self.max_factor < self.min_factor:
+            raise ConfigError(
+                f"max_factor must be >= min_factor, got {self.max_factor}", field="max_factor"
+            )
 
     def draw(self, rng, width, height):
         return [("factor", rng.uniform_real(self.min_factor, self.max_factor))]
@@ -441,28 +435,21 @@ class CropRandom(OpSpec):
     retained area fraction is as requested and the aspect ratio is kept.
     """
 
-    area_fraction: float = 1.0
+    area_fraction: float = field(default=1.0, metadata={"range": "(0, 1]"})
     resize_back: bool = False
     kind: ClassVar[str] = "crop_random"
 
-    def __post_init__(self):
-        super().__post_init__()
-        _require(0.0 < self.area_fraction <= 1.0, "area_fraction",
-                 f"must be in (0, 1], got {self.area_fraction}")
-
     def _extent(self, width: int, height: int) -> tuple[int, int]:
         side = math.sqrt(self.area_fraction)
-        return round_half_away(width * side), round_half_away(height * side)
+        return min(round_half_away(width * side), width), min(round_half_away(height * side), height)
 
     def draw(self, rng, width, height):
         cw, ch = self._extent(width, height)
-        cw, ch = min(cw, width), min(ch, height)
         return [("x", rng.uniform_int(0, width - cw)), ("y", rng.uniform_int(0, height - ch))]
 
     def apply(self, img, drawn):
         d = dict(drawn)
         cw, ch = self._extent(img.width, img.height)
-        cw, ch = min(cw, img.width), min(ch, img.height)
         return _crop(img, CropRect(d["x"], d["y"], cw, ch), resize_back=self.resize_back)
 
 
@@ -470,16 +457,9 @@ class CropRandom(OpSpec):
 class CropCentre(OpSpec):
     """Fixed-size crop from the image center."""
 
-    width: int = 1
-    height: int = 1
+    width: int = field(default=1, metadata={"range": "[1, inf)"})
+    height: int = field(default=1, metadata={"range": "[1, inf)"})
     kind: ClassVar[str] = "crop_centre"
-
-    def __post_init__(self):
-        super().__post_init__()
-        _require(isinstance(self.width, int) and self.width >= 1, "width",
-                 f"must be an integer >= 1, got {self.width}")
-        _require(isinstance(self.height, int) and self.height >= 1, "height",
-                 f"must be an integer >= 1, got {self.height}")
 
     def apply(self, img, drawn):
         if self.width > img.width or self.height > img.height:
@@ -497,19 +477,18 @@ class CropCentre(OpSpec):
 class Resize(OpSpec):
     """Resize to fixed dimensions."""
 
-    width: int = 1
-    height: int = 1
+    width: int = field(default=1, metadata={"range": "[1, inf)"})
+    height: int = field(default=1, metadata={"range": "[1, inf)"})
     kind: ClassVar[str] = "resize"
 
     def __post_init__(self):
         super().__post_init__()
-        _require(isinstance(self.width, int) and self.width >= 1, "width",
-                 f"must be an integer >= 1, got {self.width}")
-        _require(isinstance(self.height, int) and self.height >= 1, "height",
-                 f"must be an integer >= 1, got {self.height}")
-        _require(self.width * self.height <= _MAX_OUTPUT_PIXELS, "width",
-                 f"x height must be at most {_MAX_OUTPUT_PIXELS} pixels, "
-                 f"got {self.width}x{self.height}")
+        if self.width * self.height > _MAX_OUTPUT_PIXELS:
+            raise ConfigError(
+                f"width x height must be at most {_MAX_OUTPUT_PIXELS} pixels, "
+                f"got {self.width}x{self.height}",
+                field="width",
+            )
 
     def apply(self, img, drawn):
         return resize(img, self.width, self.height)
@@ -519,17 +498,18 @@ class Resize(OpSpec):
 class Scale(OpSpec):
     """Uniformly scale both dimensions by a fixed factor."""
 
-    factor: float = 1.0
+    factor: float = field(default=1.0, metadata={"range": "(0, inf)"})
     kind: ClassVar[str] = "scale"
 
     def __post_init__(self):
         super().__post_init__()
-        _require(self.factor > 0.0, "factor", f"must be > 0, got {self.factor}")
         # Even a 1x1 source must fit the output budget.
-        _require(math.isfinite(self.factor)
-                 and round_half_away(self.factor) ** 2 <= _MAX_OUTPUT_PIXELS, "factor",
-                 f"must scale a 1x1 image to at most {_MAX_OUTPUT_PIXELS} pixels, "
-                 f"got {self.factor}")
+        if round_half_away(self.factor) ** 2 > _MAX_OUTPUT_PIXELS:
+            raise ConfigError(
+                f"factor must scale a 1x1 image to at most {_MAX_OUTPUT_PIXELS} pixels, "
+                f"got {self.factor}",
+                field="factor",
+            )
 
     def apply(self, img, drawn):
         nw, nh = _scaled_size(img, self.factor, self.kind)

@@ -406,9 +406,8 @@ def _generate_chunk_in_worker(chunk, position: int) -> tuple[list[TraceRecord], 
 
     try:
         records = _generate_chunk(chunk, _worker_sources, stop)
-    except _ChunkStopped:
-        raise
     except BaseException:
+        # A stopped chunk comes after the failed one: min() keeps the flag.
         with _failed_chunk.get_lock():
             _failed_chunk.value = min(_failed_chunk.value, position)
         raise

@@ -2,8 +2,10 @@
 
 import contextlib
 import copy
+import dataclasses
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -193,6 +195,23 @@ class TestErrors:
         assert "operations[1].max_left_rotation must be a number" in str(info.value)
         assert info.value.field == "max_left_rotation"
 
+    def test_range_error_names_the_list_position(self):
+        good = {"op": "rotate", "probability": 1,
+                "max_left_rotation": 5, "max_right_rotation": 5}
+        doc = {"version": 1, "operations": [good, dict(good, max_left_rotation=50)]}
+        with pytest.raises(ConfigError) as info:
+            parse_config(json.dumps(doc))
+        assert str(info.value) == "operations[1].max_left_rotation must be in [0, 45], got 50"
+        assert info.value.field == "max_left_rotation"
+
+    def test_choice_error_names_the_list_position(self):
+        doc = {"version": 1, "operations": [
+            {"op": "invert", "probability": 1}, {"op": "flip", "probability": 1, "axis": "z"}]}
+        with pytest.raises(ConfigError) as info:
+            parse_config(json.dumps(doc))
+        assert str(info.value) == "operations[1].axis must be one of horizontal/vertical/random, got 'z'"
+        assert info.value.field == "axis"
+
     @pytest.mark.parametrize("value", ["Infinity", "-Infinity", "NaN", "1e400", "1" * 400],
                              ids=["inf", "-inf", "nan", "1e400", "int400"])
     @pytest.mark.parametrize("key", ["probability", "max_factor"])
@@ -235,6 +254,80 @@ class TestErrors:
             parse_config(json.dumps({"version": 1, "operations": [dict(entry, factor=8192.5)]}))
         assert info.value.field == "factor"
         assert "factor must scale a 1x1 image" in str(info.value)
+
+
+def _key(field):
+    return field.metadata.get("key", field.name)
+
+
+def _declared(rule):
+    """(class, field) for each field of a direct OpSpec subclass that
+    declares the rule in its metadata."""
+    return [pytest.param(cls, f, id=f"{cls.kind}.{f.name}") for cls in OpSpec.__subclasses__()
+            for f in dataclasses.fields(cls) if rule in f.metadata]
+
+
+class TestFieldRules:
+    """A spec built in Python obeys the rules a config entry does, and each
+    field's declared range and choices are what it accepts."""
+
+    @pytest.mark.parametrize("spec_cls, name, value, message", [
+        (Elastic, "grid_width", True, "grid_width must be an integer, got True"),
+        (Scale, "factor", True, "factor must be a number, got True"),
+        (Rotate, "max_left", "5", "max_left_rotation must be a number, got '5'"),
+        (Zoom, "max_factor", float("inf"), "max_factor must be a finite number, got inf"),
+        (Zoom, "min_factor", float("-inf"), "min_factor must be a finite number, got -inf"),
+        (Rotate, "probability", float("nan"), "probability must be a finite number, got nan"),
+        (Skew, "severity", 10**400, f"severity must be a finite number, got {10**400}"),
+        (Resize, "width", 8.0, "width must be an integer, got 8.0"),
+        (Flip, "axis", 1, "axis must be a string, got 1"),
+        (CropRandom, "resize_back", 1, "resize_back must be true or false, got 1"),
+    ], ids=["bool-for-int", "bool-for-float", "str-for-float", "inf", "-inf", "nan",
+            "int-beyond-float", "float-for-int", "int-for-str", "int-for-bool"])
+    def test_library_refuses_what_the_config_refuses(self, spec_cls, name, value, message):
+        spec = NON_DEFAULT_SPECS[spec_cls]
+        with pytest.raises(ConfigError) as info:
+            dataclasses.replace(spec, **{name: value})
+        assert str(info.value) == message
+        key = info.value.field
+        assert key == message.split()[0]
+        entry = json.loads(canonical_text(Pipeline(ops=(spec,))))["operations"][0]
+        doc = {"version": 1, "operations": [dict(entry, **{key: value})]}
+        with pytest.raises(ConfigError) as info:
+            parse_config(json.dumps(doc))
+        assert str(info.value) == f"operations[0].{message}"
+        assert info.value.field == key
+
+    @pytest.mark.parametrize("spec_cls, field", _declared("range"))
+    def test_closed_end_accepted_open_end_refused(self, spec_cls, field):
+        bounds = field.metadata["range"]
+        spec = NON_DEFAULT_SPECS[spec_cls]
+        for end, bracket in zip(bounds[1:-1].split(","), (bounds[0], bounds[-1])):
+            value = float(end)
+            if field.type == "int" and math.isfinite(value):
+                value = int(value)
+            if bracket in "[]":
+                assert getattr(dataclasses.replace(spec, **{field.name: value}), field.name) == value
+            else:
+                with pytest.raises(ConfigError) as info:
+                    dataclasses.replace(spec, **{field.name: value})
+                assert info.value.field == _key(field)
+
+    @pytest.mark.parametrize("spec_cls, field", _declared("choices"))
+    def test_only_declared_choices_accepted(self, spec_cls, field):
+        spec = NON_DEFAULT_SPECS[spec_cls]
+        for choice in field.metadata["choices"]:
+            assert getattr(dataclasses.replace(spec, **{field.name: choice}), field.name) == choice
+        with pytest.raises(ConfigError) as info:
+            dataclasses.replace(spec, **{field.name: "diagonal"})
+        assert info.value.field == _key(field)
+
+    def test_library_numbers_are_held_as_floats(self):
+        spec = Rotate(probability=1, max_left=5, max_right=12)
+        assert [type(v) for v in (spec.probability, spec.max_left, spec.max_right)] == [float] * 3
+        entry = {"op": "rotate", "probability": 1, "max_left_rotation": 5, "max_right_rotation": 12}
+        parsed = parse_config(json.dumps({"version": 1, "operations": [entry]}))
+        assert canonical_text(Pipeline(ops=(spec,))) == canonical_text(parsed)
 
 
 # A string that the fuzz test below turns into an integer literal beyond the

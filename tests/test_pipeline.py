@@ -4,6 +4,7 @@ import json
 import multiprocessing
 import os
 import stat
+import sys
 from pathlib import Path
 from unittest import mock
 
@@ -307,6 +308,21 @@ class TestSourceCache:
             assert after[name][1] == contents, name
         assert pipeline_mod._failed_chunk is None
         assert pipeline_mod._worker_sources is None
+
+    def test_no_module_keeps_a_cache(self, tmp_path, np_rng):
+        # Elastic's draw names live on its spec, made once: every record
+        # of a call shares one tuple of name strings.
+        ds = _small_dataset(tmp_path, np_rng, count=4, size=8)
+        pipe = Pipeline().add(Elastic(probability=1, grid_width=3, grid_height=2, magnitude=2))
+        records = pipeline_mod.sample(pipe, ds, 6, CollectingSink())
+        cached = [f"{module.__name__}.{name}" for module in list(sys.modules.values())
+                  if module.__name__.split(".")[0] == "augpipe"
+                  for name, value in vars(module).items() if hasattr(value, "cache_info")]
+        assert cached == []
+        first = [name for name, _ in records[0].ops[0].drawn_params]
+        assert len(first) == 4
+        for record in records[1:]:
+            assert all(a is b for (a, _), b in zip(record.ops[0].drawn_params, first))
 
 
 class TestProcess:
