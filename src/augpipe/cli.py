@@ -109,6 +109,8 @@ def _cmd_run(args) -> int:
     pipe = _load_pipeline(args.config, args.seed)
     if args.mode == "sample" and args.count is None:
         raise ConfigError("--count is required in sample mode")
+    if args.mode == "process" and args.count is not None:
+        raise ConfigError("--count is not allowed in process mode, which passes every image once")
     if args.count is not None and args.count < 0:
         raise ConfigError(f"--count must be >= 0, got {args.count}")
     if args.jobs < 1:
@@ -225,7 +227,7 @@ def main(argv=None) -> int:
             OutputCollisionError) as exc:
         print(f"augpipe: i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (OpError, AugpipeError) as exc:
+    except (AugpipeError, MemoryError) as exc:
         print(f"augpipe: runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -308,7 +308,7 @@ def _encode_png(img: Image) -> bytes:
     rows = np.zeros((img.height, stride + 1), dtype=np.uint8)
     rows[:, 1:] = img.pixels.reshape(img.height, stride)
     pieces = [_PNG_SIG, _png_chunk(b"IHDR", ihdr)]
-    pieces.append(_png_chunk(b"IDAT", zlib.compress(rows.tobytes(), 6)))
+    pieces.append(_png_chunk(b"IDAT", zlib.compress(rows, 6)))
     pieces.append(_png_chunk(b"IEND", b""))
     return b"".join(pieces)
 
@@ -378,8 +378,8 @@ def _decode_pnm(data: bytes) -> Image:
     pixels = data[pos : pos + need]
     if len(pixels) != need:
         raise DecodeError("truncated PNM pixel data")
-    arr = np.frombuffer(pixels, dtype=np.uint8).reshape(height, width, channels)
-    return Image.from_array(arr, fmt)
+    # A view of the slice, which is already a copy of its own.
+    return Image._wrap(np.frombuffer(pixels, dtype=np.uint8).reshape(height, width, channels), fmt)
 
 
 def _encode_pnm(img: Image) -> bytes:

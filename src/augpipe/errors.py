@@ -2,6 +2,17 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "AugpipeError",
+    "ConfigError",
+    "GeometryError",
+    "OpError",
+    "DecodeError",
+    "UnsupportedImageError",
+    "DatasetError",
+    "OutputCollisionError",
+]
+
 
 class AugpipeError(Exception):
     """Base class for every error raised by this package."""

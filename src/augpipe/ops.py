@@ -150,6 +150,14 @@ _TYPES = {
 }
 
 
+def _shown(value) -> str:
+    """repr of value; an int too long for repr is described by its size."""
+    try:
+        return repr(value)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        return f"an integer of about {int(value.bit_length() * math.log10(2))} digits"
+
+
 def _in_range(value, bounds: str) -> bool:
     """Whether value lies in an interval written like "[0, 45)"."""
     lo, hi = (float(end) for end in bounds[1:-1].split(","))
@@ -172,18 +180,20 @@ class OpSpec:
             accepted, phrase = _TYPES[f.type]
             # bool is a subclass of int, but True/False is never a number.
             if not isinstance(value, accepted) or (isinstance(value, bool) and f.type != "bool"):
-                raise ConfigError(f"{key} must be {phrase}, got {value!r}", field=key)
+                raise ConfigError(f"{key} must be {phrase}, got {_shown(value)}", field=key)
             if f.type == "float":
                 # Refuses inf, nan and an int beyond the float range alike.
                 if not -sys.float_info.max <= value <= sys.float_info.max:
-                    raise ConfigError(f"{key} must be a finite number, got {value!r}", field=key)
+                    raise ConfigError(f"{key} must be a finite number, got {_shown(value)}",
+                                      field=key)
                 # Held as a float, so the canonical printout writes 5 as 5.0.
                 object.__setattr__(self, f.name, float(value))
             if "range" in f.metadata and not _in_range(value, f.metadata["range"]):
-                raise ConfigError(f"{key} must be in {f.metadata['range']}, got {value}", field=key)
+                raise ConfigError(f"{key} must be in {f.metadata['range']}, got {_shown(value)}",
+                                  field=key)
             if "choices" in f.metadata and value not in f.metadata["choices"]:
                 choices = "/".join(f.metadata["choices"])
-                raise ConfigError(f"{key} must be one of {choices}, got {value!r}", field=key)
+                raise ConfigError(f"{key} must be one of {choices}, got {_shown(value)}", field=key)
 
     def draw(self, rng: RngStream, width: int, height: int) -> list[tuple[str, Any]]:
         """Draw this op's random parameters from one sample's stream, in
@@ -378,8 +388,8 @@ class Elastic(OpSpec):
     def draw(self, rng, width, height):
         if self.grid_width * self.grid_height > width * height:
             raise OpError(
-                f"elastic grid {self.grid_width}x{self.grid_height} has more cells than "
-                f"the {width}x{height} image has pixels",
+                f"elastic grid {_shown(self.grid_width)}x{_shown(self.grid_height)} has more "
+                f"cells than the {width}x{height} image has pixels",
                 op_kind=self.kind,
             )
         drawn = []
@@ -464,7 +474,7 @@ class CropCentre(OpSpec):
     def apply(self, img, drawn):
         if self.width > img.width or self.height > img.height:
             raise OpError(
-                f"centre crop {self.width}x{self.height} exceeds image "
+                f"centre crop {_shown(self.width)}x{_shown(self.height)} exceeds image "
                 f"{img.width}x{img.height}",
                 op_kind=self.kind,
             )
@@ -486,7 +496,7 @@ class Resize(OpSpec):
         if self.width * self.height > _MAX_OUTPUT_PIXELS:
             raise ConfigError(
                 f"width x height must be at most {_MAX_OUTPUT_PIXELS} pixels, "
-                f"got {self.width}x{self.height}",
+                f"got {_shown(self.width)}x{_shown(self.height)}",
                 field="width",
             )
 

@@ -31,7 +31,6 @@ import os
 import posixpath
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from itertools import zip_longest
 from pathlib import Path
 from typing import NoReturn
 
@@ -230,13 +229,13 @@ def _raise_named(exc: BaseException, index: int, entry: DatasetEntry) -> NoRetur
     """Raise exc again with sample index and its source before its message.
 
     The type stays, so the exit code does not change, and an OpError keeps
-    its op kind, draws and op index. Only an AugpipeError or OSError is
-    renamed; any other exception is raised as it is.
+    its op kind, draws and op index. Only an AugpipeError, OSError or
+    MemoryError is renamed; any other exception is raised as it is.
     """
-    message = f"sample {index} (source {entry.rel_path}): {exc}"
+    message = f"sample {index} (source {entry.rel_path}): {str(exc) or type(exc).__name__}"
     if isinstance(exc, OpError):
         raise OpError(message, op_kind=exc.op_kind, drawn=exc.drawn, op_index=exc.op_index) from exc
-    if isinstance(exc, (AugpipeError, OSError)):
+    if isinstance(exc, (AugpipeError, OSError, MemoryError)):
         raise type(exc)(message) from exc
     raise exc
 
@@ -323,17 +322,15 @@ def _run(pipeline, dataset, per_class, count, sink, jobs) -> list[TraceRecord]:
     else:
         runs = [(pipeline, dataset)]
     chunks = []
-    run_positions = []  # per run, the positions of its chunks in chunks
+    ranks = []  # each chunk's place within its run
     for run_pipeline, run_dataset in runs:
         indices = range(len(run_dataset.entries) if count is None else count)
         # Contiguous chunks keep per-worker cache locality.
         step = max(1, -(-len(indices) // (jobs * 4)))
-        run_chunks = [
-            (run_pipeline, run_dataset, indices[i : i + step], sink, count is not None)
-            for i in range(0, len(indices), step)
-        ]
-        run_positions.append(range(len(chunks), len(chunks) + len(run_chunks)))
-        chunks.extend(run_chunks)
+        starts = range(0, len(indices), step)
+        chunks.extend((run_pipeline, run_dataset, indices[i : i + step], sink, count is not None)
+                      for i in starts)
+        ranks.extend(range(len(starts)))
     if jobs <= 1 or len(chunks) <= 1:
         sources = _Sources()
         return [record for chunk in chunks for record in _generate_chunk(chunk, sources)]
@@ -346,7 +343,12 @@ def _run(pipeline, dataset, per_class, count, sink, jobs) -> list[TraceRecord]:
                                initializer=_init_worker, initargs=(failed,))
     try:
         futures = [None] * len(chunks)
-        for position in _round_robin(run_positions):
+        # The first chunk of every run (every class of a per-class call),
+        # then the second, and so on; sorted is stable, so runs keep their
+        # order within a rank. Classes write into directories of their own,
+        # so workers seldom create files in one directory at once, where
+        # each create waits for the directory's lock.
+        for position in sorted(range(len(chunks)), key=ranks.__getitem__):
             futures[position] = pool.submit(_generate_chunk_in_worker, chunks[position], position)
         # Results are read in chunk order, so records, collected images and
         # the error raised are those of a jobs=1 call.
@@ -359,19 +361,6 @@ def _run(pipeline, dataset, per_class, count, sink, jobs) -> list[TraceRecord]:
         return records
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
-
-
-def _round_robin(run_positions) -> list[int]:
-    """Chunk positions in submission order: the first chunk of every run
-    (every class of a per-class call), then the second, and so on.
-
-    Two chunks fewer than C submissions apart, while C runs have chunks
-    left, belong to different runs. Classes write into directories of
-    their own, so workers seldom create files in one directory at once,
-    where each create waits for the directory's lock.
-    """
-    return [position for layer in zip_longest(*run_positions) for position in layer
-            if position is not None]
 
 
 class _ChunkStopped(Exception):

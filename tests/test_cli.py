@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from augpipe import (
     DirectorySink,
+    Invert,
     Pipeline,
     PixelFormat,
     canonical_text,
@@ -77,6 +78,18 @@ class TestRun:
     def test_missing_count_in_sample_mode(self, tmp_path, corpus, recipe):
         assert main(["run", "--config", str(recipe), "--input", str(corpus),
                      "--output", str(tmp_path / "o")]) == 1
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--count", "-1"], "--count must be >= 0, got -1"),
+        (["--count", "1", "--jobs", "0"], "--jobs must be >= 1, got 0"),
+        (["--mode", "process", "--count", "1"], "--count is not allowed in process mode"),
+    ], ids=["negative-count", "zero-jobs", "count-in-process-mode"])
+    def test_bad_flag_is_1_and_writes_nothing(self, tmp_path, corpus, recipe, capsys, flags,
+                                               message):
+        assert main(["run", "--config", str(recipe), "--input", str(corpus),
+                     "--output", str(tmp_path / "o"), *flags]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_determinism_same_seed(self, tmp_path, corpus, recipe):
         for name in ("a", "b"):
@@ -234,6 +247,21 @@ class TestExitCodes:
         code = main(["run", "--config", str(cfg), "--input", str(corpus),
                      "--output", str(tmp_path / "o"), "--count", "1", "--seed", "0"])
         assert code == 3
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_memory_error_in_a_sample_is_3_and_names_it(self, tmp_path, corpus, capsys,
+                                                        monkeypatch, jobs):
+        def out_of_memory(self, img, drawn):
+            raise MemoryError  # as Python raises it, with no message
+
+        monkeypatch.setattr(Invert, "apply", out_of_memory)
+        cfg = write_config(tmp_path / "invert.json", {
+            "version": 1, "operations": [{"op": "invert", "probability": 1}]})
+        code = main(["run", "--config", str(cfg), "--input", str(corpus),
+                     "--output", str(tmp_path / "o"), "--mode", "process", "--jobs", jobs])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "augpipe: runtime error: sample 0 (source 0/im0.png): MemoryError\n")
 
     @pytest.mark.parametrize("entry", [
         '{"op": "zoom", "probability": 1, "min_factor": 1, "max_factor": Infinity}',
@@ -453,6 +481,14 @@ class TestSheet:
         assert main(["sheet", "--config", str(recipe), "--input",
                      str(tmp_path / "none.png"), "--output", str(tmp_path / "s.png"),
                      "--rows", "1", "--cols", "1"]) == 2
+
+    def test_zero_rows_is_1(self, tmp_path, np_rng, recipe, capsys):
+        src = tmp_path / "one.png"
+        save_image(random_image(np_rng, 8, 8), src)
+        assert main(["sheet", "--config", str(recipe), "--input", str(src),
+                     "--output", str(tmp_path / "s.png"), "--rows", "0", "--cols", "2"]) == 1
+        assert "--rows and --cols must be >= 1, got 0x2" in capsys.readouterr().err
+        assert not (tmp_path / "s.png").exists()
 
 
 class TestConsoleEntry:

@@ -298,6 +298,19 @@ class TestFieldRules:
         assert str(info.value) == f"operations[0].{message}"
         assert info.value.field == key
 
+    @pytest.mark.parametrize("spec_cls, kwargs, key", [
+        (Rotate, {"probability": 10**5000}, "probability"),
+        (Elastic, {"probability": 1, "magnitude": 10**5000}, "magnitude"),
+        (Elastic, {"probability": 1, "grid_width": -10**5000}, "grid_width"),
+        (Resize, {"probability": 1, "width": 10**5000}, "width"),
+    ], ids=["float", "int-above", "int-below", "pixel-budget"])
+    def test_int_too_long_to_print_is_described_by_size(self, spec_cls, kwargs, key):
+        # str() of an int past sys.get_int_max_str_digits() raises ValueError.
+        with pytest.raises(ConfigError) as info:
+            spec_cls(**kwargs)
+        assert info.value.field == key
+        assert "got an integer of about 5000 digits" in str(info.value)
+
     @pytest.mark.parametrize("spec_cls, field", _declared("range"))
     def test_closed_end_accepted_open_end_refused(self, spec_cls, field):
         bounds = field.metadata["range"]

@@ -193,6 +193,22 @@ class TestPngDecodeSurface:
         with pytest.raises(DecodeError, match="IHDR"):
             load_image(path)
 
+    @pytest.mark.parametrize("idat, message", [
+        ((), "no IDAT"),
+        (((b"IDAT", b"not a deflate stream"),), "corrupt PNG: Error -3"),
+    ], ids=["missing", "not-deflate"])
+    def test_bad_idat(self, idat, message):
+        ihdr = struct.pack(">IIBBBBB", 1, 1, 8, 0, 0, 0, 0)
+        chunks = [(b"IHDR", ihdr), *idat, (b"IEND", b"")]
+        data = b"\x89PNG\r\n\x1a\n" + b"".join(_chunk(*chunk) for chunk in chunks)
+        with pytest.raises(DecodeError, match=message):
+            _decode_png(data)
+
+    def test_palette_index_past_plte(self):
+        data = _png(2, 1, 8, 3, 0, bytes([0, 0, 1]), extra_chunks=[(b"PLTE", bytes(3))])
+        with pytest.raises(DecodeError, match="palette index out of range"):
+            _decode_png(data)
+
     def test_unknown_format(self, tmp_path):
         path = tmp_path / "what.png"
         path.write_bytes(b"GIF89a not a png")

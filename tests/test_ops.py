@@ -1,7 +1,11 @@
 """Operation catalogue: kernels, draw orders, invariants, failure paths."""
 
+import ast
+import importlib
 import inspect
 import math
+from pathlib import Path
+from types import ModuleType
 
 import numpy as np
 import pytest
@@ -28,6 +32,7 @@ from augpipe import (
     Zoom,
     derive_sample_rng,
 )
+import augpipe
 from augpipe import ops
 from augpipe.geometry import Quad, shear_crop_rect, solve_homography
 from augpipe.warp import AffineTransform, resize, warp_affine, warp_projective
@@ -309,6 +314,12 @@ class TestCrops:
         drawn = app.params_dict()
         assert 0 <= drawn["x"] <= 50 and 0 <= drawn["y"] <= 50
 
+    def test_crop_random_of_one_pixel_width_is_op_error(self, np_rng):
+        spec = CropRandom(probability=1, area_fraction=0.1)
+        with pytest.raises(OpError, match="crop extent must be >= 1") as info:
+            apply_one(spec, random_image(np_rng, 1, 9), derive_sample_rng(0, 0))
+        assert info.value.op_kind == "crop_random"
+
     def test_crop_random_resize_back(self, np_rng):
         img = random_image(np_rng, 100, 100)
         spec = CropRandom(probability=1, area_fraction=0.25, resize_back=True)
@@ -450,6 +461,20 @@ class TestSpecsAndApply:
         assert info.value.drawn is not None
         assert info.value.op_kind == "shear"
 
+    def test_scale_that_collapses_the_image_is_op_error(self, np_rng):
+        spec = Scale(probability=1, factor=0.01)
+        with pytest.raises(OpError, match="collapses the image") as info:
+            apply_one(spec, random_image(np_rng, 28, 28), derive_sample_rng(0, 0))
+        assert info.value.op_kind == "scale"
+
+    @pytest.mark.parametrize("spec", [
+        Elastic(probability=1, grid_width=10**5000, magnitude=1),
+        CropCentre(probability=1, width=10**5000),
+    ], ids=["elastic", "crop_centre"])
+    def test_int_too_long_to_print_fails_as_op_error(self, np_rng, spec):
+        with pytest.raises(OpError, match="an integer of about 5000 digits"):
+            apply_one(spec, random_image(np_rng, 8, 8), derive_sample_rng(0, 0))
+
     def test_validation_errors_name_fields(self):
         with pytest.raises(ConfigError) as info:
             Rotate(probability=1.5)
@@ -461,6 +486,9 @@ class TestSpecsAndApply:
             Shear(probability=1, max_angle=45)
         with pytest.raises(ConfigError):
             Zoom(probability=1, min_factor=0.5, max_factor=2)
+        with pytest.raises(ConfigError) as info:
+            Zoom(probability=1, min_factor=2, max_factor=1.5)
+        assert info.value.field == "max_factor"
         with pytest.raises(ConfigError):
             Elastic(probability=1, grid_width=0, grid_height=2, magnitude=1)
         with pytest.raises(ConfigError):
@@ -480,6 +508,38 @@ def test_each_op_is_declared_by_one_class():
     functions = [name for name, value in vars(ops).items() if inspect.isfunction(value)
                  and value.__module__ == ops.__name__ and not name.startswith("_")]
     assert functions == ["apply_op"]
+
+
+# The names the package exported while __init__.py listed them one by one.
+LISTED_EXPORTS = """
+    AffineTransform AugpipeError CollectingSink ConfigError CropCentre CropRandom CropRect
+    DatasetEntry DatasetError DatasetIndex DecodeError DirectorySink DisplacementGrid Elastic
+    Equalize Flip GeometryError Greyscale Homography Image Invert OpApplication OpError OpSpec
+    OutputCollisionError Pipeline PixelFormat Quad Resize RngStream Rotate RotateCardinal Scale
+    Shear Skew TraceRecord UnsupportedImageError Zoom apply_op canonical_text clamp_round
+    derive_sample_rng inscribed_crop_rect load_image mix64 output_name parse_config process
+    round_half_away run_sample sample save_image scan_dataset shear_crop_rect solve_homography
+    split_by_class write_trace
+""".split()
+
+
+def test_package_exports_the_union_of_its_modules_all():
+    # Each module's __all__ is the one list of its public names: __init__.py
+    # star-imports every library module and names no symbol itself, so a new
+    # op is importable from augpipe with no edit there.
+    package = Path(augpipe.__file__).parent
+    library = sorted({path.stem for path in package.glob("*.py")} - {"__init__", "__main__", "cli"})
+    declared = set().union(*(importlib.import_module(f"augpipe.{m}").__all__ for m in library))
+    exported = {name for name, value in vars(augpipe).items()
+                if not name.startswith("_") and not isinstance(value, ModuleType)}
+    assert exported == declared
+    assert set(LISTED_EXPORTS) <= exported
+    init = ast.parse((package / "__init__.py").read_text(encoding="utf-8"))
+    docstring, *imports, version = init.body
+    assert isinstance(docstring.value, ast.Constant)
+    assert [(node.module, [alias.name for alias in node.names]) for node in imports] == [
+        (module, ["*"]) for module in library]
+    assert [target.id for target in version.targets] == ["__version__"]
 
 
 CONSTANT_VALUE = 137

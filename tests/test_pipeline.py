@@ -422,18 +422,33 @@ class TestPerCallPool:
         assert messages[1:] == messages[:1] * 2
         assert messages[0].startswith("sample 39 (source a/z.png): op 0 (crop_centre)")
 
-    def test_round_robin_interleaves_runs(self):
-        run_positions = [range(0, 8), range(8, 16), range(16, 19)]
-        order = pipeline_mod._round_robin(run_positions)
-        assert sorted(order) == list(range(19))
-        run_of = {position: run for run, positions in enumerate(run_positions)
-                  for position in positions}
-        for i in range(len(order)):
-            runs_left = len({run_of[position] for position in order[i:]})
-            window = [run_of[position] for position in order[i : i + runs_left]]
+    def test_pool_takes_chunks_one_class_at_a_time(self, tmp_path, np_rng, monkeypatch):
+        # Classes of 8, 8 and 3 images at jobs=2 make one-image chunks at
+        # positions 0-7, 8-15 and 16-18. The pool is handed the first chunk
+        # of every class, then the second, and so on, so no class comes up
+        # twice among C consecutive submissions while C classes have chunks.
+        root = tmp_path / "in"
+        for label, size in (("a", 8), ("b", 8), ("c", 3)):
+            for i in range(size):
+                save_image(random_image(np_rng, 6, 6), root / label / f"{i}.png")
+        submitted = []
+
+        class RecordingPool(pipeline_mod.ProcessPoolExecutor):
+            def submit(self, fn, chunk, position):
+                submitted.append(position)
+                return super().submit(fn, chunk, position)
+
+        monkeypatch.setattr(pipeline_mod, "ProcessPoolExecutor", RecordingPool)
+        records = pipeline_mod.process(Pipeline().add(Invert(probability=1)), scan_dataset(root),
+                                       CollectingSink(), jobs=2, per_class=True)
+        assert len(records) == 19
+        assert sorted(submitted) == list(range(19))
+        assert submitted[:4] == [0, 8, 16, 1]
+        class_of = [position // 8 for position in range(19)]
+        for i in range(len(submitted)):
+            classes_left = len({class_of[position] for position in submitted[i:]})
+            window = [class_of[position] for position in submitted[i : i + classes_left]]
             assert len(set(window)) == len(window)
-        assert order[:4] == [0, 8, 16, 1]
-        assert pipeline_mod._round_robin([range(5)]) == list(range(5))
 
     @pytest.mark.parametrize("mode", ["sample", "process"])
     def test_per_class_equals_class_loop(self, tmp_path, np_rng, mode):
