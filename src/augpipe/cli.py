@@ -94,15 +94,11 @@ def _load_pipeline(config_path: str, seed_flag: int | None) -> Pipeline:
     try:
         text = Path(config_path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise _IoFailure(f"cannot read config: {exc}") from exc
+        raise OSError(f"cannot read config: {exc}") from exc
     pipe = parse_config(text)
     if seed_flag is not None:
         pipe = pipe.with_seed(seed_flag)
     return pipe
-
-
-class _IoFailure(AugpipeError):
-    """Internal marker for failures that must exit with the I/O code."""
 
 
 def _cmd_run(args) -> int:
@@ -191,7 +187,7 @@ def _cmd_sheet(args) -> int:
     pipe = _load_pipeline(args.config, args.seed)
     source = Path(args.input)
     if not source.is_file():
-        raise _IoFailure(f"input image not found: {source}")
+        raise FileNotFoundError(f"input image not found: {source}")
     original = load_image(source)
 
     total = args.rows * args.cols
@@ -223,8 +219,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"augpipe: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (OSError, _IoFailure, DatasetError, DecodeError, UnsupportedImageError,
-            OutputCollisionError) as exc:
+    except (OSError, DatasetError, DecodeError, UnsupportedImageError, OutputCollisionError) as exc:
         print(f"augpipe: i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (AugpipeError, MemoryError) as exc:

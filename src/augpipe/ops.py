@@ -36,13 +36,14 @@ with its own stream, a single image being a list of one: it draws for
 each image in turn, then applies the op to all of them.
 
 The warp ops (rotate, shear, skew, elastic) define only ``transform``,
-which gives their destination-to-source map; ``apply_batch`` hands the
-maps to ``warp.warp_batch``, which alone knows how each map type is
-warped and how many images it stacks at a time. Rotate, shear and skew,
-which could leave blank borders, crop to the largest usable region and
-resize back within that one map, so every source sample stays inside
-the image. Every other op holds its kernel in
-``apply``, run image by image.
+which gives their destination-to-source map: a Homography for rotate,
+shear (both affine, with bottom row (0, 0, 1)) and skew, a
+DisplacementGrid for elastic. ``apply_batch`` hands the maps to
+``warp.warp_batch``, which alone knows how each map type is warped and
+how many images it stacks at a time. Rotate, shear and skew, which
+could leave blank borders, crop to the largest usable region and resize
+back within that one map, so every source sample stays inside the
+image. Every other op holds its kernel in ``apply``, run image by image.
 """
 
 from __future__ import annotations
@@ -56,12 +57,12 @@ from typing import Any, ClassVar
 import numpy as np
 
 from .errors import ConfigError, GeometryError, OpError
-from .geometry import _SNAP, CropRect, Quad, inscribed_crop_rect, shear_crop_rect, solve_homography
+from .geometry import (_SNAP, CropRect, Homography, Quad, inscribed_crop_rect, shear_crop_rect,
+                       solve_homography)
 from .imagecore import Image, PixelFormat, RngStream, clamp_round_array, round_half_away
 # perfbench/spans.py times the warps through these names; the one-image
 # warp_affine, warp_projective and warp_mesh are imported for it alone.
 from .warp import (  # noqa: F401
-    AffineTransform,
     DisplacementGrid,
     resize,
     warp_affine,
@@ -202,7 +203,8 @@ class OpSpec:
 
     def transform(self, drawn: list[tuple[str, Any]], width: int, height: int):
         """A warp op's destination-to-source map for a width x height image
-        (AffineTransform, Homography or DisplacementGrid); None otherwise.
+        (a Homography, affine when its bottom row is (0, 0, 1), or a
+        DisplacementGrid); None otherwise.
 
         Ops that give a map need no apply: the map is warped onto an image
         of the same size, batched when many images share one shape.
@@ -249,7 +251,7 @@ class Rotate(OpSpec):
         d, e = -sn * kx, cs * ky
         c = width / 2 - a * (width / 2) - b * (height / 2)
         f = height / 2 - d * (width / 2) - e * (height / 2)
-        return AffineTransform(np.array([[a, b, c], [d, e, f]], dtype=np.float64))
+        return Homography(np.array([[a, b, c], [d, e, f], [0.0, 0.0, 1.0]], dtype=np.float64))
 
 
 @dataclass(frozen=True)
@@ -324,10 +326,10 @@ class Shear(OpSpec):
         except GeometryError as exc:
             raise OpError(str(exc), op_kind=self.kind) from exc
         if axis == "x":
-            m = np.array([[crop.w / width, -t, crop.x], [0.0, 1.0, 0.0]], dtype=np.float64)
+            rows = [[crop.w / width, -t, crop.x], [0.0, 1.0, 0.0]]
         else:
-            m = np.array([[1.0, 0.0, 0.0], [-t, crop.h / height, crop.y]], dtype=np.float64)
-        return AffineTransform(m)
+            rows = [[1.0, 0.0, 0.0], [-t, crop.h / height, crop.y]]
+        return Homography(np.array([*rows, [0.0, 0.0, 1.0]], dtype=np.float64))
 
 
 @dataclass(frozen=True)
@@ -587,8 +589,9 @@ def apply_op(
     draws do not depend on the other images.
 
     Probability gating happens in the pipeline; apply_op always applies.
-    A kernel failure surfaces as an OpError; for a single image it carries
-    the drawn values, so the failing sample can be reproduced exactly.
+    A kernel's OpError, GeometryError or ValueError surfaces as an
+    OpError; for a single image it carries the drawn values, so the
+    failing sample can be reproduced exactly.
     """
     w, h = imgs[0].width, imgs[0].height
     drawn = [spec.draw(rng, w, h) for rng in rngs]
@@ -598,7 +601,7 @@ def apply_op(
         out = spec.apply_batch(imgs, drawn)
     except OpError as exc:
         raise OpError(str(exc), op_kind=spec.kind, drawn=failed_draws) from exc
-    except GeometryError as exc:
+    except (GeometryError, ValueError) as exc:
         raise OpError(f"{spec.kind}: {exc}", op_kind=spec.kind, drawn=failed_draws) from exc
     return out, [OpApplication(spec.kind, True, tuple(values)) for values in drawn]
 

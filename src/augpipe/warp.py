@@ -25,11 +25,12 @@ and their source coordinates are computed band by band.
 Reordering, fusing or narrowing any of these operations changes output
 bytes, and the golden digests in tests/test_golden.py pin them.
 
-``warp_batch`` is the one entry for every destination-to-source map
-(AffineTransform, Homography or DisplacementGrid): it picks the map
-type's coordinate builder, stacks same-shape images at most one band of
-source pixels at a time, and gathers from each stack at once.
-``warp_affine``, ``warp_projective`` and ``warp_mesh`` are its one-image
+``warp_batch`` is the one entry for every destination-to-source map: a
+linear map is a Homography, an affine one having the bottom row
+(0, 0, 1), and a mesh map is a DisplacementGrid. It picks the map type's
+coordinate builder, stacks same-shape images at most one band of source
+pixels at a time, and gathers from each stack at once. ``warp_affine``
+(a 2x3 matrix), ``warp_projective`` and ``warp_mesh`` are its one-image
 case. It and ``resize`` share one band loop, ``_warp``.
 """
 
@@ -44,7 +45,6 @@ from .geometry import CropRect, Homography
 from .imagecore import Image, clamp_round_array
 
 __all__ = [
-    "AffineTransform",
     "DisplacementGrid",
     "warp_batch",
     "warp_affine",
@@ -52,32 +52,6 @@ __all__ = [
     "warp_mesh",
     "resize",
 ]
-
-
-@dataclass(frozen=True)
-class AffineTransform:
-    """2x3 destination-to-source matrix (linear part plus translation)."""
-
-    m: np.ndarray
-
-    def __post_init__(self):
-        if self.m.shape != (2, 3):
-            raise ValueError(f"affine matrix must be 2x3, got {self.m.shape}")
-
-    @classmethod
-    def identity(cls) -> "AffineTransform":
-        return cls(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
-
-    @classmethod
-    def translation(cls, tx: float, ty: float) -> "AffineTransform":
-        return cls(np.array([[1.0, 0.0, tx], [0.0, 1.0, ty]]))
-
-    def map_points(self, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        m = self.m
-        return (
-            m[0, 0] * xs + m[0, 1] * ys + m[0, 2],
-            m[1, 0] * xs + m[1, 1] * ys + m[1, 2],
-        )
 
 
 @dataclass(frozen=True)
@@ -222,11 +196,15 @@ def _check_size(out_w: int, out_h: int) -> None:
         raise ValueError(f"output dimensions must be >= 1, got {out_w}x{out_h}")
 
 
-def _affine_coordinates(transforms, out_w: int, out_h: int):
+def _linear_coordinates(homs, out_w: int, out_h: int):
     """coords(rows): the source coordinates (xs, ys) of the output rows in
-    the slice rows, through each transform; two (count, rows, out_w)
-    arrays."""
-    m = np.stack([t.m for t in transforms])[:, :, :, None, None]
+    the slice rows, through each homography; two (count, rows, out_w)
+    arrays. Only a group with a bottom row other than (0, 0, 1) computes
+    the projective denominator, raises GeometryError where it vanishes and
+    divides by it: an affine map's is exactly 1.0, so the bytes are the same."""
+    stack = np.stack([hom.m for hom in homs])
+    projective = np.any(stack[:, 2] != (0.0, 0.0, 1.0))
+    m = stack[:, :, :, None, None]
     xs, ys = _centers(0, out_w), _centers(0, out_h)[:, None]
 
     def coords(rows):
@@ -236,36 +214,20 @@ def _affine_coordinates(transforms, out_w: int, out_h: int):
         sx += m[:, 0, 2]
         sy = m[:, 1, 0] * xs + m[:, 1, 1] * ys[rows]
         sy += m[:, 1, 2]
-        return sx, sy
-
-    return coords
-
-
-def _projective_coordinates(homs, out_w: int, out_h: int):
-    """As _affine_coordinates, through each homography; coords raises
-    GeometryError where a denominator vanishes."""
-    m = np.stack([hom.m for hom in homs])[:, :, :, None, None]
-    xs, ys = _centers(0, out_w), _centers(0, out_h)[:, None]
-
-    def coords(rows):
-        # In place, as in _affine_coordinates.
-        den = m[:, 2, 0] * xs + m[:, 2, 1] * ys[rows]
-        den += m[:, 2, 2]
-        if np.min(np.abs(den)) < 1e-9:
-            raise GeometryError("horizon inside image: projective denominator vanishes")
-        sx = m[:, 0, 0] * xs + m[:, 0, 1] * ys[rows]
-        sx += m[:, 0, 2]
-        sx /= den
-        sy = m[:, 1, 0] * xs + m[:, 1, 1] * ys[rows]
-        sy += m[:, 1, 2]
-        sy /= den
+        if projective:
+            den = m[:, 2, 0] * xs + m[:, 2, 1] * ys[rows]
+            den += m[:, 2, 2]
+            if np.min(np.abs(den)) < 1e-9:
+                raise GeometryError("horizon inside image: projective denominator vanishes")
+            sx /= den
+            sy /= den
         return sx, sy
 
     return coords
 
 
 def _mesh_coordinates(grids, out_w: int, out_h: int):
-    """As _affine_coordinates: each output pixel center plus its grid's
+    """As _linear_coordinates: each output pixel center plus its grid's
     displacement there, with the lattice laid over the output.
 
     A column's cell and fraction depend only on x, a row's only on y, so
@@ -297,8 +259,7 @@ def _mesh_coordinates(grids, out_w: int, out_h: int):
 
 
 _COORDINATES = {
-    AffineTransform: _affine_coordinates,
-    Homography: _projective_coordinates,
+    Homography: _linear_coordinates,
     DisplacementGrid: _mesh_coordinates,
 }
 
@@ -307,13 +268,14 @@ def warp_batch(imgs, maps, out_w: int, out_h: int) -> list[Image]:
     """Resample each of some same-shape images through its own
     destination-to-source map onto an out_w x out_h output.
 
-    The maps are all AffineTransforms, all Homographies, or all
-    DisplacementGrids of one lattice size; a grid's lattice lies over the
-    output, which a mesh warp gives the image's size. The images are
-    stacked in groups of at most one band (_BAND_PIXELS) of source
-    pixels, and each group is gathered at once; every output is the
-    one-image warp's. Raises GeometryError if a projective denominator
-    vanishes at a destination pixel center (horizon crossing the output).
+    The maps are all Homographies, an affine one having the bottom row
+    (0, 0, 1), or all DisplacementGrids of one lattice size; a grid's
+    lattice lies over the output, which a mesh warp gives the image's
+    size. The images are stacked in groups of at most one band
+    (_BAND_PIXELS) of source pixels, and each group is gathered at once;
+    every output is the one-image warp's. Raises GeometryError if a
+    projective denominator vanishes at a destination pixel center
+    (horizon crossing the output).
     """
     _check_size(out_w, out_h)
     coordinates = _COORDINATES[type(maps[0])]
@@ -328,9 +290,10 @@ def warp_batch(imgs, maps, out_w: int, out_h: int) -> list[Image]:
     return out
 
 
-def warp_affine(img: Image, transform: AffineTransform, out_w: int, out_h: int) -> Image:
-    """Resample through a destination-to-source affine map."""
-    return warp_batch([img], [transform], out_w, out_h)[0]
+def warp_affine(img: Image, m: np.ndarray, out_w: int, out_h: int) -> Image:
+    """Resample through a destination-to-source affine map, the 2x3 matrix
+    m (linear part plus translation)."""
+    return warp_batch([img], [Homography(np.vstack((m, (0.0, 0.0, 1.0))))], out_w, out_h)[0]
 
 
 def warp_projective(img: Image, hom: Homography, out_w: int, out_h: int) -> Image:

@@ -194,9 +194,13 @@ class TestExitCodes:
         assert main(["run", "--config", str(recipe), "--input", str(tmp_path / "nope"),
                      "--output", str(tmp_path / "o"), "--count", "1"]) == 2
 
-    def test_missing_config_file_is_2(self, tmp_path, corpus):
-        assert main(["run", "--config", str(tmp_path / "ghost.json"), "--input",
+    def test_missing_config_file_is_2(self, tmp_path, corpus, capsys):
+        ghost = tmp_path / "ghost.json"
+        assert main(["run", "--config", str(ghost), "--input",
                      str(corpus), "--output", str(tmp_path / "o"), "--count", "1"]) == 2
+        assert capsys.readouterr().err == (
+            f"augpipe: i/o error: cannot read config: "
+            f"[Errno 2] No such file or directory: '{ghost}'\n")
 
     def test_empty_dataset_is_2(self, tmp_path, recipe):
         empty = tmp_path / "empty"
@@ -262,6 +266,22 @@ class TestExitCodes:
         assert code == 3
         assert capsys.readouterr().err == (
             "augpipe: runtime error: sample 0 (source 0/im0.png): MemoryError\n")
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_value_error_in_an_op_is_3_and_names_it(self, tmp_path, corpus, capsys,
+                                                    monkeypatch, jobs):
+        # As Image.__post_init__ or RotateCardinal.apply raise it in a kernel.
+        def boom(self, img, drawn):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(Invert, "apply", boom)
+        cfg = write_config(tmp_path / "invert.json", {
+            "version": 1, "operations": [{"op": "invert", "probability": 1}]})
+        code = main(["run", "--config", str(cfg), "--input", str(corpus),
+                     "--output", str(tmp_path / "o"), "--mode", "process", "--jobs", jobs])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "augpipe: runtime error: sample 0 (source 0/im0.png): op 0 (invert): invert: boom\n")
 
     @pytest.mark.parametrize("entry", [
         '{"op": "zoom", "probability": 1, "min_factor": 1, "max_factor": Infinity}',
@@ -477,10 +497,12 @@ class TestSheet:
                 return
         pytest.fail("no seed produced a montage")
 
-    def test_missing_input_is_2(self, tmp_path, recipe):
+    def test_missing_input_is_2(self, tmp_path, recipe, capsys):
+        missing = tmp_path / "none.png"
         assert main(["sheet", "--config", str(recipe), "--input",
-                     str(tmp_path / "none.png"), "--output", str(tmp_path / "s.png"),
+                     str(missing), "--output", str(tmp_path / "s.png"),
                      "--rows", "1", "--cols", "1"]) == 2
+        assert capsys.readouterr().err == f"augpipe: i/o error: input image not found: {missing}\n"
 
     def test_zero_rows_is_1(self, tmp_path, np_rng, recipe, capsys):
         src = tmp_path / "one.png"

@@ -432,3 +432,28 @@ class TestCanonical:
         spec = NON_DEFAULT_SPECS[spec_cls]
         pipe = Pipeline(ops=(spec,), master_seed=31)
         assert parse_config(canonical_text(pipe)) == pipe
+
+
+def _readme_op_rows() -> dict[str, str]:
+    """Each kind named in the first cell of README's op table -> the
+    parameters cell of its row."""
+    lines = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8").splitlines()
+    start = lines.index("| op | parameters |") + 2  # past the header and its rule
+    rows = {}
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        _, kinds, parameters, _ = line.split("|")
+        for kind in kinds.strip().split(", "):
+            rows[kind.strip("`")] = parameters
+    return rows
+
+
+@pytest.mark.parametrize("spec_cls", OpSpec.__subclasses__(), ids=lambda c: c.kind)
+def test_readme_op_table_names_every_op_and_key(spec_cls):
+    # The README row is the one place to edit for a new op that no other
+    # test would miss: each op has a row naming every key but probability.
+    rows = _readme_op_rows()
+    assert spec_cls.kind in rows, f"README's op table has no row for {spec_cls.kind}"
+    keys = [_key(f) for f in dataclasses.fields(spec_cls) if f.name != "probability"]
+    assert [key for key in keys if f"`{key}`" not in rows[spec_cls.kind]] == []

@@ -35,7 +35,7 @@ from augpipe import (
 import augpipe
 from augpipe import ops
 from augpipe.geometry import Quad, shear_crop_rect, solve_homography
-from augpipe.warp import AffineTransform, resize, warp_affine, warp_projective
+from augpipe.warp import resize, warp_affine, warp_projective
 from conftest import apply_one, monitor_source_bounds, random_image, run_op
 
 ROTATE = Rotate(probability=1)
@@ -102,7 +102,7 @@ class TestRotate:
                 [-sn * kx, cs * ky, 20 + sn * kx * 25 - cs * ky * 20],
             ]
         )
-        manual = warp_affine(img, AffineTransform(m), 50, 40)
+        manual = warp_affine(img, m, 50, 40)
         assert np.array_equal(run_op(ROTATE, img, angle=theta).pixels, manual.pixels)
 
 
@@ -173,7 +173,7 @@ class TestShear:
         t = math.tan(math.radians(10))
         crop = shear_crop_rect(100, 100, "x", t)
         assert (crop.x, crop.w) == (18, 82)
-        m = AffineTransform(np.array([[crop.w / 100, -t, crop.x], [0.0, 1.0, 0.0]]))
+        m = np.array([[crop.w / 100, -t, crop.x], [0.0, 1.0, 0.0]])
         manual = warp_affine(img, m, 100, 100)
         assert np.array_equal(run_op(SHEAR_X, img, angle=10.0).pixels, manual.pixels)
 
@@ -510,9 +510,10 @@ def test_each_op_is_declared_by_one_class():
     assert functions == ["apply_op"]
 
 
-# The names the package exported while __init__.py listed them one by one.
+# The names the package exported while __init__.py listed them one by one,
+# bar AffineTransform: an affine map is now a Homography.
 LISTED_EXPORTS = """
-    AffineTransform AugpipeError CollectingSink ConfigError CropCentre CropRandom CropRect
+    AugpipeError CollectingSink ConfigError CropCentre CropRandom CropRect
     DatasetEntry DatasetError DatasetIndex DecodeError DirectorySink DisplacementGrid Elastic
     Equalize Flip GeometryError Greyscale Homography Image Invert OpApplication OpError OpSpec
     OutputCollisionError Pipeline PixelFormat Quad Resize RngStream Rotate RotateCardinal Scale

@@ -625,7 +625,7 @@ def _reference_sample(pipe, dataset, index, sink, choose_source):
         except OpError as exc:
             raise OpError(f"{where}: {exc}", op_kind=spec.kind, drawn=tuple(drawn),
                           op_index=op_index) from exc
-        except GeometryError as exc:
+        except (GeometryError, ValueError) as exc:
             raise OpError(f"{where}: {spec.kind}: {exc}", op_kind=spec.kind, drawn=tuple(drawn),
                           op_index=op_index) from exc
         applications.append(OpApplication(spec.kind, True, tuple(drawn)))

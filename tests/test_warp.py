@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from augpipe import (
-    AffineTransform,
     DisplacementGrid,
     GeometryError,
     Image,
@@ -19,6 +18,13 @@ from augpipe import warp
 from augpipe.geometry import CropRect, Homography
 from augpipe.warp import resize, warp_affine, warp_mesh, warp_projective
 from conftest import monitor_source_bounds, random_image, run_op, sample
+
+IDENTITY = np.eye(2, 3)
+
+
+def _translation(tx, ty):
+    """The 2x3 affine matrix of a destination-to-source shift."""
+    return np.array([[1.0, 0.0, tx], [0.0, 1.0, ty]])
 
 
 class TestSample:
@@ -43,7 +49,7 @@ class TestSample:
 class TestWarpAffine:
     def test_identity_is_bit_exact(self, np_rng):
         img = random_image(np_rng, 17, 11, PixelFormat.RGBA8)
-        out = warp_affine(img, AffineTransform.identity(), 17, 11)
+        out = warp_affine(img, IDENTITY, 17, 11)
         assert np.array_equal(out.pixels, img.pixels)
         assert out.format is img.format
 
@@ -51,13 +57,13 @@ class TestWarpAffine:
         ramp = np.arange(10, dtype=np.uint8)[None, :] * 20
         img = Image.from_array(ramp, PixelFormat.GRAY8)
         # dest -> src shift of -3: content moves right, left edge replicates
-        out = warp_affine(img, AffineTransform.translation(-3, 0), 10, 1)
+        out = warp_affine(img, _translation(-3, 0), 10, 1)
         expected = np.array([ramp[0, max(x - 3, 0)] for x in range(10)], dtype=np.uint8)
         assert np.array_equal(out.pixels[0, :, 0], expected)
 
     def test_constant_survives_any_transform(self, np_rng):
         img = Image.filled(9, 9, PixelFormat.RGB8, (12, 200, 7))
-        m = AffineTransform(np.array([[0.37, -1.2, 4.0], [0.9, 0.33, -2.5]]))
+        m = np.array([[0.37, -1.2, 4.0], [0.9, 0.33, -2.5]])
         out = warp_affine(img, m, 13, 6)
         assert np.all(out.pixels == np.array([12, 200, 7], dtype=np.uint8))
 
@@ -75,7 +81,7 @@ class TestWarpAffine:
             d, e = -sn, cs
             c = src_w / 2 - a * dst_w / 2 - b * dst_h / 2
             f = src_h / 2 - d * dst_w / 2 - e * dst_h / 2
-            return AffineTransform(np.array([[a, b, c], [d, e, f]]))
+            return np.array([[a, b, c], [d, e, f]])
 
         turned = warp_affine(img, rot_matrix(90, w, h, h, w), h, w)
         back = warp_affine(turned, rot_matrix(-90, h, w, w, h), w, h)
@@ -84,7 +90,7 @@ class TestWarpAffine:
     def test_output_dimension_validation(self, np_rng):
         img = random_image(np_rng, 4, 4)
         with pytest.raises(ValueError):
-            warp_affine(img, AffineTransform.identity(), 0, 4)
+            warp_affine(img, IDENTITY, 0, 4)
 
 
 class TestWarpProjective:
@@ -97,9 +103,8 @@ class TestWarpProjective:
     def test_translation_matches_affine_bit_exact(self, np_rng):
         img = random_image(np_rng, 10, 10)
         hom = Homography(np.array([[1.0, 0.0, 2.5], [0.0, 1.0, -1.25], [0.0, 0.0, 1.0]]))
-        aff = AffineTransform.translation(2.5, -1.25)
         a = warp_projective(img, hom, 10, 10)
-        b = warp_affine(img, aff, 10, 10)
+        b = warp_affine(img, _translation(2.5, -1.25), 10, 10)
         assert np.array_equal(a.pixels, b.pixels)
 
     def test_horizon_inside_image_raises(self, np_rng):
@@ -196,7 +201,7 @@ class TestResize:
         grid = DisplacementGrid(3, 2, np.zeros((3, 4, 2)))
         grid.nodes[1, 1:3] = ((2.5, -1.0), (-3.0, 4.0))
         kernels = (lambda: resize(img, 77, 41), lambda: warp_mesh(img, grid),
-                   lambda: warp_affine(img, AffineTransform.translation(0.3, -0.7), 33, 50))
+                   lambda: warp_affine(img, _translation(0.3, -0.7), 33, 50))
         one_pass = [kernel().pixels for kernel in kernels]
         monkeypatch.setattr(warp, "_BAND_PIXELS", 7)
         with monitor_source_bounds() as monitor:
@@ -212,7 +217,7 @@ class TestWarpBatch:
         # band size, and one by one at 7 pixels.
         monkeypatch.setattr(warp, "_BAND_PIXELS", band_pixels)
         imgs = [random_image(np_rng, 28, 28, PixelFormat.RGB8) for _ in range(50)]
-        affines = [AffineTransform(np.eye(2, 3) + np_rng.uniform(-0.3, 0.3, (2, 3)))
+        affines = [Homography(np.vstack((IDENTITY + np_rng.uniform(-0.3, 0.3, (2, 3)), (0, 0, 1))))
                    for _ in imgs]
         homs = []
         for _ in imgs:
@@ -223,8 +228,13 @@ class TestWarpBatch:
             nodes = np.zeros((5, 5, 2))
             nodes[1:4, 1:4] = np_rng.uniform(-4.0, 4.0, (3, 3, 2))
             grids.append(DisplacementGrid(4, 4, nodes))
-        cases = ((affines, 31, 26, lambda img, t: warp_affine(img, t, 31, 26)),
+        # The first group of 20 is all affine and divides by no denominator;
+        # the later groups mix in projective maps and divide every map by its
+        # own, which for an affine map is exactly 1.
+        mixed = affines[:20] + [homs[k] if k % 2 else affines[k] for k in range(20, len(imgs))]
+        cases = ((affines, 31, 26, lambda img, hom: warp_affine(img, hom.m[:2], 31, 26)),
                  (homs, 26, 31, lambda img, hom: warp_projective(img, hom, 26, 31)),
+                 (mixed, 26, 31, lambda img, hom: warp_projective(img, hom, 26, 31)),
                  (grids, 28, 28, warp_mesh))
         for maps, out_w, out_h, one_image in cases:
             with monitor_source_bounds() as monitor:
@@ -239,7 +249,7 @@ class TestMonitor:
     def test_out_of_domain_coordinates_are_reported(self, np_rng):
         img = random_image(np_rng, 8, 8)
         with monitor_source_bounds() as monitor:
-            warp_affine(img, AffineTransform.translation(5.0, 0.0), 8, 8)
+            warp_affine(img, _translation(5.0, 0.0), 8, 8)
         assert monitor.warps == 1
         assert monitor.violations == 1
         assert monitor.worst == pytest.approx(4.5)  # rightmost center 7.5 + 5 - 8
@@ -247,7 +257,7 @@ class TestMonitor:
     def test_in_domain_warps_are_clean(self, np_rng):
         img = random_image(np_rng, 8, 8)
         with monitor_source_bounds() as monitor:
-            warp_affine(img, AffineTransform.identity(), 8, 8)
+            warp_affine(img, IDENTITY, 8, 8)
             resize(img, 4, 4)
         assert monitor.warps == 2
         assert monitor.violations == 0
@@ -266,8 +276,8 @@ class TestMonitor:
 
 
 def test_public_names():
-    assert warp.__all__ == ["AffineTransform", "DisplacementGrid", "warp_batch", "warp_affine",
-                            "warp_projective", "warp_mesh", "resize"]
+    assert warp.__all__ == ["DisplacementGrid", "warp_batch", "warp_affine", "warp_projective",
+                            "warp_mesh", "resize"]
 
 
 def _reference_bilinear(img, xs, ys):
@@ -338,9 +348,11 @@ class TestBilinearMatchesReference:
            st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4), st.floats(-20.0, 20.0))
     def test_affine(self, img, out_w, out_h, linear, shift):
         m = np.array([[linear[0], linear[1], shift], [linear[2], linear[3], -shift]])
-        sx, sy = AffineTransform(m).map_points(*_reference_centers(out_w, out_h))
+        xs, ys = _reference_centers(out_w, out_h)
+        sx = m[0, 0] * xs + m[0, 1] * ys + m[0, 2]
+        sy = m[1, 0] * xs + m[1, 1] * ys + m[1, 2]
         expected = _reference_bilinear(img, sx, sy)
-        assert np.array_equal(warp_affine(img, AffineTransform(m), out_w, out_h).pixels, expected)
+        assert np.array_equal(warp_affine(img, m, out_w, out_h).pixels, expected)
 
     @settings(max_examples=60, deadline=None)
     @given(_image(), st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**32 - 1))
