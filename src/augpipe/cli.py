@@ -5,9 +5,9 @@ an input folder, ``validate`` checks a config and prints its canonical
 form, and ``sheet`` renders a tiled contact sheet of augmented variants
 of a single image.
 
-Exit codes: 0 success, 1 validation error, 2 I/O error, 3 runtime
-operation failure. Seed precedence: --seed flag, then the config's seed,
-then 0.
+Exit codes: 0 success, 1 usage or validation error, 2 I/O error, 3
+runtime operation failure. Seed precedence: --seed flag, then the
+config's seed, then 0.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .errors import (
     OutputCollisionError,
     UnsupportedImageError,
 )
-from .imagecore import Image, PixelFormat
+from .imagecore import Image
 from .pipeline import CollectingSink, DirectorySink, Pipeline, write_trace
 
 __all__ = ["main", "entrypoint"]
@@ -95,6 +95,8 @@ def _load_pipeline(config_path: str, seed_flag: int | None) -> Pipeline:
         text = Path(config_path).read_text(encoding="utf-8")
     except OSError as exc:
         raise OSError(f"cannot read config: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config is not UTF-8 text: {exc}") from exc
     pipe = parse_config(text)
     if seed_flag is not None:
         pipe = pipe.with_seed(seed_flag)
@@ -142,43 +144,37 @@ def _cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def _promote(img: Image, fmt: PixelFormat) -> Image:
-    if img.format is fmt:
+def _promote(img: Image, channels: int) -> Image:
+    """img with ``channels`` channels: grey is repeated, and added alpha is opaque."""
+    if img.channels == channels:
         return img
     arr = img.pixels
-    if img.format is PixelFormat.GRAY8:
+    if img.channels == 1:
         arr = np.repeat(arr, 3, axis=2)
-    if fmt is PixelFormat.RGBA8 and arr.shape[2] == 3:
+    if channels == 4 and arr.shape[2] == 3:
         alpha = np.full(arr.shape[:2] + (1,), 255, dtype=np.uint8)
         arr = np.concatenate([arr, alpha], axis=2)
-    return Image._wrap(arr.copy(), fmt)
+    return Image._wrap(arr)
 
 
 def _montage(tiles: list[Image], rows: int, cols: int) -> Image:
-    widths = {t.width for t in tiles}
-    heights = {t.height for t in tiles}
-    if len(widths) != 1 or len(heights) != 1:
+    if len({(t.width, t.height) for t in tiles}) != 1:
         raise OpError(
             "contact sheet tiles have differing sizes; add a resize or "
             "crop_centre operation to the pipeline to make dimensions uniform"
         )
-    fmt = PixelFormat.GRAY8
-    for tile in tiles:
-        if tile.format is PixelFormat.RGBA8:
-            fmt = PixelFormat.RGBA8
-        elif tile.format is PixelFormat.RGB8 and fmt is PixelFormat.GRAY8:
-            fmt = PixelFormat.RGB8
-    tiles = [_promote(t, fmt) for t in tiles]
+    channels = max(t.channels for t in tiles)
+    tiles = [_promote(t, channels) for t in tiles]
     tw, th = tiles[0].width, tiles[0].height
     width = cols * tw + (cols - 1) * _SEPARATOR
     height = rows * th + (rows - 1) * _SEPARATOR
-    canvas = np.full((height, width, fmt.channels), 255, dtype=np.uint8)
+    canvas = np.full((height, width, channels), 255, dtype=np.uint8)
     for i, tile in enumerate(tiles):
         r, c = divmod(i, cols)
         y = r * (th + _SEPARATOR)
         x = c * (tw + _SEPARATOR)
         canvas[y : y + th, x : x + tw] = tile.pixels
-    return Image._wrap(canvas, fmt)
+    return Image._wrap(canvas)
 
 
 def _cmd_sheet(args) -> int:
@@ -209,7 +205,10 @@ def _cmd_sheet(args) -> int:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the help, or the usage and error
+        return EXIT_CONFIG if exc.code else EXIT_OK
     try:
         if args.command == "run":
             return _cmd_run(args)

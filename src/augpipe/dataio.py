@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DatasetError, DecodeError, UnsupportedImageError
-from .imagecore import Image, PixelFormat
+from .imagecore import Image
 
 __all__ = [
     "DatasetEntry",
@@ -281,10 +281,6 @@ def _decode_png(data: bytes) -> Image:
         raise DecodeError("truncated PNG: pixel data length mismatch")
     del idat  # free the joined IDAT data before the unfilter allocates
     arr = _unfilter(raw, height, width, channels)
-    if color == 0:
-        return Image._wrap(arr, PixelFormat.GRAY8)
-    if color == 2:
-        return Image._wrap(arr, PixelFormat.RGB8)
     if color == 3:
         if palette is None or len(palette) % 3 != 0 or len(palette) == 0:
             raise DecodeError("corrupt PNG: missing or malformed palette")
@@ -292,17 +288,14 @@ def _decode_png(data: bytes) -> Image:
         indices = arr[..., 0]
         if int(indices.max()) >= pal.shape[0]:
             raise DecodeError("corrupt PNG: palette index out of range")
-        return Image._wrap(pal[indices], PixelFormat.RGB8)
-    if color == 4:  # grey + alpha, expanded to RGBA
-        out = np.empty((height, width, 4), dtype=np.uint8)
-        out[..., 0] = out[..., 1] = out[..., 2] = arr[..., 0]
-        out[..., 3] = arr[..., 1]
-        return Image._wrap(out, PixelFormat.RGBA8)
-    return Image._wrap(arr, PixelFormat.RGBA8)
+        arr = pal[indices]
+    elif color == 4:  # grey + alpha, expanded to RGBA
+        arr = arr[..., [0, 0, 0, 1]]
+    return Image._wrap(arr)
 
 
 def _encode_png(img: Image) -> bytes:
-    color = {PixelFormat.GRAY8: 0, PixelFormat.RGB8: 2, PixelFormat.RGBA8: 6}[img.format]
+    color = {1: 0, 3: 2, 4: 6}[img.channels]
     ihdr = struct.pack(">IIBBBBB", img.width, img.height, 8, color, 0, 0, 0)
     stride = img.width * img.channels
     rows = np.zeros((img.height, stride + 1), dtype=np.uint8)
@@ -365,30 +358,25 @@ def _pnm_tokens(data: bytes, count: int, start: int) -> tuple[list[int], int]:
 
 
 def _decode_pnm(data: bytes) -> Image:
-    magic = data[:2]
-    fmt = PixelFormat.GRAY8 if magic == b"P5" else PixelFormat.RGB8
+    channels = 1 if data[:2] == b"P5" else 3
     (width, height, maxval), pos = _pnm_tokens(data, 3, 2)
     if width < 1 or height < 1:
         raise DecodeError(f"corrupt PNM: zero dimension {width}x{height}")
     if maxval != 255:
         raise UnsupportedImageError(f"unsupported PNM maxval {maxval} (only 255)")
     # `pos` is just past the single whitespace byte terminating the header.
-    channels = fmt.channels
     need = width * height * channels
     pixels = data[pos : pos + need]
     if len(pixels) != need:
         raise DecodeError("truncated PNM pixel data")
     # A view of the slice, which is already a copy of its own.
-    return Image._wrap(np.frombuffer(pixels, dtype=np.uint8).reshape(height, width, channels), fmt)
+    return Image._wrap(np.frombuffer(pixels, dtype=np.uint8).reshape(height, width, channels))
 
 
 def _encode_pnm(img: Image) -> bytes:
-    if img.format is PixelFormat.GRAY8:
-        magic = b"P5"
-    elif img.format is PixelFormat.RGB8:
-        magic = b"P6"
-    else:
+    if img.channels == 4:
         raise UnsupportedImageError("PPM/PGM cannot store RGBA images; use PNG")
+    magic = b"P5" if img.channels == 1 else b"P6"
     header = magic + f"\n{img.width} {img.height}\n255\n".encode("ascii")
     return header + img.pixels.tobytes()
 

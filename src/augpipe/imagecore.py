@@ -95,22 +95,25 @@ class Image:
             arr = arr[:, :, np.newaxis]
         if arr.ndim != 3:
             raise ValueError(f"expected a 2-d or 3-d array, got shape {arr.shape}")
-        return cls._wrap(arr.copy(), fmt)
+        arr = arr.copy()  # frozen, then checked against fmt
+        arr.flags.writeable = False
+        return cls(width=arr.shape[1], height=arr.shape[0], format=fmt, pixels=arr)
 
     @classmethod
-    def _wrap(cls, arr: np.ndarray, fmt: PixelFormat) -> "Image":
-        # Takes ownership of arr; callers must not keep a writable reference.
+    def _wrap(cls, arr: np.ndarray) -> "Image":
+        """The image of arr, (h, w, channels) uint8, in the format with that
+        many channels. Takes ownership: keep no writable reference to arr."""
         arr = np.ascontiguousarray(arr, dtype=np.uint8)
         arr.flags.writeable = False
-        h, w = arr.shape[:2]
-        return cls(width=w, height=h, format=fmt, pixels=arr)
+        h, w, channels = arr.shape
+        return cls(width=w, height=h, format=PixelFormat(channels), pixels=arr)
 
     @classmethod
     def filled(cls, width: int, height: int, fmt: PixelFormat, value) -> "Image":
         """Constant image; value is a scalar or a per-channel sequence."""
         arr = np.empty((height, width, fmt.channels), dtype=np.uint8)
         arr[:] = value
-        return cls._wrap(arr, fmt)
+        return cls._wrap(arr)
 
 
 def round_half_away(value: float) -> int:

@@ -59,7 +59,7 @@ import numpy as np
 from .errors import ConfigError, GeometryError, OpError
 from .geometry import (_SNAP, CropRect, Homography, Quad, inscribed_crop_rect, shear_crop_rect,
                        solve_homography)
-from .imagecore import Image, PixelFormat, RngStream, clamp_round_array, round_half_away
+from .imagecore import Image, RngStream, clamp_round_array, round_half_away
 # perfbench/spans.py times the warps through these names; the one-image
 # warp_affine, warp_projective and warp_mesh are imported for it alone.
 from .warp import (  # noqa: F401
@@ -116,7 +116,7 @@ def _crop(img: Image, region: CropRect, resize_back: bool = False) -> Image:
             f"{img.width}x{img.height} image",
             op_kind="crop",
         )
-    sub = Image._wrap(img.pixels[y : y + region.h, x : x + region.w], img.format)
+    sub = Image._wrap(img.pixels[y : y + region.h, x : x + region.w])
     if resize_back and (region.w, region.h) != (img.width, img.height):
         return resize(sub, img.width, img.height)
     return sub
@@ -278,7 +278,7 @@ class RotateCardinal(OpSpec):
             out = px.transpose(1, 0, 2)[::-1]
         else:
             raise ValueError(f"cardinal rotation must be 90, 180 or 270, got {k}")
-        return Image._wrap(out, img.format)
+        return Image._wrap(out)
 
 
 @dataclass(frozen=True)
@@ -297,7 +297,7 @@ class Flip(OpSpec):
         """Exact mirror: horizontal swaps left-right, vertical top-bottom."""
         axis = dict(drawn).get("axis", self.axis)
         out = img.pixels[:, ::-1] if axis == "horizontal" else img.pixels[::-1]
-        return Image._wrap(out, img.format)
+        return Image._wrap(out)
 
 
 @dataclass(frozen=True)
@@ -536,11 +536,11 @@ class Greyscale(OpSpec):
 
     def apply(self, img, drawn):
         """Luma conversion (BT.601 weights); alpha is dropped. Identity on Gray8."""
-        if img.format is PixelFormat.GRAY8:
+        if img.channels == 1:
             return img
         rgb = img.pixels[..., :3].astype(np.float64)
         y = clamp_round_array(0.299 * rgb[..., 0] + 0.587 * rgb[..., 1] + 0.114 * rgb[..., 2])
-        return Image._wrap(y[..., None], PixelFormat.GRAY8)
+        return Image._wrap(y[..., None])
 
 
 @dataclass(frozen=True)
@@ -552,7 +552,7 @@ class Invert(OpSpec):
         arr = img.pixels.copy()
         cc = img.format.color_channels
         arr[..., :cc] = 255 - arr[..., :cc]
-        return Image._wrap(arr, img.format)
+        return Image._wrap(arr)
 
 
 @dataclass(frozen=True)
@@ -577,7 +577,7 @@ class Equalize(OpSpec):
                 continue
             lut = clamp_round_array((cdf - cdf_min) / (n - cdf_min) * 255.0)
             arr[..., ch] = lut[channel]
-        return Image._wrap(arr, img.format)
+        return Image._wrap(arr)
 
 
 def apply_op(

@@ -36,7 +36,7 @@ from typing import NoReturn
 
 from .dataio import DatasetEntry, DatasetIndex, load_image, output_name, save_image, split_by_class
 from .errors import AugpipeError, DatasetError, OpError, OutputCollisionError
-from .imagecore import Image, PixelFormat, RngStream, derive_sample_rng, mix64
+from .imagecore import Image, RngStream, derive_sample_rng, mix64
 from .ops import OpApplication, OpSpec, apply_op
 from .warp import _BAND_PIXELS
 
@@ -71,12 +71,12 @@ class Pipeline:
     def for_class(self, label: str) -> "Pipeline":
         """This pipeline reseeded for one class of a per-class run.
 
-        The class seed is mix64(master seed ^ FNV-1a 64 of the label's
-        UTF-8 bytes), so classes are augmented independently yet
-        reproducibly, as ``augpipe run --per-class`` does.
+        The class seed is mix64(master seed ^ FNV-1a 64 of os.fsencode(label),
+        the UTF-8 of any valid name), so classes are augmented independently
+        yet reproducibly, as ``augpipe run --per-class`` does.
         """
         label_hash = 0xCBF29CE484222325
-        for byte in label.encode("utf-8"):
+        for byte in os.fsencode(label):
             label_hash = ((label_hash ^ byte) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
         return self.with_seed(mix64(self.master_seed ^ label_hash))
 
@@ -130,7 +130,7 @@ class DirectorySink:
     def _extension(self, img: Image) -> str:
         if self.image_format == "png":
             return "png"
-        return "pgm" if img.format is PixelFormat.GRAY8 else "ppm"
+        return "pgm" if img.channels == 1 else "ppm"
 
     def write(self, rel_dir: str, stem: str, sample_index: int, img: Image) -> str:
         name = output_name(stem, sample_index, self._extension(img))
@@ -192,7 +192,7 @@ def _apply_ops(
     images is updated in place.
 
     Per op: one gate draw from each sample's stream, then one apply_op per
-    group of passed samples that share a shape and format. A sample applies
+    group of passed samples whose pixel arrays share a shape. A sample applies
     the op when its gate < probability, else records a skip. Op failures
     are annotated with the index of the failing op.
     """
@@ -202,8 +202,7 @@ def _apply_ops(
         groups: dict[tuple, list[int]] = {}
         for k, rng in enumerate(rngs):
             if rng.unit_real() < spec.probability:
-                img = images[k]
-                groups.setdefault((img.width, img.height, img.format), []).append(k)
+                groups.setdefault(images[k].pixels.shape, []).append(k)
             else:
                 applications[k].append(skipped)
         for members in groups.values():

@@ -173,8 +173,8 @@ def _resize_bilinear(img: Image, x_taps: tuple, sy: np.ndarray) -> np.ndarray:
     return _lerp(blended[position[y0]], blended[position[y1]], fy, 1.0 - fy)
 
 
-def _warp(count: int, height: int, width: int, fmt, sample_rows) -> list[Image]:
-    """Build count height x width images in bands of rows.
+def _warp(count: int, height: int, width: int, channels: int, sample_rows) -> list[Image]:
+    """Build count height x width images with ``channels`` channels in bands of rows.
 
     ``sample_rows(rows)`` returns the real values of the output rows in
     the slice ``rows`` of every image, (count, rows, width, channels), or
@@ -183,12 +183,12 @@ def _warp(count: int, height: int, width: int, fmt, sample_rows) -> list[Image]:
     more; it is sampled and quantised on its own, so no full-size float64
     array is ever held. Each warp group and each resize enters it once.
     """
-    out = np.empty((count, height, width, fmt.channels), dtype=np.uint8)
+    out = np.empty((count, height, width, channels), dtype=np.uint8)
     step = max(1, _BAND_PIXELS // (count * width))
     for start in range(0, height, step):
         rows = slice(start, start + step)
         out[:, rows] = clamp_round_array(sample_rows(rows))
-    return [Image._wrap(image, fmt) for image in out]
+    return [Image._wrap(image) for image in out]
 
 
 def _check_size(out_w: int, out_h: int) -> None:
@@ -279,14 +279,14 @@ def warp_batch(imgs, maps, out_w: int, out_h: int) -> list[Image]:
     """
     _check_size(out_w, out_h)
     coordinates = _COORDINATES[type(maps[0])]
-    width, height, fmt = imgs[0].width, imgs[0].height, imgs[0].format
+    height, width, channels = imgs[0].pixels.shape
     step = max(1, _BAND_PIXELS // (width * height))
     out = []
     for start in range(0, len(imgs), step):
         group = imgs[start : start + step]
         coords = coordinates(maps[start : start + step], out_w, out_h)
         pixels = np.stack([img.pixels for img in group]) if len(group) > 1 else group[0].pixels[None]
-        out += _warp(len(group), out_h, out_w, fmt, lambda rows: _sample_bilinear(pixels, *coords(rows)))
+        out += _warp(len(group), out_h, out_w, channels, lambda rows: _sample_bilinear(pixels, *coords(rows)))
     return out
 
 
@@ -335,5 +335,5 @@ def resize(img: Image, out_w: int, out_h: int, *, window: CropRect | None = None
     x0, x1, fx = _bilinear_taps(sx, img.width)
     fx = fx[:, None]
     x_taps = (x0, x1, fx, 1.0 - fx)
-    return _warp(1, window.h, window.w, img.format,
+    return _warp(1, window.h, window.w, img.channels,
                  lambda rows: _resize_bilinear(img, x_taps, sy[rows]))[0]

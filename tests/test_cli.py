@@ -151,6 +151,22 @@ class TestRun:
         assert tree_bytes(cli_out) == tree_bytes(lib_out)
         assert len(tree_bytes(lib_out)) == 10
 
+    def test_per_class_on_a_class_name_that_is_not_utf8(self, tmp_path, np_rng, recipe):
+        # The directory name decodes to a string holding a lone surrogate,
+        # which has no UTF-8; its class seed hashes the name's own bytes.
+        root = tmp_path / "data"
+        for i in range(3):
+            save_image(random_image(np_rng, 16, 16), root / os.fsdecode(b"caf\xe9") / f"im{i}.png")
+        trees = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"j{jobs}"
+            assert main(["run", "--config", str(recipe), "--input", str(root),
+                         "--output", str(out), "--count", "4", "--per-class",
+                         "--seed", "2", "--jobs", jobs]) == 0
+            trees.append(tree_bytes(out))
+        assert trees[0] == trees[1]
+        assert len(trees[0]) == 4
+
     def test_collision_and_overwrite(self, tmp_path, corpus, recipe):
         out = tmp_path / "out"
         args = ["run", "--config", str(recipe), "--input", str(corpus),
@@ -189,6 +205,39 @@ class TestExitCodes:
         cfg.write_text('{"version": 1, "operations": [{"op": "rotete", "probability": 1}]}')
         assert main(["run", "--config", str(cfg), "--input", str(corpus),
                      "--output", str(tmp_path / "o"), "--count", "1"]) == 1
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--input", "data", "--count", "abc"], "argument --count: invalid int value: 'abc'"),
+        (["--count", "1"], "the following arguments are required: --input"),
+    ], ids=["count-not-an-integer", "missing-input"])
+    def test_usage_error_is_1(self, tmp_path, recipe, capsys, flags, message):
+        # main returns the code itself: argparse's SystemExit does not escape it.
+        assert main(["run", "--config", str(recipe), "--output", str(tmp_path / "o"),
+                     *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: augpipe run")
+        assert message in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("argv", [["--help"], ["run", "--help"]], ids=["augpipe", "run"])
+    def test_help_is_0(self, capsys, argv):
+        assert main(argv) == 0
+        assert capsys.readouterr().out.startswith("usage: augpipe")
+
+    @pytest.mark.parametrize("command", ["validate", "run", "sheet"])
+    def test_config_that_is_not_utf8_is_1(self, tmp_path, corpus, recipe, command):
+        cfg = tmp_path / "latin1.json"
+        cfg.write_bytes(b'{"version": 1, "operations": []} \xe9')
+        args = {
+            "validate": [],
+            "run": ["--input", str(corpus), "--output", str(tmp_path / "o"), "--count", "1"],
+            "sheet": ["--input", str(corpus / "0" / "im0.png"), "--output",
+                      str(tmp_path / "s.png"), "--rows", "1", "--cols", "1"],
+        }[command]
+        proc = _augpipe(command, "--config", str(cfg), *args)
+        assert proc.returncode == 1
+        assert "config error: config is not UTF-8 text" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_missing_input_is_2(self, tmp_path, recipe):
         assert main(["run", "--config", str(recipe), "--input", str(tmp_path / "nope"),

@@ -46,6 +46,19 @@ class TestImage:
         with pytest.raises(ValueError):
             img.pixels[0, 0, 0] = 1
 
+    @pytest.mark.parametrize("fmt", list(PixelFormat), ids=lambda fmt: fmt.name)
+    def test_wrap_takes_the_format_of_the_channel_count(self, fmt):
+        img = Image._wrap(np.zeros((2, 3, fmt.channels), dtype=np.uint8))
+        assert img.format is fmt and (img.width, img.height) == (3, 2)
+
+    def test_wrap_rejects_a_channel_count_of_no_format(self):
+        with pytest.raises(ValueError):
+            Image._wrap(np.zeros((2, 2, 2), dtype=np.uint8))
+
+    def test_from_array_rejects_a_format_of_another_channel_count(self):
+        with pytest.raises(ValueError, match="does not match"):
+            Image.from_array(np.zeros((2, 2, 3), dtype=np.uint8), PixelFormat.GRAY8)
+
     def test_mismatched_buffer_rejected(self):
         with pytest.raises(ValueError):
             Image(width=2, height=2, format=PixelFormat.RGB8,

@@ -1,0 +1,45 @@
+"""Source hygiene: no module in src/augpipe imports a name it does not use."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "augpipe"
+
+# Names a module imports only so that perfbench can look them up on it.
+PERFBENCH_HOOKS = {
+    "ops.py": {"warp_affine", "warp_projective", "warp_mesh"},  # perfbench/spans.py
+    "cli.py": {"split_by_class"},  # perfbench/child.py
+}
+
+
+def _top_level_imports(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            names.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names.update(alias.asname or alias.name for alias in node.names if alias.name != "*")
+    return names
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    """The names spelled out in __all__ (ops.py adds its op classes to them)."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return {n.value for n in ast.walk(node.value)
+                    if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+    return set()
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_top_level_import_is_used(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = _top_level_imports(tree)
+    hooks = PERFBENCH_HOOKS.get(path.name, set())
+    assert hooks <= imported, f"{path.name} no longer imports perfbench hooks {hooks - imported}"
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = imported - used - _exported(tree) - hooks
+    assert not unused, f"{path.name} imports names it never uses: {sorted(unused)}"
