@@ -8,6 +8,7 @@ reproducibility contract depends on.
 
 from __future__ import annotations
 
+import posixpath
 import re
 import struct
 import zlib
@@ -448,10 +449,16 @@ def split_by_class(dataset: DatasetIndex) -> list[tuple[str, DatasetIndex]]:
     ]
 
 
-def output_name(stem: str, sample_index: int, ext: str = "png") -> str:
-    """Deterministic output filename: <stem>_aug_<index, zero-padded to 6>."""
-    if not stem:
-        raise ValueError("output stem must be non-empty")
+def output_name(source: str, sample_index: int, ext: str = "png") -> str:
+    """The output path of a sample, relative to the output root: the source's
+    posix relative path with its name's stem, as Path.stem takes it, then
+    _aug_<index, zero-padded to 6>.<ext>."""
     if sample_index < 0:
         raise ValueError(f"sample index must be >= 0, got {sample_index}")
-    return f"{stem}_aug_{sample_index:06d}.{ext}"
+    rel_dir, name = posixpath.split(source)
+    if not name:
+        raise ValueError(f"source {source!r} names no file")
+    # A dot that starts or ends the name begins no suffix.
+    dot = name.rfind(".")
+    stem = name[:dot] if 0 < dot < len(name) - 1 else name
+    return posixpath.join(rel_dir, f"{stem}_aug_{sample_index:06d}.{ext}")

@@ -54,24 +54,21 @@ class PixelFormat(Enum):
 class Image:
     """Immutable raster: row-major, channel-interleaved uint8 pixels.
 
-    The pixel array has shape (height, width, channels) and is marked
-    read-only, so instances can be shared freely across threads and
-    cached without defensive copies.
+    The image is its pixel array, of shape (height, width, channels) and
+    marked read-only, so instances can be shared freely across threads
+    and cached without defensive copies. Its size and format are read
+    off that shape.
     """
 
-    width: int
-    height: int
-    format: PixelFormat
     pixels: np.ndarray
 
     def __post_init__(self):
-        if self.width < 1 or self.height < 1:
-            raise ValueError(f"image dimensions must be >= 1, got {self.width}x{self.height}")
-        expected = (self.height, self.width, self.format.channels)
-        if self.pixels.shape != expected or self.pixels.dtype != np.uint8:
+        shape = self.pixels.shape
+        if (self.pixels.dtype != np.uint8 or len(shape) != 3 or shape[0] < 1 or shape[1] < 1
+                or shape[2] not in (1, 3, 4)):
             raise ValueError(
-                f"pixel buffer shape {self.pixels.shape}/{self.pixels.dtype} "
-                f"does not match {expected}/uint8"
+                f"pixel buffer {shape}/{self.pixels.dtype} is not (height >= 1, width >= 1, "
+                f"1, 3 or 4 channels)/uint8"
             )
 
     def __setstate__(self, state):
@@ -81,8 +78,20 @@ class Image:
         self.__dict__.update(state)
 
     @property
+    def width(self) -> int:
+        return self.pixels.shape[1]
+
+    @property
+    def height(self) -> int:
+        return self.pixels.shape[0]
+
+    @property
     def channels(self) -> int:
-        return self.format.channels
+        return self.pixels.shape[2]
+
+    @property
+    def format(self) -> PixelFormat:
+        return PixelFormat(self.pixels.shape[2])
 
     @classmethod
     def from_array(cls, arr: np.ndarray, fmt: PixelFormat) -> "Image":
@@ -95,9 +104,10 @@ class Image:
             arr = arr[:, :, np.newaxis]
         if arr.ndim != 3:
             raise ValueError(f"expected a 2-d or 3-d array, got shape {arr.shape}")
-        arr = arr.copy()  # frozen, then checked against fmt
-        arr.flags.writeable = False
-        return cls(width=arr.shape[1], height=arr.shape[0], format=fmt, pixels=arr)
+        if arr.shape[2] != fmt.channels:
+            raise ValueError(f"pixel buffer shape {arr.shape} does not match {fmt.name} "
+                             f"({fmt.channels} channels)")
+        return cls._wrap(arr.copy())
 
     @classmethod
     def _wrap(cls, arr: np.ndarray) -> "Image":
@@ -105,8 +115,7 @@ class Image:
         many channels. Takes ownership: keep no writable reference to arr."""
         arr = np.ascontiguousarray(arr, dtype=np.uint8)
         arr.flags.writeable = False
-        h, w, channels = arr.shape
-        return cls(width=w, height=h, format=PixelFormat(channels), pixels=arr)
+        return cls(arr)
 
     @classmethod
     def filled(cls, width: int, height: int, fmt: PixelFormat, value) -> "Image":

@@ -17,18 +17,11 @@ Python or from a config alike, and holds a float field's value as a
 float. An op defines ``__post_init__`` only for a rule that spans fields
 or needs a computed budget.
 
-Draw order is part of the determinism contract. Per variant:
-
-- rotate:           angle = real(-max_left, +max_right)
-- rotate_cardinal:  int(0, 2) -> {90, 180, 270}   (only when which=random)
-- flip:             int(0, 1) -> {horizontal, vertical}   (only when random)
-- shear:            axis int(0, 1) if random, then angle = real(-max, +max)
-- skew:             kind int(0, 3) if random, then
-                    d = int(0, floor(severity * min(W, H) / 2))
-- elastic:          per interior node, row-major: dx = int(-m, m), dy = int(-m, m)
-- zoom:             factor = real(min_factor, max_factor)
-- crop_random:      x = int(0, W - cw), then y = int(0, H - ch)
-- everything else:  draws nothing
+Draw order is part of the determinism contract. Each op's docstring
+gives it in one ``Draws:`` line: the names its ``draw`` records, in the
+order drawn, each with the range it is drawn from (``real(lo, hi)`` is
+[lo, hi), ``int(lo, hi)`` is [lo, hi], ``choice(...)`` one of its
+values); W and H are the image's size.
 
 A ``draw`` is plain code against one sample's RngStream and may branch
 on a value it drew. ``apply_op`` takes a list of same-shape images, each
@@ -198,7 +191,7 @@ class OpSpec:
 
     def draw(self, rng: RngStream, width: int, height: int) -> list[tuple[str, Any]]:
         """Draw this op's random parameters from one sample's stream, in
-        the documented order."""
+        the order of its class docstring's Draws: line."""
         return []
 
     def transform(self, drawn: list[tuple[str, Any]], width: int, height: int):
@@ -228,7 +221,11 @@ class OpSpec:
 
 @dataclass(frozen=True)
 class Rotate(OpSpec):
-    """Continuous rotation; angle drawn from [-max_left, +max_right] degrees."""
+    """Continuous rotation by up to max_left degrees anticlockwise or
+    max_right clockwise.
+
+    Draws: angle = real(-max_left, max_right).
+    """
 
     max_left: float = field(default=0.0, metadata={"key": "max_left_rotation", "range": "[0, 45]"})
     max_right: float = field(default=0.0, metadata={"key": "max_right_rotation", "range": "[0, 45]"})
@@ -256,7 +253,10 @@ class Rotate(OpSpec):
 
 @dataclass(frozen=True)
 class RotateCardinal(OpSpec):
-    """Lossless 90/180/270 rotation, fixed or uniformly random."""
+    """Lossless 90/180/270 rotation, fixed or uniformly random.
+
+    Draws: degrees = choice(90, 180, 270), only when which is random.
+    """
 
     which: str = field(default="random", metadata={"choices": ("r90", "r180", "r270", "random")})
     kind: ClassVar[str] = "rotate_cardinal"
@@ -283,7 +283,10 @@ class RotateCardinal(OpSpec):
 
 @dataclass(frozen=True)
 class Flip(OpSpec):
-    """Mirror along a fixed or randomly chosen axis."""
+    """Mirror along a fixed or randomly chosen axis.
+
+    Draws: axis = choice(horizontal, vertical), only when axis is random.
+    """
 
     axis: str = field(default="random", metadata={"choices": ("horizontal", "vertical", "random")})
     kind: ClassVar[str] = "flip"
@@ -302,7 +305,11 @@ class Flip(OpSpec):
 
 @dataclass(frozen=True)
 class Shear(OpSpec):
-    """Shear by a random angle, along a fixed or random axis."""
+    """Shear by a random angle, along a fixed or random axis.
+
+    Draws: axis = choice(x, y) when axis is random, then
+    angle = real(-max_angle, max_angle).
+    """
 
     max_angle: float = field(default=0.0, metadata={"range": "[0, 45)"})
     axis: str = field(default="random", metadata={"choices": ("x", "y", "random")})
@@ -336,8 +343,8 @@ class Shear(OpSpec):
 class Skew(OpSpec):
     """Perspective tilt with displacement scaled by severity.
 
-    The displacement is an integer drawn from
-    [0, floor(severity * min(W, H) / 2)].
+    Draws: kind = choice(forward, backward, left, right) when kind is
+    random, then displacement = int(0, floor(severity * min(W, H) / 2)).
     """
 
     severity: float = field(default=1.0, metadata={"range": "(0, 1]"})
@@ -371,7 +378,12 @@ class Skew(OpSpec):
 @dataclass(frozen=True)
 class Elastic(OpSpec):
     """Grid-based elastic distortion; grid size sets the granularity and
-    magnitude bounds the node displacement per axis."""
+    magnitude bounds the node displacement per axis.
+
+    Draws: dx_a_b = int(-magnitude, magnitude), dy_a_b = int(-magnitude,
+    magnitude) per interior node (a, b), row-major: b from 1 to
+    grid_height - 1, and within it a from 1 to grid_width - 1.
+    """
 
     grid_width: int = field(default=1, metadata={"range": "[1, inf)"})
     grid_height: int = field(default=1, metadata={"range": "[1, inf)"})
@@ -412,7 +424,10 @@ class Elastic(OpSpec):
 
 @dataclass(frozen=True)
 class Zoom(OpSpec):
-    """Zoom in by a factor drawn from [min_factor, max_factor]."""
+    """Zoom in by a factor from [min_factor, max_factor].
+
+    Draws: factor = real(min_factor, max_factor).
+    """
 
     min_factor: float = field(default=1.0, metadata={"range": "[1, inf)"})
     max_factor: float = 1.0
@@ -445,6 +460,8 @@ class CropRandom(OpSpec):
 
     Crop extent is round(dim * sqrt(area_fraction)) per axis, so the
     retained area fraction is as requested and the aspect ratio is kept.
+
+    Draws: x = int(0, W - cw), then y = int(0, H - ch).
     """
 
     area_fraction: float = field(default=1.0, metadata={"range": "(0, 1]"})
@@ -467,7 +484,10 @@ class CropRandom(OpSpec):
 
 @dataclass(frozen=True)
 class CropCentre(OpSpec):
-    """Fixed-size crop from the image center."""
+    """Fixed-size crop from the image center.
+
+    Draws: nothing.
+    """
 
     width: int = field(default=1, metadata={"range": "[1, inf)"})
     height: int = field(default=1, metadata={"range": "[1, inf)"})
@@ -487,7 +507,10 @@ class CropCentre(OpSpec):
 
 @dataclass(frozen=True)
 class Resize(OpSpec):
-    """Resize to fixed dimensions."""
+    """Resize to fixed dimensions.
+
+    Draws: nothing.
+    """
 
     width: int = field(default=1, metadata={"range": "[1, inf)"})
     height: int = field(default=1, metadata={"range": "[1, inf)"})
@@ -508,7 +531,10 @@ class Resize(OpSpec):
 
 @dataclass(frozen=True)
 class Scale(OpSpec):
-    """Uniformly scale both dimensions by a fixed factor."""
+    """Uniformly scale both dimensions by a fixed factor.
+
+    Draws: nothing.
+    """
 
     factor: float = field(default=1.0, metadata={"range": "(0, inf)"})
     kind: ClassVar[str] = "scale"
@@ -532,10 +558,14 @@ class Scale(OpSpec):
 
 @dataclass(frozen=True)
 class Greyscale(OpSpec):
+    """Luma conversion (BT.601 weights); alpha is dropped. Identity on Gray8.
+
+    Draws: nothing.
+    """
+
     kind: ClassVar[str] = "greyscale"
 
     def apply(self, img, drawn):
-        """Luma conversion (BT.601 weights); alpha is dropped. Identity on Gray8."""
         if img.channels == 1:
             return img
         rgb = img.pixels[..., :3].astype(np.float64)
@@ -545,10 +575,14 @@ class Greyscale(OpSpec):
 
 @dataclass(frozen=True)
 class Invert(OpSpec):
+    """Negate every colour channel (v -> 255 - v); alpha untouched.
+
+    Draws: nothing.
+    """
+
     kind: ClassVar[str] = "invert"
 
     def apply(self, img, drawn):
-        """Negate every colour channel (v -> 255 - v); alpha untouched."""
         arr = img.pixels.copy()
         cc = img.format.color_channels
         arr[..., :cc] = 255 - arr[..., :cc]
@@ -557,15 +591,18 @@ class Invert(OpSpec):
 
 @dataclass(frozen=True)
 class Equalize(OpSpec):
+    """Histogram equalisation, independently per colour channel.
+
+    Remaps v to (cdf(v) - cdf_min) / (N - cdf_min) * 255 where cdf_min
+    is the smallest nonzero cdf value; a channel with a single intensity
+    is left unchanged. Alpha untouched.
+
+    Draws: nothing.
+    """
+
     kind: ClassVar[str] = "equalize"
 
     def apply(self, img, drawn):
-        """Histogram equalisation, independently per colour channel.
-
-        Remaps v to (cdf(v) - cdf_min) / (N - cdf_min) * 255 where cdf_min
-        is the smallest nonzero cdf value; a channel with a single intensity
-        is left unchanged. Alpha untouched.
-        """
         arr = img.pixels.copy()
         n = img.width * img.height
         for ch in range(img.format.color_channels):

@@ -28,7 +28,6 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
-import posixpath
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -132,9 +131,8 @@ class DirectorySink:
             return "png"
         return "pgm" if img.channels == 1 else "ppm"
 
-    def write(self, rel_dir: str, stem: str, sample_index: int, img: Image) -> str:
-        name = output_name(stem, sample_index, self._extension(img))
-        rel = f"{rel_dir}/{name}" if rel_dir else name
+    def write(self, source: str, sample_index: int, img: Image) -> str:
+        rel = output_name(source, sample_index, self._extension(img))
         target = self.root / rel
         if target.exists() and not self.overwrite:
             raise OutputCollisionError(f"output file already exists: {target} (use overwrite)")
@@ -148,9 +146,8 @@ class CollectingSink:
     def __init__(self):
         self.images: list[tuple[str, Image]] = []
 
-    def write(self, rel_dir: str, stem: str, sample_index: int, img: Image) -> str:
-        name = output_name(stem, sample_index, "png")
-        rel = f"{rel_dir}/{name}" if rel_dir else name
+    def write(self, source: str, sample_index: int, img: Image) -> str:
+        rel = output_name(source, sample_index)
         self.images.append((rel, img))
         return rel
 
@@ -272,13 +269,8 @@ def _generate_chunk(chunk, sources: _Sources, stop=lambda: None) -> list[TraceRe
                 return
             _raise_named(exc, *batch[0][:2])
         for (index, entry, _rng, _img), out, apps in zip(batch, images, applications):
-            rel_dir, name = posixpath.split(entry.rel_path)
-            # The name up to its last dot, as Path.stem takes it: a dot
-            # that starts or ends the name begins no suffix.
-            dot = name.rfind(".")
-            stem = name[:dot] if 0 < dot < len(name) - 1 else name
             try:
-                written = sink.write(rel_dir, stem, index, out)
+                written = sink.write(entry.rel_path, index, out)
             except Exception as exc:
                 _raise_named(exc, index, entry)
             records.append(TraceRecord(index, entry.rel_path, tuple(apps), written))

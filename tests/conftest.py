@@ -1,8 +1,9 @@
 """Shared test helpers: deterministic image generators, corpus builders,
-the one-point sampler and the source-bounds monitor."""
+non-default op specs, the one-point sampler and the source-bounds monitor."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from contextlib import contextmanager
 from pathlib import Path
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 from augpipe import Image, PixelFormat, apply_op, save_image, warp
+from augpipe.ops import _in_range
 
 # The elastic + gated-rotation recipe used across integration tests.
 DIGITS_RECIPE = {
@@ -54,6 +56,35 @@ def build_digit_corpus(root: Path, classes: int = 10, per_class: int = 100,
         for i in range(per_class):
             save_image(digit_like(rng, size), folder / f"{i:04d}.png")
     return root
+
+
+def non_default_spec(spec_cls):
+    """A spec of spec_cls with every field away from its default, inside
+    its declared range or choices, and no two fields alike, so a swapped
+    key shows. Numbers rise field by field, probability first, so a field
+    declared after another (zoom's max_factor after min_factor) is never
+    below it: each is the least multiple of 0.25 (1 for an int) above the
+    number before it that its range admits. Fails naming the op when no
+    such spec can be built."""
+    values = {}
+    floor = 0.0
+    for f in dataclasses.fields(spec_cls):
+        if f.type == "bool":
+            values[f.name] = not f.default
+        elif f.type == "str":
+            values[f.name] = next((c for c in f.metadata.get("choices", ()) if c != f.default), None)
+        else:
+            step = 1 if f.type == "int" else 0.25
+            bounds = f.metadata.get("range", "(-inf, inf)")
+            values[f.name] = floor = next(
+                (v for v in (k * step for k in range(1, 400))
+                 if v > floor and v != f.default and _in_range(v, bounds)), None)
+        if values[f.name] is None:
+            pytest.fail(f"{spec_cls.kind}: no non-default value for {f.name}")
+    try:
+        return spec_cls(**values)
+    except Exception as exc:
+        pytest.fail(f"{spec_cls.kind}: no valid non-default spec: {exc}")
 
 
 def apply_one(spec, img: Image, rng):

@@ -35,27 +35,8 @@ from augpipe import (
     parse_config,
 )
 from augpipe.cli import main
-from conftest import DIGITS_RECIPE
+from conftest import DIGITS_RECIPE, non_default_spec
 from test_golden import CANONICAL_CONFIG
-
-# One spec per op class, every field away from its dataclass default.
-NON_DEFAULT_SPECS = {
-    Rotate: Rotate(probability=0.25, max_left=7.5, max_right=12),
-    RotateCardinal: RotateCardinal(probability=0.5, which="r180"),
-    Flip: Flip(probability=0.75, axis="horizontal"),
-    Shear: Shear(probability=0.125, max_angle=20.5, axis="y"),
-    Skew: Skew(probability=0.375, severity=0.6, skew_kind="right"),
-    Elastic: Elastic(probability=0.625, grid_width=5, grid_height=2, magnitude=7),
-    Zoom: Zoom(probability=0.875, min_factor=1.2, max_factor=2.5),
-    CropRandom: CropRandom(probability=0.3, area_fraction=0.64, resize_back=True),
-    CropCentre: CropCentre(probability=0.9, width=17, height=9),
-    Resize: Resize(probability=0.1, width=33, height=44),
-    Scale: Scale(probability=0.2, factor=1.5),
-    Greyscale: Greyscale(probability=0.4),
-    Invert: Invert(probability=0.6),
-    Equalize: Equalize(probability=0.8),
-}
-
 
 class TestParse:
     def test_digits_recipe(self):
@@ -285,7 +266,7 @@ class TestFieldRules:
     ], ids=["bool-for-int", "bool-for-float", "str-for-float", "inf", "-inf", "nan",
             "int-beyond-float", "float-for-int", "int-for-str", "int-for-bool"])
     def test_library_refuses_what_the_config_refuses(self, spec_cls, name, value, message):
-        spec = NON_DEFAULT_SPECS[spec_cls]
+        spec = non_default_spec(spec_cls)
         with pytest.raises(ConfigError) as info:
             dataclasses.replace(spec, **{name: value})
         assert str(info.value) == message
@@ -314,7 +295,7 @@ class TestFieldRules:
     @pytest.mark.parametrize("spec_cls, field", _declared("range"))
     def test_closed_end_accepted_open_end_refused(self, spec_cls, field):
         bounds = field.metadata["range"]
-        spec = NON_DEFAULT_SPECS[spec_cls]
+        spec = non_default_spec(spec_cls)
         for end, bracket in zip(bounds[1:-1].split(","), (bounds[0], bounds[-1])):
             value = float(end)
             if field.type == "int" and math.isfinite(value):
@@ -328,7 +309,7 @@ class TestFieldRules:
 
     @pytest.mark.parametrize("spec_cls, field", _declared("choices"))
     def test_only_declared_choices_accepted(self, spec_cls, field):
-        spec = NON_DEFAULT_SPECS[spec_cls]
+        spec = non_default_spec(spec_cls)
         for choice in field.metadata["choices"]:
             assert getattr(dataclasses.replace(spec, **{field.name: choice}), field.name) == choice
         with pytest.raises(ConfigError) as info:
@@ -427,9 +408,12 @@ class TestCanonical:
 
     @pytest.mark.parametrize("spec_cls", OpSpec.__subclasses__(), ids=lambda c: c.kind)
     def test_every_op_class_round_trips(self, spec_cls):
-        # A new op class fails here until it has an entry above and the
-        # config reads it back.
-        spec = NON_DEFAULT_SPECS[spec_cls]
+        # A new op class fails here until its fields admit a non-default
+        # spec and the config reads it back.
+        spec = non_default_spec(spec_cls)
+        values = [getattr(spec, f.name) for f in dataclasses.fields(spec)]
+        assert len(set(map(repr, values))) == len(values)
+        assert all(value != f.default for value, f in zip(values, dataclasses.fields(spec)))
         pipe = Pipeline(ops=(spec,), master_seed=31)
         assert parse_config(canonical_text(pipe)) == pipe
 

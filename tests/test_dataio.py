@@ -338,21 +338,28 @@ class TestScanDataset:
 
 class TestOutputName:
     def test_examples(self):
-        assert output_name("0001", 42) == "0001_aug_000042.png"
-        assert output_name("img", 0) == "img_aug_000000.png"
-        assert output_name("x", 1_000_000) == "x_aug_1000000.png"
-        assert output_name("s", 3, "pgm") == "s_aug_000003.pgm"
+        assert output_name("0001.png", 42) == "0001_aug_000042.png"
+        assert output_name("img.ppm", 0) == "img_aug_000000.png"
+        assert output_name("3/x.png", 1_000_000) == "3/x_aug_1000000.png"
+        assert output_name("a/b/s.pgm", 3, "pgm") == "a/b/s_aug_000003.pgm"
+        # The stem as Path.stem takes it: a dot that starts or ends a name
+        # begins no suffix.
+        assert output_name("c/..png", 1) == "c/._aug_000001.png"
+        assert output_name(".a.png", 1) == ".a_aug_000001.png"
 
     def test_empty_stem_rejected(self):
+        for source in ("", "dir/"):
+            with pytest.raises(ValueError):
+                output_name(source, 1)
         with pytest.raises(ValueError):
-            output_name("", 1)
+            output_name("a.png", -1)
 
     @given(st.integers(min_value=0, max_value=10**9))
     @settings(max_examples=50)
     def test_index_always_recoverable(self, index):
-        name = output_name("stem", index)
-        assert name.startswith("stem_aug_")
-        assert int(name[len("stem_aug_"):-len(".png")]) == index
+        name = output_name("d/stem.png", index)
+        assert name.startswith("d/stem_aug_")
+        assert int(name[len("d/stem_aug_"):-len(".png")]) == index
 
 
 def _seed_files() -> list[bytes]:

@@ -1,5 +1,6 @@
 """Image buffer invariants, channel quantisation, and the RNG contract."""
 
+import dataclasses
 import pickle
 
 import numpy as np
@@ -15,6 +16,7 @@ from augpipe import (
     derive_sample_rng,
     round_half_away,
 )
+from augpipe import imagecore
 from augpipe.imagecore import clamp_round_array
 
 
@@ -59,10 +61,30 @@ class TestImage:
         with pytest.raises(ValueError, match="does not match"):
             Image.from_array(np.zeros((2, 2, 3), dtype=np.uint8), PixelFormat.GRAY8)
 
-    def test_mismatched_buffer_rejected(self):
+    @pytest.mark.parametrize("pixels", [
+        np.zeros((2, 2, 1), dtype=np.float64),
+        np.zeros((2, 2), dtype=np.uint8),
+        np.zeros((2, 2, 1, 1), dtype=np.uint8),
+        np.zeros((0, 2, 1), dtype=np.uint8),
+        np.zeros((2, 0, 3), dtype=np.uint8),
+        np.zeros((2, 2, 2), dtype=np.uint8),
+        np.zeros((2, 2, 5), dtype=np.uint8),
+    ], ids=["float64", "2-d", "4-d", "no-rows", "no-columns", "2-channels", "5-channels"])
+    def test_mismatched_buffer_rejected(self, pixels):
         with pytest.raises(ValueError):
-            Image(width=2, height=2, format=PixelFormat.RGB8,
-                  pixels=np.zeros((2, 2, 1), dtype=np.uint8))
+            Image(pixels)
+
+    def test_the_image_is_its_pixel_array(self, monkeypatch):
+        assert [f.name for f in dataclasses.fields(Image)] == ["pixels"]
+        # Building an image names no format; reading one does.
+        monkeypatch.setattr(imagecore, "PixelFormat", None)
+        img = Image._wrap(np.zeros((2, 3, 4), dtype=np.uint8))
+        assert (img.width, img.height, img.channels) == (3, 2, 4)
+        with pytest.raises(AttributeError):
+            img.width = 5
+        monkeypatch.undo()
+        assert img.format is PixelFormat.RGBA8
+        assert set(pickle.loads(pickle.dumps(img)).__dict__) == {"pixels"}
 
     def test_zero_dimension_rejected(self):
         with pytest.raises(ValueError):

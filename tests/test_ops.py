@@ -1,9 +1,11 @@
 """Operation catalogue: kernels, draw orders, invariants, failure paths."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import math
+import re
 from pathlib import Path
 from types import ModuleType
 
@@ -24,6 +26,7 @@ from augpipe import (
     OpSpec,
     PixelFormat,
     Resize,
+    RngStream,
     Rotate,
     RotateCardinal,
     Scale,
@@ -36,7 +39,7 @@ import augpipe
 from augpipe import ops
 from augpipe.geometry import Quad, shear_crop_rect, solve_homography
 from augpipe.warp import resize, warp_affine, warp_projective
-from conftest import apply_one, monitor_source_bounds, random_image, run_op
+from conftest import apply_one, monitor_source_bounds, non_default_spec, random_image, run_op
 
 ROTATE = Rotate(probability=1)
 TURN = RotateCardinal(probability=1)
@@ -522,6 +525,29 @@ LISTED_EXPORTS = """
     round_half_away run_sample sample save_image scan_dataset shear_crop_rect solve_homography
     split_by_class write_trace
 """.split()
+
+
+def _draws_paragraph(spec_cls) -> str:
+    """The Draws: paragraph of an op's class docstring."""
+    doc = inspect.cleandoc(spec_cls.__doc__ or "")
+    assert doc.count("Draws:") == 1, f"{spec_cls.kind} documents no single Draws: line"
+    return doc[doc.index("Draws:"):].split("\n\n")[0]
+
+
+@pytest.mark.parametrize("spec_cls", OpSpec.__subclasses__(), ids=lambda c: c.kind)
+def test_draws_line_names_what_draw_records(spec_cls):
+    # Every choice field that can be random is, so each conditional draw
+    # happens. A name ending in _a_b stands for one per interior grid
+    # node, row-major, as elastic draws them.
+    spec = non_default_spec(spec_cls)
+    spec = dataclasses.replace(spec, **{f.name: "random" for f in dataclasses.fields(spec)
+                                        if "random" in f.metadata.get("choices", ())})
+    documented = re.findall(r"(\w+) = ", _draws_paragraph(spec_cls))
+    if any(name.endswith("_a_b") for name in documented):
+        documented = [f"{name[:-4]}_{a}_{b}" for b in range(1, spec.grid_height)
+                      for a in range(1, spec.grid_width) for name in documented]
+    drawn = [name for name, _ in spec.draw(RngStream(5), 24, 24)]
+    assert drawn == documented
 
 
 def test_package_exports_the_union_of_its_modules_all():

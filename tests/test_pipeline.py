@@ -629,10 +629,8 @@ def _reference_sample(pipe, dataset, index, sink, choose_source):
             raise OpError(f"{where}: {spec.kind}: {exc}", op_kind=spec.kind, drawn=tuple(drawn),
                           op_index=op_index) from exc
         applications.append(OpApplication(spec.kind, True, tuple(drawn)))
-    rel = Path(entry.rel_path)
-    rel_dir = rel.parent.as_posix() if rel.parent != Path(".") else ""
     return TraceRecord(index, entry.rel_path, tuple(applications),
-                       sink.write(rel_dir, rel.stem, index, img))
+                       sink.write(entry.rel_path, index, img))
 
 
 def _outcome(generate):
