@@ -39,7 +39,7 @@ from .errors import (
     OutputCollisionError,
     UnsupportedImageError,
 )
-from .imagecore import Image
+from .imagecore import _MAX_PIXELS, Image
 from .pipeline import CollectingSink, DirectorySink, Pipeline, write_trace
 
 __all__ = ["main", "entrypoint"]
@@ -157,6 +157,12 @@ def _promote(img: Image, channels: int) -> Image:
     return Image._wrap(arr)
 
 
+def _sheet_size(tile: Image, rows: int, cols: int) -> tuple[int, int]:
+    """Width and height of a sheet of rows x cols tiles the size of tile."""
+    return (cols * tile.width + (cols - 1) * _SEPARATOR,
+            rows * tile.height + (rows - 1) * _SEPARATOR)
+
+
 def _montage(tiles: list[Image], rows: int, cols: int) -> Image:
     if len({(t.width, t.height) for t in tiles}) != 1:
         raise OpError(
@@ -166,8 +172,7 @@ def _montage(tiles: list[Image], rows: int, cols: int) -> Image:
     channels = max(t.channels for t in tiles)
     tiles = [_promote(t, channels) for t in tiles]
     tw, th = tiles[0].width, tiles[0].height
-    width = cols * tw + (cols - 1) * _SEPARATOR
-    height = rows * th + (rows - 1) * _SEPARATOR
+    width, height = _sheet_size(tiles[0], rows, cols)
     canvas = np.full((height, width, channels), 255, dtype=np.uint8)
     for i, tile in enumerate(tiles):
         r, c = divmod(i, cols)
@@ -188,14 +193,26 @@ def _cmd_sheet(args) -> int:
 
     total = args.rows * args.cols
     variant_count = total - 1 if args.include_original else total
-    sink = CollectingSink()
     # A one-image dataset gives sheet variants the exact sampling path
     # (and draw layout) of the run command.
     dataset = DatasetIndex(root=source.parent, entries=(DatasetEntry(source.name, FLAT_LABEL),))
-    if variant_count > 0:
-        pipeline_mod.sample(pipe, dataset, variant_count, sink)
+
+    def variants(count: int) -> list[Image]:
+        sink = CollectingSink()
+        pipeline_mod.sample(pipe, dataset, count, sink)
+        return [img for _name, img in sink.images]
+
+    # The first tile sizes the canvas, which is refused before the other
+    # variants are sampled if it would exceed the pixel budget.
+    first = original if args.include_original else variants(1)[0]
+    width, height = _sheet_size(first, args.rows, args.cols)
+    if width * height > _MAX_PIXELS:
+        raise ConfigError(
+            f"a {args.rows}x{args.cols} sheet of {first.width}x{first.height} tiles would be "
+            f"{width}x{height} pixels, over the limit of {_MAX_PIXELS} pixels")
     tiles = [original] if args.include_original else []
-    tiles.extend(img for _name, img in sink.images)
+    if variant_count > 0:
+        tiles.extend(variants(variant_count))
     montage = _montage(tiles, args.rows, args.cols)
     save_image(montage, args.output, "png")
     print(f"wrote {args.output} ({montage.width}x{montage.height}, "

@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DatasetError, DecodeError, UnsupportedImageError
-from .imagecore import Image
+from .imagecore import _MAX_PIXELS, Image
 
 __all__ = [
     "DatasetEntry",
@@ -60,6 +60,13 @@ class DatasetIndex:
 
     def path_of(self, entry: DatasetEntry) -> Path:
         return self.root / entry.rel_path
+
+
+def _check_budget(kind: str, width: int, height: int) -> None:
+    """Refuse, from its header, an image of more than _MAX_PIXELS pixels."""
+    if width * height > _MAX_PIXELS:
+        raise UnsupportedImageError(
+            f"{kind} of {width}x{height} pixels exceeds the limit of {_MAX_PIXELS} pixels")
 
 
 # --------------------------------------------------------------------------
@@ -264,6 +271,7 @@ def _decode_png(data: bytes) -> Image:
         raise UnsupportedImageError(f"unsupported PNG colour type {color}")
     if not idat:
         raise DecodeError("corrupt PNG: no IDAT data")
+    _check_budget("PNG", width, height)
     # Bound memory by the size IHDR promises before inflating anything.
     stride = width * channels
     expected = height * (stride + 1)
@@ -365,6 +373,7 @@ def _decode_pnm(data: bytes) -> Image:
         raise DecodeError(f"corrupt PNM: zero dimension {width}x{height}")
     if maxval != 255:
         raise UnsupportedImageError(f"unsupported PNM maxval {maxval} (only 255)")
+    _check_budget("PNM", width, height)
     # `pos` is just past the single whitespace byte terminating the header.
     need = width * height * channels
     pixels = data[pos : pos + need]

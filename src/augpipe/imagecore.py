@@ -28,6 +28,11 @@ __all__ = [
     "round_half_away",
 ]
 
+# The largest image, in pixels, that augpipe holds (8192 x 8192). A
+# decode, an op's output and a contact sheet over it are each refused
+# from their size, before their pixels are allocated.
+_MAX_PIXELS = 1 << 26
+
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _TWO64 = 1 << 64

@@ -52,7 +52,7 @@ import numpy as np
 from .errors import ConfigError, GeometryError, OpError
 from .geometry import (_SNAP, CropRect, Homography, Quad, inscribed_crop_rect, shear_crop_rect,
                        solve_homography)
-from .imagecore import Image, RngStream, clamp_round_array, round_half_away
+from .imagecore import _MAX_PIXELS, Image, RngStream, clamp_round_array, round_half_away
 # perfbench/spans.py times the warps through these names; the one-image
 # warp_affine, warp_projective and warp_mesh are imported for it alone.
 from .warp import (  # noqa: F401
@@ -63,11 +63,6 @@ from .warp import (  # noqa: F401
     warp_mesh,
     warp_projective,
 )
-
-# Largest image, in pixels, that an op may make (8192 x 8192); sizes come
-# from the config, and a bigger one is refused before anything is allocated.
-_MAX_OUTPUT_PIXELS = 1 << 26
-
 
 def _skew_quad(kind: str, w: int, h: int, d: int) -> Quad:
     if kind == "forward":
@@ -85,14 +80,14 @@ def _skew_quad(kind: str, w: int, h: int, d: int) -> Quad:
 
 def _scaled_size(img: Image, factor: float, kind: str) -> tuple[int, int]:
     """Both dimensions times factor, rounded; OpError if either is not
-    finite or the image would exceed _MAX_OUTPUT_PIXELS."""
+    finite or the image would exceed _MAX_PIXELS."""
     w, h = img.width * factor, img.height * factor
     if not (math.isfinite(w) and math.isfinite(h)):
         raise OpError(f"{kind} factor {factor} gives a non-finite image size", op_kind=kind)
     w, h = round_half_away(w), round_half_away(h)
-    if w * h > _MAX_OUTPUT_PIXELS:
+    if w * h > _MAX_PIXELS:
         raise OpError(
-            f"{kind} output {w}x{h} exceeds the limit of {_MAX_OUTPUT_PIXELS} pixels", op_kind=kind
+            f"{kind} output {w}x{h} exceeds the limit of {_MAX_PIXELS} pixels", op_kind=kind
         )
     return w, h
 
@@ -518,9 +513,9 @@ class Resize(OpSpec):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.width * self.height > _MAX_OUTPUT_PIXELS:
+        if self.width * self.height > _MAX_PIXELS:
             raise ConfigError(
-                f"width x height must be at most {_MAX_OUTPUT_PIXELS} pixels, "
+                f"width x height must be at most {_MAX_PIXELS} pixels, "
                 f"got {_shown(self.width)}x{_shown(self.height)}",
                 field="width",
             )
@@ -542,9 +537,9 @@ class Scale(OpSpec):
     def __post_init__(self):
         super().__post_init__()
         # Even a 1x1 source must fit the output budget.
-        if round_half_away(self.factor) ** 2 > _MAX_OUTPUT_PIXELS:
+        if round_half_away(self.factor) ** 2 > _MAX_PIXELS:
             raise ConfigError(
-                f"factor must scale a 1x1 image to at most {_MAX_OUTPUT_PIXELS} pixels, "
+                f"factor must scale a 1x1 image to at most {_MAX_PIXELS} pixels, "
                 f"got {self.factor}",
                 field="factor",
             )

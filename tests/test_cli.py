@@ -25,6 +25,8 @@ from augpipe import (
     scan_dataset,
     split_by_class,
 )
+from augpipe import cli
+from augpipe import pipeline as pipeline_mod
 from augpipe.cli import main
 from conftest import DIGITS_RECIPE, random_image, tree_bytes, write_config
 from test_pipeline import OP_SPECS
@@ -545,6 +547,36 @@ class TestSheet:
                 assert load_image(out).format is PixelFormat.RGB8
                 return
         pytest.fail("no seed produced a montage")
+
+    @pytest.mark.parametrize("include_original", [False, True])
+    def test_sheet_over_the_pixel_budget_is_refused_before_sampling(
+            self, tmp_path, np_rng, recipe, monkeypatch, capsys, include_original):
+        # 10^10 tiles: the first tile sizes the canvas, and nothing more is
+        # sampled. The recording sample refuses a large count, so no run of
+        # this test allocates the variants or waits for them.
+        src = tmp_path / "d.png"
+        save_image(random_image(np_rng, 8, 8), src)
+        sample_all, asked = pipeline_mod.sample, []
+
+        def recording_sample(pipe, dataset, count, sink, **kwargs):
+            asked.append(count)
+            assert count <= 4, f"sheet asked for {count} variants"
+            return sample_all(pipe, dataset, count, sink, **kwargs)
+
+        monkeypatch.setattr(pipeline_mod, "sample", recording_sample)
+        args = ["sheet", "--config", str(recipe), "--input", str(src),
+                "--output", str(tmp_path / "s.png"), "--seed", "3"]
+        args += ["--include-original"] if include_original else []
+        assert main(args + ["--rows", "100000", "--cols", "100000"]) == 1
+        assert asked == ([] if include_original else [1])
+        assert "over the limit of 67108864 pixels" in capsys.readouterr().err
+        # At the boundary: a 1x2 sheet of 8x8 tiles is 18x8 = 144 pixels.
+        asked.clear()
+        monkeypatch.setattr(cli, "_MAX_PIXELS", 143)
+        assert main(args + ["--rows", "1", "--cols", "2"]) == 1
+        monkeypatch.setattr(cli, "_MAX_PIXELS", 144)
+        assert main(args + ["--rows", "1", "--cols", "2"]) == 0
+        assert load_image(tmp_path / "s.png").pixels.shape == (8, 18, 1)
 
     def test_missing_input_is_2(self, tmp_path, recipe, capsys):
         missing = tmp_path / "none.png"

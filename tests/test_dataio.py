@@ -1,6 +1,7 @@
 """Codec round trips, decode error surface, dataset scanning, output naming."""
 
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -20,6 +21,7 @@ from augpipe import (
     scan_dataset,
     split_by_class,
 )
+from augpipe import cli, dataio, imagecore, ops
 from augpipe.dataio import (
     FLAT_LABEL,
     _decode_png,
@@ -28,7 +30,7 @@ from augpipe.dataio import (
     _unfilter_wavefront,
     _use_wavefront,
 )
-from conftest import random_image
+from conftest import DIGITS_RECIPE, random_image, write_config
 
 
 def _chunk(ctype: bytes, payload: bytes) -> bytes:
@@ -174,9 +176,10 @@ class TestPngDecodeSurface:
 
     def test_promise_larger_than_idat_can_hold(self, tmp_path):
         # No deflate stream inflates past 1032x its size, so this file is
-        # rejected before anything is inflated.
+        # rejected before anything is inflated. Its size is within the pixel
+        # budget, which is checked first.
         path = tmp_path / "huge.png"
-        path.write_bytes(_png(60_000, 60_000, 8, 6, 0, b"\x00" * 64))
+        path.write_bytes(_png(4096, 4096, 8, 6, 0, b"\x00" * 64))
         with pytest.raises(DecodeError, match="cannot hold"):
             load_image(path)
 
@@ -218,6 +221,49 @@ class TestPngDecodeSurface:
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             load_image(tmp_path / "nope.png")
+
+
+class TestPixelBudget:
+    """No decode holds more than imagecore._MAX_PIXELS pixels: a header
+    that promises more is refused before anything is inflated or sliced."""
+
+    @pytest.mark.parametrize("width, height", [(8193, 8192), (2**31 - 1, 2**31 - 1)])
+    def test_png_header_over_the_budget_is_refused_cheaply(self, tmp_path, width, height):
+        path = tmp_path / "in" / "huge.png"
+        path.parent.mkdir()
+        # One zero byte of IDAT: far too little for the size, a ratio check
+        # that comes second.
+        path.write_bytes(_png(width, height, 8, 0, 0, b"\x00"))
+        tracemalloc.start()
+        try:
+            with pytest.raises(UnsupportedImageError, match="exceeds the limit of 67108864"):
+                load_image(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        config = write_config(tmp_path / "c.json", DIGITS_RECIPE)
+        assert cli.main(["run", "--config", str(config), "--input", str(path.parent),
+                         "--output", str(tmp_path / "out"), "--mode", "process"]) == 2
+
+    def test_pnm_header_over_the_budget_is_refused(self, tmp_path):
+        path = tmp_path / "huge.pgm"
+        path.write_bytes(b"P5\n8193 8192\n255\n" + bytes(64))
+        with pytest.raises(UnsupportedImageError, match="PNM of 8193x8192 pixels exceeds"):
+            load_image(path)
+
+    def test_one_budget_at_its_boundary(self, tmp_path, monkeypatch):
+        assert dataio._MAX_PIXELS is ops._MAX_PIXELS is cli._MAX_PIXELS is imagecore._MAX_PIXELS
+        monkeypatch.setattr(dataio, "_MAX_PIXELS", 12)
+        for name, fits, over in [
+            ("a.png", _png(4, 3, 8, 0, 0, bytes(15)), _png(13, 1, 8, 0, 0, bytes(14))),
+            ("a.pgm", b"P5\n4 3\n255\n" + bytes(12), b"P5\n13 1\n255\n" + bytes(13)),
+        ]:
+            (tmp_path / name).write_bytes(fits)
+            assert load_image(tmp_path / name).pixels.shape == (3, 4, 1)
+            (tmp_path / name).write_bytes(over)
+            with pytest.raises(UnsupportedImageError):
+                load_image(tmp_path / name)
 
 
 class TestPnm:
