@@ -90,17 +90,26 @@ class TraceRecord:
     output: str
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "sample": self.sample_index,
-                "source": self.source,
-                "ops": [
-                    {"op": app.op_kind, "applied": app.applied, "params": app.params_dict()}
-                    for app in self.ops
-                ],
-                "output": self.output,
-            }
-        )
+        """One JSON object. A name that is not UTF-8 (a file name's bytes
+        as os.fsdecode escapes them) is written with U+FFFD in their place,
+        and its exact bytes follow as hex in source_bytes or output_bytes."""
+        record = {
+            "sample": self.sample_index,
+            "source": self.source,
+            "ops": [
+                {"op": app.op_kind, "applied": app.applied, "params": app.params_dict()}
+                for app in self.ops
+            ],
+            "output": self.output,
+        }
+        for key in ("source", "output"):
+            try:
+                record[key].encode("utf-8")
+            except UnicodeEncodeError:
+                name = os.fsencode(record[key])
+                record[key] = name.decode("utf-8", "replace")
+                record[f"{key}_bytes"] = name.hex()
+        return json.dumps(record)
 
 
 def run_sample(pipeline: Pipeline, img: Image, rng: RngStream) -> tuple[Image, list[OpApplication]]:
@@ -300,6 +309,15 @@ def _generate_chunk(chunk, sources: _Sources, stop=lambda: None) -> list[TraceRe
     return records
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on (all of them where the platform
+    cannot say)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
 def _run(pipeline, dataset, per_class, count, sink, jobs) -> list[TraceRecord]:
     """Generate samples 0..count-1 of the dataset, or of each class with its
     own seed when per_class; count None passes every image through once.
@@ -330,7 +348,10 @@ def _run(pipeline, dataset, per_class, count, sink, jobs) -> list[TraceRecord]:
         chunks = [chunk[:3] + (CollectingSink(),) + chunk[4:] for chunk in chunks]
     context = multiprocessing.get_context("fork")
     failed = context.Value("q", len(chunks))
-    pool = ProcessPoolExecutor(max_workers=min(jobs, len(chunks)), mp_context=context,
+    # Chunks follow jobs, so the bytes do; the workers never outnumber
+    # the chunks or the CPUs this process may run on.
+    workers = min(jobs, len(chunks), _usable_cpus())
+    pool = ProcessPoolExecutor(max_workers=workers, mp_context=context,
                                initializer=_init_worker, initargs=(failed,))
     try:
         futures = [None] * len(chunks)

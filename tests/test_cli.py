@@ -169,6 +169,28 @@ class TestRun:
         assert trees[0] == trees[1]
         assert len(trees[0]) == 4
 
+    def test_trace_of_a_name_that_is_not_utf8(self, tmp_path, np_rng, recipe):
+        # A strict JSON reader refuses the lone surrogate that stands for
+        # the byte 0xE9: the trace writes U+FFFD, and the exact bytes as hex.
+        root = tmp_path / "data"
+        for label in (os.fsdecode(b"caf\xe9"), "plain"):
+            save_image(random_image(np_rng, 16, 16), root / label / "a.png")
+        trace = tmp_path / "t.jsonl"
+        assert main(["run", "--config", str(recipe), "--input", str(root),
+                     "--output", str(tmp_path / "out"), "--count", "1", "--per-class",
+                     "--seed", "2", "--trace", str(trace)]) == 0
+        escaped, plain = (json.loads(line) for line in
+                          trace.read_bytes().decode("utf-8").splitlines())
+        for record in (escaped, plain):
+            json.dumps(record, ensure_ascii=False).encode("utf-8")  # strict
+        assert escaped["source"] == "caf\ufffd/a.png"
+        assert escaped["output"] == "caf\ufffd/a_aug_000000.png"
+        assert bytes.fromhex(escaped["source_bytes"]) == b"caf\xe9/a.png"
+        assert bytes.fromhex(escaped["output_bytes"]) == b"caf\xe9/a_aug_000000.png"
+        assert (tmp_path / "out" / os.fsdecode(bytes.fromhex(escaped["output_bytes"]))).is_file()
+        assert list(plain) == ["sample", "source", "ops", "output"]
+        assert plain["output"] == "plain/a_aug_000000.png"
+
     def test_collision_and_overwrite(self, tmp_path, corpus, recipe):
         out = tmp_path / "out"
         args = ["run", "--config", str(recipe), "--input", str(corpus),

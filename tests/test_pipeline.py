@@ -762,13 +762,15 @@ class TestOpMajorChunks:
     @pytest.mark.parametrize("count", [2, 3])
     def test_pool_has_no_more_workers_than_chunks(self, mixed_dataset, monkeypatch, count):
         # A fork pool forks all its workers at the first submit, so any
-        # beyond the chunk count would be forked only to sit idle.
+        # beyond the chunk count, or the CPUs, would be forked only to sit
+        # idle.
         pool_class = pipeline_mod.ProcessPoolExecutor
+        workers = min(count, pipeline_mod._usable_cpus())
         asked = []
 
         def recording_pool(max_workers, **kwargs):
             asked.append(max_workers)
-            if max_workers > count:  # raise before any worker is forked
+            if max_workers > workers:  # raise before any worker is forked
                 raise AssertionError(f"{max_workers} workers for {count} chunks")
             return pool_class(max_workers=max_workers, **kwargs)
 
@@ -780,8 +782,31 @@ class TestOpMajorChunks:
             sink = CollectingSink()
             records = pipeline_mod.sample(pipe, mixed_dataset, count, sink, jobs=jobs)
             outputs.append((records, [(rel, img.pixels.tobytes()) for rel, img in sink.images]))
-        assert asked == [count]
+        assert asked == [workers]
         assert outputs[1] == outputs[0]
+
+    @pytest.mark.parametrize("affinity", [True, False], ids=["affinity", "cpu-count"])
+    def test_pool_has_no_more_workers_than_cpus(self, mixed_dataset, monkeypatch, affinity):
+        # 64 jobs make 64 one-sample chunks. The recording pool raises
+        # before any worker is forked, so no process is started.
+        if affinity:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        else:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        asked = []
+
+        class NotForked(Exception):
+            pass
+
+        def recording_pool(max_workers, **kwargs):
+            asked.append(max_workers)
+            raise NotForked
+
+        monkeypatch.setattr(pipeline_mod, "ProcessPoolExecutor", recording_pool)
+        with pytest.raises(NotForked):
+            pipeline_mod.sample(Pipeline(), mixed_dataset, 64, CollectingSink(), jobs=64)
+        assert asked == [3]
 
     def test_monitor_sees_one_warp_per_applied_warp_op(self, mixed_dataset):
         pipe = (Pipeline(master_seed=12)
