@@ -76,14 +76,6 @@ class Homography:
         if self.m.shape != (3, 3):
             raise ValueError(f"homography matrix must be 3x3, got {self.m.shape}")
 
-    def map_point(self, x: float, y: float) -> tuple[float, float]:
-        m = self.m
-        d = m[2, 0] * x + m[2, 1] * y + m[2, 2]
-        return (
-            (m[0, 0] * x + m[0, 1] * y + m[0, 2]) / d,
-            (m[1, 0] * x + m[1, 1] * y + m[1, 2]) / d,
-        )
-
 
 def inscribed_crop_rect(width: int, height: int, theta_deg: float) -> CropRect:
     """Largest same-aspect, centred, axis-aligned rect inside a rotated image.

@@ -23,7 +23,6 @@ __all__ = [
     "RngStream",
     "derive_sample_rng",
     "mix64",
-    "clamp_round",
     "clamp_round_array",
     "round_half_away",
 ]
@@ -122,13 +121,6 @@ class Image:
         arr.flags.writeable = False
         return cls(arr)
 
-    @classmethod
-    def filled(cls, width: int, height: int, fmt: PixelFormat, value) -> "Image":
-        """Constant image; value is a scalar or a per-channel sequence."""
-        arr = np.empty((height, width, fmt.channels), dtype=np.uint8)
-        arr[:] = value
-        return cls._wrap(arr)
-
 
 def round_half_away(value: float) -> int:
     """Round to the nearest integer, halves away from zero."""
@@ -137,18 +129,9 @@ def round_half_away(value: float) -> int:
     return int(math.ceil(value - 0.5))
 
 
-def clamp_round(value: float) -> int:
-    """Quantise a real channel value: round half away from zero, clamp to [0, 255]."""
-    r = round_half_away(value)
-    if r < 0:
-        return 0
-    if r > 255:
-        return 255
-    return r
-
-
 def clamp_round_array(values: np.ndarray) -> np.ndarray:
-    """Vectorised clamp_round; returns uint8.
+    """Quantise real channel values: round half away from zero, then clamp
+    to [0, 255]; returns uint8.
 
     Works in place: a float64 array argument is overwritten. Negative
     values clamp to 0 whichever way they round, so floor(v + 0.5) agrees

@@ -77,10 +77,6 @@ class DisplacementGrid:
         if np.count_nonzero(self.nodes) != np.count_nonzero(self.nodes[1:-1, 1:-1]):
             raise ValueError("boundary nodes must have zero offset")
 
-    @classmethod
-    def zero(cls, gw: int, gh: int) -> "DisplacementGrid":
-        return cls(gw, gh, np.zeros((gh + 1, gw + 1, 2), dtype=np.float64))
-
 
 # Output pixels per band of rows that a warp samples and quantises at a
 # time: small enough that the band's float64 temporaries stay in cache.

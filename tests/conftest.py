@@ -1,5 +1,6 @@
 """Shared test helpers: deterministic image generators, corpus builders,
-non-default op specs, the one-point sampler and the source-bounds monitor."""
+non-default op specs, scalar references (clamp_round, map_point), the
+one-point sampler and the source-bounds monitor."""
 
 from __future__ import annotations
 
@@ -12,7 +13,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from augpipe import Image, PixelFormat, apply_op, save_image, warp
+from augpipe import DisplacementGrid, Homography, Image, PixelFormat, apply_op, save_image, warp
+from augpipe.imagecore import round_half_away
 from augpipe.ops import _in_range
 
 # The elastic + gated-rotation recipe used across integration tests.
@@ -23,6 +25,31 @@ DIGITS_RECIPE = {
         {"op": "rotate", "probability": 0.5, "max_left_rotation": 10, "max_right_rotation": 10},
     ],
 }
+
+
+def filled(width: int, height: int, fmt: PixelFormat, value) -> Image:
+    """Constant image; value is a scalar or a per-channel sequence."""
+    arr = np.empty((height, width, fmt.channels), dtype=np.uint8)
+    arr[:] = value
+    return Image._wrap(arr)
+
+
+def zero_grid(gw: int, gh: int) -> DisplacementGrid:
+    """A gw x gh displacement grid that moves no node."""
+    return DisplacementGrid(gw, gh, np.zeros((gh + 1, gw + 1, 2), dtype=np.float64))
+
+
+def map_point(hom: Homography, x: float, y: float) -> tuple[float, float]:
+    """Where the homography takes the point (x, y)."""
+    m = hom.m
+    d = m[2, 0] * x + m[2, 1] * y + m[2, 2]
+    return (m[0, 0] * x + m[0, 1] * y + m[0, 2]) / d, (m[1, 0] * x + m[1, 1] * y + m[1, 2]) / d
+
+
+def clamp_round(value: float) -> int:
+    """Scalar reference for imagecore.clamp_round_array: round half away
+    from zero, clamp to [0, 255]."""
+    return min(max(round_half_away(value), 0), 255)
 
 
 def random_image(rng: np.random.Generator, width: int, height: int,

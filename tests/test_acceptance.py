@@ -16,7 +16,6 @@ from augpipe import (
     Elastic,
     Flip,
     GeometryError,
-    Image,
     Invert,
     OpError,
     PixelFormat,
@@ -38,6 +37,7 @@ from conftest import (
     DIGITS_RECIPE,
     apply_one,
     build_digit_corpus,
+    filled,
     monitor_source_bounds,
     random_image,
     run_op,
@@ -288,7 +288,7 @@ def test_criterion_7_constancy():
     failures = []
     for spec in CATALOGUE:
         for fmt in (PixelFormat.GRAY8, PixelFormat.RGB8):
-            img = Image.filled(24, 24, fmt, 137)
+            img = filled(24, 24, fmt, 137)
             for i in range(5):
                 out, _ = apply_one(spec, img, derive_sample_rng(rng_seed, i))
                 expected = 255 - 137 if spec.kind == "invert" else 137

@@ -15,20 +15,14 @@ from hypothesis import strategies as st
 
 from augpipe import (
     ConfigError,
-    CropCentre,
     CropRandom,
     Elastic,
-    Equalize,
     Flip,
-    Greyscale,
-    Invert,
     OpSpec,
     Pipeline,
     Resize,
     Rotate,
-    RotateCardinal,
     Scale,
-    Shear,
     Skew,
     Zoom,
     canonical_text,

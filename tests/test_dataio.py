@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from augpipe import (
     DatasetError,
     DecodeError,
-    Image,
     PixelFormat,
     UnsupportedImageError,
     load_image,

@@ -21,6 +21,7 @@ from augpipe import (
     shear_crop_rect,
     solve_homography,
 )
+from conftest import map_point
 
 TOL = 1e-6  # containment grace for float noise; far below the 1-pixel floor slack
 
@@ -103,7 +104,7 @@ def rect_fully_covered(width, height, axis, t, rect: CropRect) -> bool:
 def corner_residual(hom: Homography, src: Quad, dst: Quad) -> float:
     worst = 0.0
     for (dx, dy), (sx, sy) in zip(dst.corners, src.corners):
-        mx, my = hom.map_point(dx, dy)
+        mx, my = map_point(hom, dx, dy)
         worst = max(worst, abs(mx - sx), abs(my - sy))
     return worst
 
@@ -281,7 +282,7 @@ class TestHomography:
             scale = lambda q: Quad(tuple((x * factor, y * factor) for x, y in q.corners))
             h2 = solve_homography(scale(src), scale(dst))
             for px, py in dst.corners + ((37.5, 42.25),):
-                x1, y1 = h1.map_point(px, py)
-                x2, y2 = h2.map_point(px * factor, py * factor)
+                x1, y1 = map_point(h1, px, py)
+                x2, y2 = map_point(h2, px * factor, py * factor)
                 assert abs(x2 - x1 * factor) < 1e-9 * factor * 100
                 assert abs(y2 - y1 * factor) < 1e-9 * factor * 100

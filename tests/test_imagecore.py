@@ -12,17 +12,17 @@ from augpipe import (
     Image,
     PixelFormat,
     RngStream,
-    clamp_round,
     derive_sample_rng,
     round_half_away,
 )
 from augpipe import imagecore
 from augpipe.imagecore import clamp_round_array
+from conftest import clamp_round, filled
 
 
 class TestImage:
     def test_buffer_shape_matches_format(self):
-        img = Image.filled(4, 3, PixelFormat.RGB8, (1, 2, 3))
+        img = filled(4, 3, PixelFormat.RGB8, (1, 2, 3))
         assert img.pixels.shape == (3, 4, 3)
         assert img.pixels.size == img.width * img.height * img.format.channels
 
@@ -32,7 +32,7 @@ class TestImage:
         assert PixelFormat.RGBA8.channels == 4
 
     def test_pixels_are_read_only(self):
-        img = Image.filled(2, 2, PixelFormat.GRAY8, 7)
+        img = filled(2, 2, PixelFormat.GRAY8, 7)
         with pytest.raises(ValueError):
             img.pixels[0, 0, 0] = 1
 
@@ -43,7 +43,7 @@ class TestImage:
         assert img.pixels[0, 0, 0] == 0
 
     def test_unpickled_pixels_stay_read_only(self):
-        img = pickle.loads(pickle.dumps(Image.filled(3, 2, PixelFormat.RGB8, (1, 2, 3))))
+        img = pickle.loads(pickle.dumps(filled(3, 2, PixelFormat.RGB8, (1, 2, 3))))
         assert img.width == 3 and img.format is PixelFormat.RGB8
         with pytest.raises(ValueError):
             img.pixels[0, 0, 0] = 1
@@ -88,7 +88,7 @@ class TestImage:
 
     def test_zero_dimension_rejected(self):
         with pytest.raises(ValueError):
-            Image.filled(0, 3, PixelFormat.GRAY8, 0)
+            filled(0, 3, PixelFormat.GRAY8, 0)
 
 
 class TestClampRound:

@@ -39,7 +39,8 @@ import augpipe
 from augpipe import ops
 from augpipe.geometry import Quad, shear_crop_rect, solve_homography
 from augpipe.warp import resize, warp_affine, warp_projective
-from conftest import apply_one, monitor_source_bounds, non_default_spec, random_image, run_op
+from conftest import (apply_one, filled, map_point, monitor_source_bounds, non_default_spec,
+                      random_image, run_op)
 
 ROTATE = Rotate(probability=1)
 TURN = RotateCardinal(probability=1)
@@ -58,7 +59,7 @@ class TestRotate:
         assert np.array_equal(run_op(ROTATE, img, angle=0.0).pixels, img.pixels)
 
     def test_constant_input_any_angle(self):
-        img = Image.filled(40, 30, PixelFormat.GRAY8, 77)
+        img = filled(40, 30, PixelFormat.GRAY8, 77)
         out = run_op(ROTATE, img, angle=17.3)
         assert (out.width, out.height) == (40, 30)
         assert np.all(out.pixels == 77)
@@ -163,7 +164,7 @@ class TestShear:
         assert np.array_equal(run_op(SHEAR_X, img, angle=0.0).pixels, img.pixels)
 
     def test_constant_any_valid_shear(self):
-        img = Image.filled(50, 50, PixelFormat.GRAY8, 31)
+        img = filled(50, 50, PixelFormat.GRAY8, 31)
         for axis in ("x", "y"):
             out = run_op(Shear(probability=1, axis=axis), img, angle=-23.0)
             assert (out.width, out.height) == (50, 50)
@@ -206,7 +207,7 @@ class TestSkew:
             assert np.array_equal(run_op(Skew(probability=1, skew_kind=kind), img, displacement=0).pixels, img.pixels)
 
     def test_constant_input(self):
-        img = Image.filled(30, 30, PixelFormat.GRAY8, 99)
+        img = filled(30, 30, PixelFormat.GRAY8, 99)
         out = run_op(Skew(probability=1, skew_kind="left"), img, displacement=10)
         assert np.all(out.pixels == 99)
         assert (out.width, out.height) == (30, 30)
@@ -217,7 +218,7 @@ class TestSkew:
         src = Quad(((10.0, 0.0), (90.0, 0.0), (100.0, 100.0), (0.0, 100.0)))
         hom = solve_homography(src, Quad.from_rect(100, 100))
         for (dx, dy), (sx, sy) in zip(Quad.from_rect(100, 100).corners, src.corners):
-            mx, my = hom.map_point(dx, dy)
+            mx, my = map_point(hom, dx, dy)
             assert abs(mx - sx) < 1e-9 and abs(my - sy) < 1e-9
         manual = warp_projective(img, hom, 100, 100)
         assert np.array_equal(run_op(Skew(probability=1, skew_kind="forward"), img, displacement=10).pixels, manual.pixels)
@@ -279,7 +280,7 @@ class TestZoom:
             run_op(ZOOM, random_image(np_rng, 8, 8), factor=0.9)
 
     def test_constant_any_factor(self):
-        img = Image.filled(21, 13, PixelFormat.GRAY8, 55)
+        img = filled(21, 13, PixelFormat.GRAY8, 55)
         for f in (1.0, 1.3, 2.71):
             out = run_op(ZOOM, img, factor=f)
             assert (out.width, out.height) == (21, 13)
@@ -342,7 +343,7 @@ class TestPixelOps:
         assert np.array_equal(out.pixels[..., :3], 255 - img.pixels[..., :3])
 
     def test_greyscale_of_pure_red(self):
-        img = Image.filled(2, 2, PixelFormat.RGB8, (255, 0, 0))
+        img = filled(2, 2, PixelFormat.RGB8, (255, 0, 0))
         out = run_op(GREYSCALE, img)
         assert out.format is PixelFormat.GRAY8
         assert np.all(out.pixels == 76)  # 0.299 * 255 = 76.245
@@ -362,7 +363,7 @@ class TestPixelOps:
         assert np.array_equal(run_op(EQUALIZE, img).pixels, img.pixels)
 
     def test_equalize_single_intensity_unchanged(self):
-        img = Image.filled(6, 6, PixelFormat.GRAY8, 120)
+        img = filled(6, 6, PixelFormat.GRAY8, 120)
         assert np.array_equal(run_op(EQUALIZE, img).pixels, img.pixels)
 
     def test_equalize_matches_direct_formula(self, np_rng):
@@ -514,13 +515,15 @@ def test_each_op_is_declared_by_one_class():
 
 
 # The names the package exported while __init__.py listed them one by one,
-# bar AffineTransform: an affine map is now a Homography.
+# bar AffineTransform, as an affine map is now a Homography, and
+# clamp_round, the scalar reference for clamp_round_array that only the
+# tests use, now in conftest.
 LISTED_EXPORTS = """
     AugpipeError CollectingSink ConfigError CropCentre CropRandom CropRect
     DatasetEntry DatasetError DatasetIndex DecodeError DirectorySink DisplacementGrid Elastic
     Equalize Flip GeometryError Greyscale Homography Image Invert OpApplication OpError OpSpec
     OutputCollisionError Pipeline PixelFormat Quad Resize RngStream Rotate RotateCardinal Scale
-    Shear Skew TraceRecord UnsupportedImageError Zoom apply_op canonical_text clamp_round
+    Shear Skew TraceRecord UnsupportedImageError Zoom apply_op canonical_text
     derive_sample_rng inscribed_crop_rect load_image mix64 output_name parse_config process
     round_half_away run_sample sample save_image scan_dataset shear_crop_rect solve_homography
     split_by_class write_trace
@@ -573,7 +576,7 @@ CONSTANT_VALUE = 137
 
 
 def _constant(fmt=PixelFormat.GRAY8, w=24, h=24):
-    return Image.filled(w, h, fmt, CONSTANT_VALUE)
+    return filled(w, h, fmt, CONSTANT_VALUE)
 
 
 CATALOGUE = [

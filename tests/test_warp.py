@@ -17,7 +17,7 @@ from augpipe import (
 from augpipe import warp
 from augpipe.geometry import CropRect, Homography
 from augpipe.warp import resize, warp_affine, warp_mesh, warp_projective
-from conftest import monitor_source_bounds, random_image, run_op, sample
+from conftest import filled, monitor_source_bounds, random_image, run_op, sample, zero_grid
 
 IDENTITY = np.eye(2, 3)
 
@@ -35,7 +35,7 @@ class TestSample:
             assert got == tuple(float(v) for v in img.pixels[y, x])
 
     def test_constant_image_everywhere(self, np_rng):
-        img = Image.filled(7, 7, PixelFormat.GRAY8, 93)
+        img = filled(7, 7, PixelFormat.GRAY8, 93)
         coords = np_rng.uniform(-5, 12, size=(50, 2))
         for x, y in coords:
             assert sample(img, x, y)[0] == pytest.approx(93.0, abs=1e-9)
@@ -62,7 +62,7 @@ class TestWarpAffine:
         assert np.array_equal(out.pixels[0, :, 0], expected)
 
     def test_constant_survives_any_transform(self, np_rng):
-        img = Image.filled(9, 9, PixelFormat.RGB8, (12, 200, 7))
+        img = filled(9, 9, PixelFormat.RGB8, (12, 200, 7))
         m = np.array([[0.37, -1.2, 4.0], [0.9, 0.33, -2.5]])
         out = warp_affine(img, m, 13, 6)
         assert np.all(out.pixels == np.array([12, 200, 7], dtype=np.uint8))
@@ -118,7 +118,7 @@ class TestWarpProjective:
 class TestWarpMesh:
     def test_zero_grid_is_identity(self, np_rng):
         img = random_image(np_rng, 28, 28)
-        out = warp_mesh(img, DisplacementGrid.zero(4, 4))
+        out = warp_mesh(img, zero_grid(4, 4))
         assert np.array_equal(out.pixels, img.pixels)
 
     def test_output_dims_preserved(self, np_rng):
@@ -129,7 +129,7 @@ class TestWarpMesh:
         assert (out.width, out.height) == (28, 28)
 
     def test_single_node_offset_on_constant(self):
-        img = Image.filled(16, 16, PixelFormat.GRAY8, 131)
+        img = filled(16, 16, PixelFormat.GRAY8, 131)
         nodes = np.zeros((3, 3, 2))
         nodes[1, 1] = (3, 0)
         out = warp_mesh(img, DisplacementGrid(2, 2, nodes))
@@ -174,7 +174,7 @@ class TestResize:
         assert out.pixels[0, 0, 0] == 90
 
     def test_constant_any_size(self):
-        img = Image.filled(5, 5, PixelFormat.RGBA8, (9, 8, 7, 255))
+        img = filled(5, 5, PixelFormat.RGBA8, (9, 8, 7, 255))
         for w, h in ((1, 1), (3, 9), (17, 2)):
             out = resize(img, w, h)
             assert np.all(out.pixels == np.array([9, 8, 7, 255], dtype=np.uint8))
