@@ -203,7 +203,8 @@ def _cmd_sheet(args) -> int:
         return [img for _name, img in sink.images]
 
     # The first tile sizes the canvas, which is refused before the other
-    # variants are sampled if it would exceed the pixel budget.
+    # variants are sampled if it would exceed the pixel budget. Variant 0
+    # is then sampled again with the rest, as sample starts at index 0.
     first = original if args.include_original else variants(1)[0]
     width, height = _sheet_size(first, args.rows, args.cols)
     if width * height > _MAX_PIXELS:

@@ -348,8 +348,8 @@ def _run(pipeline, dataset, per_class, count, sink, jobs) -> list[TraceRecord]:
         chunks = [chunk[:3] + (CollectingSink(),) + chunk[4:] for chunk in chunks]
     context = multiprocessing.get_context("fork")
     failed = context.Value("q", len(chunks))
-    # Chunks follow jobs, so the bytes do; the workers never outnumber
-    # the chunks or the CPUs this process may run on.
+    # The chunks still follow jobs; the workers outnumber neither them nor
+    # the CPUs this process may run on.
     workers = min(jobs, len(chunks), _usable_cpus())
     pool = ProcessPoolExecutor(max_workers=workers, mp_context=context,
                                initializer=_init_worker, initargs=(failed,))

@@ -13,7 +13,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from augpipe import DisplacementGrid, Homography, Image, PixelFormat, apply_op, save_image, warp
+from augpipe import (ConfigError, DisplacementGrid, Homography, Image, PixelFormat, apply_op,
+                     save_image, warp)
 from augpipe.imagecore import round_half_away
 from augpipe.ops import _in_range
 
@@ -110,7 +111,7 @@ def non_default_spec(spec_cls):
             pytest.fail(f"{spec_cls.kind}: no non-default value for {f.name}")
     try:
         return spec_cls(**values)
-    except Exception as exc:
+    except ConfigError as exc:
         pytest.fail(f"{spec_cls.kind}: no valid non-default spec: {exc}")
 
 
