@@ -405,6 +405,13 @@ def load_image(path) -> Image:
     raise UnsupportedImageError(f"unrecognised image format: {path}")
 
 
+def _extension(img: Image, image_format: str) -> str:
+    """The file extension of img as save_image writes it in image_format."""
+    if image_format == "png":
+        return "png"
+    return "pgm" if img.channels == 1 else "ppm"
+
+
 def save_image(img: Image, path, image_format: str = "png") -> None:
     """Losslessly encode to PNG or to the PPM family.
 

@@ -33,7 +33,8 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import NoReturn
 
-from .dataio import DatasetEntry, DatasetIndex, load_image, output_name, save_image, split_by_class
+from .dataio import (DatasetEntry, DatasetIndex, _extension, load_image, output_name, save_image,
+                     split_by_class)
 from .errors import AugpipeError, DatasetError, OpError, OutputCollisionError
 from .imagecore import Image, RngStream, derive_sample_rng, mix64
 from .ops import OpApplication, OpSpec, apply_op
@@ -135,13 +136,8 @@ class DirectorySink:
         self.image_format = image_format
         self.overwrite = overwrite
 
-    def _extension(self, img: Image) -> str:
-        if self.image_format == "png":
-            return "png"
-        return "pgm" if img.channels == 1 else "ppm"
-
     def write(self, source: str, sample_index: int, img: Image) -> str:
-        rel = output_name(source, sample_index, self._extension(img))
+        rel = output_name(source, sample_index, _extension(img, self.image_format))
         target = self.root / rel
         if target.exists() and not self.overwrite:
             raise OutputCollisionError(f"output file already exists: {target} (use overwrite)")
