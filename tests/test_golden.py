@@ -17,6 +17,9 @@ The mixed cases run ``sample(..., per_class=True)`` and ``process()``
 with every op on sources of three shapes and formats, one of them above
 a warp band, and pin the records and pixels a ``CollectingSink`` gets.
 
+The flat-class case does the same with per-class calls over a corpus
+with images in its root as well as in class folders.
+
 A digest may change only together with a declared change of the output
 contract. The canonical-config digest pins ``canonical_text`` for a config
 that names every op, with every optional key both omitted and set. To
@@ -241,6 +244,7 @@ DIGESTS = {
     "encoded_pipeline": "9ab7c1931a0926369b8a2c5eed0b431a760b3d47fb45a5b3e887488c236110dc",
     "mixed_sample": "324c6794cbc845dbb47ecfe0bd5b2b2b76ad03c5a13c605510434b94f188ea51",
     "mixed_process": "461790dc04d730d9b04557a3a2d7cddc41cfcf303616c95d572dce7e04cecec5",
+    "flat_class": "7fdfd7f9a29fdd12f7d036f2a47e1518a6084be3815890c0355eed68a0b6fedf",
     "decode_colour_0": "c0170d3fbf68018b13e0d150faf3137d5a161141e91f3cc2d55413d26e68d375",
     "decode_colour_2": "20329bff2f1321d01e78cf7bf630097473081fe3c3d0d03959282f6a17119c87",
     "decode_colour_3": "9d2b5cd0f44f11ecd6feb5c9b2301dce71a773f74fe10f561deef5f2d31a0714",
@@ -337,6 +341,21 @@ def mixed_process_digest(root) -> str:
     return collected_digest(sink, records)
 
 
+def flat_class_digest(root) -> str:
+    """Per-class sample and process calls over images in the root, which
+    form the FLAT_LABEL class (its seed and output names come from that
+    label), and in two class folders."""
+    for i, (w, h, fmt) in enumerate(MIXED_SOURCES):
+        save_image(pattern(w, h, fmt), root / ("a" if i == 2 else "b" if i == 3 else "") / f"{i}.png")
+    save_image(pattern(28, 28, PixelFormat.RGB8), root / "a" / "x.png")
+    dataset = scan_dataset(root)
+    sampled, processed = CollectingSink(), CollectingSink()
+    records = sample(ALL_OPS_PIPELINE, dataset, 30, sampled, per_class=True)
+    records += process(ALL_OPS_PIPELINE, dataset, processed, per_class=True)
+    sampled.images += processed.images
+    return collected_digest(sampled, records)
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_kernel_digest(name):
     assert case_digest(name) == DIGESTS[name]
@@ -375,6 +394,10 @@ def test_mixed_process_digest(tmp_path):
     assert mixed_process_digest(tmp_path) == DIGESTS["mixed_process"]
 
 
+def test_flat_class_digest(tmp_path):
+    assert flat_class_digest(tmp_path) == DIGESTS["flat_class"]
+
+
 def test_canonical_config_digest():
     kinds = {entry["op"] for entry in CANONICAL_CONFIG["operations"]}
     assert len(kinds) == 14
@@ -393,6 +416,8 @@ if __name__ == "__main__":
         print(f'    "mixed_sample": "{mixed_sample_digest(Path(tmp))}",')
     with tempfile.TemporaryDirectory() as tmp:
         print(f'    "mixed_process": "{mixed_process_digest(Path(tmp))}",')
+    with tempfile.TemporaryDirectory() as tmp:
+        print(f'    "flat_class": "{flat_class_digest(Path(tmp))}",')
     for colour in sorted(DECODE_COLOURS):
         print(f'    "decode_colour_{colour}": "{decode_digest(colour)}",')
     print(f'    "canonical_config": "{canonical_digest()}",')
