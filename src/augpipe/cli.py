@@ -22,7 +22,6 @@ import numpy as np
 from . import pipeline as pipeline_mod
 from .config import canonical_text, parse_config
 from .dataio import (
-    FLAT_LABEL,
     DatasetEntry,
     DatasetIndex,
     load_image,
@@ -195,7 +194,7 @@ def _cmd_sheet(args) -> int:
     variant_count = total - 1 if args.include_original else total
     # A one-image dataset gives sheet variants the exact sampling path
     # (and draw layout) of the run command.
-    dataset = DatasetIndex(root=source.parent, entries=(DatasetEntry(source.name, FLAT_LABEL),))
+    dataset = DatasetIndex(root=source.parent, entries=(DatasetEntry(source.name),))
 
     def variants(count: int) -> list[Image]:
         sink = CollectingSink()

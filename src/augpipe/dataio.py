@@ -48,7 +48,13 @@ FLAT_LABEL = "·"
 
 class DatasetEntry(NamedTuple):
     rel_path: str  # posix-style, relative to the dataset root
-    label: str     # first-level subdirectory, or FLAT_LABEL
+
+    @property
+    def label(self) -> str:
+        """The class: the first-level subdirectory, or FLAT_LABEL for an
+        image in the root."""
+        head, sep, _ = self.rel_path.partition("/")
+        return head if sep else FLAT_LABEL
 
 
 @dataclass(frozen=True)
@@ -433,8 +439,8 @@ def save_image(img: Image, path, image_format: str = "png") -> None:
 def scan_dataset(root) -> DatasetIndex:
     """Index every decodable image under root, sorted by relative path.
 
-    The first-level subdirectory is recorded as the class label; images
-    directly in the root get the placeholder label. Ordering is plain
+    An entry's class label is its first-level subdirectory, or the
+    placeholder FLAT_LABEL for an image in the root. Ordering is plain
     lexicographic on posix-style relative paths, so it is identical on
     every platform.
     """
@@ -445,9 +451,7 @@ def scan_dataset(root) -> DatasetIndex:
     for path in root.rglob("*"):
         if not path.is_file() or path.suffix.lower() not in _IMAGE_SUFFIXES:
             continue
-        rel = path.relative_to(root).as_posix()
-        label = rel.split("/", 1)[0] if "/" in rel else FLAT_LABEL
-        entries.append(DatasetEntry(rel, label))
+        entries.append(DatasetEntry(path.relative_to(root).as_posix()))
     if not entries:
         raise DatasetError(f"empty dataset: no .png/.ppm/.pgm files under {root}")
     entries.sort(key=lambda e: e.rel_path)

@@ -13,12 +13,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 __all__ = [
-    "PixelFormat",
     "Image",
     "RngStream",
     "derive_sample_rng",
@@ -37,31 +35,14 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _TWO64 = 1 << 64
 
 
-class PixelFormat(Enum):
-    """Channel layout of an image buffer; all channels are 8-bit unsigned."""
-
-    GRAY8 = 1
-    RGB8 = 3
-    RGBA8 = 4
-
-    @property
-    def channels(self) -> int:
-        return self.value
-
-    @property
-    def color_channels(self) -> int:
-        """Channels carrying intensity (alpha excluded)."""
-        return 3 if self is PixelFormat.RGBA8 else self.value
-
-
 @dataclass(frozen=True, eq=False)
 class Image:
     """Immutable raster: row-major, channel-interleaved uint8 pixels.
 
     The image is its pixel array, of shape (height, width, channels) and
     marked read-only, so instances can be shared freely across threads
-    and cached without defensive copies. Its size and format are read
-    off that shape.
+    and cached without defensive copies. Its size is read off that
+    shape, and so is its format: 1 channel is grey, 3 RGB, 4 RGBA.
     """
 
     pixels: np.ndarray
@@ -93,30 +74,24 @@ class Image:
     def channels(self) -> int:
         return self.pixels.shape[2]
 
-    @property
-    def format(self) -> PixelFormat:
-        return PixelFormat(self.pixels.shape[2])
-
     @classmethod
-    def from_array(cls, arr: np.ndarray, fmt: PixelFormat) -> "Image":
-        """Build an image from an array, copying it (the copy is then frozen).
+    def from_array(cls, arr: np.ndarray) -> "Image":
+        """Build an image from an array of whole numbers in [0, 255], copying
+        it (the copy is then frozen).
 
         Accepts (h, w) for single-channel data or (h, w, channels).
         """
-        arr = np.asarray(arr, dtype=np.uint8)
+        arr = np.asarray(arr)
+        if arr.dtype != np.uint8 and not np.all((arr >= 0) & (arr <= 255) & (arr == np.floor(arr))):
+            raise ValueError("pixel values must be whole numbers from 0 to 255")
         if arr.ndim == 2:
             arr = arr[:, :, np.newaxis]
-        if arr.ndim != 3:
-            raise ValueError(f"expected a 2-d or 3-d array, got shape {arr.shape}")
-        if arr.shape[2] != fmt.channels:
-            raise ValueError(f"pixel buffer shape {arr.shape} does not match {fmt.name} "
-                             f"({fmt.channels} channels)")
-        return cls._wrap(arr.copy())
+        return cls._wrap(arr.astype(np.uint8, order="C"))
 
     @classmethod
     def _wrap(cls, arr: np.ndarray) -> "Image":
-        """The image of arr, (h, w, channels) uint8, in the format with that
-        many channels. Takes ownership: keep no writable reference to arr."""
+        """The image of arr, (h, w, channels) uint8. Takes ownership: keep
+        no writable reference to arr."""
         arr = np.ascontiguousarray(arr, dtype=np.uint8)
         arr.flags.writeable = False
         return cls(arr)

@@ -414,7 +414,7 @@ class Elastic(OpSpec):
         nodes = np.zeros((gh + 1, gw + 1, 2), dtype=np.float64)
         offsets = np.array([v for _, v in drawn], dtype=np.float64)
         nodes[1:gh, 1:gw] = np.reshape(offsets, (gh - 1, gw - 1, 2))
-        return DisplacementGrid(gw, gh, nodes)
+        return DisplacementGrid(nodes)
 
 
 @dataclass(frozen=True)
@@ -579,7 +579,7 @@ class Invert(OpSpec):
 
     def apply(self, img, drawn):
         arr = img.pixels.copy()
-        cc = img.format.color_channels
+        cc = min(img.channels, 3)  # alpha untouched
         arr[..., :cc] = 255 - arr[..., :cc]
         return Image._wrap(arr)
 
@@ -600,7 +600,7 @@ class Equalize(OpSpec):
     def apply(self, img, drawn):
         arr = img.pixels.copy()
         n = img.width * img.height
-        for ch in range(img.format.color_channels):
+        for ch in range(min(img.channels, 3)):
             channel = arr[..., ch]
             hist = np.bincount(channel.ravel(), minlength=256)
             cdf = np.cumsum(hist)

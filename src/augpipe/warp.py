@@ -58,24 +58,30 @@ __all__ = [
 class DisplacementGrid:
     """Node offsets of a gw x gh cell lattice over a host image.
 
-    nodes has shape (gh + 1, gw + 1, 2) holding (dx, dy) per node; node
-    (a, b) rests at (a * W / gw, b * H / gh) on a W x H host. Boundary
-    nodes must carry zero offset, which pins the image border in place.
+    nodes has shape (gh + 1, gw + 1, 2), with gw, gh >= 1 read off it,
+    holding (dx, dy) per node; node (a, b) rests at (a * W / gw, b * H / gh)
+    on a W x H host. Boundary nodes must carry zero offset, which pins the
+    image border in place.
     """
 
-    gw: int
-    gh: int
     nodes: np.ndarray
 
     def __post_init__(self):
-        if self.gw < 1 or self.gh < 1:
-            raise ValueError(f"grid must have >= 1 cell per axis, got {self.gw}x{self.gh}")
-        expected = (self.gh + 1, self.gw + 1, 2)
-        if self.nodes.shape != expected:
-            raise ValueError(f"node array shape {self.nodes.shape} does not match {expected}")
+        shape = self.nodes.shape
+        if len(shape) != 3 or shape[0] < 2 or shape[1] < 2 or shape[2] != 2:
+            raise ValueError(f"node array shape {shape} is not (gh + 1, gw + 1, 2) "
+                             f"with gw, gh >= 1")
         # A nonzero boundary node is a nonzero value outside the interior.
         if np.count_nonzero(self.nodes) != np.count_nonzero(self.nodes[1:-1, 1:-1]):
             raise ValueError("boundary nodes must have zero offset")
+
+    @property
+    def gw(self) -> int:
+        return self.nodes.shape[1] - 1
+
+    @property
+    def gh(self) -> int:
+        return self.nodes.shape[0] - 1
 
 
 # Output pixels per band of rows that a warp samples and quantises at a

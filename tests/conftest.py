@@ -13,7 +13,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from augpipe import (ConfigError, DisplacementGrid, Homography, Image, PixelFormat, apply_op,
+from augpipe import (ConfigError, DisplacementGrid, Homography, Image, apply_op,
                      save_image, warp)
 from augpipe.imagecore import round_half_away
 from augpipe.ops import _in_range
@@ -28,16 +28,16 @@ DIGITS_RECIPE = {
 }
 
 
-def filled(width: int, height: int, fmt: PixelFormat, value) -> Image:
+def filled(width: int, height: int, channels: int, value) -> Image:
     """Constant image; value is a scalar or a per-channel sequence."""
-    arr = np.empty((height, width, fmt.channels), dtype=np.uint8)
+    arr = np.empty((height, width, channels), dtype=np.uint8)
     arr[:] = value
     return Image._wrap(arr)
 
 
 def zero_grid(gw: int, gh: int) -> DisplacementGrid:
     """A gw x gh displacement grid that moves no node."""
-    return DisplacementGrid(gw, gh, np.zeros((gh + 1, gw + 1, 2), dtype=np.float64))
+    return DisplacementGrid(np.zeros((gh + 1, gw + 1, 2), dtype=np.float64))
 
 
 def map_point(hom: Homography, x: float, y: float) -> tuple[float, float]:
@@ -54,9 +54,9 @@ def clamp_round(value: float) -> int:
 
 
 def random_image(rng: np.random.Generator, width: int, height: int,
-                 fmt: PixelFormat = PixelFormat.GRAY8) -> Image:
-    arr = rng.integers(0, 256, (height, width, fmt.channels), dtype=np.uint8)
-    return Image.from_array(arr, fmt)
+                 channels: int = 1) -> Image:
+    arr = rng.integers(0, 256, (height, width, channels), dtype=np.uint8)
+    return Image.from_array(arr)
 
 
 def digit_like(rng: np.random.Generator, size: int = 28) -> Image:
@@ -71,7 +71,7 @@ def digit_like(rng: np.random.Generator, size: int = 28) -> Image:
         value = int(rng.integers(160, 256))
         for x, y in zip(xs, ys):
             arr[max(y - 1, 0) : y + 1, max(x - 1, 0) : x + 1] = value
-    return Image.from_array(arr, PixelFormat.GRAY8)
+    return Image.from_array(arr)
 
 
 def build_digit_corpus(root: Path, classes: int = 10, per_class: int = 100,

@@ -18,7 +18,6 @@ from augpipe import (
     GeometryError,
     Invert,
     OpError,
-    PixelFormat,
     Rotate,
     RotateCardinal,
     Shear,
@@ -255,7 +254,7 @@ def test_criterion_6_identity_involution_suite():
         if not np.array_equal(out.pixels, reference.pixels):
             failures.append(name)
 
-    for fmt in (PixelFormat.GRAY8, PixelFormat.RGB8, PixelFormat.RGBA8):
+    for fmt in (1, 3, 4):
         img = random_image(rng, 25, 19, fmt)
         still = Elastic(probability=1, grid_width=4, grid_height=4, magnitude=0)
         check("zero-magnitude elastic", apply_one(still, img, derive_sample_rng(1, 1))[0], img)
@@ -287,13 +286,13 @@ def test_criterion_7_constancy():
     rng_seed = 0
     failures = []
     for spec in CATALOGUE:
-        for fmt in (PixelFormat.GRAY8, PixelFormat.RGB8):
+        for fmt in (1, 3):
             img = filled(24, 24, fmt, 137)
             for i in range(5):
                 out, _ = apply_one(spec, img, derive_sample_rng(rng_seed, i))
                 expected = 255 - 137 if spec.kind == "invert" else 137
                 if not np.all(out.pixels == expected):
-                    failures.append((spec.kind, fmt.name, i))
+                    failures.append((spec.kind, fmt, i))
     ok = not failures
     _report(7, ok, f"constant images stay constant across the op catalogue "
                    f"({len(CATALOGUE)} ops x 2 formats x 5 draws)"
@@ -302,20 +301,17 @@ def test_criterion_7_constancy():
 
 def test_criterion_8_codec_round_trip(tmp_path):
     rng = np.random.default_rng(512)
-    cases = [
-        ("png", PixelFormat.GRAY8), ("png", PixelFormat.RGB8), ("png", PixelFormat.RGBA8),
-        ("ppm", PixelFormat.GRAY8), ("ppm", PixelFormat.RGB8),
-    ]
+    cases = [("png", 1), ("png", 3), ("png", 4), ("ppm", 1), ("ppm", 3)]
     bad = 0
     total = 0
     for file_format, fmt in cases:
         for i in range(100):
             img = random_image(rng, int(rng.integers(1, 48)), int(rng.integers(1, 48)), fmt)
-            path = tmp_path / f"{file_format}_{fmt.name}_{i}"
+            path = tmp_path / f"{file_format}_{fmt}_{i}"
             save_image(img, path, file_format)
             back = load_image(path)
             total += 1
-            if back.format is not fmt or not np.array_equal(back.pixels, img.pixels):
+            if back.channels != fmt or not np.array_equal(back.pixels, img.pixels):
                 bad += 1
     ok = bad == 0
     _report(8, ok, f"{total} save/load round trips across PNG(Gray8/RGB8/RGBA8) "

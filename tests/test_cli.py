@@ -16,7 +16,6 @@ from augpipe import (
     DirectorySink,
     Invert,
     Pipeline,
-    PixelFormat,
     canonical_text,
     load_image,
     parse_config,
@@ -291,7 +290,7 @@ class TestExitCodes:
     def test_rgba_to_ppm_write_failure_is_2_and_names_sample(self, tmp_path, np_rng,
                                                              recipe, capsys):
         root = tmp_path / "rgba"
-        save_image(random_image(np_rng, 16, 16, PixelFormat.RGBA8), root / "a.png")
+        save_image(random_image(np_rng, 16, 16, 4), root / "a.png")
         code = main(["run", "--config", str(recipe), "--input", str(root),
                      "--output", str(tmp_path / "o"), "--count", "1",
                      "--format", "ppm", "--seed", "0"])
@@ -560,13 +559,13 @@ class TestSheet:
             "operations": [{"op": "greyscale", "probability": 0.5}],
         })
         src = tmp_path / "rgb.png"
-        save_image(random_image(np_rng, 10, 10, PixelFormat.RGB8), src)
+        save_image(random_image(np_rng, 10, 10, 3), src)
         out = tmp_path / "sheet.png"
         for seed in range(6):
             if main(["sheet", "--config", str(cfg), "--input", str(src),
                      "--output", str(out), "--rows", "1", "--cols", "4",
                      "--seed", str(seed)]) == 0:
-                assert load_image(out).format is PixelFormat.RGB8
+                assert load_image(out).channels == 3
                 return
         pytest.fail("no seed produced a montage")
 
@@ -657,9 +656,7 @@ def test_perfbench_setup_child_reads_cli(tmp_path, corpus, recipe):
 # A tiny source: width, height, then how it is stored.
 SOURCES = st.tuples(
     st.integers(1, 6), st.integers(1, 6),
-    st.sampled_from([("png", PixelFormat.GRAY8), ("png", PixelFormat.RGB8),
-                     ("png", PixelFormat.RGBA8), ("pgm", PixelFormat.GRAY8),
-                     ("ppm", PixelFormat.RGB8)]),
+    st.sampled_from([("png", 1), ("png", 3), ("png", 4), ("pgm", 1), ("ppm", 3)]),
 )
 
 

@@ -48,7 +48,6 @@ from augpipe import (
     Image,
     Invert,
     Pipeline,
-    PixelFormat,
     Resize,
     Rotate,
     RotateCardinal,
@@ -69,16 +68,16 @@ from augpipe.warp import resize
 from conftest import apply_one, run_op
 
 SIZES = ((32, 32), (45, 29))
-FORMATS = (PixelFormat.GRAY8, PixelFormat.RGB8, PixelFormat.RGBA8)
+FORMATS = (1, 3, 4)
 
 
-def pattern(width: int, height: int, fmt: PixelFormat) -> Image:
+def pattern(width: int, height: int, channels: int) -> Image:
     """Texture with smooth ramps, hard edges and per-channel offsets."""
-    y, x, c = np.meshgrid(np.arange(height), np.arange(width), np.arange(fmt.channels),
+    y, x, c = np.meshgrid(np.arange(height), np.arange(width), np.arange(channels),
                           indexing="ij")
     ramp = x * 37 + y * 91 + c * 53
     value = (ramp ^ (x * y)) + np.where((x // 5 + y // 7) % 2 == 0, 0, 97)
-    return Image.from_array((value % 256).astype(np.uint8), fmt)
+    return Image.from_array((value % 256).astype(np.uint8))
 
 
 def corpus() -> list[Image]:
@@ -96,7 +95,7 @@ def _fixed(spec, **drawn):
 def _window_resize_back(img):
     # The 17x11 window at (3, 2) stretched back to the image's size: the
     # centred crop of the image's 23x15 corner, then a resize.
-    corner = Image.from_array(img.pixels[:15, :23], img.format)
+    corner = Image.from_array(img.pixels[:15, :23])
     window = run_op(CropCentre(probability=1, width=17, height=11), corner)
     return run_op(Resize(probability=1, width=img.width, height=img.height), window)
 
@@ -269,7 +268,7 @@ def case_digest(name: str) -> str:
 def encoded_pipeline_digest(root) -> str:
     """Digest of a pipeline run's encoded PNG and PPM/PGM bytes and trace."""
     for i, img in enumerate(corpus()):
-        if img.format is not PixelFormat.RGBA8:
+        if img.channels != 4:
             save_image(img, root / f"src_{i}.png")
     pipe = (Pipeline(master_seed=5)
             .add(Elastic(probability=0.8, grid_width=2, grid_height=3, magnitude=4))
@@ -304,8 +303,8 @@ ALL_OPS_PIPELINE = (
     .add(CropCentre(probability=0.3, width=16, height=16))
     .add(Resize(probability=0.2, width=30, height=20))
 )
-MIXED_SOURCES = ((28, 28, PixelFormat.GRAY8), (28, 28, PixelFormat.GRAY8),
-                 (40, 24, PixelFormat.RGB8), (130, 130, PixelFormat.RGBA8))
+MIXED_SOURCES = ((28, 28, 1), (28, 28, 1),
+                 (40, 24, 3), (130, 130, 4))
 
 
 def mixed_corpus(root):
@@ -314,7 +313,7 @@ def mixed_corpus(root):
         for i, (w, h, fmt) in enumerate(MIXED_SOURCES):
             img = pattern(w, h, fmt)
             if label == "b" or i == 1:
-                img = Image.from_array(img.pixels[::-1, ::-1] ^ (40 * (i + 1)), fmt)
+                img = Image.from_array(img.pixels[::-1, ::-1] ^ (40 * (i + 1)))
             save_image(img, root / label / f"{i}.png")
     return scan_dataset(root)
 
@@ -347,7 +346,7 @@ def flat_class_digest(root) -> str:
     label), and in two class folders."""
     for i, (w, h, fmt) in enumerate(MIXED_SOURCES):
         save_image(pattern(w, h, fmt), root / ("a" if i == 2 else "b" if i == 3 else "") / f"{i}.png")
-    save_image(pattern(28, 28, PixelFormat.RGB8), root / "a" / "x.png")
+    save_image(pattern(28, 28, 3), root / "a" / "x.png")
     dataset = scan_dataset(root)
     sampled, processed = CollectingSink(), CollectingSink()
     records = sample(ALL_OPS_PIPELINE, dataset, 30, sampled, per_class=True)

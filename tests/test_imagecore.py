@@ -10,56 +10,69 @@ from hypothesis import strategies as st
 
 from augpipe import (
     Image,
-    PixelFormat,
     RngStream,
     derive_sample_rng,
     round_half_away,
 )
-from augpipe import imagecore
 from augpipe.imagecore import clamp_round_array
 from conftest import clamp_round, filled
 
 
 class TestImage:
     def test_buffer_shape_matches_format(self):
-        img = filled(4, 3, PixelFormat.RGB8, (1, 2, 3))
+        img = filled(4, 3, 3, (1, 2, 3))
         assert img.pixels.shape == (3, 4, 3)
-        assert img.pixels.size == img.width * img.height * img.format.channels
+        assert img.pixels.size == img.width * img.height * img.channels
 
     def test_channel_counts(self):
-        assert PixelFormat.GRAY8.channels == 1
-        assert PixelFormat.RGB8.channels == 3
-        assert PixelFormat.RGBA8.channels == 4
+        # from_array reads the format off the array's shape: (h, w) is grey.
+        for shape, channels in (((2, 3), 1), ((2, 3, 1), 1), ((2, 3, 3), 3), ((2, 3, 4), 4)):
+            assert Image.from_array(np.zeros(shape, dtype=np.uint8)).channels == channels
 
     def test_pixels_are_read_only(self):
-        img = filled(2, 2, PixelFormat.GRAY8, 7)
+        img = filled(2, 2, 1, 7)
         with pytest.raises(ValueError):
             img.pixels[0, 0, 0] = 1
 
     def test_from_array_copies(self):
         arr = np.zeros((2, 2), dtype=np.uint8)
-        img = Image.from_array(arr, PixelFormat.GRAY8)
+        img = Image.from_array(arr)
         arr[0, 0] = 99
         assert img.pixels[0, 0, 0] == 0
 
     def test_unpickled_pixels_stay_read_only(self):
-        img = pickle.loads(pickle.dumps(filled(3, 2, PixelFormat.RGB8, (1, 2, 3))))
-        assert img.width == 3 and img.format is PixelFormat.RGB8
+        img = pickle.loads(pickle.dumps(filled(3, 2, 3, (1, 2, 3))))
+        assert img.width == 3 and img.channels == 3
         with pytest.raises(ValueError):
             img.pixels[0, 0, 0] = 1
 
-    @pytest.mark.parametrize("fmt", list(PixelFormat), ids=lambda fmt: fmt.name)
-    def test_wrap_takes_the_format_of_the_channel_count(self, fmt):
-        img = Image._wrap(np.zeros((2, 3, fmt.channels), dtype=np.uint8))
-        assert img.format is fmt and (img.width, img.height) == (3, 2)
+    @pytest.mark.parametrize("channels", [1, 3, 4], ids=["GRAY8", "RGB8", "RGBA8"])
+    def test_wrap_takes_the_format_of_the_channel_count(self, channels):
+        img = Image._wrap(np.zeros((2, 3, channels), dtype=np.uint8))
+        assert img.channels == channels and (img.width, img.height) == (3, 2)
 
     def test_wrap_rejects_a_channel_count_of_no_format(self):
         with pytest.raises(ValueError):
             Image._wrap(np.zeros((2, 2, 2), dtype=np.uint8))
 
     def test_from_array_rejects_a_format_of_another_channel_count(self):
-        with pytest.raises(ValueError, match="does not match"):
-            Image.from_array(np.zeros((2, 2, 3), dtype=np.uint8), PixelFormat.GRAY8)
+        # Image's own check refuses a channel count that is no format's.
+        for channels in (2, 5):
+            with pytest.raises(ValueError, match="1, 3 or 4 channels"):
+                Image.from_array(np.zeros((2, 2, channels), dtype=np.uint8))
+
+    @pytest.mark.parametrize("values", [[[300, -1]], [[1.7, 255.9]], [[np.nan, 0]]],
+                             ids=["out-of-range", "fractional", "nan"])
+    def test_from_array_refuses_values_a_pixel_cannot_hold(self, values):
+        # Casting would wrap them to [44, 255] and truncate them to [1, 255].
+        with pytest.raises(ValueError, match="whole numbers from 0 to 255"):
+            Image.from_array(np.array(values))
+
+    def test_from_array_accepts_whole_numbers_of_any_dtype(self):
+        for dtype in (np.int64, np.float64):
+            img = Image.from_array(np.array([[0, 255], [7, 128]], dtype=dtype))
+            assert img.pixels.dtype == np.uint8
+            assert img.pixels[:, :, 0].tolist() == [[0, 255], [7, 128]]
 
     def test_mismatched_buffer_rejected(self):
         # Not uint8; 2-d; 4-d; no rows; no columns; 2 and 5 channels.
@@ -69,21 +82,19 @@ class TestImage:
             with pytest.raises(ValueError):
                 Image(np.zeros(shape, dtype=dtype))
 
-    def test_the_image_is_its_pixel_array(self, monkeypatch):
+    def test_the_image_is_its_pixel_array(self):
         assert [f.name for f in dataclasses.fields(Image)] == ["pixels"]
-        # Building an image names no format; reading one does.
-        monkeypatch.setattr(imagecore, "PixelFormat", None)
         img = Image._wrap(np.zeros((2, 3, 4), dtype=np.uint8))
         assert (img.width, img.height, img.channels) == (3, 2, 4)
-        with pytest.raises(AttributeError):
-            img.width = 5
-        monkeypatch.undo()
-        assert img.format is PixelFormat.RGBA8
+        for name in ("width", "channels"):
+            with pytest.raises(AttributeError):
+                setattr(img, name, 5)
+        assert not hasattr(img, "format")
         assert set(pickle.loads(pickle.dumps(img)).__dict__) == {"pixels"}
 
     def test_zero_dimension_rejected(self):
         with pytest.raises(ValueError):
-            filled(0, 3, PixelFormat.GRAY8, 0)
+            filled(0, 3, 1, 0)
 
 
 class TestClampRound:

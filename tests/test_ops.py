@@ -24,7 +24,6 @@ from augpipe import (
     Invert,
     OpError,
     OpSpec,
-    PixelFormat,
     Resize,
     RngStream,
     Rotate,
@@ -55,11 +54,11 @@ EQUALIZE = Equalize(probability=1)
 
 class TestRotate:
     def test_zero_angle_bit_exact(self, np_rng):
-        img = random_image(np_rng, 33, 21, PixelFormat.RGB8)
+        img = random_image(np_rng, 33, 21, 3)
         assert np.array_equal(run_op(ROTATE, img, angle=0.0).pixels, img.pixels)
 
     def test_constant_input_any_angle(self):
-        img = filled(40, 30, PixelFormat.GRAY8, 77)
+        img = filled(40, 30, 1, 77)
         out = run_op(ROTATE, img, angle=17.3)
         assert (out.width, out.height) == (40, 30)
         assert np.all(out.pixels == 77)
@@ -69,7 +68,7 @@ class TestRotate:
         # values in: all source samples stay inside the image.
         arr = np.full((100, 100), 255, dtype=np.uint8)
         arr[0, 0] = 0
-        img = Image.from_array(arr, PixelFormat.GRAY8)
+        img = Image.from_array(arr)
         with monitor_source_bounds() as monitor:
             out = run_op(ROTATE, img, angle=10.0)
         assert (out.width, out.height) == (100, 100)
@@ -84,7 +83,7 @@ class TestRotate:
         # turn (y grows downward).
         arr = np.zeros((41, 41), dtype=np.uint8)
         arr[20, 32] = 255
-        img = Image.from_array(arr, PixelFormat.GRAY8)
+        img = Image.from_array(arr)
         out = run_op(ROTATE, img, angle=20.0)
         ys, xs = np.nonzero(out.pixels[:, :, 0] > 100)
         assert ys.mean() > 20.5
@@ -112,7 +111,7 @@ class TestRotate:
 
 class TestRotateCardinal:
     def test_permutation_formula(self, np_rng):
-        img = random_image(np_rng, 5, 3, PixelFormat.RGB8)
+        img = random_image(np_rng, 5, 3, 3)
         out = run_op(TURN, img, degrees=90)
         assert (out.width, out.height) == (3, 5)
         for y in range(out.height):
@@ -121,7 +120,7 @@ class TestRotateCardinal:
                 assert np.array_equal(out.pixels[y, x], img.pixels[img.height - 1 - x, y])
 
     def test_two_by_one_column(self):
-        img = Image.from_array(np.array([[10, 200]], dtype=np.uint8), PixelFormat.GRAY8)
+        img = Image.from_array(np.array([[10, 200]], dtype=np.uint8))
         out = run_op(TURN, img, degrees=90)
         assert (out.width, out.height) == (1, 2)
         assert list(out.pixels[:, 0, 0]) == [10, 200]
@@ -146,14 +145,14 @@ class TestRotateCardinal:
 
 class TestFlip:
     def test_examples_and_involution(self, np_rng):
-        img = Image.from_array(np.array([[1, 2]], dtype=np.uint8), PixelFormat.GRAY8)
+        img = Image.from_array(np.array([[1, 2]], dtype=np.uint8))
         assert list(run_op(H_FLIP, img).pixels[0, :, 0]) == [2, 1]
-        rnd = random_image(np_rng, 9, 5, PixelFormat.RGBA8)
+        rnd = random_image(np_rng, 9, 5, 4)
         for spec in (H_FLIP, V_FLIP):
             assert np.array_equal(run_op(spec, run_op(spec, rnd)).pixels, rnd.pixels)
 
     def test_flip_both_axes_equals_rotate_180(self, np_rng):
-        img = random_image(np_rng, 8, 6, PixelFormat.RGB8)
+        img = random_image(np_rng, 8, 6, 3)
         both = run_op(V_FLIP, run_op(H_FLIP, img))
         assert np.array_equal(both.pixels, run_op(TURN, img, degrees=180).pixels)
 
@@ -164,7 +163,7 @@ class TestShear:
         assert np.array_equal(run_op(SHEAR_X, img, angle=0.0).pixels, img.pixels)
 
     def test_constant_any_valid_shear(self):
-        img = filled(50, 50, PixelFormat.GRAY8, 31)
+        img = filled(50, 50, 1, 31)
         for axis in ("x", "y"):
             out = run_op(Shear(probability=1, axis=axis), img, angle=-23.0)
             assert (out.width, out.height) == (50, 50)
@@ -202,12 +201,12 @@ class TestShear:
 
 class TestSkew:
     def test_zero_displacement_bit_exact(self, np_rng):
-        img = random_image(np_rng, 25, 35, PixelFormat.RGB8)
+        img = random_image(np_rng, 25, 35, 3)
         for kind in ("forward", "backward", "left", "right"):
             assert np.array_equal(run_op(Skew(probability=1, skew_kind=kind), img, displacement=0).pixels, img.pixels)
 
     def test_constant_input(self):
-        img = filled(30, 30, PixelFormat.GRAY8, 99)
+        img = filled(30, 30, 1, 99)
         out = run_op(Skew(probability=1, skew_kind="left"), img, displacement=10)
         assert np.all(out.pixels == 99)
         assert (out.width, out.height) == (30, 30)
@@ -266,13 +265,13 @@ class TestElastic:
 
 class TestZoom:
     def test_factor_one_bit_exact(self, np_rng):
-        img = random_image(np_rng, 19, 23, PixelFormat.RGB8)
+        img = random_image(np_rng, 19, 23, 3)
         assert np.array_equal(run_op(ZOOM, img, factor=1.0).pixels, img.pixels)
 
     def test_factor_two_matches_resize_then_center_crop(self, np_rng):
         img = random_image(np_rng, 100, 100)
         manual = resize(img, 200, 200)
-        manual_crop = Image.from_array(manual.pixels[50:150, 50:150], PixelFormat.GRAY8)
+        manual_crop = Image.from_array(manual.pixels[50:150, 50:150])
         assert np.array_equal(run_op(ZOOM, img, factor=2.0).pixels, manual_crop.pixels)
 
     def test_zoom_out_rejected(self, np_rng):
@@ -280,7 +279,7 @@ class TestZoom:
             run_op(ZOOM, random_image(np_rng, 8, 8), factor=0.9)
 
     def test_constant_any_factor(self):
-        img = filled(21, 13, PixelFormat.GRAY8, 55)
+        img = filled(21, 13, 1, 55)
         for f in (1.0, 1.3, 2.71):
             out = run_op(ZOOM, img, factor=f)
             assert (out.width, out.height) == (21, 13)
@@ -333,19 +332,19 @@ class TestCrops:
 
 class TestPixelOps:
     def test_invert_is_involution(self, np_rng):
-        img = random_image(np_rng, 9, 9, PixelFormat.RGB8)
+        img = random_image(np_rng, 9, 9, 3)
         assert np.array_equal(run_op(INVERT, run_op(INVERT, img)).pixels, img.pixels)
 
     def test_invert_leaves_alpha(self, np_rng):
-        img = random_image(np_rng, 5, 5, PixelFormat.RGBA8)
+        img = random_image(np_rng, 5, 5, 4)
         out = run_op(INVERT, img)
         assert np.array_equal(out.pixels[..., 3], img.pixels[..., 3])
         assert np.array_equal(out.pixels[..., :3], 255 - img.pixels[..., :3])
 
     def test_greyscale_of_pure_red(self):
-        img = filled(2, 2, PixelFormat.RGB8, (255, 0, 0))
+        img = filled(2, 2, 3, (255, 0, 0))
         out = run_op(GREYSCALE, img)
-        assert out.format is PixelFormat.GRAY8
+        assert out.channels == 1
         assert np.all(out.pixels == 76)  # 0.299 * 255 = 76.245
 
     def test_greyscale_identity_on_gray(self, np_rng):
@@ -353,17 +352,17 @@ class TestPixelOps:
         assert run_op(GREYSCALE, img) is img
 
     def test_greyscale_drops_alpha(self, np_rng):
-        img = random_image(np_rng, 4, 4, PixelFormat.RGBA8)
-        assert run_op(GREYSCALE, img).format is PixelFormat.GRAY8
+        img = random_image(np_rng, 4, 4, 4)
+        assert run_op(GREYSCALE, img).channels == 1
 
     def test_equalize_two_level_unchanged(self):
         arr = np.zeros((4, 4, 1), dtype=np.uint8)
         arr[2:] = 255
-        img = Image.from_array(arr, PixelFormat.GRAY8)
+        img = Image.from_array(arr)
         assert np.array_equal(run_op(EQUALIZE, img).pixels, img.pixels)
 
     def test_equalize_single_intensity_unchanged(self):
-        img = filled(6, 6, PixelFormat.GRAY8, 120)
+        img = filled(6, 6, 1, 120)
         assert np.array_equal(run_op(EQUALIZE, img).pixels, img.pixels)
 
     def test_equalize_matches_direct_formula(self, np_rng):
@@ -381,7 +380,7 @@ class TestPixelOps:
             assert np.all(got == min(max(expected, 0), 255))
 
     def test_equalize_leaves_alpha(self, np_rng):
-        img = random_image(np_rng, 6, 6, PixelFormat.RGBA8)
+        img = random_image(np_rng, 6, 6, 4)
         assert np.array_equal(run_op(EQUALIZE, img).pixels[..., 3], img.pixels[..., 3])
 
 
@@ -417,7 +416,7 @@ class TestSpecsAndApply:
             apply_one(OpSpec(probability=1), random_image(np_rng, 4, 4), derive_sample_rng(0, 0))
 
     def test_invert_applied_twice_restores(self, np_rng):
-        img = random_image(np_rng, 6, 6, PixelFormat.RGB8)
+        img = random_image(np_rng, 6, 6, 3)
         spec = Invert(probability=1)
         once, _ = apply_one(spec, img, derive_sample_rng(0, 0))
         twice, _ = apply_one(spec, once, derive_sample_rng(0, 1))
@@ -515,14 +514,15 @@ def test_each_op_is_declared_by_one_class():
 
 
 # The names the package exported while __init__.py listed them one by one,
-# bar AffineTransform, as an affine map is now a Homography, and
+# bar AffineTransform, as an affine map is now a Homography,
 # clamp_round, the scalar reference for clamp_round_array that only the
-# tests use, now in conftest.
+# tests use, now in conftest, and PixelFormat, as an image's format is its
+# channel count.
 LISTED_EXPORTS = """
     AugpipeError CollectingSink ConfigError CropCentre CropRandom CropRect
     DatasetEntry DatasetError DatasetIndex DecodeError DirectorySink DisplacementGrid Elastic
     Equalize Flip GeometryError Greyscale Homography Image Invert OpApplication OpError OpSpec
-    OutputCollisionError Pipeline PixelFormat Quad Resize RngStream Rotate RotateCardinal Scale
+    OutputCollisionError Pipeline Quad Resize RngStream Rotate RotateCardinal Scale
     Shear Skew TraceRecord UnsupportedImageError Zoom apply_op canonical_text
     derive_sample_rng inscribed_crop_rect load_image mix64 output_name parse_config process
     round_half_away run_sample sample save_image scan_dataset shear_crop_rect solve_homography
@@ -575,8 +575,8 @@ def test_package_exports_the_union_of_its_modules_all():
 CONSTANT_VALUE = 137
 
 
-def _constant(fmt=PixelFormat.GRAY8, w=24, h=24):
-    return filled(w, h, fmt, CONSTANT_VALUE)
+def _constant(channels=1, w=24, h=24):
+    return filled(w, h, channels, CONSTANT_VALUE)
 
 
 CATALOGUE = [

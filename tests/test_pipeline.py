@@ -32,7 +32,6 @@ from augpipe import (
     OpError,
     OutputCollisionError,
     Pipeline,
-    PixelFormat,
     Resize,
     Rotate,
     RotateCardinal,
@@ -241,7 +240,7 @@ class TestSourceCache:
         # modification time tells the two versions apart.
         path = tmp_path / "a.pgm"
         first = random_image(np_rng, 6, 6)
-        second = Image.from_array(255 - first.pixels, first.format)
+        second = Image.from_array(255 - first.pixels)
         save_image(first, path, "ppm")
         assert np.array_equal(self._sample_one(tmp_path), first.pixels)
         stamp, size = path.stat().st_mtime_ns, path.stat().st_size
@@ -256,7 +255,7 @@ class TestSourceCache:
         # rewrite.
         path = tmp_path / "a.pgm"
         first = random_image(np_rng, 6, 6)
-        second = Image.from_array(255 - first.pixels, first.format)
+        second = Image.from_array(255 - first.pixels)
         save_image(first, path, "ppm")
         assert np.array_equal(self._sample_one(tmp_path), first.pixels)
         before = path.stat()
@@ -583,8 +582,8 @@ def mixed_dataset(tmp_path_factory):
     """Sources of several shapes and formats, one above a warp band."""
     root = tmp_path_factory.mktemp("mixed")
     rng = np.random.default_rng(77)
-    shapes = ((28, 28, PixelFormat.GRAY8), (28, 28, PixelFormat.GRAY8), (40, 24, PixelFormat.RGB8),
-              (40, 24, PixelFormat.RGB8), (9, 7, PixelFormat.RGB8), (130, 130, PixelFormat.RGBA8))
+    shapes = ((28, 28, 1), (28, 28, 1), (40, 24, 3),
+              (40, 24, 3), (9, 7, 3), (130, 130, 4))
     for i, (w, h, fmt) in enumerate(shapes):
         save_image(random_image(rng, w, h, fmt), root / f"s{i}.png")
     return scan_dataset(root)
@@ -640,7 +639,7 @@ def _outcome(generate):
         result = generate(sink)
     except Exception as exc:
         result = (type(exc), str(exc), getattr(exc, "drawn", None))
-    return result, [(rel, img.format, img.pixels.shape, img.pixels.tobytes())
+    return result, [(rel, img.pixels.shape, img.pixels.tobytes())
                     for rel, img in sink.images]
 
 

@@ -1,6 +1,8 @@
 """Resampler behaviour: exactness on identities, interpolation values,
 clamp-to-edge addressing, mesh warps, and the instrumentation hook."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,6 @@ from augpipe import (
     DisplacementGrid,
     GeometryError,
     Image,
-    PixelFormat,
     Zoom,
     round_half_away,
 )
@@ -29,40 +30,40 @@ def _translation(tx, ty):
 
 class TestSample:
     def test_exact_center_hits_give_pixel_values(self, np_rng):
-        img = random_image(np_rng, 6, 5, PixelFormat.RGB8)
+        img = random_image(np_rng, 6, 5, 3)
         for x, y in ((0, 0), (3, 2), (5, 4)):
             got = sample(img, x + 0.5, y + 0.5)
             assert got == tuple(float(v) for v in img.pixels[y, x])
 
     def test_constant_image_everywhere(self, np_rng):
-        img = filled(7, 7, PixelFormat.GRAY8, 93)
+        img = filled(7, 7, 1, 93)
         coords = np_rng.uniform(-5, 12, size=(50, 2))
         for x, y in coords:
             assert sample(img, x, y)[0] == pytest.approx(93.0, abs=1e-9)
 
     def test_two_tap_midpoint(self):
-        img = Image.from_array(np.array([[0, 100]], dtype=np.uint8), PixelFormat.GRAY8)
+        img = Image.from_array(np.array([[0, 100]], dtype=np.uint8))
         # centers at x = 0.5 and 1.5; x = 1.0 is halfway between them
         assert sample(img, 1.0, 0.5) == (50.0,)
 
 
 class TestWarpAffine:
     def test_identity_is_bit_exact(self, np_rng):
-        img = random_image(np_rng, 17, 11, PixelFormat.RGBA8)
+        img = random_image(np_rng, 17, 11, 4)
         out = warp_affine(img, IDENTITY, 17, 11)
         assert np.array_equal(out.pixels, img.pixels)
-        assert out.format is img.format
+        assert out.channels == img.channels
 
     def test_integer_translation_with_edge_replication(self):
         ramp = np.arange(10, dtype=np.uint8)[None, :] * 20
-        img = Image.from_array(ramp, PixelFormat.GRAY8)
+        img = Image.from_array(ramp)
         # dest -> src shift of -3: content moves right, left edge replicates
         out = warp_affine(img, _translation(-3, 0), 10, 1)
         expected = np.array([ramp[0, max(x - 3, 0)] for x in range(10)], dtype=np.uint8)
         assert np.array_equal(out.pixels[0, :, 0], expected)
 
     def test_constant_survives_any_transform(self, np_rng):
-        img = filled(9, 9, PixelFormat.RGB8, (12, 200, 7))
+        img = filled(9, 9, 3, (12, 200, 7))
         m = np.array([[0.37, -1.2, 4.0], [0.9, 0.33, -2.5]])
         out = warp_affine(img, m, 13, 6)
         assert np.all(out.pixels == np.array([12, 200, 7], dtype=np.uint8))
@@ -95,7 +96,7 @@ class TestWarpAffine:
 
 class TestWarpProjective:
     def test_identity_is_bit_exact(self, np_rng):
-        img = random_image(np_rng, 12, 9, PixelFormat.RGB8)
+        img = random_image(np_rng, 12, 9, 3)
         hom = Homography(np.eye(3))
         out = warp_projective(img, hom, 12, 9)
         assert np.array_equal(out.pixels, img.pixels)
@@ -125,35 +126,45 @@ class TestWarpMesh:
         img = random_image(np_rng, 28, 28)
         nodes = np.zeros((5, 5, 2))
         nodes[1:4, 1:4] = np_rng.integers(-5, 6, (3, 3, 2))
-        out = warp_mesh(img, DisplacementGrid(4, 4, nodes))
+        out = warp_mesh(img, DisplacementGrid(nodes))
         assert (out.width, out.height) == (28, 28)
 
     def test_single_node_offset_on_constant(self):
-        img = filled(16, 16, PixelFormat.GRAY8, 131)
+        img = filled(16, 16, 1, 131)
         nodes = np.zeros((3, 3, 2))
         nodes[1, 1] = (3, 0)
-        out = warp_mesh(img, DisplacementGrid(2, 2, nodes))
+        out = warp_mesh(img, DisplacementGrid(nodes))
         assert np.all(out.pixels == 131)
 
     def test_nonzero_boundary_rejected(self):
         nodes = np.zeros((3, 3, 2))
         nodes[0, 1] = (1, 0)
         with pytest.raises(ValueError):
-            DisplacementGrid(2, 2, nodes)
+            DisplacementGrid(nodes)
+
+    def test_the_grid_is_its_node_array(self):
+        grid = DisplacementGrid(np.zeros((3, 5, 2)))
+        assert [f.name for f in dataclasses.fields(DisplacementGrid)] == ["nodes"]
+        assert (grid.gw, grid.gh) == (4, 2)
+        with pytest.raises(AttributeError):
+            grid.gw = 3
 
     def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            DisplacementGrid(4, 4, np.zeros((3, 3, 2)))
+        # No row of cells; no column of cells; no (dx, dy) axis; 3 values
+        # per node.
+        for shape in ((1, 3, 2), (3, 1, 2), (3, 3), (3, 3, 3)):
+            with pytest.raises(ValueError, match="is not"):
+                DisplacementGrid(np.zeros(shape))
 
     def test_displacement_field_is_continuous_across_cells(self, np_rng):
         # Sampling the blend at a shared cell edge from either side gives
         # the same displacement; verify via a linear ramp image warped by
         # a smooth grid staying far from edges (no clamping involved).
         ramp = np.tile(np.arange(64, dtype=np.uint8) * 2, (64, 1))
-        img = Image.from_array(ramp, PixelFormat.GRAY8)
+        img = Image.from_array(ramp)
         nodes = np.zeros((3, 3, 2))
         nodes[1, 1] = (4, -3)
-        out = warp_mesh(img, DisplacementGrid(2, 2, nodes))
+        out = warp_mesh(img, DisplacementGrid(nodes))
         arr = out.pixels[:, :, 0].astype(int)
         # No jumps bigger than the ramp slope times the max local warp
         # gradient; a seam would show as a large discontinuity.
@@ -163,25 +174,24 @@ class TestWarpMesh:
 
 class TestResize:
     def test_same_size_bilinear_is_bit_exact(self, np_rng):
-        img = random_image(np_rng, 13, 7, PixelFormat.RGB8)
+        img = random_image(np_rng, 13, 7, 3)
         out = resize(img, 13, 7)
         assert np.array_equal(out.pixels, img.pixels)
 
     def test_four_tap_average_to_single_pixel(self):
-        img = Image.from_array(np.array([[0, 100], [200, 60]], dtype=np.uint8),
-                               PixelFormat.GRAY8)
+        img = Image.from_array(np.array([[0, 100], [200, 60]], dtype=np.uint8))
         out = resize(img, 1, 1)
         assert out.pixels[0, 0, 0] == 90
 
     def test_constant_any_size(self):
-        img = filled(5, 5, PixelFormat.RGBA8, (9, 8, 7, 255))
+        img = filled(5, 5, 4, (9, 8, 7, 255))
         for w, h in ((1, 1), (3, 9), (17, 2)):
             out = resize(img, w, h)
             assert np.all(out.pixels == np.array([9, 8, 7, 255], dtype=np.uint8))
             assert (out.width, out.height) == (w, h)
 
     def test_window_equals_crop_of_full_resize(self, np_rng):
-        img = random_image(np_rng, 300, 9, PixelFormat.RGB8)
+        img = random_image(np_rng, 300, 9, 3)
         full = resize(img, 413, 40)
         part = resize(img, 413, 40, window=CropRect(57, 3, 300, 33))
         assert np.array_equal(part.pixels, full.pixels[3:36, 57:357])
@@ -197,8 +207,8 @@ class TestResize:
     def test_bands_match_one_pass(self, np_rng, monkeypatch):
         # Outputs are sampled in bands of rows; the band size must not
         # show in the bytes or in what the monitor sees.
-        img = random_image(np_rng, 40, 30, PixelFormat.RGBA8)
-        grid = DisplacementGrid(3, 2, np.zeros((3, 4, 2)))
+        img = random_image(np_rng, 40, 30, 4)
+        grid = DisplacementGrid(np.zeros((3, 4, 2)))
         grid.nodes[1, 1:3] = ((2.5, -1.0), (-3.0, 4.0))
         kernels = (lambda: resize(img, 77, 41), lambda: warp_mesh(img, grid),
                    lambda: warp_affine(img, _translation(0.3, -0.7), 33, 50))
@@ -216,7 +226,7 @@ class TestWarpBatch:
         # 50 images of 28x28 stack as groups of 20, 20 and 10 at the real
         # band size, and one by one at 7 pixels.
         monkeypatch.setattr(warp, "_BAND_PIXELS", band_pixels)
-        imgs = [random_image(np_rng, 28, 28, PixelFormat.RGB8) for _ in range(50)]
+        imgs = [random_image(np_rng, 28, 28, 3) for _ in range(50)]
         affines = [Homography(np.vstack((IDENTITY + np_rng.uniform(-0.3, 0.3, (2, 3)), (0, 0, 1))))
                    for _ in imgs]
         homs = []
@@ -227,7 +237,7 @@ class TestWarpBatch:
         for _ in imgs:
             nodes = np.zeros((5, 5, 2))
             nodes[1:4, 1:4] = np_rng.uniform(-4.0, 4.0, (3, 3, 2))
-            grids.append(DisplacementGrid(4, 4, nodes))
+            grids.append(DisplacementGrid(nodes))
         # The first group of 20 is all affine and divides by no denominator;
         # the later groups mix in projective maps and divide every map by its
         # own, which for an affine map is exactly 1.
@@ -269,7 +279,7 @@ class TestMonitor:
         nodes = np.zeros((5, 3, 2))
         nodes[3, 1] = (0.0, 20.0)
         with monitor_source_bounds() as monitor:
-            warp_mesh(random_image(np_rng, 8, 8), DisplacementGrid(2, 4, nodes))
+            warp_mesh(random_image(np_rng, 8, 8), DisplacementGrid(nodes))
         assert monitor.warps == 1
         assert monitor.violations == 4  # the ys of bands 4-7
         assert monitor.worst == pytest.approx(11.625)  # row center 6.5 + 0.75 * 17.5 - 8
@@ -320,7 +330,7 @@ _sizes = st.integers(1, 40)
 
 @st.composite
 def _image(draw):
-    fmt = draw(st.sampled_from((PixelFormat.GRAY8, PixelFormat.RGB8, PixelFormat.RGBA8)))
+    fmt = draw(st.sampled_from((1, 3, 4)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     return random_image(rng, draw(_sizes), draw(_sizes), fmt)
 
@@ -359,5 +369,5 @@ class TestBilinearMatchesReference:
     def test_mesh(self, img, gw, gh, seed):
         nodes = np.zeros((gh + 1, gw + 1, 2))
         nodes[1:-1, 1:-1] = np.random.default_rng(seed).normal(0.0, 4.0, (gh - 1, gw - 1, 2))
-        grid = DisplacementGrid(gw, gh, nodes)
+        grid = DisplacementGrid(nodes)
         assert np.array_equal(warp_mesh(img, grid).pixels, _reference_mesh(img, grid))
