@@ -318,25 +318,31 @@ def _run(pipeline, dataset, per_class, count, sink, jobs) -> list[TraceRecord]:
     """Generate samples 0..count-1 of the dataset, or of each class with its
     own seed when per_class; count None passes every image through once.
 
-    Records come in class order, then index order. With jobs > 1 the chunks
-    of every class go through one fork pool, which is shut down, its queued
-    chunks cancelled, before this returns or raises.
+    Records come in class order, then index order. The workers are jobs,
+    capped at the usable CPUs and then at the chunks, which are cut from
+    the workers. With more than one, the chunks of every class go through
+    one fork pool, which is shut down, its queued chunks cancelled, before
+    this returns or raises.
     """
     if per_class:
         runs = [(pipeline.for_class(label), part) for label, part in split_by_class(dataset)]
     else:
         runs = [(pipeline, dataset)]
+    workers = max(1, min(jobs, _usable_cpus()))
     chunks = []
     ranks = []  # each chunk's place within its run
     for run_pipeline, run_dataset in runs:
         indices = range(len(run_dataset.entries) if count is None else count)
         # Contiguous chunks keep per-worker cache locality.
-        step = max(1, -(-len(indices) // (jobs * 4)))
+        step = max(1, -(-len(indices) // (workers * 4)))
         starts = range(0, len(indices), step)
         chunks.extend((run_pipeline, run_dataset, indices[i : i + step], sink, count is not None)
                       for i in starts)
         ranks.extend(range(len(starts)))
-    if jobs <= 1 or len(chunks) <= 1:
+    # A fork pool forks all its workers at the first submit, so none
+    # outnumbers the chunks.
+    workers = min(workers, len(chunks))
+    if workers <= 1:
         sources = _Sources()
         return [record for chunk in chunks for record in _generate_chunk(chunk, sources)]
     if isinstance(sink, CollectingSink):
@@ -344,9 +350,6 @@ def _run(pipeline, dataset, per_class, count, sink, jobs) -> list[TraceRecord]:
         chunks = [chunk[:3] + (CollectingSink(),) + chunk[4:] for chunk in chunks]
     context = multiprocessing.get_context("fork")
     failed = context.Value("q", len(chunks))
-    # The chunks still follow jobs; the workers outnumber neither them nor
-    # the CPUs this process may run on.
-    workers = min(jobs, len(chunks), _usable_cpus())
     pool = ProcessPoolExecutor(max_workers=workers, mp_context=context,
                                initializer=_init_worker, initargs=(failed,))
     try:

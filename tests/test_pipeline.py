@@ -5,6 +5,7 @@ import multiprocessing
 import os
 import stat
 import sys
+from concurrent.futures import Future
 from pathlib import Path
 from unittest import mock
 
@@ -731,9 +732,9 @@ class TestOpMajorChunks:
             with pytest.raises(OpError) as info:
                 pipeline_mod.sample(pipe, ds, 40, DirectorySink(out), jobs=jobs)
             written = tree_bytes(out)
-            # At --jobs 8 sample 37's chunk is not the last: the chunk of
-            # samples 38 and 39 may already be running and write its run
-            # (README).
+            # With 8 workers, on a host with 8 or more usable CPUs, sample
+            # 37's chunk is not the last: the chunk of samples 38 and 39 may
+            # already be running and write its run (README).
             later = {name for name in written if int(name[-10:-4]) > 37}
             assert not later or jobs == 8
             got = (str(info.value), info.value.drawn, info.value.op_index,
@@ -762,7 +763,7 @@ class TestOpMajorChunks:
     def test_pool_has_no_more_workers_than_chunks(self, mixed_dataset, monkeypatch, count):
         # A fork pool forks all its workers at the first submit, so any
         # beyond the chunk count, or the CPUs, would be forked only to sit
-        # idle.
+        # idle. One worker runs in-process, with no pool.
         pool_class = pipeline_mod.ProcessPoolExecutor
         workers = min(count, pipeline_mod._usable_cpus())
         asked = []
@@ -781,13 +782,13 @@ class TestOpMajorChunks:
             sink = CollectingSink()
             records = pipeline_mod.sample(pipe, mixed_dataset, count, sink, jobs=jobs)
             outputs.append((records, [(rel, img.pixels.tobytes()) for rel, img in sink.images]))
-        assert asked == [workers]
+        assert asked == ([workers] if workers > 1 else [])
         assert outputs[1] == outputs[0]
 
     @pytest.mark.parametrize("affinity", [True, False], ids=["affinity", "cpu-count"])
     def test_pool_has_no_more_workers_than_cpus(self, mixed_dataset, monkeypatch, affinity):
-        # 64 jobs make 64 one-sample chunks. The recording pool raises
-        # before any worker is forked, so no process is started.
+        # 64 jobs on 3 CPUs make 11 chunks for 3 workers. The recording
+        # pool raises before any worker is forked, so no process is started.
         if affinity:
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
         else:
@@ -806,6 +807,36 @@ class TestOpMajorChunks:
         with pytest.raises(NotForked):
             pipeline_mod.sample(Pipeline(), mixed_dataset, 64, CollectingSink(), jobs=64)
         assert asked == [3]
+
+    @pytest.mark.parametrize("per_class", [False, True])
+    def test_chunks_follow_the_workers_not_jobs(self, tmp_path, np_rng, monkeypatch, per_class):
+        # On 2 usable CPUs, jobs=1000 hands over the chunks jobs=2 does, not
+        # 4000 one-sample chunks. The recording pool runs nothing, so no
+        # process is started.
+        for label in ("a", "b"):
+            _small_dataset(tmp_path / label, np_rng, count=3)
+        ds = scan_dataset(tmp_path)
+        monkeypatch.setattr(pipeline_mod, "_usable_cpus", lambda: 2)
+        pools = []
+
+        class RecordingPool:
+            def __init__(self, max_workers, **kwargs):
+                pools.append((max_workers, []))
+
+            def submit(self, fn, chunk, position):
+                pools[-1][1].append((position, chunk[2]))
+                future = Future()
+                future.set_result(([], []))
+                return future
+
+            def shutdown(self, **kwargs):
+                pass
+
+        monkeypatch.setattr(pipeline_mod, "ProcessPoolExecutor", RecordingPool)
+        for jobs in (2, 1000):
+            pipeline_mod.sample(Pipeline(), ds, 4000, CollectingSink(), jobs=jobs, per_class=per_class)
+        assert pools[0] == pools[1]
+        assert pools[0][0] == 2 and len(pools[0][1]) == (16 if per_class else 8)
 
     def test_monitor_sees_one_warp_per_applied_warp_op(self, mixed_dataset):
         pipe = (Pipeline(master_seed=12)
