@@ -572,6 +572,31 @@ def test_package_exports_the_union_of_its_modules_all():
     assert [target.id for target in version.targets] == ["__version__"]
 
 
+def _removed_names() -> list[str]:
+    """The names README's bullet list of removed public names begins its
+    bullets with, before a colon: `Name` or `Type.attr`."""
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    lines = text.split("Removed public names", 1)[1].splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("- "))
+    bullets = []
+    for line in lines[start:]:
+        if line.startswith("- "):
+            bullets.append(line)
+        elif line.startswith("  "):
+            bullets[-1] += line
+        else:
+            break
+    return [name for bullet in bullets for name in re.findall(r"`([\w.]+)`", bullet.split(":")[0])]
+
+
+def test_removed_public_names_are_gone():
+    names = _removed_names()
+    assert {"PixelFormat", "Image.format"} <= set(names)
+    for name in names:
+        owner, _, attr = name.rpartition(".")
+        assert not hasattr(getattr(augpipe, owner) if owner else augpipe, attr), name
+
+
 CONSTANT_VALUE = 137
 
 
