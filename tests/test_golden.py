@@ -303,8 +303,8 @@ ALL_OPS_PIPELINE = (
     .add(CropCentre(probability=0.3, width=16, height=16))
     .add(Resize(probability=0.2, width=30, height=20))
 )
-MIXED_SOURCES = ((28, 28, 1), (28, 28, 1),
-                 (40, 24, 3), (130, 130, 4))
+# Width, height and channels of each source.
+MIXED_SOURCES = ((28, 28, 1), (28, 28, 1), (40, 24, 3), (130, 130, 4))
 
 
 def mixed_corpus(root):

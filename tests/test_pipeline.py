@@ -583,10 +583,9 @@ def mixed_dataset(tmp_path_factory):
     """Sources of several shapes and formats, one above a warp band."""
     root = tmp_path_factory.mktemp("mixed")
     rng = np.random.default_rng(77)
-    shapes = ((28, 28, 1), (28, 28, 1), (40, 24, 3),
-              (40, 24, 3), (9, 7, 3), (130, 130, 4))
-    for i, (w, h, fmt) in enumerate(shapes):
-        save_image(random_image(rng, w, h, fmt), root / f"s{i}.png")
+    shapes = ((28, 28, 1), (28, 28, 1), (40, 24, 3), (40, 24, 3), (9, 7, 3), (130, 130, 4))
+    for i, (w, h, channels) in enumerate(shapes):
+        save_image(random_image(rng, w, h, channels), root / f"s{i}.png")
     return scan_dataset(root)
 
 
