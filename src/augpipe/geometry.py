@@ -62,7 +62,7 @@ class Quad:
         return cls(((0.0, 0.0), (width, 0.0), (width, height), (0.0, height)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Homography:
     """3x3 projective map with m[2][2] normalised to 1.
 

@@ -1,8 +1,12 @@
 """Augmentation operation catalogue.
 
-Each op is declared once: a frozen dataclass that subclasses OpSpec
-directly. It is an immutable, validated description of one configured
-operation, it draws its random parameters, and it holds its kernel.
+Each op is declared once: a plain class that subclasses OpSpec
+directly and holds only its fields, its draw and its kernel. OpSpec
+makes it a frozen dataclass and names its ``kind``, the class name in
+snake_case (CropRandom -> crop_random); a class that decorates itself or
+sets its own kind is refused when it is defined. A spec is an
+immutable, validated description of one configured operation, it draws
+its random parameters, and it holds its kernel.
 ``apply_op`` turns a spec plus random streams into applied
 transformations, recording every value drawn along the way.
 
@@ -24,9 +28,11 @@ order drawn, each with the range it is drawn from (``real(lo, hi)`` is
 values); W and H are the image's size.
 
 A ``draw`` is plain code against one sample's RngStream and may branch
-on a value it drew. ``apply_op`` takes a list of same-shape images, each
-with its own stream, a single image being a list of one: it draws for
-each image in turn, then applies the op to all of them.
+on a value it drew; it returns (name, value) pairs in draw order, which
+the trace records. A kernel reads them by name from a dict
+(``drawn["angle"]``). ``apply_op`` takes a list of same-shape images,
+each with its own stream, a single image being a list of one: it draws
+for each image in turn, then applies the op to all of them.
 
 The warp ops (rotate, shear, skew, elastic) define only ``transform``,
 which gives their destination-to-source map: a Homography for rotate,
@@ -161,6 +167,17 @@ class OpSpec:
     probability: float = field(metadata={"range": "[0, 1]"})
     kind: ClassVar[str] = ""
 
+    def __init_subclass__(cls, **kwargs):
+        """Make each op a frozen dataclass whose kind is its class name in
+        snake_case; a kind the class sets itself would be replaced, so it
+        is refused."""
+        super().__init_subclass__(**kwargs)
+        if "kind" in vars(cls):
+            raise TypeError(f"{cls.__name__} sets kind; an op's kind is its class name "
+                            f"in snake_case")
+        cls.kind = "".join(f"_{c.lower()}" if c.isupper() else c for c in cls.__name__)[1:]
+        dataclass(frozen=True)(cls)
+
     def __post_init__(self):
         """Check every field against its declared type, range and choices;
         a ConfigError names the field by its config key."""
@@ -189,7 +206,7 @@ class OpSpec:
         the order of its class docstring's Draws: line."""
         return []
 
-    def transform(self, drawn: list[tuple[str, Any]], width: int, height: int):
+    def transform(self, drawn: dict[str, Any], width: int, height: int):
         """A warp op's destination-to-source map for a width x height image
         (a Homography, affine when its bottom row is (0, 0, 1), or a
         DisplacementGrid); None otherwise.
@@ -199,22 +216,24 @@ class OpSpec:
         """
         return None
 
-    def apply(self, img: Image, drawn: list[tuple[str, Any]]) -> Image:
-        """An op without a transform: its kernel on one image, with its draws."""
+    def apply(self, img: Image, drawn: dict[str, Any]) -> Image:
+        """An op without a transform: its kernel on one image, with its draws
+        by name."""
         raise NotImplementedError
 
     def apply_batch(self, imgs: list[Image], drawn: list[list[tuple[str, Any]]]) -> list[Image]:
         """The op on each of some same-shape images, each with its own
         draws: the transforms warped together by warp_batch, or apply
-        image by image."""
+        image by image. Each image's (name, value) pairs reach the kernel
+        as one dict, in draw order."""
         w, h = imgs[0].width, imgs[0].height
+        drawn = [dict(values) for values in drawn]
         maps = [self.transform(values, w, h) for values in drawn]
         if maps[0] is None:
             return [self.apply(img, values) for img, values in zip(imgs, drawn)]
         return warp_batch(imgs, maps, w, h)
 
 
-@dataclass(frozen=True)
 class Rotate(OpSpec):
     """Continuous rotation by up to max_left degrees anticlockwise or
     max_right clockwise.
@@ -224,7 +243,6 @@ class Rotate(OpSpec):
 
     max_left: float = field(default=0.0, metadata={"key": "max_left_rotation", "range": "[0, 45]"})
     max_right: float = field(default=0.0, metadata={"key": "max_right_rotation", "range": "[0, 45]"})
-    kind: ClassVar[str] = "rotate"
 
     def draw(self, rng, width, height):
         return [("angle", rng.uniform_real(-self.max_left, self.max_right))]
@@ -233,7 +251,7 @@ class Rotate(OpSpec):
         """Rotate about the centre onto the expanded bounding box, crop to
         the largest same-aspect inscribed rectangle, resize back: one
         affine map. Positive angles turn clockwise."""
-        theta = dict(drawn)["angle"]
+        theta = drawn["angle"]
         crop = inscribed_crop_rect(width, height, theta)
         rad = math.radians(theta)
         cs, sn = math.cos(rad), math.sin(rad)
@@ -246,7 +264,6 @@ class Rotate(OpSpec):
         return Homography(np.array([[a, b, c], [d, e, f], [0.0, 0.0, 1.0]], dtype=np.float64))
 
 
-@dataclass(frozen=True)
 class RotateCardinal(OpSpec):
     """Lossless 90/180/270 rotation, fixed or uniformly random.
 
@@ -254,7 +271,6 @@ class RotateCardinal(OpSpec):
     """
 
     which: str = field(default="random", metadata={"choices": ("r90", "r180", "r270", "random")})
-    kind: ClassVar[str] = "rotate_cardinal"
 
     def draw(self, rng, width, height):
         if self.which == "random":
@@ -263,7 +279,7 @@ class RotateCardinal(OpSpec):
 
     def apply(self, img, drawn):
         """Lossless quarter turn, clockwise; 90 and 270 swap dimensions."""
-        k = dict(drawn)["degrees"] if self.which == "random" else int(self.which[1:])
+        k = drawn["degrees"] if self.which == "random" else int(self.which[1:])
         px = img.pixels
         if k == 90:
             out = px.transpose(1, 0, 2)[:, ::-1]
@@ -276,7 +292,6 @@ class RotateCardinal(OpSpec):
         return Image._wrap(out)
 
 
-@dataclass(frozen=True)
 class Flip(OpSpec):
     """Mirror along a fixed or randomly chosen axis.
 
@@ -284,7 +299,6 @@ class Flip(OpSpec):
     """
 
     axis: str = field(default="random", metadata={"choices": ("horizontal", "vertical", "random")})
-    kind: ClassVar[str] = "flip"
 
     def draw(self, rng, width, height):
         if self.axis == "random":
@@ -293,12 +307,11 @@ class Flip(OpSpec):
 
     def apply(self, img, drawn):
         """Exact mirror: horizontal swaps left-right, vertical top-bottom."""
-        axis = dict(drawn).get("axis", self.axis)
+        axis = drawn.get("axis", self.axis)
         out = img.pixels[:, ::-1] if axis == "horizontal" else img.pixels[::-1]
         return Image._wrap(out)
 
 
-@dataclass(frozen=True)
 class Shear(OpSpec):
     """Shear by a random angle, along a fixed or random axis.
 
@@ -308,7 +321,6 @@ class Shear(OpSpec):
 
     max_angle: float = field(default=0.0, metadata={"range": "[0, 45)"})
     axis: str = field(default="random", metadata={"choices": ("x", "y", "random")})
-    kind: ClassVar[str] = "shear"
 
     def draw(self, rng, width, height):
         drawn = []
@@ -320,9 +332,8 @@ class Shear(OpSpec):
     def transform(self, drawn, width, height):
         """Shear, crop to the widest fully covered strip, stretch back to
         the input size: one affine map, every source sample in bounds."""
-        d = dict(drawn)
-        axis = d.get("axis", self.axis)
-        t = math.tan(math.radians(d["angle"]))
+        axis = drawn.get("axis", self.axis)
+        t = math.tan(math.radians(drawn["angle"]))
         try:
             crop = shear_crop_rect(width, height, axis, t)
         except GeometryError as exc:
@@ -334,9 +345,14 @@ class Shear(OpSpec):
         return Homography(np.array([*rows, [0.0, 0.0, 1.0]], dtype=np.float64))
 
 
-@dataclass(frozen=True)
 class Skew(OpSpec):
     """Perspective tilt with displacement scaled by severity.
+
+    At severity 1, the default, an image whose smaller side is even can
+    draw a displacement of exactly half that side, which the kernel
+    refuses with an OpError (exit 3): one sample in min(W, H) / 2 + 1,
+    1 in 15 for a 28x28 image. The draw range is part of the byte
+    contract, so it stays as it is.
 
     Draws: kind = choice(forward, backward, left, right) when kind is
     random, then displacement = int(0, floor(severity * min(W, H) / 2)).
@@ -345,7 +361,6 @@ class Skew(OpSpec):
     severity: float = field(default=1.0, metadata={"range": "(0, 1]"})
     skew_kind: str = field(default="random", metadata={
         "key": "kind", "choices": ("forward", "backward", "left", "right", "random")})
-    kind: ClassVar[str] = "skew"
 
     def draw(self, rng, width, height):
         drawn = []
@@ -358,19 +373,17 @@ class Skew(OpSpec):
     def transform(self, drawn, width, height):
         """Perspective tilt: two corners of the source move inward by the
         displacement. The source quad stays inside the image: no fill."""
-        d = dict(drawn)
-        shift = d["displacement"]
+        shift = drawn["displacement"]
         if not 0 <= shift < min(width, height) / 2:
             raise OpError(
                 f"skew displacement {shift} out of range [0, {min(width, height) / 2}) "
                 f"for {width}x{height}",
                 op_kind=self.kind,
             )
-        src = _skew_quad(d.get("kind", self.skew_kind), width, height, shift)
+        src = _skew_quad(drawn.get("kind", self.skew_kind), width, height, shift)
         return solve_homography(src, Quad.from_rect(width, height))
 
 
-@dataclass(frozen=True)
 class Elastic(OpSpec):
     """Grid-based elastic distortion; grid size sets the granularity and
     magnitude bounds the node displacement per axis.
@@ -384,7 +397,6 @@ class Elastic(OpSpec):
     grid_height: int = field(default=1, metadata={"range": "[1, inf)"})
     # uniform_int(-m, m) needs 2m + 1 <= 2**64 values.
     magnitude: int = field(default=0, metadata={"range": f"[0, {1 << 63})"})
-    kind: ClassVar[str] = "elastic"
 
     @cached_property
     def _node_names(self) -> tuple[tuple[str, str], ...]:
@@ -412,12 +424,11 @@ class Elastic(OpSpec):
         # drawn holds dx, dy per interior node in self._node_names order.
         gw, gh = self.grid_width, self.grid_height
         nodes = np.zeros((gh + 1, gw + 1, 2), dtype=np.float64)
-        offsets = np.array([v for _, v in drawn], dtype=np.float64)
+        offsets = np.array(list(drawn.values()), dtype=np.float64)
         nodes[1:gh, 1:gw] = np.reshape(offsets, (gh - 1, gw - 1, 2))
         return DisplacementGrid(nodes)
 
 
-@dataclass(frozen=True)
 class Zoom(OpSpec):
     """Zoom in by a factor from [min_factor, max_factor].
 
@@ -426,7 +437,6 @@ class Zoom(OpSpec):
 
     min_factor: float = field(default=1.0, metadata={"range": "[1, inf)"})
     max_factor: float = 1.0
-    kind: ClassVar[str] = "zoom"
 
     def __post_init__(self):
         super().__post_init__()
@@ -440,7 +450,7 @@ class Zoom(OpSpec):
 
     def apply(self, img, drawn):
         """Enlarge by the factor, then centre-crop back to the input size."""
-        factor = dict(drawn)["factor"]
+        factor = drawn["factor"]
         if factor < 1:
             raise OpError(f"zoom-out would require padding (factor {factor} < 1)", op_kind=self.kind)
         w, h = img.width, img.height
@@ -449,7 +459,6 @@ class Zoom(OpSpec):
         return resize(img, nw, nh, window=CropRect((nw - w) // 2, (nh - h) // 2, w, h))
 
 
-@dataclass(frozen=True)
 class CropRandom(OpSpec):
     """Randomly positioned crop keeping area_fraction of the image area.
 
@@ -461,7 +470,6 @@ class CropRandom(OpSpec):
 
     area_fraction: float = field(default=1.0, metadata={"range": "(0, 1]"})
     resize_back: bool = False
-    kind: ClassVar[str] = "crop_random"
 
     def _extent(self, width: int, height: int) -> tuple[int, int]:
         side = math.sqrt(self.area_fraction)
@@ -472,12 +480,10 @@ class CropRandom(OpSpec):
         return [("x", rng.uniform_int(0, width - cw)), ("y", rng.uniform_int(0, height - ch))]
 
     def apply(self, img, drawn):
-        d = dict(drawn)
         cw, ch = self._extent(img.width, img.height)
-        return _crop(img, CropRect(d["x"], d["y"], cw, ch), resize_back=self.resize_back)
+        return _crop(img, CropRect(drawn["x"], drawn["y"], cw, ch), resize_back=self.resize_back)
 
 
-@dataclass(frozen=True)
 class CropCentre(OpSpec):
     """Fixed-size crop from the image center.
 
@@ -486,7 +492,6 @@ class CropCentre(OpSpec):
 
     width: int = field(default=1, metadata={"range": "[1, inf)"})
     height: int = field(default=1, metadata={"range": "[1, inf)"})
-    kind: ClassVar[str] = "crop_centre"
 
     def apply(self, img, drawn):
         if self.width > img.width or self.height > img.height:
@@ -500,7 +505,6 @@ class CropCentre(OpSpec):
         return _crop(img, CropRect(ox, oy, self.width, self.height))
 
 
-@dataclass(frozen=True)
 class Resize(OpSpec):
     """Resize to fixed dimensions.
 
@@ -509,7 +513,6 @@ class Resize(OpSpec):
 
     width: int = field(default=1, metadata={"range": "[1, inf)"})
     height: int = field(default=1, metadata={"range": "[1, inf)"})
-    kind: ClassVar[str] = "resize"
 
     def __post_init__(self):
         super().__post_init__()
@@ -524,7 +527,6 @@ class Resize(OpSpec):
         return resize(img, self.width, self.height)
 
 
-@dataclass(frozen=True)
 class Scale(OpSpec):
     """Uniformly scale both dimensions by a fixed factor.
 
@@ -532,7 +534,6 @@ class Scale(OpSpec):
     """
 
     factor: float = field(default=1.0, metadata={"range": "(0, inf)"})
-    kind: ClassVar[str] = "scale"
 
     def __post_init__(self):
         super().__post_init__()
@@ -551,14 +552,11 @@ class Scale(OpSpec):
         return resize(img, nw, nh)
 
 
-@dataclass(frozen=True)
 class Greyscale(OpSpec):
     """Luma conversion (BT.601 weights); alpha is dropped. Identity on Gray8.
 
     Draws: nothing.
     """
-
-    kind: ClassVar[str] = "greyscale"
 
     def apply(self, img, drawn):
         if img.channels == 1:
@@ -568,14 +566,11 @@ class Greyscale(OpSpec):
         return Image._wrap(y[..., None])
 
 
-@dataclass(frozen=True)
 class Invert(OpSpec):
     """Negate every colour channel (v -> 255 - v); alpha untouched.
 
     Draws: nothing.
     """
-
-    kind: ClassVar[str] = "invert"
 
     def apply(self, img, drawn):
         arr = img.pixels.copy()
@@ -584,7 +579,6 @@ class Invert(OpSpec):
         return Image._wrap(arr)
 
 
-@dataclass(frozen=True)
 class Equalize(OpSpec):
     """Histogram equalisation, independently per colour channel.
 
@@ -594,8 +588,6 @@ class Equalize(OpSpec):
 
     Draws: nothing.
     """
-
-    kind: ClassVar[str] = "equalize"
 
     def apply(self, img, drawn):
         arr = img.pixels.copy()

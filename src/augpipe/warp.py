@@ -54,7 +54,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DisplacementGrid:
     """Node offsets of a gw x gh cell lattice over a host image.
 

@@ -13,7 +13,11 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from augpipe import (
+    CollectingSink,
+    DatasetEntry,
+    DatasetIndex,
     DirectorySink,
+    Greyscale,
     Invert,
     Pipeline,
     canonical_text,
@@ -28,6 +32,7 @@ from augpipe import cli
 from augpipe import pipeline as pipeline_mod
 from augpipe.cli import main
 from conftest import DIGITS_RECIPE, random_image, tree_bytes, write_config
+from test_dataio import _png
 from test_pipeline import OP_SPECS
 
 REPO = Path(__file__).resolve().parents[1]
@@ -286,6 +291,15 @@ class TestExitCodes:
         (root / "a.pgm").write_bytes(b"P5\n0 4\n255\n")
         assert main(["run", "--config", str(recipe), "--input", str(root),
                      "--output", str(tmp_path / "o"), "--count", "1"]) == 2
+
+    @pytest.mark.parametrize("colour_type", [1, 5, 7])
+    def test_unknown_png_colour_type_is_2(self, tmp_path, recipe, capsys, colour_type):
+        root = tmp_path / "odd"
+        root.mkdir()
+        (root / "a.png").write_bytes(_png(1, 1, 8, colour_type, 0, bytes([0, 7])))
+        assert main(["run", "--config", str(recipe), "--input", str(root),
+                     "--output", str(tmp_path / "o"), "--count", "1"]) == 2
+        assert f"unsupported PNG colour type {colour_type}" in capsys.readouterr().err
 
     def test_rgba_to_ppm_write_failure_is_2_and_names_sample(self, tmp_path, np_rng,
                                                              recipe, capsys):
@@ -568,6 +582,28 @@ class TestSheet:
                 assert load_image(out).channels == 3
                 return
         pytest.fail("no seed produced a montage")
+
+    def test_grey_tiles_beside_rgba_ones_become_opaque_rgba(self, tmp_path, np_rng):
+        # greyscale at p=0.5 on an RGBA source: at seed 1 some of the four
+        # variants are grey and some keep their alpha, so the sheet is RGBA
+        # and each grey tile is repeated into RGB with alpha 255.
+        doc = {"version": 1, "operations": [{"op": "greyscale", "probability": 0.5}]}
+        cfg = write_config(tmp_path / "grey.json", doc)
+        original = random_image(np_rng, 6, 5, 4)
+        save_image(original, tmp_path / "rgba.png")
+        dataset = DatasetIndex(root=tmp_path, entries=(DatasetEntry("rgba.png"),))
+        records = sample(parse_config(json.dumps(doc)).with_seed(1), dataset, 4, CollectingSink())
+        greyed = [record.ops[0].applied for record in records]
+        assert set(greyed) == {True, False}
+        out = tmp_path / "sheet.png"
+        assert main(["sheet", "--config", str(cfg), "--input", str(tmp_path / "rgba.png"),
+                     "--output", str(out), "--rows", "1", "--cols", "4", "--seed", "1"]) == 0
+        sheet = load_image(out).pixels
+        luma = Greyscale(probability=1).apply_batch([original], [[]])[0].pixels
+        promoted = np.concatenate([luma, luma, luma, np.full_like(luma, 255)], axis=2)
+        for i, grey in enumerate(greyed):
+            x = i * (6 + cli._SEPARATOR)
+            assert np.array_equal(sheet[:, x:x + 6], promoted if grey else original.pixels), i
 
     @pytest.mark.parametrize("include_original", [False, True])
     def test_sheet_over_the_pixel_budget_is_refused_before_sampling(

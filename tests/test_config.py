@@ -86,6 +86,11 @@ class TestErrors:
             parse_config('{"version": 1,\n  "operations": [}')
         assert "line 2" in str(info.value)
 
+    @pytest.mark.parametrize("text", ["[]", "3", '"config"', "null"])
+    def test_root_that_is_not_an_object(self, text):
+        with pytest.raises(ConfigError, match="config root must be a JSON object"):
+            parse_config(text)
+
     def test_probability_out_of_range_names_field(self):
         doc = {"version": 1, "operations": [
             {"op": "rotate", "probability": 1.5,

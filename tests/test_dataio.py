@@ -92,6 +92,13 @@ class TestPngDecodeSurface:
         with pytest.raises(UnsupportedImageError):
             load_image(path)
 
+    @pytest.mark.parametrize("colour_type", [1, 5, 7])
+    def test_unknown_colour_type_rejected(self, tmp_path, colour_type):
+        path = tmp_path / "odd.png"
+        path.write_bytes(_png(1, 1, 8, colour_type, 0, bytes([0, 7])))
+        with pytest.raises(UnsupportedImageError, match=f"unsupported PNG colour type {colour_type}"):
+            load_image(path)
+
     def test_palette_expands_to_rgb(self, tmp_path):
         palette = bytes([255, 0, 0, 0, 255, 0, 0, 0, 255])  # red, green, blue
         raw = bytes([0, 0, 1, 2])  # one row: indices 0, 1, 2
@@ -305,6 +312,11 @@ class TestPnm:
         img = random_image(np_rng, 2, 2, 4)
         with pytest.raises(UnsupportedImageError):
             save_image(img, tmp_path / "x.ppm", "ppm")
+
+    def test_unknown_output_format_rejected(self, tmp_path, np_rng):
+        with pytest.raises(ValueError, match="image_format must be 'png' or 'ppm', got 'jpg'"):
+            save_image(random_image(np_rng, 2, 2), tmp_path / "x.jpg", "jpg")
+        assert list(tmp_path.iterdir()) == []
 
     def test_wrong_maxval_rejected(self, tmp_path):
         path = tmp_path / "deep.pgm"

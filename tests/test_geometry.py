@@ -241,6 +241,13 @@ class TestShearCrop:
 
 
 class TestHomography:
+    def test_equal_matrices_compare_by_identity(self):
+        # An array field has no truth value, so a homography is equal only
+        # to itself, and hashes by identity.
+        a, b = Homography(np.eye(3)), Homography(np.eye(3))
+        assert a != b and a == a
+        assert len({a, b, a}) == 2
+
     def test_identity(self):
         q = Quad(((0, 0), (1, 0), (1, 1), (0, 1)))
         hom = solve_homography(q, q)

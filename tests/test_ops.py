@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import gc
 import importlib
 import inspect
 import math
@@ -511,6 +512,56 @@ def test_each_op_is_declared_by_one_class():
     functions = [name for name, value in vars(ops).items() if inspect.isfunction(value)
                  and value.__module__ == ops.__name__ and not name.startswith("_")]
     assert functions == ["apply_op"]
+
+
+# The kinds that configs, traces and golden digests name.
+KINDS = """
+    crop_centre crop_random elastic equalize flip greyscale invert resize rotate
+    rotate_cardinal scale shear skew zoom
+""".split()
+
+
+def test_each_kind_is_its_class_name_in_snake_case():
+    for spec_cls in OpSpec.__subclasses__():
+        assert spec_cls.kind == re.sub(r"(?<!^)(?=[A-Z])", "_", spec_cls.__name__).lower()
+    assert sorted(spec_cls.kind for spec_cls in OpSpec.__subclasses__()) == KINDS
+
+
+def test_each_op_is_a_frozen_dataclass():
+    for spec_cls in OpSpec.__subclasses__():
+        assert spec_cls.__dataclass_params__.frozen, spec_cls.kind
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ROTATE.max_left = 1.0
+
+
+def _refused_op(source: str) -> str:
+    """The TypeError message of a class definition that must fail. The
+    class is collected before this returns, so OpSpec.__subclasses__(),
+    which parse_config and other tests read, is as it was."""
+    namespace = {"OpSpec": OpSpec, "dataclass": dataclasses.dataclass}
+    try:
+        exec(source, namespace)
+    except TypeError as exc:
+        message = str(exc)
+    else:
+        pytest.fail("the class definition was accepted")
+    namespace.clear()
+    gc.collect()
+    assert "Refused" not in [spec_cls.__name__ for spec_cls in OpSpec.__subclasses__()]
+    return message
+
+
+def test_an_op_that_sets_its_kind_is_refused():
+    # The kind would otherwise be silently replaced by the derived one.
+    message = _refused_op('class Refused(OpSpec):\n    kind = "mine"\n')
+    assert "Refused" in message and "kind" in message
+
+
+def test_an_op_decorated_again_is_refused():
+    # OpSpec already made it a frozen dataclass; dataclasses refuses to
+    # overwrite the __setattr__ that made.
+    message = _refused_op("@dataclass(frozen=True)\nclass Refused(OpSpec):\n    pass\n")
+    assert "Refused" in message
 
 
 # The names the package exported while __init__.py listed them one by one,

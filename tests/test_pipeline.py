@@ -222,6 +222,11 @@ class TestSample:
         # overwrite allows the rerun
         pipeline_mod.sample(p, ds, 3, DirectorySink(out, overwrite=True))
 
+    def test_unknown_output_format_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="image_format must be 'png' or 'ppm', got 'jpg'"):
+            DirectorySink(tmp_path / "out", image_format="jpg")
+        assert not (tmp_path / "out").exists()
+
 
 class TestSourceCache:
     def _sample_one(self, root):

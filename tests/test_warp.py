@@ -149,6 +149,13 @@ class TestWarpMesh:
         with pytest.raises(AttributeError):
             grid.gw = 3
 
+    def test_equal_nodes_compare_by_identity(self):
+        # An array field has no truth value, so a grid is equal only to
+        # itself, and hashes by identity.
+        a, b = DisplacementGrid(np.zeros((3, 3, 2))), DisplacementGrid(np.zeros((3, 3, 2)))
+        assert a != b and a == a
+        assert len({a, b, a}) == 2
+
     def test_shape_mismatch_rejected(self):
         # No row of cells; no column of cells; no (dx, dy) axis; 3 values
         # per node.
