@@ -13,6 +13,7 @@ config's seed, then 0.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 import time
 from pathlib import Path
@@ -239,7 +240,9 @@ def main(argv=None) -> int:
         print(f"augpipe: i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (AugpipeError, MemoryError) as exc:
-        print(f"augpipe: runtime error: {exc}", file=sys.stderr)
+        # A failing sample's draws, as its trace line would give them.
+        drawn = f"; drawn {json.dumps(exc.drawn)}" if getattr(exc, "drawn", None) else ""
+        print(f"augpipe: runtime error: {exc}{drawn}", file=sys.stderr)
         return EXIT_RUNTIME
 
 

@@ -38,15 +38,16 @@ class GeometryError(AugpipeError):
 class OpError(AugpipeError):
     """An augmentation kernel failed at apply time.
 
-    Carries the drawn parameter values and, once a pipeline run has
-    annotated it, the index of the failing operation.
+    Carries the dict of values the op drew (``drawn``) when a single
+    image failed, and, once a pipeline run has annotated it, the index of
+    the failing operation.
     """
 
     def __init__(
         self,
         message: str,
         op_kind: str | None = None,
-        drawn: tuple | None = None,
+        drawn: dict | None = None,
         op_index: int | None = None,
     ):
         super().__init__(message)

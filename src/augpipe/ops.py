@@ -28,11 +28,12 @@ order drawn, each with the range it is drawn from (``real(lo, hi)`` is
 values); W and H are the image's size.
 
 A ``draw`` is plain code against one sample's RngStream and may branch
-on a value it drew; it returns (name, value) pairs in draw order, which
-the trace records. A kernel reads them by name from a dict
-(``drawn["angle"]``). ``apply_op`` takes a list of same-shape images,
-each with its own stream, a single image being a list of one: it draws
-for each image in turn, then applies the op to all of them.
+on a value it drew; it returns one dict of its values by name, in draw
+order. That dict is what the kernel reads (``drawn["angle"]``), what
+the trace records as the op's ``params``, and what a failing sample's
+OpError carries. ``apply_op`` takes a list of same-shape images, each
+with its own stream, a single image being a list of one: it draws for
+each image in turn, then applies the op to all of them.
 
 The warp ops (rotate, shear, skew, elastic) define only ``transform``,
 which gives their destination-to-source map: a Homography for rotate,
@@ -124,16 +125,13 @@ def _crop(img: Image, region: CropRect, resize_back: bool = False) -> Image:
 class OpApplication:
     """Audit record of one operation within one sample.
 
-    drawn_params preserves draw order and is empty when the op was
-    skipped by its probability gate.
+    drawn_params is the op's draw, in draw order, and is empty when the
+    op was skipped by its probability gate.
     """
 
     op_kind: str
     applied: bool
-    drawn_params: tuple[tuple[str, Any], ...] = ()
-
-    def params_dict(self) -> dict[str, Any]:
-        return dict(self.drawn_params)
+    drawn_params: dict[str, Any] = field(default_factory=dict)
 
 
 # Field annotation -> (accepted value types, phrase for the error).
@@ -201,10 +199,10 @@ class OpSpec:
                 choices = "/".join(f.metadata["choices"])
                 raise ConfigError(f"{key} must be one of {choices}, got {_shown(value)}", field=key)
 
-    def draw(self, rng: RngStream, width: int, height: int) -> list[tuple[str, Any]]:
+    def draw(self, rng: RngStream, width: int, height: int) -> dict[str, Any]:
         """Draw this op's random parameters from one sample's stream, in
         the order of its class docstring's Draws: line."""
-        return []
+        return {}
 
     def transform(self, drawn: dict[str, Any], width: int, height: int):
         """A warp op's destination-to-source map for a width x height image
@@ -221,13 +219,11 @@ class OpSpec:
         by name."""
         raise NotImplementedError
 
-    def apply_batch(self, imgs: list[Image], drawn: list[list[tuple[str, Any]]]) -> list[Image]:
+    def apply_batch(self, imgs: list[Image], drawn: list[dict[str, Any]]) -> list[Image]:
         """The op on each of some same-shape images, each with its own
-        draws: the transforms warped together by warp_batch, or apply
-        image by image. Each image's (name, value) pairs reach the kernel
-        as one dict, in draw order."""
+        draws by name: the transforms warped together by warp_batch, or
+        apply image by image."""
         w, h = imgs[0].width, imgs[0].height
-        drawn = [dict(values) for values in drawn]
         maps = [self.transform(values, w, h) for values in drawn]
         if maps[0] is None:
             return [self.apply(img, values) for img, values in zip(imgs, drawn)]
@@ -245,7 +241,7 @@ class Rotate(OpSpec):
     max_right: float = field(default=0.0, metadata={"key": "max_right_rotation", "range": "[0, 45]"})
 
     def draw(self, rng, width, height):
-        return [("angle", rng.uniform_real(-self.max_left, self.max_right))]
+        return {"angle": rng.uniform_real(-self.max_left, self.max_right)}
 
     def transform(self, drawn, width, height):
         """Rotate about the centre onto the expanded bounding box, crop to
@@ -274,8 +270,8 @@ class RotateCardinal(OpSpec):
 
     def draw(self, rng, width, height):
         if self.which == "random":
-            return [("degrees", rng.choice((90, 180, 270)))]
-        return []
+            return {"degrees": rng.choice((90, 180, 270))}
+        return {}
 
     def apply(self, img, drawn):
         """Lossless quarter turn, clockwise; 90 and 270 swap dimensions."""
@@ -302,8 +298,8 @@ class Flip(OpSpec):
 
     def draw(self, rng, width, height):
         if self.axis == "random":
-            return [("axis", rng.choice(("horizontal", "vertical")))]
-        return []
+            return {"axis": rng.choice(("horizontal", "vertical"))}
+        return {}
 
     def apply(self, img, drawn):
         """Exact mirror: horizontal swaps left-right, vertical top-bottom."""
@@ -323,10 +319,10 @@ class Shear(OpSpec):
     axis: str = field(default="random", metadata={"choices": ("x", "y", "random")})
 
     def draw(self, rng, width, height):
-        drawn = []
+        drawn = {}
         if self.axis == "random":
-            drawn.append(("axis", rng.choice(("x", "y"))))
-        drawn.append(("angle", rng.uniform_real(-self.max_angle, self.max_angle)))
+            drawn["axis"] = rng.choice(("x", "y"))
+        drawn["angle"] = rng.uniform_real(-self.max_angle, self.max_angle)
         return drawn
 
     def transform(self, drawn, width, height):
@@ -363,11 +359,11 @@ class Skew(OpSpec):
         "key": "kind", "choices": ("forward", "backward", "left", "right", "random")})
 
     def draw(self, rng, width, height):
-        drawn = []
+        drawn = {}
         if self.skew_kind == "random":
-            drawn.append(("kind", rng.choice(("forward", "backward", "left", "right"))))
+            drawn["kind"] = rng.choice(("forward", "backward", "left", "right"))
         d_max = int(math.floor(self.severity * min(width, height) / 2 + _SNAP))
-        drawn.append(("displacement", rng.uniform_int(0, d_max)))
+        drawn["displacement"] = rng.uniform_int(0, d_max)
         return drawn
 
     def transform(self, drawn, width, height):
@@ -399,12 +395,13 @@ class Elastic(OpSpec):
     magnitude: int = field(default=0, metadata={"range": f"[0, {1 << 63})"})
 
     @cached_property
-    def _node_names(self) -> tuple[tuple[str, str], ...]:
-        """The dx and dy draw names of each interior node, row-major; boundary
-        nodes stay pinned. Made once per spec: every sample's trace record
-        shares them until the trace is written."""
+    def _draw_names(self) -> tuple[str, ...]:
+        """The draw names: dx then dy of each interior node, row-major;
+        boundary nodes stay pinned. Made once per spec: every sample's
+        trace record shares them until the trace is written."""
         gw, gh = self.grid_width, self.grid_height
-        return tuple((f"dx_{a}_{b}", f"dy_{a}_{b}") for b in range(1, gh) for a in range(1, gw))
+        return tuple(f"d{axis}_{a}_{b}" for b in range(1, gh) for a in range(1, gw)
+                     for axis in "xy")
 
     def draw(self, rng, width, height):
         if self.grid_width * self.grid_height > width * height:
@@ -413,15 +410,11 @@ class Elastic(OpSpec):
                 f"cells than the {width}x{height} image has pixels",
                 op_kind=self.kind,
             )
-        drawn = []
         m = self.magnitude
-        for dx, dy in self._node_names:
-            drawn.append((dx, rng.uniform_int(-m, m)))
-            drawn.append((dy, rng.uniform_int(-m, m)))
-        return drawn
+        return {name: rng.uniform_int(-m, m) for name in self._draw_names}
 
     def transform(self, drawn, width, height):
-        # drawn holds dx, dy per interior node in self._node_names order.
+        # drawn holds dx, dy per interior node in self._draw_names order.
         gw, gh = self.grid_width, self.grid_height
         nodes = np.zeros((gh + 1, gw + 1, 2), dtype=np.float64)
         offsets = np.array(list(drawn.values()), dtype=np.float64)
@@ -446,7 +439,7 @@ class Zoom(OpSpec):
             )
 
     def draw(self, rng, width, height):
-        return [("factor", rng.uniform_real(self.min_factor, self.max_factor))]
+        return {"factor": rng.uniform_real(self.min_factor, self.max_factor)}
 
     def apply(self, img, drawn):
         """Enlarge by the factor, then centre-crop back to the input size."""
@@ -477,7 +470,7 @@ class CropRandom(OpSpec):
 
     def draw(self, rng, width, height):
         cw, ch = self._extent(width, height)
-        return [("x", rng.uniform_int(0, width - cw)), ("y", rng.uniform_int(0, height - ch))]
+        return {"x": rng.uniform_int(0, width - cw), "y": rng.uniform_int(0, height - ch)}
 
     def apply(self, img, drawn):
         cw, ch = self._extent(img.width, img.height)
@@ -609,25 +602,26 @@ def apply_op(
 ) -> tuple[list[Image], list[OpApplication]]:
     """Apply spec to same-shape images, image k drawing from rngs[k]:
     the draws image by image, then one apply_batch on them all. Returns
-    the outputs and a record of each image's draws; image k's output and
-    draws do not depend on the other images.
+    the outputs and a record of each image's draws, the very dict its
+    draw returned; image k's output and draws do not depend on the other
+    images.
 
     Probability gating happens in the pipeline; apply_op always applies.
     A kernel's OpError, GeometryError or ValueError surfaces as an
-    OpError; for a single image it carries the drawn values, so the
-    failing sample can be reproduced exactly.
+    OpError; for a single image it carries that dict, so the failing
+    sample can be reproduced exactly.
     """
     w, h = imgs[0].width, imgs[0].height
     drawn = [spec.draw(rng, w, h) for rng in rngs]
     # A group's error does not say which image failed, so it carries no draws.
-    failed_draws = tuple(drawn[0]) if len(drawn) == 1 else None
+    failed_draws = drawn[0] if len(drawn) == 1 else None
     try:
         out = spec.apply_batch(imgs, drawn)
     except OpError as exc:
         raise OpError(str(exc), op_kind=spec.kind, drawn=failed_draws) from exc
     except (GeometryError, ValueError) as exc:
         raise OpError(f"{spec.kind}: {exc}", op_kind=spec.kind, drawn=failed_draws) from exc
-    return out, [OpApplication(spec.kind, True, tuple(values)) for values in drawn]
+    return out, [OpApplication(spec.kind, True, values) for values in drawn]
 
 
 # Every op class is exported, found as parse_config finds it.

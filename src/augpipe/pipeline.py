@@ -98,7 +98,7 @@ class TraceRecord:
             "sample": self.sample_index,
             "source": self.source,
             "ops": [
-                {"op": app.op_kind, "applied": app.applied, "params": app.params_dict()}
+                {"op": app.op_kind, "applied": app.applied, "params": app.drawn_params}
                 for app in self.ops
             ],
             "output": self.output,
@@ -200,13 +200,12 @@ def _apply_ops(
     """
     applications: list[list[OpApplication]] = [[] for _ in images]
     for index, spec in enumerate(pipeline.ops):
-        skipped = OpApplication(spec.kind, False)
         groups: dict[tuple, list[int]] = {}
         for k, rng in enumerate(rngs):
             if rng.unit_real() < spec.probability:
                 groups.setdefault(images[k].pixels.shape, []).append(k)
             else:
-                applications[k].append(skipped)
+                applications[k].append(OpApplication(spec.kind, False))
         for members in groups.values():
             try:
                 outs, applied = apply_op(spec, [images[k] for k in members],
@@ -318,17 +317,19 @@ def _run(pipeline, dataset, per_class, count, sink, jobs) -> list[TraceRecord]:
     """Generate samples 0..count-1 of the dataset, or of each class with its
     own seed when per_class; count None passes every image through once.
 
-    Records come in class order, then index order. The workers are jobs,
-    capped at the usable CPUs and then at the chunks, which are cut from
-    the workers. With more than one, the chunks of every class go through
-    one fork pool, which is shut down, its queued chunks cancelled, before
-    this returns or raises.
+    Records come in class order, then index order. jobs below 1 is a
+    ValueError. The workers are jobs, capped at the usable CPUs and then
+    at the chunks, which are cut from the workers. With more than one,
+    the chunks of every class go through one fork pool, which is shut
+    down, its queued chunks cancelled, before this returns or raises.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     if per_class:
         runs = [(pipeline.for_class(label), part) for label, part in split_by_class(dataset)]
     else:
         runs = [(pipeline, dataset)]
-    workers = max(1, min(jobs, _usable_cpus()))
+    workers = min(jobs, _usable_cpus())
     chunks = []
     ranks = []  # each chunk's place within its run
     for run_pipeline, run_dataset in runs:

@@ -124,7 +124,7 @@ def apply_one(spec, img: Image, rng):
 def run_op(spec, img: Image, **drawn) -> Image:
     """spec on one image with fixed draws, named as its draw names them,
     through apply_batch as the pipeline runs it."""
-    return spec.apply_batch([img], [list(drawn.items())])[0]
+    return spec.apply_batch([img], [drawn])[0]
 
 
 def sample(img: Image, x: float, y: float) -> tuple[float, ...]:

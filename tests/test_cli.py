@@ -369,6 +369,21 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             "augpipe: runtime error: sample 0 (source 0/im0.png): op 0 (invert): invert: boom\n")
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_op_error_ends_with_the_drawn_values(self, tmp_path, capsys, jobs):
+        # At severity 1 skew draws half a 28x28 image's side, which its
+        # kernel refuses (README), for sample 0 at seed 1.
+        save_image(random_image(np.random.default_rng(0), 28, 28), tmp_path / "in" / "d.png")
+        cfg = write_config(tmp_path / "skew.json", {"version": 1, "operations": [
+            {"op": "skew", "probability": 1, "severity": 1, "kind": "forward"}]})
+        code = main(["run", "--config", str(cfg), "--input", str(tmp_path / "in"),
+                     "--output", str(tmp_path / "o"), "--count", "4", "--seed", "1",
+                     "--jobs", jobs])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "augpipe: runtime error: sample 0 (source d.png): op 0 (skew): skew displacement 14 "
+            'out of range [0, 14.0) for 28x28; drawn {"displacement": 14}\n')
+
     @pytest.mark.parametrize("entry", [
         '{"op": "zoom", "probability": 1, "min_factor": 1, "max_factor": Infinity}',
         '{"op": "scale", "probability": 1, "factor": Infinity}',
@@ -599,7 +614,7 @@ class TestSheet:
         assert main(["sheet", "--config", str(cfg), "--input", str(tmp_path / "rgba.png"),
                      "--output", str(out), "--rows", "1", "--cols", "4", "--seed", "1"]) == 0
         sheet = load_image(out).pixels
-        luma = Greyscale(probability=1).apply_batch([original], [[]])[0].pixels
+        luma = Greyscale(probability=1).apply_batch([original], [{}])[0].pixels
         promoted = np.concatenate([luma, luma, luma, np.full_like(luma, 255)], axis=2)
         for i, grey in enumerate(greyed):
             x = i * (6 + cli._SEPARATOR)

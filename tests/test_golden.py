@@ -57,6 +57,7 @@ from augpipe import (
     Zoom,
     canonical_text,
     derive_sample_rng,
+    load_image,
     parse_config,
     process,
     sample,
@@ -391,6 +392,21 @@ def test_mixed_sample_digest(tmp_path):
 
 def test_mixed_process_digest(tmp_path):
     assert mixed_process_digest(tmp_path) == DIGESTS["mixed_process"]
+
+
+def test_sample_replays_from_its_trace_line(tmp_path):
+    # A trace line alone regenerates its sample: each applied op's params,
+    # in order, through apply_batch on the source.
+    sink = CollectingSink()
+    records = sample(ALL_OPS_PIPELINE, mixed_corpus(tmp_path), 100, sink, per_class=True)
+    for record, (_rel, collected) in zip(records, sink.images, strict=True):
+        line = json.loads(record.to_json())
+        img = load_image(tmp_path / line["source"])
+        for spec, op in zip(ALL_OPS_PIPELINE.ops, line["ops"], strict=True):
+            if op["applied"]:
+                img = spec.apply_batch([img], [op["params"]])[0]
+        assert img.pixels.shape == collected.pixels.shape
+        assert img.pixels.tobytes() == collected.pixels.tobytes()
 
 
 def test_flat_class_digest(tmp_path):

@@ -308,14 +308,14 @@ class TestCrops:
         out, app = apply_one(CropCentre(probability=1, width=28, height=28), img,
                             derive_sample_rng(0, 0))
         assert np.array_equal(out.pixels, img.pixels[2:30, 2:30])
-        assert app.drawn_params == ()
+        assert app.drawn_params == {}
 
     def test_crop_random_extent(self, np_rng):
         img = random_image(np_rng, 100, 100)
         spec = CropRandom(probability=1, area_fraction=0.25)
         out, app = apply_one(spec, img, derive_sample_rng(3, 1))
         assert (out.width, out.height) == (50, 50)
-        drawn = app.params_dict()
+        drawn = app.drawn_params
         assert 0 <= drawn["x"] <= 50 and 0 <= drawn["y"] <= 50
 
     def test_crop_random_of_one_pixel_width_is_op_error(self, np_rng):
@@ -392,8 +392,8 @@ class TestSpecsAndApply:
         out, app = apply_one(spec, img, derive_sample_rng(42, 0))
         assert (out.width, out.height) == (28, 28)
         assert len(app.drawn_params) == 18  # 9 interior nodes x (dx, dy)
-        assert all(isinstance(v, int) and -5 <= v <= 5 for _, v in app.drawn_params)
-        names = [name for name, _ in app.drawn_params]
+        assert all(isinstance(v, int) and -5 <= v <= 5 for v in app.drawn_params.values())
+        names = list(app.drawn_params)
         assert names[:4] == ["dx_1_1", "dy_1_1", "dx_2_1", "dy_2_1"]
 
     def test_rotate_draw_range(self, np_rng):
@@ -401,7 +401,7 @@ class TestSpecsAndApply:
         spec = Rotate(probability=0.5, max_left=10, max_right=10)
         for i in range(50):
             _, app = apply_one(spec, img, derive_sample_rng(9, i))
-            angle = app.params_dict()["angle"]
+            angle = app.drawn_params["angle"]
             assert -10 <= angle <= 10
 
     def test_apply_op_deterministic(self, np_rng):
@@ -427,15 +427,14 @@ class TestSpecsAndApply:
         img = random_image(np_rng, 30, 30)
         spec = Shear(probability=1, max_angle=20, axis="random")
         _, app = apply_one(spec, img, derive_sample_rng(2, 2))
-        names = [name for name, _ in app.drawn_params]
-        assert names == ["axis", "angle"]
+        assert list(app.drawn_params) == ["axis", "angle"]
 
     def test_skew_draw_bounds(self, np_rng):
         img = random_image(np_rng, 28, 28)
         spec = Skew(probability=1, severity=0.9, skew_kind="random")
         for i in range(30):
             _, app = apply_one(spec, img, derive_sample_rng(5, i))
-            d = app.params_dict()["displacement"]
+            d = app.drawn_params["displacement"]
             assert 0 <= d <= 12  # floor(0.9 * 28 / 2)
 
     def test_skew_severity_one_boundary_draw_is_an_op_error(self, np_rng):
@@ -453,8 +452,7 @@ class TestSpecsAndApply:
                 hit = exc
                 break
         assert hit is not None
-        assert hit.drawn is not None
-        assert dict(hit.drawn)["displacement"] == 14
+        assert hit.drawn == {"displacement": 14}
 
     def test_failed_kernel_error_carries_draws(self, np_rng):
         img = random_image(np_rng, 10, 100)  # tall: x-shear overflows quickly
@@ -600,8 +598,8 @@ def test_draws_line_names_what_draw_records(spec_cls):
     if any(name.endswith("_a_b") for name in documented):
         documented = [f"{name[:-4]}_{a}_{b}" for b in range(1, spec.grid_height)
                       for a in range(1, spec.grid_width) for name in documented]
-    drawn = [name for name, _ in spec.draw(RngStream(5), 24, 24)]
-    assert drawn == documented
+    drawn = spec.draw(RngStream(5), 24, 24)
+    assert type(drawn) is dict and list(drawn) == documented
 
 
 def test_package_exports_the_union_of_its_modules_all():
@@ -638,6 +636,20 @@ def _removed_names() -> list[str]:
         else:
             break
     return [name for bullet in bullets for name in re.findall(r"`([\w.]+)`", bullet.split(":")[0])]
+
+
+def test_readme_apply_batch_examples_run():
+    # README's Library use shows how to run an op with values of one's own
+    # choosing; its code block runs as written on a small image.
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```python\n(.*?)```", text, re.S)
+    [block] = [block for block in blocks if ".apply_batch(" in block]
+    assert block.count(".apply_batch(") == 2
+    img = filled(24, 16, 3, 90)
+    namespace = {"img": img}
+    exec(block, namespace)
+    for name in ("rotated", "tilted"):
+        assert namespace[name].pixels.shape == img.pixels.shape, name
 
 
 def test_removed_public_names_are_gone():

@@ -51,7 +51,7 @@ from augpipe import (
 from augpipe import pipeline as pipeline_mod
 from augpipe.pipeline import TraceRecord
 from augpipe.warp import _BAND_PIXELS
-from conftest import monitor_source_bounds, random_image, run_op, tree_bytes
+from conftest import monitor_source_bounds, random_image, tree_bytes
 
 
 def _small_dataset(root, np_rng, count=10, size=12):
@@ -68,7 +68,7 @@ class TestRunSample:
             out, apps = run_sample(p, img, derive_sample_rng(1, i))
             assert np.array_equal(out.pixels, img.pixels)
             assert apps[0].applied is False
-            assert apps[0].drawn_params == ()
+            assert apps[0].drawn_params == {}
 
     def test_probability_one_always_applies(self, np_rng):
         img = random_image(np_rng, 8, 8)
@@ -222,6 +222,14 @@ class TestSample:
         # overwrite allows the rerun
         pipeline_mod.sample(p, ds, 3, DirectorySink(out, overwrite=True))
 
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_rejected(self, tmp_path, np_rng, jobs):
+        ds = _small_dataset(tmp_path / "in", np_rng, count=2)
+        sink = CollectingSink()
+        with pytest.raises(ValueError, match=f"^jobs must be >= 1, got {jobs}$"):
+            pipeline_mod.sample(Pipeline(), ds, 5, sink, jobs=jobs)
+        assert sink.images == []
+
     def test_unknown_output_format_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="image_format must be 'png' or 'ppm', got 'jpg'"):
             DirectorySink(tmp_path / "out", image_format="jpg")
@@ -324,13 +332,21 @@ class TestSourceCache:
                   if module.__name__.split(".")[0] == "augpipe"
                   for name, value in vars(module).items() if hasattr(value, "cache_info")]
         assert cached == []
-        first = [name for name, _ in records[0].ops[0].drawn_params]
+        first = list(records[0].ops[0].drawn_params)
         assert len(first) == 4
         for record in records[1:]:
-            assert all(a is b for (a, _), b in zip(record.ops[0].drawn_params, first))
+            assert all(a is b for a, b in zip(record.ops[0].drawn_params, first))
 
 
 class TestProcess:
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_rejected(self, tmp_path, np_rng, jobs):
+        ds = _small_dataset(tmp_path / "in", np_rng, count=2)
+        sink = CollectingSink()
+        with pytest.raises(ValueError, match=f"^jobs must be >= 1, got {jobs}$"):
+            pipeline_mod.process(Pipeline(), ds, sink, jobs=jobs)
+        assert sink.images == []
+
     def test_each_image_exactly_once(self, tmp_path, np_rng):
         ds = _small_dataset(tmp_path / "in", np_rng, count=3)
         sink = CollectingSink()
@@ -548,11 +564,15 @@ class TestTrace:
         os.umask(umask)
         assert stat.S_IMODE(trace_path.stat().st_mode) == 0o666 & ~umask
 
-    def test_skipped_ops_record_no_params(self, np_rng):
+    def test_skipped_ops_record_no_params(self, tmp_path, np_rng):
         img = random_image(np_rng, 8, 8)
         p = Pipeline().add(Rotate(probability=0, max_left=10, max_right=10))
         _, apps = run_sample(p, img, derive_sample_rng(0, 0))
-        assert apps[0].applied is False and apps[0].drawn_params == ()
+        assert apps[0].applied is False and apps[0].drawn_params == {}
+        # Each skip records an empty dict of its own, as each draw does.
+        records = pipeline_mod.sample(p, _small_dataset(tmp_path, np_rng, count=2), 5,
+                                      CollectingSink())
+        assert len({id(record.ops[0].drawn_params) for record in records}) == 5
 
 
 PROBABILITY = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)
@@ -625,14 +645,14 @@ def _reference_sample(pipe, dataset, index, sink, choose_source):
             # Nothing was drawn that could reproduce the failure.
             raise OpError(f"{where}: {exc}", op_kind=exc.op_kind, op_index=op_index) from exc
         try:
-            img = run_op(spec, img, **dict(drawn))
+            img = spec.apply_batch([img], [drawn])[0]
         except OpError as exc:
-            raise OpError(f"{where}: {exc}", op_kind=spec.kind, drawn=tuple(drawn),
+            raise OpError(f"{where}: {exc}", op_kind=spec.kind, drawn=drawn,
                           op_index=op_index) from exc
         except (GeometryError, ValueError) as exc:
-            raise OpError(f"{where}: {spec.kind}: {exc}", op_kind=spec.kind, drawn=tuple(drawn),
+            raise OpError(f"{where}: {spec.kind}: {exc}", op_kind=spec.kind, drawn=drawn,
                           op_index=op_index) from exc
-        applications.append(OpApplication(spec.kind, True, tuple(drawn)))
+        applications.append(OpApplication(spec.kind, True, drawn))
     return TraceRecord(index, entry.rel_path, tuple(applications),
                        sink.write(entry.rel_path, index, img))
 
