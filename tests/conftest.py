@@ -131,7 +131,7 @@ def sample(img: Image, x: float, y: float) -> tuple[float, ...]:
     """Per-channel real values at one continuous coordinate, through the
     warps' bilinear sampler."""
     xs, ys = np.full((1, 1, 1), x, dtype=np.float64), np.full((1, 1, 1), y, dtype=np.float64)
-    return tuple(float(v) for v in warp._sample_bilinear(img.pixels[None], xs, ys)[0, 0, 0])
+    return tuple(float(v) for v in warp._sample_bilinear(img.pixels[None], xs, ys)[:, 0, 0, 0])
 
 
 @contextmanager

@@ -2,6 +2,7 @@
 clamp-to-edge addressing, mesh warps, and the instrumentation hook."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -320,6 +321,16 @@ def _reference_centers(width, height):
     return xs, ys
 
 
+def _reference_linear(img, m, out_w, out_h):
+    """The reference through the homography m (3x3), dividing by its
+    denominator, which is exactly 1 for an affine map."""
+    xs, ys = _reference_centers(out_w, out_h)
+    den = m[2, 0] * xs + m[2, 1] * ys + m[2, 2]
+    sx = (m[0, 0] * xs + m[0, 1] * ys + m[0, 2]) / den
+    sy = (m[1, 0] * xs + m[1, 1] * ys + m[1, 2]) / den
+    return _reference_bilinear(img, sx, sy)
+
+
 def _reference_mesh(img, grid):
     xs, ys = _reference_centers(img.width, img.height)
     tx, ty = xs * (grid.gw / img.width), ys * (grid.gh / img.height)
@@ -365,11 +376,22 @@ class TestBilinearMatchesReference:
            st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4), st.floats(-20.0, 20.0))
     def test_affine(self, img, out_w, out_h, linear, shift):
         m = np.array([[linear[0], linear[1], shift], [linear[2], linear[3], -shift]])
-        xs, ys = _reference_centers(out_w, out_h)
-        sx = m[0, 0] * xs + m[0, 1] * ys + m[0, 2]
-        sy = m[1, 0] * xs + m[1, 1] * ys + m[1, 2]
-        expected = _reference_bilinear(img, sx, sy)
+        expected = _reference_linear(img, np.vstack((m, (0.0, 0.0, 1.0))), out_w, out_h)
         assert np.array_equal(warp_affine(img, m, out_w, out_h).pixels, expected)
+
+    @pytest.mark.parametrize("channels", (1, 3, 4))
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1), _sizes, _sizes, _sizes, _sizes,
+           st.lists(st.floats(-0.5, 0.5), min_size=8, max_size=8))
+    def test_projective(self, channels, seed, width, height, out_w, out_h, terms):
+        # Perspective terms of at most 0.005 keep the denominator above
+        # 0.6 on a 40 x 40 output.
+        img = random_image(np.random.default_rng(seed), width, height, channels)
+        m = np.array([[1.0 + terms[0], terms[1], 10.0 * terms[2]],
+                      [terms[3], 1.0 + terms[4], 10.0 * terms[5]],
+                      [terms[6] / 100.0, terms[7] / 100.0, 1.0]])
+        expected = _reference_linear(img, m, out_w, out_h)
+        assert np.array_equal(warp_projective(img, Homography(m), out_w, out_h).pixels, expected)
 
     @settings(max_examples=60, deadline=None)
     @given(_image(), st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**32 - 1))
@@ -378,3 +400,76 @@ class TestBilinearMatchesReference:
         nodes[1:-1, 1:-1] = np.random.default_rng(seed).normal(0.0, 4.0, (gh - 1, gw - 1, 2))
         grid = DisplacementGrid(nodes)
         assert np.array_equal(warp_mesh(img, grid).pixels, _reference_mesh(img, grid))
+
+    @pytest.mark.parametrize("channels", (1, 3, 4))
+    def test_batch_across_groups_and_bands(self, np_rng, monkeypatch, channels):
+        # At 300 band pixels, seven 13x11 images (143 pixels) stack two to
+        # a group, and a group's 17x19 linear output is sampled in bands
+        # of 8, 8 and 3 rows. A mesh output has its source's size, so a
+        # group of them is one band.
+        monkeypatch.setattr(warp, "_BAND_PIXELS", 300)
+        imgs = [random_image(np_rng, 13, 11, channels) for _ in range(7)]
+        affines = [np.vstack((IDENTITY + np_rng.uniform(-0.3, 0.3, (2, 3)), (0.0, 0.0, 1.0)))
+                   for _ in imgs]
+        homs = [np.vstack((m[:2], (*np_rng.uniform(-0.01, 0.01, 2), 1.0))) for m in affines]
+        grids = []
+        for _ in imgs:
+            nodes = np.zeros((4, 5, 2))
+            nodes[1:-1, 1:-1] = np_rng.uniform(-3.0, 3.0, (2, 3, 2))
+            grids.append(DisplacementGrid(nodes))
+        linear = lambda img, hom: _reference_linear(img, hom.m, 17, 19)
+        cases = (([Homography(m) for m in affines], 17, 19, linear),
+                 ([Homography(m) for m in homs], 17, 19, linear),
+                 (grids, 13, 11, _reference_mesh))
+        for maps, out_w, out_h, reference in cases:
+            with monitor_source_bounds() as monitor:
+                batch = warp.warp_batch(imgs, maps, out_w, out_h)
+            assert monitor.warps == len(imgs)
+            for img, m, out in zip(imgs, maps, batch):
+                assert np.array_equal(out.pixels, reference(img, m))
+
+
+class TestChannelIndependence:
+    """Each channel of an RGB or RGBA result is the grey result of that
+    channel: channels never mix, whatever the map or the band."""
+
+    @pytest.mark.parametrize("channels", (3, 4))
+    def test_every_map_type_and_a_windowed_resize(self, np_rng, channels):
+        # Sources and outputs of about 150 x 150 span more than one band.
+        arr = np_rng.integers(0, 256, (130, 150, channels), dtype=np.uint8)
+        rotation = Homography(np.array([[0.98, -0.17, 20.0], [0.17, 0.98, -15.0], [0.0, 0.0, 1.0]]))
+        projective = Homography(np.array([[1.0, 0.1, -5.0], [0.05, 0.9, 3.0], [1e-3, -5e-4, 1.0]]))
+        nodes = np.zeros((5, 6, 2))
+        nodes[1:-1, 1:-1] = np_rng.uniform(-6.0, 6.0, (3, 4, 2))
+        grid = DisplacementGrid(nodes)
+        kernels = {
+            "affine": lambda img: warp_affine(img, rotation.m[:2], 160, 140),
+            "projective": lambda img: warp_projective(img, projective, 140, 160),
+            "mesh": lambda img: warp_mesh(img, grid),
+            "windowed resize": lambda img: resize(img, 310, 270, window=CropRect(40, 30, 150, 170)),
+        }
+        for name, kernel in kernels.items():
+            planes = [kernel(Image.from_array(arr[..., k])).pixels[..., 0] for k in range(channels)]
+            assert np.array_equal(kernel(Image.from_array(arr)).pixels, np.stack(planes, axis=-1)), name
+
+
+@pytest.mark.parametrize("kernel", ("affine", "mesh", "windowed resize"))
+def test_1024_rgb_warp_peaks_at_6_mb(kernel):
+    # About 3 MB of it is the output. A planar copy of the source would
+    # add another 3 MB, and a full-size float64 result 24 MB.
+    img = random_image(np.random.default_rng(5), 1024, 1024, 3)
+    nodes = np.zeros((9, 9, 2))
+    nodes[1:-1, 1:-1] = np.random.default_rng(6).normal(0.0, 5.0, (7, 7, 2))
+    grid = DisplacementGrid(nodes)
+    rotation = np.array([[0.98, -0.17, 100.0], [0.17, 0.98, -50.0]])
+    run = {"affine": lambda: warp_affine(img, rotation, 1024, 1024),
+           "mesh": lambda: warp_mesh(img, grid),
+           "windowed resize": lambda: resize(img, 1400, 1400, window=CropRect(188, 188, 1024, 1024)),
+           }[kernel]
+    tracemalloc.start()
+    try:
+        run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 2**20, f"{kernel}: {peak / 2**20:.2f} MB"
