@@ -38,9 +38,11 @@ class GeometryError(AugpipeError):
 class OpError(AugpipeError):
     """An augmentation kernel failed at apply time.
 
-    Carries the dict of values the op drew (``drawn``) when a single
-    image failed, and, once a pipeline run has annotated it, the index of
-    the failing operation.
+    ``OpSpec.apply_batch`` raises every kernel failure as one, with
+    ``op_kind`` the op's kind and ``drawn`` the dict of values the op
+    drew when a single image failed (None for a group). ``Elastic.draw``
+    refuses before drawing, so it sets only ``op_kind``. A pipeline run
+    sets ``op_index``, the index of the failing operation.
     """
 
     def __init__(

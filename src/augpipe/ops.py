@@ -90,12 +90,10 @@ def _scaled_size(img: Image, factor: float, kind: str) -> tuple[int, int]:
     finite or the image would exceed _MAX_PIXELS."""
     w, h = img.width * factor, img.height * factor
     if not (math.isfinite(w) and math.isfinite(h)):
-        raise OpError(f"{kind} factor {factor} gives a non-finite image size", op_kind=kind)
+        raise OpError(f"{kind} factor {factor} gives a non-finite image size")
     w, h = round_half_away(w), round_half_away(h)
     if w * h > _MAX_PIXELS:
-        raise OpError(
-            f"{kind} output {w}x{h} exceeds the limit of {_MAX_PIXELS} pixels", op_kind=kind
-        )
+        raise OpError(f"{kind} output {w}x{h} exceeds the limit of {_MAX_PIXELS} pixels")
     return w, h
 
 
@@ -103,14 +101,11 @@ def _crop(img: Image, region: CropRect, resize_back: bool = False) -> Image:
     """Exact sub-rectangle copy, optionally resized back to the input size."""
     x, y = region.x, region.y
     if x != int(x) or y != int(y):
-        raise OpError(f"pixel crops need integral offsets, got ({x}, {y})", op_kind="crop")
+        raise OpError(f"pixel crops need integral offsets, got ({x}, {y})")
     x, y = int(x), int(y)
     if x < 0 or y < 0 or x + region.w > img.width or y + region.h > img.height:
-        raise OpError(
-            f"crop region ({x}, {y}, {region.w}, {region.h}) exceeds "
-            f"{img.width}x{img.height} image",
-            op_kind="crop",
-        )
+        raise OpError(f"crop region ({x}, {y}, {region.w}, {region.h}) exceeds "
+                      f"{img.width}x{img.height} image")
     sub = Image._wrap(img.pixels[y : y + region.h, x : x + region.w])
     if resize_back and (region.w, region.h) != (img.width, img.height):
         return resize(sub, img.width, img.height)
@@ -222,12 +217,23 @@ class OpSpec:
     def apply_batch(self, imgs: list[Image], drawn: list[dict[str, Any]]) -> list[Image]:
         """The op on each of some same-shape images, each with its own
         draws by name: the transforms warped together by warp_batch, or
-        apply image by image."""
+        apply image by image.
+
+        The one place where a kernel's failure becomes this op's: an
+        OpError, GeometryError or ValueError from transform, apply or
+        warp_batch is raised as an OpError of this kind, carrying the
+        draws of a single image, so that sample can be reproduced exactly.
+        Anything else, MemoryError too, passes unchanged."""
         w, h = imgs[0].width, imgs[0].height
-        maps = [self.transform(values, w, h) for values in drawn]
-        if maps[0] is None:
-            return [self.apply(img, values) for img, values in zip(imgs, drawn)]
-        return warp_batch(imgs, maps, w, h)
+        try:
+            maps = [self.transform(values, w, h) for values in drawn]
+            if maps[0] is None:
+                return [self.apply(img, values) for img, values in zip(imgs, drawn)]
+            return warp_batch(imgs, maps, w, h)
+        except (OpError, GeometryError, ValueError) as exc:
+            # A group's error does not say which image failed, so it carries no draws.
+            raise OpError(str(exc), op_kind=self.kind,
+                          drawn=drawn[0] if len(drawn) == 1 else None) from exc
 
 
 class Rotate(OpSpec):
@@ -304,8 +310,9 @@ class Flip(OpSpec):
     def apply(self, img, drawn):
         """Exact mirror: horizontal swaps left-right, vertical top-bottom."""
         axis = drawn.get("axis", self.axis)
-        out = img.pixels[:, ::-1] if axis == "horizontal" else img.pixels[::-1]
-        return Image._wrap(out)
+        if axis not in ("horizontal", "vertical"):
+            raise ValueError(f"flip axis must be horizontal or vertical, got {axis!r}")
+        return Image._wrap(img.pixels[:, ::-1] if axis == "horizontal" else img.pixels[::-1])
 
 
 class Shear(OpSpec):
@@ -330,10 +337,7 @@ class Shear(OpSpec):
         the input size: one affine map, every source sample in bounds."""
         axis = drawn.get("axis", self.axis)
         t = math.tan(math.radians(drawn["angle"]))
-        try:
-            crop = shear_crop_rect(width, height, axis, t)
-        except GeometryError as exc:
-            raise OpError(str(exc), op_kind=self.kind) from exc
+        crop = shear_crop_rect(width, height, axis, t)
         if axis == "x":
             rows = [[crop.w / width, -t, crop.x], [0.0, 1.0, 0.0]]
         else:
@@ -371,11 +375,8 @@ class Skew(OpSpec):
         displacement. The source quad stays inside the image: no fill."""
         shift = drawn["displacement"]
         if not 0 <= shift < min(width, height) / 2:
-            raise OpError(
-                f"skew displacement {shift} out of range [0, {min(width, height) / 2}) "
-                f"for {width}x{height}",
-                op_kind=self.kind,
-            )
+            raise OpError(f"skew displacement {shift} out of range "
+                          f"[0, {min(width, height) / 2}) for {width}x{height}")
         src = _skew_quad(drawn.get("kind", self.skew_kind), width, height, shift)
         return solve_homography(src, Quad.from_rect(width, height))
 
@@ -445,7 +446,7 @@ class Zoom(OpSpec):
         """Enlarge by the factor, then centre-crop back to the input size."""
         factor = drawn["factor"]
         if factor < 1:
-            raise OpError(f"zoom-out would require padding (factor {factor} < 1)", op_kind=self.kind)
+            raise OpError(f"zoom-out would require padding (factor {factor} < 1)")
         w, h = img.width, img.height
         nw, nh = _scaled_size(img, factor, self.kind)
         # Only the centred w x h window of the enlargement is computed.
@@ -488,11 +489,8 @@ class CropCentre(OpSpec):
 
     def apply(self, img, drawn):
         if self.width > img.width or self.height > img.height:
-            raise OpError(
-                f"centre crop {_shown(self.width)}x{_shown(self.height)} exceeds image "
-                f"{img.width}x{img.height}",
-                op_kind=self.kind,
-            )
+            raise OpError(f"centre crop {_shown(self.width)}x{_shown(self.height)} exceeds "
+                          f"image {img.width}x{img.height}")
         ox = (img.width - self.width) // 2
         oy = (img.height - self.height) // 2
         return _crop(img, CropRect(ox, oy, self.width, self.height))
@@ -541,7 +539,7 @@ class Scale(OpSpec):
     def apply(self, img, drawn):
         nw, nh = _scaled_size(img, self.factor, self.kind)
         if nw < 1 or nh < 1:
-            raise OpError(f"scale factor {self.factor} collapses the image", op_kind=self.kind)
+            raise OpError(f"scale factor {self.factor} collapses the image")
         return resize(img, nw, nh)
 
 
@@ -607,20 +605,11 @@ def apply_op(
     images.
 
     Probability gating happens in the pipeline; apply_op always applies.
-    A kernel's OpError, GeometryError or ValueError surfaces as an
-    OpError; for a single image it carries that dict, so the failing
-    sample can be reproduced exactly.
+    A kernel's failure is apply_batch's OpError.
     """
     w, h = imgs[0].width, imgs[0].height
     drawn = [spec.draw(rng, w, h) for rng in rngs]
-    # A group's error does not say which image failed, so it carries no draws.
-    failed_draws = drawn[0] if len(drawn) == 1 else None
-    try:
-        out = spec.apply_batch(imgs, drawn)
-    except OpError as exc:
-        raise OpError(str(exc), op_kind=spec.kind, drawn=failed_draws) from exc
-    except (GeometryError, ValueError) as exc:
-        raise OpError(f"{spec.kind}: {exc}", op_kind=spec.kind, drawn=failed_draws) from exc
+    out = spec.apply_batch(imgs, drawn)
     return out, [OpApplication(spec.kind, True, values) for values in drawn]
 
 

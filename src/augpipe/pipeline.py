@@ -211,7 +211,7 @@ def _apply_ops(
                 outs, applied = apply_op(spec, [images[k] for k in members],
                                          [rngs[k] for k in members])
             except OpError as exc:
-                raise OpError(f"op {index} ({spec.kind}): {exc}", op_kind=exc.op_kind,
+                raise OpError(f"op {index} ({spec.kind}): {exc}", op_kind=spec.kind,
                               drawn=exc.drawn, op_index=index) from exc
             for k, out, application in zip(members, outs, applied):
                 images[k] = out

@@ -367,7 +367,7 @@ class TestExitCodes:
                      "--output", str(tmp_path / "o"), "--mode", "process", "--jobs", jobs])
         assert code == 3
         assert capsys.readouterr().err == (
-            "augpipe: runtime error: sample 0 (source 0/im0.png): op 0 (invert): invert: boom\n")
+            "augpipe: runtime error: sample 0 (source 0/im0.png): op 0 (invert): boom\n")
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_op_error_ends_with_the_drawn_values(self, tmp_path, capsys, jobs):

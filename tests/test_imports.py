@@ -1,4 +1,5 @@
-"""Source hygiene: no module in src/augpipe imports a name it does not use."""
+"""Source hygiene: no module in src/augpipe imports a name it does not use,
+and ops.py gives an OpError its op kind in two places only."""
 
 import ast
 from pathlib import Path
@@ -43,3 +44,21 @@ def test_every_top_level_import_is_used(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = imported - used - _exported(tree) - hooks
     assert not unused, f"{path.name} imports names it never uses: {sorted(unused)}"
+
+
+def test_op_kind_is_set_only_by_apply_batch_and_elastic_draw():
+    # OpSpec.apply_batch makes every kernel failure its op's OpError;
+    # Elastic.draw refuses before drawing, outside any kernel.
+    setters = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.keyword) and child.arg == "op_kind":
+                setters.add(".".join(scope))
+            visit(child, scope)
+
+    visit(ast.parse((SRC / "ops.py").read_text(encoding="utf-8")), ())
+    assert setters == {"OpSpec.apply_batch", "Elastic.draw"}

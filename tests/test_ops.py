@@ -140,7 +140,7 @@ class TestRotateCardinal:
         assert np.array_equal(run_op(TURN, img, degrees=270).pixels, triple.pixels)
 
     def test_invalid_angle(self, np_rng):
-        with pytest.raises(ValueError):
+        with pytest.raises(OpError):
             run_op(TURN, random_image(np_rng, 2, 2), degrees=45)
 
 
@@ -156,6 +156,11 @@ class TestFlip:
         img = random_image(np_rng, 8, 6, 3)
         both = run_op(V_FLIP, run_op(H_FLIP, img))
         assert np.array_equal(both.pixels, run_op(TURN, img, degrees=180).pixels)
+
+    def test_random_spec_without_a_drawn_axis_is_refused(self, np_rng):
+        # A random spec's axis comes from its draws; without one there is no mirror to take.
+        with pytest.raises(OpError, match="flip axis must be horizontal or vertical, got 'random'"):
+            run_op(Flip(probability=1), random_image(np_rng, 4, 3))
 
 
 class TestShear:
@@ -462,6 +467,23 @@ class TestSpecsAndApply:
                 apply_one(spec, img, derive_sample_rng(1, i))
         assert info.value.drawn is not None
         assert info.value.op_kind == "shear"
+
+    @pytest.mark.parametrize("spec, size, drawn", [
+        (ROTATE, (28, 28), {"angle": 50.0}),
+        (TURN, (28, 28), {"degrees": 45}),
+        (Shear(probability=1), (10, 100), {"axis": "x", "angle": 44.0}),
+        (Skew(probability=1), (28, 28), {"kind": "forward", "displacement": 14}),
+        (CropRandom(probability=1, area_fraction=0.25), (100, 100), {"x": 51, "y": 0}),
+        (ZOOM, (28, 28), {"factor": 0.5}),
+        (Flip(probability=1), (28, 28), {"axis": "diagonal"}),
+    ], ids=["rotate", "rotate_cardinal", "shear", "skew", "crop_random", "zoom", "flip"])
+    def test_replayed_failure_is_an_op_error_of_its_op(self, np_rng, spec, size, drawn):
+        # apply_batch is what replays a trace line's params: whichever
+        # kernel refuses them, the error names the op and carries them.
+        with pytest.raises(OpError) as info:
+            spec.apply_batch([random_image(np_rng, *size)], [drawn])
+        assert info.value.op_kind == spec.kind
+        assert info.value.drawn == drawn
 
     def test_scale_that_collapses_the_image_is_op_error(self, np_rng):
         spec = Scale(probability=1, factor=0.01)

@@ -25,7 +25,6 @@ from augpipe import (
     Elastic,
     Equalize,
     Flip,
-    GeometryError,
     Greyscale,
     Image,
     Invert,
@@ -648,9 +647,6 @@ def _reference_sample(pipe, dataset, index, sink, choose_source):
             img = spec.apply_batch([img], [drawn])[0]
         except OpError as exc:
             raise OpError(f"{where}: {exc}", op_kind=spec.kind, drawn=drawn,
-                          op_index=op_index) from exc
-        except (GeometryError, ValueError) as exc:
-            raise OpError(f"{where}: {spec.kind}: {exc}", op_kind=spec.kind, drawn=drawn,
                           op_index=op_index) from exc
         applications.append(OpApplication(spec.kind, True, drawn))
     return TraceRecord(index, entry.rel_path, tuple(applications),
