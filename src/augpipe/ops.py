@@ -221,8 +221,9 @@ class OpSpec:
 
         The one place where a kernel's failure becomes this op's: an
         OpError, GeometryError or ValueError from transform, apply or
-        warp_batch is raised as an OpError of this kind, carrying the
-        draws of a single image, so that sample can be reproduced exactly.
+        warp_batch, or a KeyError for a draw the kernel reads that drawn
+        lacks, is raised as an OpError of this kind, carrying the draws of
+        a single image, so that sample can be reproduced exactly.
         Anything else, MemoryError too, passes unchanged."""
         w, h = imgs[0].width, imgs[0].height
         try:
@@ -230,9 +231,10 @@ class OpSpec:
             if maps[0] is None:
                 return [self.apply(img, values) for img, values in zip(imgs, drawn)]
             return warp_batch(imgs, maps, w, h)
-        except (OpError, GeometryError, ValueError) as exc:
+        except (OpError, GeometryError, ValueError, KeyError) as exc:
+            message = f"no draw named {exc.args[0]!r}" if isinstance(exc, KeyError) else str(exc)
             # A group's error does not say which image failed, so it carries no draws.
-            raise OpError(str(exc), op_kind=self.kind,
+            raise OpError(message, op_kind=self.kind,
                           drawn=drawn[0] if len(drawn) == 1 else None) from exc
 
 

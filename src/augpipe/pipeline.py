@@ -21,6 +21,9 @@ failure is reported. ``run_sample`` is that loop on one image.
 
 Each call decodes its sources into a table of its own (``_Sources``)
 that lives only as long as the call, so no call sees another's sources.
+
+Only a ``DirectorySink``, whose files every process sees, is written in
+pool workers; any other sink is written in the calling process.
 """
 
 from __future__ import annotations
@@ -146,7 +149,8 @@ class DirectorySink:
 
 
 class CollectingSink:
-    """Keeps generated images in memory; used by the contact sheet and tests."""
+    """Keeps generated images in memory, written in the calling process at
+    any jobs; used by the contact sheet and tests."""
 
     def __init__(self):
         self.images: list[tuple[str, Image]] = []
@@ -319,9 +323,11 @@ def _run(pipeline, dataset, per_class, count, sink, jobs) -> list[TraceRecord]:
 
     Records come in class order, then index order. jobs below 1 is a
     ValueError. The workers are jobs, capped at the usable CPUs and then
-    at the chunks, which are cut from the workers. With more than one,
-    the chunks of every class go through one fork pool, which is shut
-    down, its queued chunks cancelled, before this returns or raises.
+    at the chunks, which are cut from the workers; any sink but a
+    DirectorySink itself (a subclass may hold state) gets one, this
+    process. With more than one, the chunks of every class go through
+    one fork pool, which is shut down, its queued chunks cancelled,
+    before this returns or raises.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -329,7 +335,7 @@ def _run(pipeline, dataset, per_class, count, sink, jobs) -> list[TraceRecord]:
         runs = [(pipeline.for_class(label), part) for label, part in split_by_class(dataset)]
     else:
         runs = [(pipeline, dataset)]
-    workers = min(jobs, _usable_cpus())
+    workers = min(jobs, _usable_cpus()) if type(sink) is DirectorySink else 1
     chunks = []
     ranks = []  # each chunk's place within its run
     for run_pipeline, run_dataset in runs:
@@ -346,9 +352,6 @@ def _run(pipeline, dataset, per_class, count, sink, jobs) -> list[TraceRecord]:
     if workers <= 1:
         sources = _Sources()
         return [record for chunk in chunks for record in _generate_chunk(chunk, sources)]
-    if isinstance(sink, CollectingSink):
-        # Each chunk collects into a sink of its own, shipped empty.
-        chunks = [chunk[:3] + (CollectingSink(),) + chunk[4:] for chunk in chunks]
     context = multiprocessing.get_context("fork")
     failed = context.Value("q", len(chunks))
     pool = ProcessPoolExecutor(max_workers=workers, mp_context=context,
@@ -362,15 +365,9 @@ def _run(pipeline, dataset, per_class, count, sink, jobs) -> list[TraceRecord]:
         # each create waits for the directory's lock.
         for position in sorted(range(len(chunks)), key=ranks.__getitem__):
             futures[position] = pool.submit(_generate_chunk_in_worker, chunks[position], position)
-        # Results are read in chunk order, so records, collected images and
-        # the error raised are those of a jobs=1 call.
-        records = []
-        for future in futures:
-            part, collected = future.result()
-            records.extend(part)
-            if collected:
-                sink.images.extend(collected)
-        return records
+        # Results are read in chunk order, so the records and the error
+        # raised are those of a jobs=1 call.
+        return [record for future in futures for record in future.result()]
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
 
@@ -392,9 +389,9 @@ def _init_worker(failed) -> None:
     _worker_sources = _Sources()
 
 
-def _generate_chunk_in_worker(chunk, position: int) -> tuple[list[TraceRecord], list]:
-    """_generate_chunk, plus the images its CollectingSink gathered: the
-    worker's sink is not the caller's, so they go back with the records.
+def _generate_chunk_in_worker(chunk, position: int) -> list[TraceRecord]:
+    """_generate_chunk in a pool worker, whose sink is a DirectorySink: its
+    files are the output, so only the records go back to the caller.
 
     Once a chunk before it has failed, a chunk stops before its next run
     of samples, so it writes little that a jobs=1 call would not; the
@@ -406,14 +403,12 @@ def _generate_chunk_in_worker(chunk, position: int) -> tuple[list[TraceRecord], 
             raise _ChunkStopped
 
     try:
-        records = _generate_chunk(chunk, _worker_sources, stop)
+        return _generate_chunk(chunk, _worker_sources, stop)
     except BaseException:
         # A stopped chunk comes after the failed one: min() keeps the flag.
         with _failed_chunk.get_lock():
             _failed_chunk.value = min(_failed_chunk.value, position)
         raise
-    sink = chunk[3]
-    return records, sink.images if isinstance(sink, CollectingSink) else []
 
 
 def sample(

@@ -1,5 +1,6 @@
 """Source hygiene: no module in src/augpipe imports a name it does not use,
-and ops.py gives an OpError its op kind in two places only."""
+ops.py gives an OpError its op kind in two places only, and pipeline.py
+chooses its workers by sink in one place."""
 
 import ast
 from pathlib import Path
@@ -62,3 +63,39 @@ def test_op_kind_is_set_only_by_apply_batch_and_elastic_draw():
 
     visit(ast.parse((SRC / "ops.py").read_text(encoding="utf-8")), ())
     assert setters == {"OpSpec.apply_batch", "Elastic.draw"}
+
+
+def _places(tree: ast.Module, name: str) -> list[str]:
+    """Where pipeline.py spells name: as a class, a name or attribute, or
+    a string equal to it; each place is its enclosing class or function,
+    "__all__", or "" at module level."""
+    places = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                if child.name == name:
+                    places.append(child.name)
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in child.targets):
+                visit(child, "__all__")
+                continue
+            if (isinstance(child, ast.Name) and child.id == name
+                    or isinstance(child, ast.Attribute) and child.attr == name
+                    or isinstance(child, ast.Constant) and child.value == name):
+                places.append(scope)
+            visit(child, scope)
+
+    visit(tree, "")
+    return places
+
+
+def test_only_run_chooses_workers_by_sink():
+    # A DirectorySink's files are seen by every process, so only it goes
+    # to pool workers; every other sink, a CollectingSink too, is written
+    # in the caller, with no case of its own.
+    tree = ast.parse((SRC / "pipeline.py").read_text(encoding="utf-8"))
+    assert sorted(_places(tree, "CollectingSink")) == ["CollectingSink", "__all__"]
+    assert sorted(_places(tree, "DirectorySink")) == ["DirectorySink", "__all__", "_run"]

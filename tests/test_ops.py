@@ -485,6 +485,18 @@ class TestSpecsAndApply:
         assert info.value.op_kind == spec.kind
         assert info.value.drawn == drawn
 
+    @pytest.mark.parametrize("spec, name", [
+        (ROTATE, "angle"),
+        (TURN, "degrees"),
+        (CropRandom(probability=1, area_fraction=0.25), "x"),
+    ], ids=["rotate", "rotate_cardinal", "crop_random"])
+    def test_replay_without_a_draw_is_an_op_error_naming_it(self, np_rng, spec, name):
+        # A hand-written replay dict may lack a name the kernel reads.
+        with pytest.raises(OpError, match=f"no draw named '{name}'") as info:
+            spec.apply_batch([random_image(np_rng, 28, 28)], [{}])
+        assert info.value.op_kind == spec.kind
+        assert info.value.drawn == {}
+
     def test_scale_that_collapses_the_image_is_op_error(self, np_rng):
         spec = Scale(probability=1, factor=0.01)
         with pytest.raises(OpError, match="collapses the image") as info:

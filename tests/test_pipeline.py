@@ -312,7 +312,7 @@ class TestSourceCache:
                     for name, value in vars(pipeline_mod).items()}
 
         before = state()
-        pipeline_mod.sample(pipe, ds, 40, CollectingSink(), jobs=jobs)
+        pipeline_mod.sample(pipe, ds, 40, DirectorySink(tmp_path / "out"), jobs=jobs)
         after = state()
         assert after.keys() == before.keys()
         for name, (value, contents) in before.items():
@@ -395,7 +395,7 @@ class TestPerCallPool:
     def test_no_worker_outlives_a_parallel_call(self, tmp_path, np_rng):
         ds = _small_dataset(tmp_path / "in", np_rng)
         pipeline_mod.sample(Pipeline(master_seed=3).add(Invert(probability=0.5)), ds, 20,
-                            CollectingSink(), jobs=2)
+                            DirectorySink(tmp_path / "out"), jobs=2)
         assert multiprocessing.active_children() == []
 
     def test_parallel_failure_matches_sequential_and_closes_pool(self, tmp_path, np_rng):
@@ -460,7 +460,7 @@ class TestPerCallPool:
 
         monkeypatch.setattr(pipeline_mod, "ProcessPoolExecutor", RecordingPool)
         records = pipeline_mod.process(Pipeline().add(Invert(probability=1)), scan_dataset(root),
-                                       CollectingSink(), jobs=2, per_class=True)
+                                       DirectorySink(tmp_path / "out"), jobs=2, per_class=True)
         assert len(records) == 19
         assert sorted(submitted) == list(range(19))
         assert submitted[:4] == [0, 8, 16, 1]
@@ -611,16 +611,6 @@ def mixed_dataset(tmp_path_factory):
     for i, (w, h, channels) in enumerate(shapes):
         save_image(random_image(rng, w, h, channels), root / f"s{i}.png")
     return scan_dataset(root)
-
-
-def _worker_with_empty_sink(chunk, position):
-    """The pool's worker function, failing if its chunk carries images the
-    caller already collected."""
-    assert not chunk[3].images, "a chunk shipped collected images to its worker"
-    return _generate_chunk_in_worker(chunk, position)
-
-
-_generate_chunk_in_worker = pipeline_mod._generate_chunk_in_worker
 
 
 def _reference_sample(pipe, dataset, index, sink, choose_source):
@@ -780,7 +770,8 @@ class TestOpMajorChunks:
         assert loads.count("b.png") == 1 and "c.png" not in loads
 
     @pytest.mark.parametrize("count", [2, 3])
-    def test_pool_has_no_more_workers_than_chunks(self, mixed_dataset, monkeypatch, count):
+    def test_pool_has_no_more_workers_than_chunks(self, mixed_dataset, tmp_path, monkeypatch,
+                                                  count):
         # A fork pool forks all its workers at the first submit, so any
         # beyond the chunk count, or the CPUs, would be forked only to sit
         # idle. One worker runs in-process, with no pool.
@@ -799,14 +790,15 @@ class TestOpMajorChunks:
                                                    magnitude=3))
         outputs = []
         for jobs in (1, 64):
-            sink = CollectingSink()
-            records = pipeline_mod.sample(pipe, mixed_dataset, count, sink, jobs=jobs)
-            outputs.append((records, [(rel, img.pixels.tobytes()) for rel, img in sink.images]))
+            out = tmp_path / f"j{jobs}"
+            records = pipeline_mod.sample(pipe, mixed_dataset, count, DirectorySink(out), jobs=jobs)
+            outputs.append((records, tree_bytes(out)))
         assert asked == ([workers] if workers > 1 else [])
         assert outputs[1] == outputs[0]
 
     @pytest.mark.parametrize("affinity", [True, False], ids=["affinity", "cpu-count"])
-    def test_pool_has_no_more_workers_than_cpus(self, mixed_dataset, monkeypatch, affinity):
+    def test_pool_has_no_more_workers_than_cpus(self, mixed_dataset, tmp_path, monkeypatch,
+                                                affinity):
         # 64 jobs on 3 CPUs make 11 chunks for 3 workers. The recording
         # pool raises before any worker is forked, so no process is started.
         if affinity:
@@ -825,7 +817,7 @@ class TestOpMajorChunks:
 
         monkeypatch.setattr(pipeline_mod, "ProcessPoolExecutor", recording_pool)
         with pytest.raises(NotForked):
-            pipeline_mod.sample(Pipeline(), mixed_dataset, 64, CollectingSink(), jobs=64)
+            pipeline_mod.sample(Pipeline(), mixed_dataset, 64, DirectorySink(tmp_path), jobs=64)
         assert asked == [3]
 
     @pytest.mark.parametrize("per_class", [False, True])
@@ -846,7 +838,7 @@ class TestOpMajorChunks:
             def submit(self, fn, chunk, position):
                 pools[-1][1].append((position, chunk[2]))
                 future = Future()
-                future.set_result(([], []))
+                future.set_result([])
                 return future
 
             def shutdown(self, **kwargs):
@@ -854,7 +846,8 @@ class TestOpMajorChunks:
 
         monkeypatch.setattr(pipeline_mod, "ProcessPoolExecutor", RecordingPool)
         for jobs in (2, 1000):
-            pipeline_mod.sample(Pipeline(), ds, 4000, CollectingSink(), jobs=jobs, per_class=per_class)
+            pipeline_mod.sample(Pipeline(), ds, 4000, DirectorySink(tmp_path / "out"), jobs=jobs,
+                                per_class=per_class)
         assert pools[0] == pools[1]
         assert pools[0][0] == 2 and len(pools[0][1]) == (16 if per_class else 8)
 
@@ -871,15 +864,8 @@ class TestOpMajorChunks:
         assert monitor.warps == applied
         assert monitor.violations == 0
 
-    def test_chunks_ship_empty_collecting_sinks(self, mixed_dataset, monkeypatch):
-        monkeypatch.setattr(pipeline_mod, "_generate_chunk_in_worker", _worker_with_empty_sink)
-        pipe = Pipeline(master_seed=6).add(Invert(probability=0.5))
-        sink = CollectingSink()
-        records = pipeline_mod.sample(pipe, mixed_dataset, 400, sink, jobs=2)
-        assert [rel for rel, _img in sink.images] == [record.output for record in records]
-
     @pytest.mark.parametrize("mode", ["sample", "process"])
-    def test_collecting_sink_gets_worker_images(self, mixed_dataset, mode):
+    def test_collecting_sink_gets_the_same_images_at_jobs_1_and_2(self, mixed_dataset, mode):
         pipe = Pipeline(master_seed=4).add(Elastic(probability=1, grid_width=2, grid_height=2,
                                                    magnitude=3))
         collected = []
@@ -895,7 +881,8 @@ class TestOpMajorChunks:
         assert collected[1] == collected[0]
 
     @pytest.mark.parametrize("mode", ["sample", "process"])
-    def test_per_class_collecting_sink_gets_worker_images(self, tmp_path, np_rng, mode):
+    def test_per_class_collecting_sink_gets_the_same_images_at_jobs_1_and_2(self, tmp_path,
+                                                                            np_rng, mode):
         for label in ("cat", "dog", "emu"):
             for i in range(5):
                 save_image(random_image(np_rng, 12, 12), tmp_path / label / f"{i}.png")
@@ -913,3 +900,32 @@ class TestOpMajorChunks:
             collected.append([(rel, img.pixels.tobytes()) for rel, img in sink.images])
         assert len(collected[1]) == (60 if mode == "sample" else 15)
         assert collected[1] == collected[0]
+
+    def test_caller_sinks_get_the_writes_of_jobs_1_with_no_pool(self, mixed_dataset, monkeypatch):
+        # Any sink but a DirectorySink is written in the calling process,
+        # in index order: the pool stand-in raises, so nothing is forked.
+        class ListSink:
+            def __init__(self):
+                self.writes = []
+
+            def write(self, source, sample_index, img):
+                self.writes.append((source, sample_index, img.pixels.tobytes()))
+                return f"{sample_index}"
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was made for a sink that is not a DirectorySink")
+
+        monkeypatch.setattr(pipeline_mod, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(pipeline_mod, "ProcessPoolExecutor", no_pool)
+        pipe = Pipeline(master_seed=8).add(Invert(probability=0.5))
+        collected, listed = [], []
+        for jobs in (1, 2):
+            sink, own = CollectingSink(), ListSink()
+            records = pipeline_mod.sample(pipe, mixed_dataset, 40, sink, jobs=jobs)
+            assert [rel for rel, _img in sink.images] == [record.output for record in records]
+            collected.append([(rel, img.pixels.tobytes()) for rel, img in sink.images])
+            pipeline_mod.sample(pipe, mixed_dataset, 40, own, jobs=jobs)
+            assert [index for _source, index, _pixels in own.writes] == list(range(40))
+            listed.append(own.writes)
+        assert collected[1] == collected[0]
+        assert listed[1] == listed[0]
