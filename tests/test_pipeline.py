@@ -881,8 +881,7 @@ class TestOpMajorChunks:
         assert collected[1] == collected[0]
 
     @pytest.mark.parametrize("mode", ["sample", "process"])
-    def test_per_class_collecting_sink_gets_the_same_images_at_jobs_1_and_2(self, tmp_path,
-                                                                            np_rng, mode):
+    def test_per_class_collecting_sink_gets_worker_images(self, tmp_path, np_rng, mode):
         for label in ("cat", "dog", "emu"):
             for i in range(5):
                 save_image(random_image(np_rng, 12, 12), tmp_path / label / f"{i}.png")
