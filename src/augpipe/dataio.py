@@ -98,8 +98,10 @@ def _png_chunks(data: bytes):
         pos = end + 4
 
 
-def _unfilter_rows(raw: bytes, height: int, stride: int, bpp: int) -> bytearray:
-    out = bytearray()
+def _unfilter_rows(raw: bytes, height: int, stride: int, bpp: int) -> np.ndarray:
+    """Unfilter row by row; filter bytes must be at most 4. Returns a
+    (height, width, bpp) array that views bytes of exactly its size."""
+    rows = []
     prev = bytearray(stride)
     pos = 0
     for _y in range(height):
@@ -132,11 +134,9 @@ def _unfilter_rows(raw: bytes, height: int, stride: int, bpp: int) -> bytearray:
                 else:
                     pred = c
                 row[x] = (row[x] + pred) & 0xFF
-        else:
-            raise DecodeError(f"corrupt PNG: unknown filter type {ftype}")
-        out += row
+        rows.append(row)
         prev = row
-    return out
+    return np.ndarray((height, stride // bpp, bpp), np.uint8, b"".join(rows))
 
 
 # Per filter type 0-3, the predictor is (ka*left + kb*up) >> 1; Paeth rows
@@ -155,15 +155,13 @@ def _unfilter_wavefront(raw, height: int, stride: int, bpp: int) -> np.ndarray:
     of the band sits at skew[x + y + 2, y + 1]. Slot 0 of each diagonal
     holds the row above the band (0 above the image), and the slots that
     no pixel fills stay 0, which is what the filters read left of the
-    image. Returns a (height, width, bpp) array.
+    image. Filter bytes must be at most 4. Returns a (height, width, bpp)
+    array.
     """
     width = stride // bpp
     line = stride + 1
     src = np.frombuffer(raw, dtype=np.uint8)
     ftypes = src[::line]
-    bad = np.flatnonzero(ftypes > 4)
-    if bad.size:
-        raise DecodeError(f"corrupt PNG: unknown filter type {ftypes[bad[0]]}")
     # Per byte, so that every operand of a step is contiguous.
     ka, kb = (np.repeat(k, bpp).reshape(height, bpp) for k in _LINEAR_COEFFS[ftypes].T)
     is_paeth = np.repeat(ftypes == 4, bpp).reshape(height, bpp)
@@ -237,13 +235,13 @@ def _use_wavefront(height: int, width: int, bpp: int) -> bool:
 
 
 def _unfilter(raw, height: int, width: int, bpp: int) -> np.ndarray:
-    """Undo the PNG row filters; returns a (height, width, bpp) uint8 array."""
-    if _use_wavefront(height, width, bpp):
-        return _unfilter_wavefront(raw, height, width * bpp, bpp)
-    flat = np.frombuffer(_unfilter_rows(raw, height, width * bpp, bpp), dtype=np.uint8)
-    # Copied so that the image owns its bytes instead of viewing an
-    # over-allocated bytearray: the source cache holds many small images.
-    return flat.reshape(height, width, bpp).copy()
+    """Undo the PNG row filters; returns a (height, width, bpp) uint8 array.
+    Checks every filter byte, then unfilters with the kernel _use_wavefront picks."""
+    for ftype in raw[:: width * bpp + 1]:
+        if ftype > 4:
+            raise DecodeError(f"corrupt PNG: unknown filter type {ftype}")
+    kernel = _unfilter_wavefront if _use_wavefront(height, width, bpp) else _unfilter_rows
+    return kernel(raw, height, width * bpp, bpp)
 
 
 def _decode_png(data: bytes) -> Image:

@@ -3,6 +3,7 @@
 import struct
 import tracemalloc
 import zlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -149,13 +150,19 @@ class TestPngDecodeSurface:
         img = load_image(path)
         assert np.array_equal(img.pixels.reshape(h, w * ch), pixels.astype(np.uint8))
 
-    def test_truncated_file(self, tmp_path, np_rng):
+    # The file is cut in half, or 5 bytes past its 8-byte signature, inside
+    # the length and type that start the IHDR chunk.
+    @pytest.mark.parametrize("keep, match", [
+        (lambda size: size // 2, "truncated PNG"),
+        (lambda size: 8 + 5, "truncated PNG: chunk header cut short"),
+    ], ids=["half", "chunk-header"])
+    def test_truncated_file(self, tmp_path, np_rng, keep, match):
         img = random_image(np_rng, 10, 10)
         path = tmp_path / "cut.png"
         save_image(img, path, "png")
         whole = path.read_bytes()
-        path.write_bytes(whole[: len(whole) // 2])
-        with pytest.raises(DecodeError):
+        path.write_bytes(whole[: keep(len(whole))])
+        with pytest.raises(DecodeError, match=match):
             load_image(path)
 
     def test_corrupt_crc(self, tmp_path, np_rng):
@@ -534,22 +541,25 @@ class TestUnfilter:
         rows, bpp = case
         height, stride = rows.shape[0], rows.shape[1] - 1
         raw = rows.tobytes()
-        expected = np.frombuffer(_unfilter_rows(raw, height, stride, bpp), dtype=np.uint8)
+        expected = _unfilter_rows(raw, height, stride, bpp)
         got = _unfilter_wavefront(raw, height, stride, bpp)
-        assert np.array_equal(got, expected.reshape(height, stride // bpp, bpp))
+        assert expected.shape == got.shape == (height, stride // bpp, bpp)
+        assert np.array_equal(got, expected)
 
     @settings(max_examples=100, deadline=None)
     @given(_filtered_scanlines(max_height=16), st.data())
     def test_bad_filter_byte_is_named_on_both_paths(self, case, data):
+        # _unfilter checks the filter bytes before either kernel runs.
         rows, bpp = case
-        height, stride = rows.shape[0], rows.shape[1] - 1
+        height, width = rows.shape[0], (rows.shape[1] - 1) // bpp
         bad = data.draw(st.lists(st.integers(0, height - 1), min_size=1, unique=True))
         for y in bad:
             rows[y, 0] = data.draw(st.integers(5, 255))
         first = rows[min(bad), 0]
-        for unfilter in (_unfilter_rows, _unfilter_wavefront):
-            with pytest.raises(DecodeError, match=f"unknown filter type {first}$"):
-                unfilter(rows.tobytes(), height, stride, bpp)
+        for wavefront in (False, True):
+            with mock.patch.object(dataio, "_use_wavefront", lambda *shape: wavefront):
+                with pytest.raises(DecodeError, match=f"unknown filter type {first}$"):
+                    _unfilter(rows.tobytes(), height, width, bpp)
 
     def test_selection_switches_at_the_crossover(self, np_rng):
         # 60 rows of 300 RGBA pixels hold 200.6 bytes per diagonal, 59 rows 199.4.
@@ -558,9 +568,8 @@ class TestUnfilter:
             rows = np_rng.integers(0, 256, (height, 1201), dtype=np.uint8)
             rows[:, 0] = np.arange(height) % 5
             raw = rows.tobytes()
-            expected = np.frombuffer(_unfilter_rows(raw, height, 1200, 4), dtype=np.uint8)
             assert np.array_equal(_unfilter(raw, height, 300, 4),
-                                  expected.reshape(height, 300, 4))
+                                  _unfilter_rows(raw, height, 1200, 4))
 
 
 class TestDecodeFuzz:

@@ -1,6 +1,7 @@
 """Source hygiene: no module in src/augpipe imports a name it does not use,
-ops.py gives an OpError its op kind in two places only, and pipeline.py
-chooses its workers by sink in one place."""
+ops.py gives an OpError its op kind in two places only, pipeline.py
+chooses its workers by sink in one place, and dataio.py refuses an unknown
+PNG filter byte in one place."""
 
 import ast
 from pathlib import Path
@@ -99,3 +100,22 @@ def test_only_run_chooses_workers_by_sink():
     tree = ast.parse((SRC / "pipeline.py").read_text(encoding="utf-8"))
     assert sorted(_places(tree, "CollectingSink")) == ["CollectingSink", "__all__"]
     assert sorted(_places(tree, "DirectorySink")) == ["DirectorySink", "__all__", "_run"]
+
+
+def test_unknown_filter_type_is_refused_only_by_unfilter():
+    # _unfilter checks every scanline's filter byte before it picks a
+    # kernel, so neither kernel has a check of its own.
+    places = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                visit(child, child.name)
+                continue
+            if (isinstance(child, ast.Constant) and isinstance(child.value, str)
+                    and "unknown filter type" in child.value):
+                places.append(scope)
+            visit(child, scope)
+
+    visit(ast.parse((SRC / "dataio.py").read_text(encoding="utf-8")), "")
+    assert places == ["_unfilter"]

@@ -476,7 +476,10 @@ class TestSpecsAndApply:
         (CropRandom(probability=1, area_fraction=0.25), (100, 100), {"x": 51, "y": 0}),
         (ZOOM, (28, 28), {"factor": 0.5}),
         (Flip(probability=1), (28, 28), {"axis": "diagonal"}),
-    ], ids=["rotate", "rotate_cardinal", "shear", "skew", "crop_random", "zoom", "flip"])
+        (Skew(probability=1), (28, 28), {"kind": "diagonal", "displacement": 1}),
+        (Shear(probability=1), (28, 28), {"axis": "z", "angle": 1.0}),
+    ], ids=["rotate", "rotate_cardinal", "shear", "skew", "crop_random", "zoom", "flip",
+            "skew_kind", "shear_axis"])
     def test_replayed_failure_is_an_op_error_of_its_op(self, np_rng, spec, size, drawn):
         # apply_batch is what replays a trace line's params: whichever
         # kernel refuses them, the error names the op and carries them.

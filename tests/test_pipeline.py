@@ -751,6 +751,46 @@ class TestOpMajorChunks:
                    {name: data for name, data in written.items() if name not in later})
             assert got == expected
 
+    def test_run_that_fails_only_as_a_batch_passes_sample_by_sample(self, mixed_dataset,
+                                                                    monkeypatch):
+        # A run that raises one of _RERUN_ERRORS is generated again one
+        # sample at a time; when every sample passes alone, the call gives
+        # the records and images of a call whose batches pass.
+        pipe = (Pipeline(master_seed=6)
+                .add(Rotate(probability=0.5, max_left=5, max_right=5))
+                .add(Invert(probability=1)))
+
+        def call(sink):
+            return pipeline_mod.sample(pipe, mixed_dataset, 30, sink, jobs=1)
+
+        expected = _outcome(call)
+        assert isinstance(expected[0], list) and len(expected[1]) == 30
+        apply_op, refused = pipeline_mod.apply_op, []
+
+        def one_image_at_a_time(spec, images, rngs):
+            if len(images) > 1:
+                refused.append(len(images))
+                raise MemoryError
+            return apply_op(spec, images, rngs)
+
+        monkeypatch.setattr(pipeline_mod, "apply_op", one_image_at_a_time)
+        assert _outcome(call) == expected
+        assert refused
+
+    def test_error_that_is_not_renamed_reaches_the_caller_as_it_is(self, mixed_dataset):
+        # _raise_named renames only an AugpipeError, OSError or MemoryError;
+        # a KeyError from a caller's sink is the very object it raised.
+        error = KeyError("no slot for this sample")
+
+        class RefusingSink:
+            def write(self, source, sample_index, img):
+                raise error
+
+        with pytest.raises(KeyError) as info:
+            pipeline_mod.sample(Pipeline(master_seed=3), mixed_dataset, 5, RefusingSink())
+        assert info.value is error
+        assert info.value.args == ("no slot for this sample",)
+
     def test_load_failure_writes_the_run_before_it(self, tmp_path, np_rng, monkeypatch):
         # Seven sources make chunks of two at --jobs 1; sample 5, whose
         # source is a bare PNG signature, shares its chunk with sample 4.
