@@ -41,6 +41,8 @@ _IMAGE_SUFFIXES = (".png", ".ppm", ".pgm")
 # unfiltered by the wavefront; smaller ones by the scalar loop. Measured
 # crossover: see README, "Implementation notes".
 _WAVEFRONT_MIN_BYTES_PER_STEP = 200
+# The encoder deflates the filter rows in bands of about this many bytes.
+_ENCODE_BAND_BYTES = 1 << 16
 
 # Label used for images sitting directly in the dataset root.
 FLAT_LABEL = "·"
@@ -148,18 +150,21 @@ def _unfilter_wavefront(raw, height: int, stride: int, bpp: int) -> np.ndarray:
     """Unfilter by anti-diagonals; equal byte for byte to `_unfilter_rows`.
 
     Pixel (y, x) depends only on (y, x-1), (y-1, x) and (y-1, x-1), so all
-    pixels with x + y = d are reconstructed in one numpy step. Rows are
-    taken in bands of at most `width`, each in band + width - 1 steps.
-    A band is rebuilt in a skewed buffer that holds each diagonal
-    contiguously, so every step works on contiguous slices: pixel (y, x)
-    of the band sits at skew[x + y + 2, y + 1]. Slot 0 of each diagonal
-    holds the row above the band (0 above the image), and the slots that
-    no pixel fills stay 0, which is what the filters read left of the
-    image. Filter bytes must be at most 4. Returns a (height, width, bpp)
+    pixels with x + y = d are rebuilt in one numpy step, height + width - 1
+    steps in all. A step reads only diagonals d-1 (for a and b) and d-2
+    (for c), so a ring of three contiguous (height + 1, bpp) buffers takes
+    turns to hold diagonal d, pixel (y, d - y) at slot y + 1, and every
+    operand of a step but the filtered bytes is contiguous. Slot 0, the
+    row above the image, is never written, and no slot that a step reads
+    as left of the image was written by an earlier diagonal in its
+    buffer; so the ring, zeroed once, reads 0 wherever the filters do.
+    Each finished diagonal is copied into the output through a strided
+    view. Filter bytes must be at most 4. Returns a (height, width, bpp)
     array.
     """
     width = stride // bpp
     line = stride + 1
+    steps = height + width - 1
     src = np.frombuffer(raw, dtype=np.uint8)
     ftypes = src[::line]
     # Per byte, so that every operand of a step is contiguous.
@@ -168,58 +173,58 @@ def _unfilter_wavefront(raw, height: int, stride: int, bpp: int) -> np.ndarray:
     # The trailing 0 only keeps the lookups below in range.
     paeth_rows = np.append(np.flatnonzero(ftypes == 4), 0)
 
-    band = min(height, width)
-    most = (band, bpp)
+    most = (min(height, width), bpp)
     pred, term = np.empty(most, dtype=np.uint16), np.empty(most, dtype=np.uint16)
     dist_a, dist_b, dist_c = (np.empty(most, dtype=np.int16) for _ in range(3))
     pick_a, mask = np.empty(most, dtype=bool), np.empty(most, dtype=bool)
     out = np.empty((height, width, bpp), dtype=np.uint8)
-    for top in range(0, height, band):
-        rows = min(band, height - top)
-        steps = rows + width - 1
-        skew = np.zeros((steps + 2, rows + 1, bpp), dtype=np.uint8)
-        if top:
-            skew[1 : width + 1, 0] = out[top - 1]  # the row above the band
-        # filt[d, y] is the filtered pixel (top + y, d - y); np.ndarray
-        # checks the view's extent against the scanlines.
-        filt = np.ndarray((steps, rows, bpp), np.uint8, src, 1 + top * line,
-                          (bpp, line - bpp, 1))
+    # Diagonals d-2, d-1 and d at step d, and each as whole pixels.
+    ring = np.zeros((3, height + 1, bpp), dtype=np.uint8)
+    older, prev, cur = ring
+    pixel = np.dtype(f"V{bpp}")
+    older_px, prev_px, cur_px = ring.reshape(3, -1).view(pixel)
+    # filt[d, y] and diag[d, y] are pixel (y, d - y) of the scanlines and of
+    # out, whole pixels, so that a strided copy moves one item per pixel;
+    # np.ndarray checks each view's extent against its buffer.
+    filt = np.ndarray((steps, height), pixel, src, 1, (bpp, line - bpp))
+    diag = np.ndarray((steps, height), pixel, out, 0, (bpp, (width - 1) * bpp))
 
-        # Band rows [y0, y1) lie on diagonal d; its Paeth rows lie in [p0, p1).
-        d = np.arange(steps)
-        y0s, y1s = np.maximum(0, d - width + 1), np.minimum(rows, d + 1)
-        lo = paeth_rows[:-1].searchsorted(y0s + top)
-        hi = paeth_rows[:-1].searchsorted(y1s + top)
-        p0s = np.where(hi > lo, paeth_rows[lo] - top, 0)
-        p1s = np.where(hi > lo, paeth_rows[hi - 1] + 1 - top, 0)
-        for d, y0, y1, p0, p1 in zip(range(steps), y0s.tolist(), y1s.tolist(),
-                                     p0s.tolist(), p1s.tolist()):
-            n, g0, g1 = y1 - y0, top + y0, top + y1
-            prev = skew[d + 1]
-            a, b, p = prev[y0 + 1 : y1 + 1], prev[y0:y1], pred[:n]
-            np.multiply(a, ka[g0:g1], out=p)
-            p += np.multiply(b, kb[g0:g1], out=term[:n])
-            p >>= 1
-            if p1:
-                # RFC 2083 6.6: distances |b-c|, |a-c|, |a+b-2c|; ties go a, b, c.
-                k, r0, r1 = p1 - p0, p0 - y0, p1 - y0
-                a, b, c = a[r0:r1], b[r0:r1], skew[d, p0:p1]
-                pa, pb, pc = dist_a[:k], dist_b[:k], dist_c[:k]
-                np.subtract(b, c, out=pa, dtype=np.int16)
-                np.subtract(a, c, out=pb, dtype=np.int16)
-                np.add(pa, pb, out=pc)
-                np.abs(pa, out=pa)
-                np.abs(pb, out=pb)
-                np.abs(pc, out=pc)
-                first = np.less_equal(pa, pb, out=pick_a[:k])
-                first &= np.less_equal(pa, pc, out=mask[:k])
-                paeth_pred = np.where(np.less_equal(pb, pc, out=mask[:k]), b, c)
-                np.copyto(paeth_pred, a, where=first)
-                np.copyto(p[r0:r1], paeth_pred, where=is_paeth[top + p0 : top + p1])
-            np.add(filt[d, y0:y1], p, out=skew[d + 2, y0 + 1 : y1 + 1], casting="unsafe")
-        s0, s1, _ = skew.strides
-        out[top : top + rows] = np.ndarray((rows, width, bpp), np.uint8, skew,
-                                           2 * s0 + s1, (s0 + s1, s0, 1))
+    # Rows [y0, y1) lie on diagonal d; its Paeth rows lie in [p0, p1).
+    d = np.arange(steps)
+    y0s, y1s = np.maximum(0, d - width + 1), np.minimum(height, d + 1)
+    lo = paeth_rows[:-1].searchsorted(y0s)
+    hi = paeth_rows[:-1].searchsorted(y1s)
+    p0s = np.where(hi > lo, paeth_rows[lo], 0)
+    p1s = np.where(hi > lo, paeth_rows[hi - 1] + 1, 0)
+    for d, y0, y1, p0, p1 in zip(range(steps), y0s.tolist(), y1s.tolist(),
+                                 p0s.tolist(), p1s.tolist()):
+        n = y1 - y0
+        a, b, p = prev[y0 + 1 : y1 + 1], prev[y0:y1], pred[:n]
+        np.multiply(a, ka[y0:y1], out=p)
+        p += np.multiply(b, kb[y0:y1], out=term[:n])
+        p >>= 1
+        if p1:
+            # RFC 2083 6.6: distances |b-c|, |a-c|, |a+b-2c|; ties go a, b, c.
+            k, r0, r1 = p1 - p0, p0 - y0, p1 - y0
+            a, b, c = a[r0:r1], b[r0:r1], older[p0:p1]
+            pa, pb, pc = dist_a[:k], dist_b[:k], dist_c[:k]
+            np.subtract(b, c, out=pa, dtype=np.int16)
+            np.subtract(a, c, out=pb, dtype=np.int16)
+            np.add(pa, pb, out=pc)
+            np.abs(pa, out=pa)
+            np.abs(pb, out=pb)
+            np.abs(pc, out=pc)
+            first = np.less_equal(pa, pb, out=pick_a[:k])
+            first &= np.less_equal(pa, pc, out=mask[:k])
+            paeth_pred = np.where(np.less_equal(pb, pc, out=mask[:k]), b, c)
+            np.copyto(paeth_pred, a, where=first)
+            np.copyto(p[r0:r1], paeth_pred, where=is_paeth[p0:p1])
+        done = cur[y0 + 1 : y1 + 1]
+        cur_px[y0 + 1 : y1 + 1] = filt[d, y0:y1]
+        np.add(done, p, out=done, casting="unsafe")
+        diag[d, y0:y1] = cur_px[y0 + 1 : y1 + 1]
+        older, prev, cur = prev, cur, older
+        older_px, prev_px, cur_px = prev_px, cur_px, older_px
     return out
 
 
@@ -244,10 +249,34 @@ def _unfilter(raw, height: int, width: int, bpp: int) -> np.ndarray:
     return kernel(raw, height, width * bpp, bpp)
 
 
+def _inflate(idat: list, expected: int) -> bytes:
+    """The scanline bytes of the IDAT payloads, inflated one view at a time
+    by one stream that may give at most one byte more than `expected`, so
+    that too much data shows without inflating the rest."""
+    inflater = zlib.decompressobj()
+    pieces = []
+    room = expected + 1
+    try:
+        for payload in idat:
+            pieces.append(inflater.decompress(payload, room))
+            room -= len(pieces[-1])
+            if not room or inflater.eof:
+                break
+    except zlib.error as exc:
+        raise DecodeError(f"corrupt PNG: {exc}") from exc
+    if not room:
+        raise DecodeError(
+            f"corrupt PNG: pixel data inflates past the {expected} bytes IHDR promises"
+        )
+    if room > 1 or not inflater.eof:
+        raise DecodeError("truncated PNG: pixel data length mismatch")
+    return pieces[0] if len(pieces) == 1 else b"".join(pieces)
+
+
 def _decode_png(data: bytes) -> Image:
     ihdr = None
     palette = None
-    idat = bytearray()
+    idat = []
     for ctype, payload in _png_chunks(data):
         if ctype == b"IHDR":
             if len(payload) != 13:
@@ -256,7 +285,7 @@ def _decode_png(data: bytes) -> Image:
         elif ctype == b"PLTE":
             palette = payload
         elif ctype == b"IDAT":
-            idat += payload
+            idat.append(payload)
         elif ctype == b"IEND":
             break
     if ihdr is None:
@@ -273,26 +302,16 @@ def _decode_png(data: bytes) -> Image:
     channels = {0: 1, 2: 3, 3: 1, 4: 2, 6: 4}.get(color)
     if channels is None:
         raise UnsupportedImageError(f"unsupported PNG colour type {color}")
-    if not idat:
+    idat_bytes = sum(map(len, idat))
+    if not idat_bytes:
         raise DecodeError("corrupt PNG: no IDAT data")
     _check_budget("PNG", width, height)
     # Bound memory by the size IHDR promises before inflating anything.
     stride = width * channels
     expected = height * (stride + 1)
-    if expected > _MAX_INFLATE_RATIO * len(idat):
-        raise DecodeError(f"truncated PNG: {len(idat)} IDAT bytes cannot hold {width}x{height}")
-    inflater = zlib.decompressobj()
-    try:
-        raw = inflater.decompress(idat, expected + 1)
-    except zlib.error as exc:
-        raise DecodeError(f"corrupt PNG: {exc}") from exc
-    if len(raw) > expected:
-        raise DecodeError(
-            f"corrupt PNG: pixel data inflates past the {expected} bytes IHDR promises"
-        )
-    if len(raw) < expected or not inflater.eof:
-        raise DecodeError("truncated PNG: pixel data length mismatch")
-    del idat  # free the joined IDAT data before the unfilter allocates
+    if expected > _MAX_INFLATE_RATIO * idat_bytes:
+        raise DecodeError(f"truncated PNG: {idat_bytes} IDAT bytes cannot hold {width}x{height}")
+    raw = _inflate(idat, expected)
     arr = _unfilter(raw, height, width, channels)
     if color == 3:
         if palette is None or len(palette) % 3 != 0 or len(palette) == 0:
@@ -308,15 +327,32 @@ def _decode_png(data: bytes) -> Image:
 
 
 def _encode_png(img: Image) -> bytes:
+    """The PNG file of img, filter type 0 on every row, deflated at level 6.
+
+    The filter rows are built one band of about _ENCODE_BAND_BYTES at a
+    time and fed to one deflate stream, and the IDAT CRC is taken over the
+    compressed pieces as they come, so the encode holds one band of rows,
+    the pieces and the file they are joined into.
+    """
     color = {1: 0, 3: 2, 4: 6}[img.channels]
     ihdr = struct.pack(">IIBBBBB", img.width, img.height, 8, color, 0, 0, 0)
     stride = img.width * img.channels
-    rows = np.zeros((img.height, stride + 1), dtype=np.uint8)
-    rows[:, 1:] = img.pixels.reshape(img.height, stride)
-    pieces = [_PNG_SIG, _png_chunk(b"IHDR", ihdr)]
-    pieces.append(_png_chunk(b"IDAT", zlib.compress(rows, 6)))
-    pieces.append(_png_chunk(b"IEND", b""))
-    return b"".join(pieces)
+    scanlines = img.pixels.reshape(img.height, stride)
+    band = max(1, _ENCODE_BAND_BYTES // (stride + 1))
+    rows = np.zeros((min(band, img.height), stride + 1), dtype=np.uint8)
+    deflate = zlib.compressobj(6)
+    idat = []
+    crc = zlib.crc32(b"IDAT")
+    for top in range(0, img.height, band):
+        part = rows[: min(band, img.height - top)]
+        part[:, 1:] = scanlines[top : top + len(part)]
+        idat.append(deflate.compress(part))
+        crc = zlib.crc32(idat[-1], crc)
+    idat.append(deflate.flush())
+    crc = zlib.crc32(idat[-1], crc)
+    return b"".join([_PNG_SIG, _png_chunk(b"IHDR", ihdr),
+                     struct.pack(">I4s", sum(map(len, idat)), b"IDAT"), *idat,
+                     struct.pack(">I", crc & 0xFFFFFFFF), _png_chunk(b"IEND", b"")])
 
 
 def _png_chunk(ctype: bytes, payload: bytes) -> bytes:

@@ -19,8 +19,10 @@ chunk of samples goes through it in runs (``_generate_chunk``); a run
 that fails goes through it again one sample at a time, which is how a
 failure is reported. ``run_sample`` is that loop on one image.
 
-Each call decodes its sources into a table of its own (``_Sources``)
-that lives only as long as the call, so no call sees another's sources.
+A ``sample`` call decodes its sources into a table of its own
+(``_Sources``) that lives only as long as the call, so no call sees
+another's sources. A ``process`` call reads each source once, so it
+keeps none: each is decoded for its sample and dropped with it.
 
 Only a ``DirectorySink``, whose files every process sees, is written in
 pool workers; any other sink is written in the calling process.
@@ -170,10 +172,10 @@ def _start(pipeline: Pipeline, dataset: DatasetIndex, index: int, choose_source:
 
 
 class _Sources:
-    """One call's sources: each dataset entry's image as decoded at its
-    first load. Past max_bytes of pixels the oldest decodes are evicted;
-    the cap holds 1000 28x28 grey digits (0.8 MB) or a 1024x1024 and eight
-    256x256 RGB photos (4.7 MB) several times over."""
+    """One sample call's sources: each dataset entry's image as decoded at
+    its first load. Past max_bytes of pixels the oldest decodes are
+    evicted; the cap holds 1000 28x28 grey digits (0.8 MB) many times
+    over. A process call keeps no table, as it reads no source twice."""
 
     max_bytes = 32 << 20
 
@@ -258,8 +260,11 @@ def _generate_chunk(chunk, sources: _Sources, stop=lambda: None) -> list[TraceRe
     source that fails to load ends the chunk with its error once the run
     before it is written. Whether it fails at load, in an op or at write,
     a sample's error names the sample and its source (_raise_named).
-    sources is the call's source table; stop is called before each run
-    and may raise to end the chunk there.
+    sources is the call's source table, read in sample mode; in process
+    mode each source is decoded for its sample alone, and a run is
+    written as soon as no further source fits it, so no source outlives
+    its run. stop is called before each run and may raise to end the
+    chunk there.
     """
     pipeline, dataset, indices, sink, choose_source = chunk
     records: list[TraceRecord] = []
@@ -294,7 +299,9 @@ def _generate_chunk(chunk, sources: _Sources, stop=lambda: None) -> list[TraceRe
         rng, position = _start(pipeline, dataset, index, choose_source)
         entry = dataset.entries[position]
         try:
-            img = sources.load(dataset, entry)
+            # No source is read twice in process mode, so none is kept.
+            img = (sources.load(dataset, entry) if choose_source
+                   else load_image(dataset.path_of(entry)))
         except Exception as exc:
             flush()
             _raise_named(exc, index, entry)
@@ -303,6 +310,9 @@ def _generate_chunk(chunk, sources: _Sources, stop=lambda: None) -> list[TraceRe
             flush()
         pending.append((index, entry, rng, img))
         pending_pixels += pixels
+        del img  # pending holds it until its run is written
+        if pending_pixels >= _BAND_PIXELS:  # no further source fits the run
+            flush()
     if pending:
         flush()
     return records

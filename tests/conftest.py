@@ -1,11 +1,15 @@
 """Shared test helpers: deterministic image generators, corpus builders,
-non-default op specs, scalar references (clamp_round, map_point), the
-one-point sampler and the source-bounds monitor."""
+non-default op specs, references (clamp_round, map_point, the one-shot
+PNG encoder, the PNG row filters), the one-point sampler, the
+source-bounds monitor and the tracemalloc peak of a call."""
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import struct
+import tracemalloc
+import zlib
 from contextlib import contextmanager
 from pathlib import Path
 from types import SimpleNamespace
@@ -51,6 +55,52 @@ def clamp_round(value: float) -> int:
     """Scalar reference for imagecore.clamp_round_array: round half away
     from zero, clamp to [0, 255]."""
     return min(max(round_half_away(value), 0), 255)
+
+
+def png_chunk(ctype: bytes, payload: bytes) -> bytes:
+    crc = zlib.crc32(payload, zlib.crc32(ctype)) & 0xFFFFFFFF
+    return struct.pack(">I", len(payload)) + ctype + payload + struct.pack(">I", crc)
+
+
+def encode_png_one_shot(img: Image) -> bytes:
+    """Reference for dataio._encode_png: every filter row built at once,
+    filter type 0, and deflated in one zlib.compress call at level 6."""
+    color = {1: 0, 3: 2, 4: 6}[img.channels]
+    ihdr = struct.pack(">IIBBBBB", img.width, img.height, 8, color, 0, 0, 0)
+    stride = img.width * img.channels
+    rows = np.zeros((img.height, stride + 1), dtype=np.uint8)
+    rows[:, 1:] = img.pixels.reshape(img.height, stride)
+    return b"".join([b"\x89PNG\r\n\x1a\n", png_chunk(b"IHDR", ihdr),
+                     png_chunk(b"IDAT", zlib.compress(rows, 6)), png_chunk(b"IEND", b"")])
+
+
+def filter_scanlines(data: np.ndarray, bpp: int, types: np.ndarray) -> bytes:
+    """Apply PNG filter types[y] to row y of an (h, stride) uint8 array."""
+    x = data.astype(np.int16)
+    up = np.zeros_like(x)
+    up[1:] = x[:-1]
+    left = np.zeros_like(x)
+    left[:, bpp:] = x[:, :-bpp]
+    upleft = np.zeros_like(x)
+    upleft[:, bpp:] = up[:, :-bpp]
+    p = left + up - upleft
+    pa, pb, pc = np.abs(p - left), np.abs(p - up), np.abs(p - upleft)
+    paeth = np.where((pa <= pb) & (pa <= pc), left, np.where(pb <= pc, up, upleft))
+    preds = np.stack([np.zeros_like(x), left, up, (left + up) // 2, paeth])
+    rows = np.empty((x.shape[0], x.shape[1] + 1), dtype=np.uint8)
+    rows[:, 0] = types
+    rows[:, 1:] = (x - preds[types, np.arange(x.shape[0])]) & 0xFF
+    return rows.tobytes()
+
+
+def peak_bytes(fn) -> int:
+    """The tracemalloc peak, in bytes, of calling fn."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def random_image(rng: np.random.Generator, width: int, height: int,

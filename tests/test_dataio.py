@@ -1,7 +1,6 @@
 """Codec round trips, decode error surface, dataset scanning, output naming."""
 
 import struct
-import tracemalloc
 import zlib
 from unittest import mock
 
@@ -14,6 +13,7 @@ from augpipe import (
     DatasetEntry,
     DatasetError,
     DecodeError,
+    Image,
     UnsupportedImageError,
     load_image,
     output_name,
@@ -25,12 +25,14 @@ from augpipe import cli, dataio, imagecore, ops
 from augpipe.dataio import (
     FLAT_LABEL,
     _decode_png,
+    _encode_png,
     _unfilter,
     _unfilter_rows,
     _unfilter_wavefront,
     _use_wavefront,
 )
-from conftest import DIGITS_RECIPE, random_image, write_config
+from conftest import (DIGITS_RECIPE, encode_png_one_shot, filter_scanlines, peak_bytes,
+                      random_image, write_config)
 
 
 def _chunk(ctype: bytes, payload: bytes) -> bytes:
@@ -76,6 +78,27 @@ class TestPngRoundTrip:
         )
         assert (width, height, depth, color) == (28, 28, 8, 0)
         assert comp == filt == interlace == 0
+
+
+class TestPngEncode:
+    """The streamed encoder against the one-shot reference in conftest."""
+
+    @pytest.mark.parametrize("channels", [1, 3, 4], ids=["GRAY8", "RGB8", "RGBA8"])
+    @pytest.mark.parametrize("width, height", [(1, 1), (45, 1), (45, 23), (6, 130)])
+    @pytest.mark.parametrize("texture", ["noise", "ramp"])
+    def test_bands_equal_one_shot(self, np_rng, monkeypatch, channels, width, height, texture):
+        # A ramp gives deflate matches that reach across band edges.
+        if texture == "noise":
+            img = random_image(np_rng, width, height, channels)
+        else:
+            ramp = np.add.outer(np.arange(height), np.arange(width * channels)) // 3
+            img = Image.from_array((ramp % 256).astype(np.uint8).reshape(height, width, channels))
+        expected = encode_png_one_shot(img)
+        assert _encode_png(img) == expected
+        row = width * channels + 1
+        for band_bytes in (1, 2 * row, 3 * row + 1):  # 1, 2 and 3 rows per band
+            monkeypatch.setattr(dataio, "_ENCODE_BAND_BYTES", band_bytes)
+            assert _encode_png(img) == expected, band_bytes
 
 
 class TestPngDecodeSurface:
@@ -247,14 +270,12 @@ class TestPixelBudget:
         # One zero byte of IDAT: far too little for the size, a ratio check
         # that comes second.
         path.write_bytes(_png(width, height, 8, 0, 0, b"\x00"))
-        tracemalloc.start()
-        try:
+
+        def load():
             with pytest.raises(UnsupportedImageError, match="exceeds the limit of 67108864"):
                 load_image(path)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20
+
+        assert peak_bytes(load) < 1 << 20
         config = write_config(tmp_path / "c.json", DIGITS_RECIPE)
         assert cli.main(["run", "--config", str(config), "--input", str(path.parent),
                          "--output", str(tmp_path / "out"), "--mode", "process"]) == 2
@@ -277,6 +298,56 @@ class TestPixelBudget:
             (tmp_path / name).write_bytes(over)
             with pytest.raises(UnsupportedImageError):
                 load_image(tmp_path / name)
+
+
+def _photo_like(width: int, height: int) -> np.ndarray:
+    """Ramps and a soft checkerboard in RGB with 2 bits of noise: filter-0
+    rows deflate to about 0.7 of their size, as photos do."""
+    y = np.arange(height, dtype=np.uint16)[:, None, None]
+    x = np.arange(width, dtype=np.uint16)[None, :, None]
+    pixels = (x // 9 + y // 13 + np.arange(3, dtype=np.uint16) * 80
+              + (x // 64 + y // 64) % 2 * 40).astype(np.uint8)
+    pixels += np.random.default_rng(5).integers(0, 4, pixels.shape, dtype=np.uint8)
+    return pixels
+
+
+def _adaptive_rgb_png(pixels: np.ndarray) -> bytes:
+    """An RGB PNG of pixels, row y filtered with type y % 5, filtered in
+    bands of rows to keep the test's own memory small."""
+    height, width, _ = pixels.shape
+    scanlines = pixels.reshape(height, width * 3)
+    parts = []
+    for top in range(0, height, 128):
+        above = max(top - 1, 0)  # the row that the band's first row reads
+        rows = filter_scanlines(scanlines[above : top + 128], 3,
+                                np.arange(above, min(top + 128, height)) % 5)
+        parts.append(rows[(top - above) * (width * 3 + 1):])
+    ihdr = struct.pack(">IIBBBBB", width, height, 8, 2, 0, 0, 0)
+    return b"".join([b"\x89PNG\r\n\x1a\n", _chunk(b"IHDR", ihdr),
+                     _chunk(b"IDAT", zlib.compress(b"".join(parts), 1)), _chunk(b"IEND", b"")])
+
+
+class TestCodecPeak:
+    """The PNG codec's tracemalloc peak, as a multiple of the raw pixel
+    bytes, on a 2048x2048 RGB photo-like image. A decode holds the
+    inflated scanlines and the image it rebuilds; an encode holds one band
+    of filter rows and the compressed data twice, in pieces and joined."""
+
+    @pytest.fixture(scope="class")
+    def photo(self):
+        pixels = _photo_like(2048, 2048)
+        return pixels, _adaptive_rgb_png(pixels)
+
+    def test_decode_peaks_at_2_25_times_the_pixels(self, photo):
+        pixels, data = photo
+        assert np.array_equal(_decode_png(data).pixels, pixels)
+        ratio = peak_bytes(lambda: _decode_png(data)) / pixels.nbytes
+        assert ratio <= 2.25, f"{ratio:.2f}x"
+
+    def test_encode_peaks_at_1_75_times_the_pixels(self, photo):
+        img = Image.from_array(photo[0])
+        ratio = peak_bytes(lambda: _encode_png(img)) / img.pixels.nbytes
+        assert ratio <= 1.75, f"{ratio:.2f}x"
 
 
 class TestPnm:
@@ -545,6 +616,18 @@ class TestUnfilter:
         got = _unfilter_wavefront(raw, height, stride, bpp)
         assert expected.shape == got.shape == (height, stride // bpp, bpp)
         assert np.array_equal(got, expected)
+
+    # Tall images: most diagonals span the whole width, and the wavefront
+    # runs height + width - 1 of them.
+    @pytest.mark.parametrize("bpp", [1, 2, 3, 4])
+    @pytest.mark.parametrize("height, width", [(300, 3), (1000, 7)])
+    def test_tall_wavefront_equals_row_loop(self, np_rng, height, width, bpp):
+        for values in (3, 256):  # few values make Paeth ties common
+            rows = np_rng.integers(0, values, (height, width * bpp + 1), dtype=np.uint8)
+            rows[:, 0] = np.arange(height) % 5
+            raw = rows.tobytes()
+            assert np.array_equal(_unfilter_wavefront(raw, height, width * bpp, bpp),
+                                  _unfilter_rows(raw, height, width * bpp, bpp))
 
     @settings(max_examples=100, deadline=None)
     @given(_filtered_scanlines(max_height=16), st.data())

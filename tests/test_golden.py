@@ -66,7 +66,7 @@ from augpipe import (
 )
 from augpipe.dataio import _decode_png, _encode_png, _encode_pnm, _use_wavefront
 from augpipe.warp import resize
-from conftest import apply_one, run_op
+from conftest import apply_one, filter_scanlines, png_chunk, run_op
 
 SIZES = ((32, 32), (45, 29))
 FORMATS = (1, 3, 4)
@@ -135,30 +135,6 @@ def decode_widths(bpp: int) -> tuple[int, ...]:
     return (7, edge - 1, edge, 300)
 
 
-def filter_scanlines(data: np.ndarray, bpp: int, types: np.ndarray) -> bytes:
-    """Apply PNG filter types[y] to row y of an (h, stride) uint8 array."""
-    x = data.astype(np.int16)
-    up = np.zeros_like(x)
-    up[1:] = x[:-1]
-    left = np.zeros_like(x)
-    left[:, bpp:] = x[:, :-bpp]
-    upleft = np.zeros_like(x)
-    upleft[:, bpp:] = up[:, :-bpp]
-    p = left + up - upleft
-    pa, pb, pc = np.abs(p - left), np.abs(p - up), np.abs(p - upleft)
-    paeth = np.where((pa <= pb) & (pa <= pc), left, np.where(pb <= pc, up, upleft))
-    preds = np.stack([np.zeros_like(x), left, up, (left + up) // 2, paeth])
-    rows = np.empty((x.shape[0], x.shape[1] + 1), dtype=np.uint8)
-    rows[:, 0] = types
-    rows[:, 1:] = (x - preds[types, np.arange(x.shape[0])]) & 0xFF
-    return rows.tobytes()
-
-
-def _png_chunk(ctype: bytes, payload: bytes) -> bytes:
-    crc = zlib.crc32(payload, zlib.crc32(ctype)) & 0xFFFFFFFF
-    return struct.pack(">I", len(payload)) + ctype + payload + struct.pack(">I", crc)
-
-
 def scanline_pattern(width: int, height: int, bpp: int) -> np.ndarray:
     """Unfiltered (height, width * bpp) bytes: ramps, xor texture, stripes."""
     y, x, c = np.meshgrid(np.arange(height), np.arange(width), np.arange(bpp),
@@ -172,12 +148,12 @@ def adaptive_png(width: int, height: int, colour: int) -> bytes:
     bpp = DECODE_COLOURS[colour]
     data = scanline_pattern(width, height, bpp)
     types = (np.arange(height) + width) % 5
-    chunks = [_png_chunk(b"IHDR", struct.pack(">IIBBBBB", width, height, 8, colour, 0, 0, 0))]
+    chunks = [png_chunk(b"IHDR", struct.pack(">IIBBBBB", width, height, 8, colour, 0, 0, 0))]
     if colour == 3:
-        chunks.append(_png_chunk(b"PLTE", bytes((i * 7 + k * 85) % 256
-                                                for i in range(256) for k in range(3))))
-    chunks.append(_png_chunk(b"IDAT", zlib.compress(filter_scanlines(data, bpp, types), 6)))
-    chunks.append(_png_chunk(b"IEND", b""))
+        chunks.append(png_chunk(b"PLTE", bytes((i * 7 + k * 85) % 256
+                                               for i in range(256) for k in range(3))))
+    chunks.append(png_chunk(b"IDAT", zlib.compress(filter_scanlines(data, bpp, types), 6)))
+    chunks.append(png_chunk(b"IEND", b""))
     return b"\x89PNG\r\n\x1a\n" + b"".join(chunks)
 
 

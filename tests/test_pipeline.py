@@ -5,6 +5,7 @@ import multiprocessing
 import os
 import stat
 import sys
+import weakref
 from concurrent.futures import Future
 from pathlib import Path
 from unittest import mock
@@ -300,6 +301,44 @@ class TestSourceCache:
         assert list(sources.loaded) == entries[3:] + entries[:1]
         # A held entry's image is the one decoded at its first load.
         assert sources.load(ds, entries[0]) is sources.loaded[entries[0]]
+
+    @pytest.mark.parametrize("per_class", [False, True])
+    def test_process_holds_one_decoded_source_at_a_time(self, tmp_path, np_rng, monkeypatch,
+                                                        per_class):
+        # Each source has a band of pixels, so it runs alone; a run of
+        # smaller sources holds all of its own.
+        side = 128
+        assert side * side == _BAND_PIXELS
+        for i in range(6):
+            save_image(random_image(np_rng, side, side), tmp_path / "in" / "ab"[i % 2] / f"{i}.png")
+        ds = scan_dataset(tmp_path / "in")
+        live = set()  # paths of the decoded sources still alive
+        held = []  # per decode, how many were alive as it began
+        real_load = load_image
+
+        def recording_load(path):
+            held.append(len(live))
+            img = real_load(path)
+            live.add(path)
+            weakref.finalize(img, live.discard, path)
+            return img
+
+        monkeypatch.setattr(pipeline_mod, "load_image", recording_load)
+        records = pipeline_mod.process(Pipeline().add(Invert(probability=1)), ds,
+                                       DirectorySink(tmp_path / "out"), per_class=per_class)
+        assert len(records) == 6
+        assert held == [0] * 6
+        assert not live
+
+    def test_sample_decodes_each_source_once_per_call(self, tmp_path, np_rng, monkeypatch):
+        ds = _small_dataset(tmp_path, np_rng, count=4, size=8)
+        decoded = []
+        monkeypatch.setattr(pipeline_mod, "load_image",
+                            lambda path: decoded.append(path) or load_image(path))
+        pipe = Pipeline(master_seed=5).add(Invert(probability=0.5))
+        for call in (1, 2):
+            pipeline_mod.sample(pipe, ds, 40, CollectingSink())
+            assert sorted(decoded) == sorted([ds.path_of(entry) for entry in ds.entries] * call)
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_call_leaves_no_module_state(self, tmp_path, np_rng, jobs):

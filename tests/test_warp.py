@@ -2,7 +2,6 @@
 clamp-to-edge addressing, mesh warps, and the instrumentation hook."""
 
 import dataclasses
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +18,8 @@ from augpipe import (
 from augpipe import warp
 from augpipe.geometry import CropRect, Homography
 from augpipe.warp import resize, warp_affine, warp_mesh, warp_projective
-from conftest import filled, monitor_source_bounds, random_image, run_op, sample, zero_grid
+from conftest import (filled, monitor_source_bounds, peak_bytes, random_image, run_op, sample,
+                      zero_grid)
 
 IDENTITY = np.eye(2, 3)
 
@@ -466,10 +466,5 @@ def test_1024_rgb_warp_peaks_at_6_mb(kernel):
            "mesh": lambda: warp_mesh(img, grid),
            "windowed resize": lambda: resize(img, 1400, 1400, window=CropRect(188, 188, 1024, 1024)),
            }[kernel]
-    tracemalloc.start()
-    try:
-        run()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = peak_bytes(run)
     assert peak <= 6 * 2**20, f"{kernel}: {peak / 2**20:.2f} MB"
