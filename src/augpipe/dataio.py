@@ -43,6 +43,7 @@ _IMAGE_SUFFIXES = (".png", ".ppm", ".pgm")
 _WAVEFRONT_MIN_BYTES_PER_STEP = 200
 # The encoder deflates the filter rows in bands of about this many bytes.
 _ENCODE_BAND_BYTES = 1 << 16
+_IDAT_CRC = zlib.crc32(b"IDAT")
 
 # Label used for images sitting directly in the dataset root.
 FLAT_LABEL = "·"
@@ -336,23 +337,23 @@ def _encode_png(img: Image) -> bytes:
     """
     color = {1: 0, 3: 2, 4: 6}[img.channels]
     ihdr = struct.pack(">IIBBBBB", img.width, img.height, 8, color, 0, 0, 0)
-    stride = img.width * img.channels
-    scanlines = img.pixels.reshape(img.height, stride)
+    height, stride = img.height, img.width * img.channels
+    scanlines = img.pixels.reshape(height, stride)
     band = max(1, _ENCODE_BAND_BYTES // (stride + 1))
-    rows = np.zeros((min(band, img.height), stride + 1), dtype=np.uint8)
+    rows = np.zeros((min(band, height), stride + 1), dtype=np.uint8)
     deflate = zlib.compressobj(6)
     idat = []
-    crc = zlib.crc32(b"IDAT")
-    for top in range(0, img.height, band):
-        part = rows[: min(band, img.height - top)]
-        part[:, 1:] = scanlines[top : top + len(part)]
+    crc = _IDAT_CRC
+    for top in range(0, height, band):
+        part = rows[: height - top]
+        part[:, 1:] = scanlines[top : top + band]
         idat.append(deflate.compress(part))
         crc = zlib.crc32(idat[-1], crc)
     idat.append(deflate.flush())
     crc = zlib.crc32(idat[-1], crc)
     return b"".join([_PNG_SIG, _png_chunk(b"IHDR", ihdr),
                      struct.pack(">I4s", sum(map(len, idat)), b"IDAT"), *idat,
-                     struct.pack(">I", crc & 0xFFFFFFFF), _png_chunk(b"IEND", b"")])
+                     struct.pack(">I", crc), _png_chunk(b"IEND", b"")])
 
 
 def _png_chunk(ctype: bytes, payload: bytes) -> bytes:
