@@ -43,7 +43,6 @@ _IMAGE_SUFFIXES = (".png", ".ppm", ".pgm")
 _WAVEFRONT_MIN_BYTES_PER_STEP = 200
 # The encoder deflates the filter rows in bands of about this many bytes.
 _ENCODE_BAND_BYTES = 1 << 16
-_IDAT_CRC = zlib.crc32(b"IDAT")
 
 # Label used for images sitting directly in the dataset root.
 FLAT_LABEL = "·"
@@ -234,7 +233,11 @@ def _use_wavefront(height: int, width: int, bpp: int) -> bool:
 
     The wavefront pays a fixed cost per diagonal step and the scalar loop
     a cost per byte, so the choice rests on the mean number of bytes a
-    step rebuilds: band * width * bpp / (band + width - 1).
+    step rebuilds: band * width * bpp / (band + width - 1), with band =
+    min(height, width). The formula and its measured crossover date from
+    a wavefront that took rows in bands of at most `width`; it now takes
+    all rows in height + width - 1 steps, so for a tall image a step
+    rebuilds more than the formula says, and the choice is conservative.
     """
     band = min(height, width)
     return band * width * bpp >= _WAVEFRONT_MIN_BYTES_PER_STEP * (band + width - 1)
@@ -343,7 +346,7 @@ def _encode_png(img: Image) -> bytes:
     rows = np.zeros((min(band, height), stride + 1), dtype=np.uint8)
     deflate = zlib.compressobj(6)
     idat = []
-    crc = _IDAT_CRC
+    crc = zlib.crc32(b"IDAT")
     for top in range(0, height, band):
         part = rows[: height - top]
         part[:, 1:] = scanlines[top : top + band]
