@@ -33,6 +33,7 @@ __all__ = [
 ]
 
 _PNG_SIG = b"\x89PNG\r\n\x1a\n"
+_PNG_END = b"\0\0\0\0IEND\xaeB`\x82"  # the IEND chunk: no payload, then its CRC
 # Deflate codes at most 258 bytes per 2 bits, so no stream inflates to
 # more than 1032 times its own size.
 _MAX_INFLATE_RATIO = 1032
@@ -334,9 +335,10 @@ def _encode_png(img: Image) -> bytes:
     """The PNG file of img, filter type 0 on every row, deflated at level 6.
 
     The filter rows are built one band of about _ENCODE_BAND_BYTES at a
-    time and fed to one deflate stream, and the IDAT CRC is taken over the
-    compressed pieces as they come, so the encode holds one band of rows,
-    the pieces and the file they are joined into.
+    time and fed to one deflate stream, so the encode holds one band of
+    rows, the compressed pieces and the file they are joined into. An
+    image of one band is deflated in one call, the same bytes at less
+    cost per call for small images.
     """
     color = {1: 0, 3: 2, 4: 6}[img.channels]
     ihdr = struct.pack(">IIBBBBB", img.width, img.height, 8, color, 0, 0, 0)
@@ -344,19 +346,23 @@ def _encode_png(img: Image) -> bytes:
     scanlines = img.pixels.reshape(height, stride)
     band = max(1, _ENCODE_BAND_BYTES // (stride + 1))
     rows = np.zeros((min(band, height), stride + 1), dtype=np.uint8)
-    deflate = zlib.compressobj(6)
-    idat = []
+    if height <= band:
+        rows[:, 1:] = scanlines
+        idat = [zlib.compress(rows, 6)]
+    else:
+        deflate = zlib.compressobj(6)
+        idat = []
+        for top in range(0, height, band):
+            part = rows[: height - top]
+            part[:, 1:] = scanlines[top : top + band]
+            idat.append(deflate.compress(part))
+        idat.append(deflate.flush())
     crc = zlib.crc32(b"IDAT")
-    for top in range(0, height, band):
-        part = rows[: height - top]
-        part[:, 1:] = scanlines[top : top + band]
-        idat.append(deflate.compress(part))
-        crc = zlib.crc32(idat[-1], crc)
-    idat.append(deflate.flush())
-    crc = zlib.crc32(idat[-1], crc)
+    for piece in idat:
+        crc = zlib.crc32(piece, crc)
     return b"".join([_PNG_SIG, _png_chunk(b"IHDR", ihdr),
                      struct.pack(">I4s", sum(map(len, idat)), b"IDAT"), *idat,
-                     struct.pack(">I", crc), _png_chunk(b"IEND", b"")])
+                     struct.pack(">I", crc), _PNG_END])
 
 
 def _png_chunk(ctype: bytes, payload: bytes) -> bytes:

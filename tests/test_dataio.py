@@ -32,12 +32,7 @@ from augpipe.dataio import (
     _use_wavefront,
 )
 from conftest import (DIGITS_RECIPE, encode_png_one_shot, filter_scanlines, peak_bytes,
-                      random_image, write_config)
-
-
-def _chunk(ctype: bytes, payload: bytes) -> bytes:
-    crc = zlib.crc32(payload, zlib.crc32(ctype)) & 0xFFFFFFFF
-    return struct.pack(">I", len(payload)) + ctype + payload + struct.pack(">I", crc)
+                      png_chunk as _chunk, random_image, write_config)
 
 
 def _png(width, height, depth, color, interlace, raw, extra_chunks=()):
@@ -348,6 +343,21 @@ class TestCodecPeak:
         img = Image.from_array(photo[0])
         ratio = peak_bytes(lambda: _encode_png(img)) / img.pixels.nbytes
         assert ratio <= 1.75, f"{ratio:.2f}x"
+
+    def test_bomb_split_over_idat_chunks_stops_at_the_promise(self):
+        # 1x1 grey promises 2 bytes of scanline data. The stream inflates
+        # to 10 MB; its first 100 bytes already give more than 2, and the
+        # second chunk, which holds the rest, is never inflated.
+        idat = zlib.compress(bytes(10_000_000), 9)
+        chunks = [(b"IHDR", struct.pack(">IIBBBBB", 1, 1, 8, 0, 0, 0, 0)),
+                  (b"IDAT", idat[:100]), (b"IDAT", idat[100:]), (b"IEND", b"")]
+        data = b"\x89PNG\r\n\x1a\n" + b"".join(_chunk(*chunk) for chunk in chunks)
+
+        def decode():
+            with pytest.raises(DecodeError, match="past"):
+                _decode_png(data)
+
+        assert peak_bytes(decode) < 1 << 20
 
 
 class TestPnm:
