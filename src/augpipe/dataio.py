@@ -275,7 +275,7 @@ def _inflate(idat: list, expected: int) -> bytes:
         )
     if room > 1 or not inflater.eof:
         raise DecodeError("truncated PNG: pixel data length mismatch")
-    return pieces[0] if len(pieces) == 1 else b"".join(pieces)
+    return b"".join(pieces)
 
 
 def _decode_png(data: bytes) -> Image:
@@ -331,14 +331,12 @@ def _decode_png(data: bytes) -> Image:
     return Image._wrap(arr)
 
 
-def _encode_png(img: Image) -> bytes:
+def _encode_png(img: Image) -> bytearray:
     """The PNG file of img, filter type 0 on every row, deflated at level 6.
 
     The filter rows are built one band of about _ENCODE_BAND_BYTES at a
-    time and fed to one deflate stream, so the encode holds one band of
-    rows, the compressed pieces and the file they are joined into. An
-    image of one band is deflated in one call, the same bytes at less
-    cost per call for small images.
+    time and fed to one deflate stream, whose pieces are appended to the
+    file as they come, so the encode holds one band of rows and the file.
     """
     color = {1: 0, 3: 2, 4: 6}[img.channels]
     ihdr = struct.pack(">IIBBBBB", img.width, img.height, 8, color, 0, 0, 0)
@@ -346,23 +344,22 @@ def _encode_png(img: Image) -> bytes:
     scanlines = img.pixels.reshape(height, stride)
     band = max(1, _ENCODE_BAND_BYTES // (stride + 1))
     rows = np.zeros((min(band, height), stride + 1), dtype=np.uint8)
-    if height <= band:
-        rows[:, 1:] = scanlines
-        idat = [zlib.compress(rows, 6)]
-    else:
-        deflate = zlib.compressobj(6)
-        idat = []
-        for top in range(0, height, band):
-            part = rows[: height - top]
-            part[:, 1:] = scanlines[top : top + band]
-            idat.append(deflate.compress(part))
-        idat.append(deflate.flush())
+    # The IDAT length, zero here, is patched in once the stream is flushed.
+    out = bytearray(_PNG_SIG + _png_chunk(b"IHDR", ihdr) + b"\0\0\0\0IDAT")
+    start = len(out)
+    deflate = zlib.compressobj(6)
     crc = zlib.crc32(b"IDAT")
-    for piece in idat:
+    for top in range(0, height, band):
+        part = rows[: height - top]
+        part[:, 1:] = scanlines[top : top + band]
+        piece = deflate.compress(part)
         crc = zlib.crc32(piece, crc)
-    return b"".join([_PNG_SIG, _png_chunk(b"IHDR", ihdr),
-                     struct.pack(">I4s", sum(map(len, idat)), b"IDAT"), *idat,
-                     struct.pack(">I", crc), _PNG_END])
+        out += piece
+    piece = deflate.flush()
+    out += piece
+    out[start - 8 : start - 4] = struct.pack(">I", len(out) - start)
+    out += struct.pack(">I", zlib.crc32(piece, crc)) + _PNG_END
+    return out
 
 
 def _png_chunk(ctype: bytes, payload: bytes) -> bytes:
@@ -465,9 +462,9 @@ def _extension(img: Image, image_format: str) -> str:
 def save_image(img: Image, path, image_format: str = "png") -> None:
     """Losslessly encode to PNG or to the PPM family.
 
-    ``image_format`` is "png" or "ppm"; with "ppm", Gray8 images are
-    written as binary PGM and RGB8 as binary PPM. RGBA cannot be stored
-    in the PPM family.
+    ``image_format`` is "png" or "ppm"; with "ppm", 1-channel images are
+    written as binary PGM and 3-channel ones as binary PPM. 4-channel
+    (RGBA) images cannot be stored in the PPM family.
     """
     if image_format == "png":
         payload = _encode_png(img)

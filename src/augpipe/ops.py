@@ -546,7 +546,7 @@ class Scale(OpSpec):
 
 
 class Greyscale(OpSpec):
-    """Luma conversion (BT.601 weights); alpha is dropped. Identity on Gray8.
+    """Luma conversion (BT.601 weights); alpha is dropped. Identity on 1 channel.
 
     Draws: nothing.
     """

@@ -473,7 +473,7 @@ def write_trace(records: list[TraceRecord], path) -> None:
     # The token keeps a file left by a killed run with the same pid from
     # blocking this write; such a file is left alone.
     token = os.urandom(8).hex()
-    temporary = path.with_name(f".{path.name}.{multiprocessing.current_process().pid}.{token}.tmp")
+    temporary = path.with_name(f".{path.name}.{os.getpid()}.{token}.tmp")
     # Mode "x" creates with O_CREAT | O_EXCL and mode 0o666, less the umask.
     fh = temporary.open("x", encoding="utf-8")
     try:

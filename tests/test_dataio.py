@@ -326,7 +326,7 @@ class TestCodecPeak:
     """The PNG codec's tracemalloc peak, as a multiple of the raw pixel
     bytes, on a 2048x2048 RGB photo-like image. A decode holds the
     inflated scanlines and the image it rebuilds; an encode holds one band
-    of filter rows and the compressed data twice, in pieces and joined."""
+    of filter rows and the file it appends the compressed data to."""
 
     @pytest.fixture(scope="class")
     def photo(self):
@@ -339,10 +339,10 @@ class TestCodecPeak:
         ratio = peak_bytes(lambda: _decode_png(data)) / pixels.nbytes
         assert ratio <= 2.25, f"{ratio:.2f}x"
 
-    def test_encode_peaks_at_1_75_times_the_pixels(self, photo):
+    def test_encode_peaks_at_1_0_times_the_pixels(self, photo):
         img = Image.from_array(photo[0])
         ratio = peak_bytes(lambda: _encode_png(img)) / img.pixels.nbytes
-        assert ratio <= 1.75, f"{ratio:.2f}x"
+        assert ratio <= 1.0, f"{ratio:.2f}x"
 
     def test_bomb_split_over_idat_chunks_stops_at_the_promise(self):
         # 1x1 grey promises 2 bytes of scanline data. The stream inflates

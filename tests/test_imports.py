@@ -1,7 +1,7 @@
 """Source hygiene: no module in src/augpipe imports a name it does not use,
 ops.py gives an OpError its op kind in two places only, pipeline.py
-chooses its workers by sink in one place, and dataio.py refuses an unknown
-PNG filter byte in one place."""
+chooses its workers by sink in one place, dataio.py refuses an unknown
+PNG filter byte in one place, and only its PNG encoder deflates."""
 
 import ast
 from pathlib import Path
@@ -119,3 +119,26 @@ def test_unknown_filter_type_is_refused_only_by_unfilter():
 
     visit(ast.parse((SRC / "dataio.py").read_text(encoding="utf-8")), "")
     assert places == ["_unfilter"]
+
+
+def test_only_the_png_encoder_deflates():
+    # Every image size goes through _encode_png's one deflate stream, with
+    # no one-call zlib.compress path beside it.
+    calls = {}
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                visit(child, f"{scope.partition('.')[0]}.{child.name}")
+                continue
+            if (isinstance(child, ast.Attribute) and isinstance(child.value, ast.Name)
+                    and child.value.id == "zlib" and child.attr.startswith("compress")):
+                calls.setdefault(child.attr, []).append(scope)
+            if isinstance(child, ast.ImportFrom) and child.module == "zlib":
+                for alias in child.names:
+                    calls.setdefault(alias.name, []).append(scope)
+            visit(child, scope)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    assert calls == {"compressobj": ["dataio._encode_png"]}
