@@ -6,13 +6,14 @@ form, and ``sheet`` renders a tiled contact sheet of augmented variants
 of a single image.
 
 Exit codes: 0 success, 1 usage or validation error, 2 I/O error, 3
-runtime operation failure. Seed precedence: --seed flag, then the
-config's seed, then 0.
+runtime operation failure or a lost pool worker. Seed precedence: --seed
+flag, then the config's seed, then 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import time
@@ -116,24 +117,35 @@ def _cmd_run(args) -> int:
     dataset = scan_dataset(args.input)
     sink = DirectorySink(args.output, image_format=args.format, overwrite=args.overwrite)
 
+    # Records are counted as they pass, each dropped once it is in the
+    # trace, so a run holds none it has written.
+    records = pipeline_mod._run(pipe, dataset, args.per_class, args.count, sink, args.jobs)
+    generated = 0
+    applied = [0] * len(pipe.ops)
+
+    def counted():
+        nonlocal generated
+        for record in records:
+            generated += 1
+            for position, app in enumerate(record.ops):
+                applied[position] += app.applied
+            yield record
+
     started = time.perf_counter()
-    if args.mode == "sample":
-        records = pipeline_mod.sample(pipe, dataset, args.count, sink, jobs=args.jobs,
-                                      per_class=args.per_class)
-    else:
-        records = pipeline_mod.process(pipe, dataset, sink, jobs=args.jobs,
-                                       per_class=args.per_class)
+    # Closed on every exit, so a failed trace write leaves no pool behind.
+    with contextlib.closing(records):
+        if args.trace:
+            write_trace(counted(), args.trace)
+        else:
+            for _record in counted():
+                pass
     elapsed = time.perf_counter() - started
 
-    if args.trace:
-        write_trace(records, args.trace)
-
     print(f"images read: {len(dataset.entries)}")
-    print(f"images generated: {len(records)}")
+    print(f"images generated: {generated}")
     for position, spec in enumerate(pipe.ops):
-        applied = sum(1 for r in records if r.ops[position].applied)
-        print(f"applied[{position}] {spec.kind}: {applied}/{len(records)}")
-    rate = len(records) / elapsed if elapsed > 0 else float("inf")
+        print(f"applied[{position}] {spec.kind}: {applied[position]}/{generated}")
+    rate = generated / elapsed if elapsed > 0 else float("inf")
     print(f"elapsed: {elapsed:.2f} s ({rate:.1f} images/s)")
     return EXIT_OK
 

@@ -11,6 +11,7 @@ __all__ = [
     "UnsupportedImageError",
     "DatasetError",
     "OutputCollisionError",
+    "WorkerLostError",
 ]
 
 
@@ -73,3 +74,8 @@ class DatasetError(AugpipeError):
 
 class OutputCollisionError(AugpipeError):
     """An output file already exists and overwriting was not requested."""
+
+
+class WorkerLostError(AugpipeError):
+    """A pool worker process ended before it returned a chunk's records,
+    killed by a signal or the OOM killer, say."""

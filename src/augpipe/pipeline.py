@@ -26,21 +26,24 @@ keeps none: each is decoded for its sample and dropped with it.
 
 Only a ``DirectorySink``, whose files every process sees, is written in
 pool workers; any other sink is written in the calling process.
+
+``_run`` yields a call's records as their files are written, so a caller
+that writes each one away, as ``augpipe run`` does to its trace, holds
+none it has written; ``sample`` and ``process`` collect them in a list.
 """
 
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import NoReturn
 
 from .dataio import (DatasetEntry, DatasetIndex, _extension, load_image, output_name, save_image,
                      split_by_class)
-from .errors import AugpipeError, DatasetError, OpError, OutputCollisionError
+from .errors import AugpipeError, DatasetError, OpError, OutputCollisionError, WorkerLostError
 from .imagecore import Image, RngStream, derive_sample_rng, mix64
 from .ops import OpApplication, OpSpec, apply_op
 from .warp import _BAND_PIXELS
@@ -246,8 +249,9 @@ def _raise_named(exc: BaseException, index: int, entry: DatasetEntry) -> NoRetur
     raise exc
 
 
-def _generate_chunk(chunk, sources: _Sources, stop=lambda: None) -> list[TraceRecord]:
-    """Generate a chunk of samples op-major, writing them in index order.
+def _generate_chunk(chunk, sources: _Sources, stop=lambda: None) -> Iterator[TraceRecord]:
+    """Generate a chunk of samples op-major, writing them in index order,
+    and yield each run's records once its files are written.
 
     Each sample draws from its own stream, so its bytes do not depend on
     the run it is in. A run of consecutive samples whose sources add up to
@@ -267,33 +271,37 @@ def _generate_chunk(chunk, sources: _Sources, stop=lambda: None) -> list[TraceRe
     chunk there.
     """
     pipeline, dataset, indices, sink, choose_source = chunk
-    records: list[TraceRecord] = []
     pending: list[tuple[int, DatasetEntry, RngStream, Image]] = []  # sample index, source, stream, image
     pending_pixels = 0
 
-    def run(batch) -> None:
+    def run(batch) -> list[TraceRecord]:
         images = [img for _index, _entry, _rng, img in batch]
         try:
             applications = _apply_ops(pipeline, [rng for _index, _entry, rng, _img in batch], images)
         except _RERUN_ERRORS as exc:
             if len(batch) > 1:
+                records = []
                 for index, entry, _rng, img in batch:
-                    run([(index, entry, _start(pipeline, dataset, index, choose_source)[0], img)])
-                return
+                    records += run([(index, entry, _start(pipeline, dataset, index, choose_source)[0],
+                                     img)])
+                return records
             _raise_named(exc, *batch[0][:2])
+        records = []
         for (index, entry, _rng, _img), out, apps in zip(batch, images, applications):
             try:
                 written = sink.write(entry.rel_path, index, out)
             except Exception as exc:
                 _raise_named(exc, index, entry)
             records.append(TraceRecord(index, entry.rel_path, tuple(apps), written))
+        return records
 
-    def flush():
+    def flush() -> list[TraceRecord]:
         nonlocal pending_pixels
         stop()
-        run(pending)
+        records = run(pending)
         pending.clear()
         pending_pixels = 0
+        return records
 
     for index in indices:
         rng, position = _start(pipeline, dataset, index, choose_source)
@@ -303,19 +311,18 @@ def _generate_chunk(chunk, sources: _Sources, stop=lambda: None) -> list[TraceRe
             img = (sources.load(dataset, entry) if choose_source
                    else load_image(dataset.path_of(entry)))
         except Exception as exc:
-            flush()
+            yield from flush()
             _raise_named(exc, index, entry)
         pixels = img.width * img.height
         if pending and pending_pixels + pixels > _BAND_PIXELS:
-            flush()
+            yield from flush()
         pending.append((index, entry, rng, img))
         pending_pixels += pixels
         del img  # pending holds it until its run is written
         if pending_pixels >= _BAND_PIXELS:  # no further source fits the run
-            flush()
+            yield from flush()
     if pending:
-        flush()
-    return records
+        yield from flush()
 
 
 def _usable_cpus() -> int:
@@ -327,18 +334,25 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _run(pipeline, dataset, per_class, count, sink, jobs) -> list[TraceRecord]:
+def _run(pipeline, dataset, per_class, count, sink, jobs) -> Iterator[TraceRecord]:
     """Generate samples 0..count-1 of the dataset, or of each class with its
     own seed when per_class; count None passes every image through once.
 
-    Records come in class order, then index order. jobs below 1 is a
-    ValueError. The workers are jobs, capped at the usable CPUs and then
-    at the chunks, which are cut from the workers; any sink but a
-    DirectorySink itself (a subclass may hold state) gets one, this
-    process. With more than one, the chunks of every class go through
-    one fork pool, which is shut down, its queued chunks cancelled,
-    before this returns or raises.
+    The arguments are checked here, as sample and process check them,
+    before anything is written: an empty dataset is a DatasetError, and a
+    count or jobs below what they allow a ValueError. The records then
+    come, in class order and then index order, from the iterator returned,
+    each once its file is written; close it to end the call early. The
+    workers are jobs, capped at the usable CPUs and then at the chunks,
+    which are cut from the workers; any sink but a DirectorySink itself (a
+    subclass may hold state) gets one, this process. With more than one,
+    the chunks of every class go through one fork pool, see _pooled.
     """
+    if not dataset.entries:
+        raise DatasetError("cannot process an empty dataset" if count is None
+                           else "cannot sample from an empty dataset")
+    if count is not None and count < 0:
+        raise ValueError(f"sample count must be >= 0, got {count}")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     if per_class:
@@ -361,7 +375,23 @@ def _run(pipeline, dataset, per_class, count, sink, jobs) -> list[TraceRecord]:
     workers = min(workers, len(chunks))
     if workers <= 1:
         sources = _Sources()
-        return [record for chunk in chunks for record in _generate_chunk(chunk, sources)]
+        return (record for chunk in chunks for record in _generate_chunk(chunk, sources))
+    return _pooled(chunks, ranks, workers, per_class)
+
+
+def _pooled(chunks, ranks, workers, per_class) -> Iterator[TraceRecord]:
+    """The records of the chunks, generated in a fork pool of workers and
+    read in chunk order, so the records and the error raised are those of
+    a jobs=1 call. A chunk's records are dropped once yielded; the chunks
+    that finish before their turn wait in this process. A worker process
+    that ends before it returns a chunk is a WorkerLostError naming the
+    first chunk whose records were lost. The pool is shut down, its queued
+    chunks cancelled, before this returns, raises or is closed.
+    """
+    # Imported here: a call with one worker starts no pool.
+    import multiprocessing
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
     context = multiprocessing.get_context("fork")
     failed = context.Value("q", len(chunks))
     pool = ProcessPoolExecutor(max_workers=workers, mp_context=context,
@@ -373,11 +403,25 @@ def _run(pipeline, dataset, per_class, count, sink, jobs) -> list[TraceRecord]:
         # order within a rank. Classes write into directories of their own,
         # so workers seldom create files in one directory at once, where
         # each create waits for the directory's lock.
-        for position in sorted(range(len(chunks)), key=ranks.__getitem__):
-            futures[position] = pool.submit(_generate_chunk_in_worker, chunks[position], position)
-        # Results are read in chunk order, so the records and the error
-        # raised are those of a jobs=1 call.
-        return [record for future in futures for record in future.result()]
+        try:
+            for position in sorted(range(len(chunks)), key=ranks.__getitem__):
+                futures[position] = pool.submit(_generate_chunk_in_worker, chunks[position],
+                                                position)
+        except BrokenProcessPool:
+            pass  # a worker has ended: the chunks left unsubmitted are lost, found below
+        for position, future in enumerate(futures):
+            try:
+                if future is None:
+                    raise BrokenProcessPool
+                records = future.result()
+            except BrokenProcessPool as exc:
+                _pipeline, dataset, indices, _sink, _choose = chunks[position]
+                where = f"class {dataset.entries[0].label!r}, " if per_class else ""
+                raise WorkerLostError(
+                    f"a worker process ended before it returned the records of {where}"
+                    f"samples {indices[0]}-{indices[-1]}") from exc
+            futures[position] = None
+            yield from records
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
 
@@ -413,7 +457,7 @@ def _generate_chunk_in_worker(chunk, position: int) -> list[TraceRecord]:
             raise _ChunkStopped
 
     try:
-        return _generate_chunk(chunk, _worker_sources, stop)
+        return list(_generate_chunk(chunk, _worker_sources, stop))
     except BaseException:
         # A stopped chunk comes after the failed one: min() keeps the flag.
         with _failed_chunk.get_lock():
@@ -439,11 +483,7 @@ def sample(
     samples of its own, drawn by ``pipeline.for_class(label)``; records
     come in class order.
     """
-    if not dataset.entries:
-        raise DatasetError("cannot sample from an empty dataset")
-    if count < 0:
-        raise ValueError(f"sample count must be >= 0, got {count}")
-    return _run(pipeline, dataset, per_class, count, sink, jobs)
+    return list(_run(pipeline, dataset, per_class, count, sink, jobs))
 
 
 def process(
@@ -459,15 +499,14 @@ def process(
     With per_class, each class of ``split_by_class(dataset)`` is processed
     by ``pipeline.for_class(label)``, with indices from 0 per class.
     """
-    if not dataset.entries:
-        raise DatasetError("cannot process an empty dataset")
-    return _run(pipeline, dataset, per_class, None, sink, jobs)
+    return list(_run(pipeline, dataset, per_class, None, sink, jobs))
 
 
-def write_trace(records: list[TraceRecord], path) -> None:
+def write_trace(records: Iterable[TraceRecord], path) -> None:
     """Write one JSON object per line, in sample order, to a temporary
-    file that replaces path once complete; if the write fails, path is
-    left as it was and the temporary file is removed."""
+    file that replaces path once complete; if the write fails, or reading
+    records raises, path is left as it was and the temporary file is
+    removed. records may be any iterable, read once, record by record."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     # The token keeps a file left by a killed run with the same pid from

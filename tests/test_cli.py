@@ -1,6 +1,7 @@
 """CLI behaviour: commands, exit codes, flags, determinism, contact sheets."""
 
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -33,7 +34,7 @@ from augpipe import pipeline as pipeline_mod
 from augpipe.cli import main
 from conftest import DIGITS_RECIPE, random_image, tree_bytes, write_config
 from test_dataio import _png
-from test_pipeline import OP_SPECS
+from test_pipeline import OP_SPECS, die_at_sample
 
 REPO = Path(__file__).resolve().parents[1]
 # The environment of a fresh interpreter that imports this checkout's augpipe.
@@ -225,6 +226,130 @@ class TestRun:
                          "--output", str(tmp_path / name), "--count", "10",
                          "--seed", "4", "--jobs", jobs]) == 0
         assert tree_bytes(tmp_path / "j1") == tree_bytes(tmp_path / "j2")
+
+
+# Runs ARGV and prints its exit code and peak RSS in KiB. A process's
+# ru_maxrss starts from the peak RSS of the process that forked it, so a
+# small, fresh interpreter forks ARGV, as perfbench/child.py measure does.
+_PEAK_RSS = """
+import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_pid, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+class TestStreamedRun:
+    """``augpipe run`` writes each record to the trace's temporary file
+    once its sample is written, and keeps none."""
+
+    def test_peak_rss_does_not_grow_with_count(self, tmp_path, np_rng):
+        # At 8x8 grey and one flip a sample costs little beyond its record,
+        # which a run that kept its records would hold: about 5 MB more at
+        # 10000 than at 1000.
+        for i in range(10):
+            save_image(random_image(np_rng, 8, 8), tmp_path / "in" / f"{i}.png")
+        cfg = write_config(tmp_path / "flip.json", {"version": 1, "operations": [
+            {"op": "flip", "probability": 0.5}]})
+        peaks = []
+        for count in (1000, 10000):
+            run = [sys.executable, "-m", "augpipe", "run", "--config", str(cfg),
+                   "--input", str(tmp_path / "in"), "--output", str(tmp_path / f"o{count}"),
+                   "--count", str(count), "--seed", "1", "--jobs", "1",
+                   "--trace", str(tmp_path / f"t{count}.jsonl")]
+            result = subprocess.run([sys.executable, "-c", _PEAK_RSS, *run], env=SRC_ENV,
+                                    capture_output=True, text=True, check=True)
+            code, peak_kib = map(int, result.stdout.split())
+            assert code == 0
+            assert len((tmp_path / f"t{count}.jsonl").read_text().splitlines()) == count
+            peaks.append(peak_kib / 1024)
+        assert peaks[1] - peaks[0] <= 2.0, f"peak RSS {peaks[0]:.2f} -> {peaks[1]:.2f} MB"
+
+    @pytest.mark.parametrize("earlier", [False, True], ids=["new", "earlier"])
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_op_failure_leaves_no_trace_file_and_no_worker(self, tmp_path, np_rng, capsys,
+                                                           jobs, earlier):
+        # Only z.png, sample 9, is too small to crop; samples 0-8 are
+        # written, and their records reach the temporary file, first.
+        root = tmp_path / "in"
+        for i in range(9):
+            save_image(random_image(np_rng, 16, 16), root / f"p{i}.png")
+        save_image(random_image(np_rng, 8, 8), root / "z.png")
+        cfg = write_config(tmp_path / "crop.json", {"version": 1, "operations": [
+            {"op": "crop_centre", "probability": 1, "width": 12, "height": 12}]})
+        traces = tmp_path / "traces"
+        traces.mkdir()
+        trace = traces / "t.jsonl"
+        if earlier:
+            trace.write_text("an earlier trace\n")
+        code = main(["run", "--config", str(cfg), "--input", str(root),
+                     "--output", str(tmp_path / "o"), "--mode", "process",
+                     "--trace", str(trace), "--jobs", jobs])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("augpipe: runtime error: sample 9 (source z.png): op 0 (crop_centre)")
+        assert err.count("\n") == 1
+        assert [p.name for p in traces.iterdir()] == (["t.jsonl"] if earlier else [])
+        if earlier:
+            assert trace.read_text() == "an earlier trace\n"
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_trace_write_failure_mid_run_is_2_and_closes_the_pool(self, tmp_path, corpus,
+                                                                   recipe, capsys, monkeypatch,
+                                                                   jobs):
+        to_json, written = pipeline_mod.TraceRecord.to_json, []
+
+        def failing_to_json(record):
+            if len(written) == 3:
+                raise OSError("no space left on device")
+            written.append(record)
+            return to_json(record)
+
+        monkeypatch.setattr(pipeline_mod.TraceRecord, "to_json", failing_to_json)
+        args = ["run", "--config", str(recipe), "--input", str(corpus), "--count", "40",
+                "--jobs", jobs, "--trace", str(tmp_path / "t.jsonl")]
+        assert main(args + ["--output", str(tmp_path / "o1")]) == 2
+        assert capsys.readouterr().err == "augpipe: i/o error: no space left on device\n"
+        # The traceback keeps the run's frames, and so its records, alive:
+        # the pool is shut down all the same.
+        written.clear()
+        with pytest.raises(OSError) as info:
+            cli._cmd_run(cli._build_parser().parse_args(args + ["--output", str(tmp_path / "o2")]))
+        assert info.traceback
+        assert multiprocessing.active_children() == []
+        assert list(tmp_path.glob("*t.jsonl*")) == []
+
+    def test_trace_under_a_regular_file_is_2_before_any_image(self, tmp_path, corpus, recipe,
+                                                               capsys):
+        # The trace's folder cannot be made, which is found before the
+        # first sample (the tests run as root, so no file mode would do).
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = tmp_path / "o"
+        code = main(["run", "--config", str(recipe), "--input", str(corpus),
+                     "--output", str(out), "--count", "4", "--trace", str(blocker / "t.jsonl")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("augpipe: i/o error: ") and err.count("\n") == 1
+        assert not out.exists()
+        assert blocker.read_text() == ""
+
+    def test_lost_worker_is_3_with_one_line(self, tmp_path, corpus, recipe, capsys,
+                                            monkeypatch):
+        # Sample 2 ends each class's first chunk of 3 (20 samples on 2
+        # workers); class 0's is first in chunk order.
+        die_at_sample(monkeypatch, 2)
+        trace = tmp_path / "t.jsonl"
+        code = main(["run", "--config", str(recipe), "--input", str(corpus),
+                     "--output", str(tmp_path / "o"), "--count", "20", "--per-class",
+                     "--jobs", "2", "--trace", str(trace)])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "augpipe: runtime error: a worker process ended before it returned the records of "
+            "class '0', samples 0-2\n")
+        assert list(tmp_path.glob("*t.jsonl*")) == []
+        assert multiprocessing.active_children() == []
 
 
 class TestExitCodes:

@@ -1,9 +1,14 @@
 """Source hygiene: no module in src/augpipe imports a name it does not use,
 ops.py gives an OpError its op kind in two places only, pipeline.py
 chooses its workers by sink in one place, dataio.py refuses an unknown
-PNG filter byte in one place, and only its PNG encoder deflates."""
+PNG filter byte in one place, only its PNG encoder deflates, and a
+``--jobs 1`` run imports neither ``multiprocessing`` nor
+``concurrent.futures``."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -142,3 +147,26 @@ def test_only_the_png_encoder_deflates():
     for path in sorted(SRC.glob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
     assert calls == {"compressobj": ["dataio._encode_png"]}
+
+
+def test_a_one_worker_run_imports_no_pool(tmp_path):
+    # Only a call that starts a pool imports one; the modules cost a
+    # --jobs 1 run RSS and start-up time.
+    script = """
+import sys
+import numpy as np
+from augpipe.cli import main
+from augpipe.dataio import save_image
+from augpipe.imagecore import Image
+save_image(Image.from_array(np.zeros((8, 8, 1), np.uint8)), "in/a.png")
+with open("flip.json", "w") as fh:
+    fh.write('{"version": 1, "operations": [{"op": "flip", "probability": 1}]}')
+assert main(["run", "--config", "flip.json", "--input", "in", "--output", "out",
+             "--count", "3", "--jobs", "1", "--trace", "t.jsonl"]) == 0
+print(sorted(name for name in ("multiprocessing", "concurrent.futures") if name in sys.modules))
+"""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.splitlines()[-1] == "[]"

@@ -3,10 +3,12 @@
 import json
 import multiprocessing
 import os
+import signal
 import stat
 import sys
 import weakref
-from concurrent.futures import Future
+from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 from unittest import mock
 
@@ -39,6 +41,7 @@ from augpipe import (
     Scale,
     Shear,
     Skew,
+    WorkerLostError,
     Zoom,
     derive_sample_rng,
     load_image,
@@ -52,6 +55,24 @@ from augpipe import pipeline as pipeline_mod
 from augpipe.pipeline import TraceRecord
 from augpipe.warp import _BAND_PIXELS
 from conftest import monitor_source_bounds, random_image, tree_bytes
+
+# Where pipeline._pooled finds the pool class, imported when it starts one.
+_POOL = "concurrent.futures.process.ProcessPoolExecutor"
+
+
+def die_at_sample(monkeypatch, k):
+    """Make every pool worker send SIGKILL to itself as it starts sample k
+    (of any class), on 2 usable CPUs; the calling process never does."""
+    caller = os.getpid()
+    start = pipeline_mod._start
+
+    def dying_start(pipeline, dataset, index, choose_source):
+        if index == k and os.getpid() != caller:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return start(pipeline, dataset, index, choose_source)
+
+    monkeypatch.setattr(pipeline_mod, "_start", dying_start)
+    monkeypatch.setattr(pipeline_mod, "_usable_cpus", lambda: 2)
 
 
 def _small_dataset(root, np_rng, count=10, size=12):
@@ -431,6 +452,52 @@ class TestProcess:
 
 
 class TestPerCallPool:
+    @pytest.mark.parametrize("per_class", [False, True])
+    def test_lost_worker_names_the_first_lost_chunk(self, tmp_path, np_rng, monkeypatch,
+                                                    per_class):
+        # 20 samples (of each class) on 2 workers make chunks of 3, so
+        # sample 2 ends chunk 0: the first chunk in chunk order, whose
+        # records are lost whichever worker dies first.
+        for label in ("a", "b"):
+            _small_dataset(tmp_path / "in" / label, np_rng, count=3, size=8)
+        ds = scan_dataset(tmp_path / "in")
+        die_at_sample(monkeypatch, 2)
+        with pytest.raises(WorkerLostError) as info:
+            pipeline_mod.sample(Pipeline().add(Invert(probability=0.5)), ds, 20,
+                                DirectorySink(tmp_path / "out"), jobs=2, per_class=per_class)
+        where = "class 'a', " if per_class else ""
+        assert str(info.value) == (
+            f"a worker process ended before it returned the records of {where}samples 0-2")
+        assert multiprocessing.active_children() == []
+
+    def test_pool_broken_while_chunks_are_handed_out(self, tmp_path, np_rng, monkeypatch):
+        # The stand-in pool finishes the first three chunks of 3 it is
+        # handed, then refuses the rest, as a pool does once a worker has
+        # ended; chunk 3 is the first whose records are lost. No process
+        # is started.
+        monkeypatch.setattr(pipeline_mod, "_usable_cpus", lambda: 2)
+
+        class BreakingPool:
+            def __init__(self, max_workers, **kwargs):
+                self.handed = 0
+
+            def submit(self, fn, chunk, position):
+                if self.handed == 3:
+                    raise BrokenProcessPool("a process in the pool ended")
+                self.handed += 1
+                future = Future()
+                future.set_result([])
+                return future
+
+            def shutdown(self, **kwargs):
+                pass
+
+        monkeypatch.setattr(_POOL, BreakingPool)
+        with pytest.raises(WorkerLostError, match="^a worker process ended before it returned "
+                                                  "the records of samples 9-11$"):
+            pipeline_mod.sample(Pipeline(), _small_dataset(tmp_path / "in", np_rng, count=3), 20,
+                                DirectorySink(tmp_path / "out"), jobs=2)
+
     def test_no_worker_outlives_a_parallel_call(self, tmp_path, np_rng):
         ds = _small_dataset(tmp_path / "in", np_rng)
         pipeline_mod.sample(Pipeline(master_seed=3).add(Invert(probability=0.5)), ds, 20,
@@ -492,12 +559,12 @@ class TestPerCallPool:
                 save_image(random_image(np_rng, 6, 6), root / label / f"{i}.png")
         submitted = []
 
-        class RecordingPool(pipeline_mod.ProcessPoolExecutor):
+        class RecordingPool(ProcessPoolExecutor):
             def submit(self, fn, chunk, position):
                 submitted.append(position)
                 return super().submit(fn, chunk, position)
 
-        monkeypatch.setattr(pipeline_mod, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(_POOL, RecordingPool)
         records = pipeline_mod.process(Pipeline().add(Invert(probability=1)), scan_dataset(root),
                                        DirectorySink(tmp_path / "out"), jobs=2, per_class=True)
         assert len(records) == 19
@@ -706,8 +773,8 @@ class TestOpMajorChunks:
             indices = range(len(mixed_dataset.entries))
 
         def chunk(sink):
-            return pipeline_mod._generate_chunk((pipe, mixed_dataset, indices, sink, choose_source),
-                                                pipeline_mod._Sources())
+            return list(pipeline_mod._generate_chunk(
+                (pipe, mixed_dataset, indices, sink, choose_source), pipeline_mod._Sources()))
 
         def loop(sink):
             return [_reference_sample(pipe, mixed_dataset, i, sink, choose_source)
@@ -854,7 +921,7 @@ class TestOpMajorChunks:
         # A fork pool forks all its workers at the first submit, so any
         # beyond the chunk count, or the CPUs, would be forked only to sit
         # idle. One worker runs in-process, with no pool.
-        pool_class = pipeline_mod.ProcessPoolExecutor
+        pool_class = ProcessPoolExecutor
         workers = min(count, pipeline_mod._usable_cpus())
         asked = []
 
@@ -864,7 +931,7 @@ class TestOpMajorChunks:
                 raise AssertionError(f"{max_workers} workers for {count} chunks")
             return pool_class(max_workers=max_workers, **kwargs)
 
-        monkeypatch.setattr(pipeline_mod, "ProcessPoolExecutor", recording_pool)
+        monkeypatch.setattr(_POOL, recording_pool)
         pipe = Pipeline(master_seed=9).add(Elastic(probability=1, grid_width=2, grid_height=2,
                                                    magnitude=3))
         outputs = []
@@ -894,7 +961,7 @@ class TestOpMajorChunks:
             asked.append(max_workers)
             raise NotForked
 
-        monkeypatch.setattr(pipeline_mod, "ProcessPoolExecutor", recording_pool)
+        monkeypatch.setattr(_POOL, recording_pool)
         with pytest.raises(NotForked):
             pipeline_mod.sample(Pipeline(), mixed_dataset, 64, DirectorySink(tmp_path), jobs=64)
         assert asked == [3]
@@ -923,7 +990,7 @@ class TestOpMajorChunks:
             def shutdown(self, **kwargs):
                 pass
 
-        monkeypatch.setattr(pipeline_mod, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(_POOL, RecordingPool)
         for jobs in (2, 1000):
             pipeline_mod.sample(Pipeline(), ds, 4000, DirectorySink(tmp_path / "out"), jobs=jobs,
                                 per_class=per_class)
@@ -994,7 +1061,7 @@ class TestOpMajorChunks:
             raise AssertionError("a pool was made for a sink that is not a DirectorySink")
 
         monkeypatch.setattr(pipeline_mod, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(pipeline_mod, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(_POOL, no_pool)
         pipe = Pipeline(master_seed=8).add(Invert(probability=0.5))
         collected, listed = [], []
         for jobs in (1, 2):
